@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import cpa, leakage, recover, sampler, template, traceio
-from .errors import CdtLeakError
+from .errors import CdtLeakError, TraceFormatError
 
 _PCT = "{:.12g}%"
 
@@ -68,11 +68,19 @@ def _apply_config(subparsers, cfg: dict[str, str]) -> None:
         raise CdtLeakError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def _add_common(sub) -> None:
     sub.add_argument("--seed", type=int, default=1, help="master 64-bit seed")
     sub.add_argument("--logn", type=int, default=9, help="ring dimension exponent")
     sub.add_argument("--table", type=str, default=None, help="CDT table file")
-    sub.add_argument("--threads", type=int, default=1, help="worker threads")
+    sub.add_argument("--threads", type=int, default=_usable_cores(),
+                     help="render threads (default: usable cores); outputs do not depend on it")
     sub.add_argument("--config", type=str, default=None, help="key=value defaults file")
 
 
@@ -96,6 +104,8 @@ def _table_from(args) -> sampler.GaussCdtTable:
 
 
 def _setup_from(args):
+    if args.threads < 1:
+        raise CdtLeakError(f"--threads must be at least 1, got {args.threads}")
     tab = _table_from(args)
     params = sampler.SamplerParams(logn=args.logn)
     model = leakage.LeakModel(
@@ -141,7 +151,9 @@ def _profile_campaign(args):
         if md.get("kind") != "profiling":
             raise CdtLeakError("input traces are not a profiling campaign")
         layout = leakage.layout_from_metadata(md)
-        fire_slot = int(md["fire_slot"])
+        fire_slot = leakage.metadata_number(md, "fire_slot")
+        if not 1 <= fire_slot <= layout.inner_count:
+            raise TraceFormatError(f"fire_slot {fire_slot} outside 1..{layout.inner_count}")
         return trace_set, labels, layout, fire_slot
     trace_set, labels = leakage.synthesize_profiling_set(
         seed=args.seed,
@@ -178,14 +190,8 @@ def cmd_profile(args) -> int:
 
 def cmd_attack(args) -> int:
     trace_set = traceio.read_trace_set(args.inp + ".trc")
-    md = trace_set.metadata
-    try:
-        params = leakage.params_from_metadata(md)
-        layout = leakage.layout_from_metadata(md)
-    except KeyError as exc:
-        raise CdtLeakError(
-            f"trace file lacks campaign metadata field {exc.args[0]!r}"
-        ) from None
+    params = leakage.params_from_metadata(trace_set.metadata)
+    layout = leakage.layout_from_metadata(trace_set.metadata)
     labels = None
     label_path = args.inp + ".lbl"
     if os.path.exists(label_path):

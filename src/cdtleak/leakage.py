@@ -20,23 +20,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import traceio
-from .errors import DomainError, LayoutMismatch
+from .errors import DomainError, LayoutMismatch, TraceFormatError
 from .sampler import (
-    _GOLDEN,
-    _MIX1,
-    _MIX2,
     MASK63,
     MASK64,
     GaussCdtTable,
     SamplerParams,
-    SecretCoefficient,
     SecretPolynomial,
-    SequenceWordSource,
-    WordSource,
-    derive_subseed,
-    generate_polynomials,
-    sample_coefficient,
+    key_pairs,
+    sample_keys,
+    scan_words,
     word_block,
+    words,
 )
 
 DEFAULT_ALPHA = 30.0 / 64.0
@@ -162,17 +157,39 @@ def gaussian_block(seed: int, count: int) -> np.ndarray:
     return _box_muller(word_block(seed, 0, 2 * pairs))[:count]
 
 
-def _gaussian_matrix(subseeds: np.ndarray, count: int) -> np.ndarray:
-    """Row i holds gaussian_block(subseeds[i], count); fully vectorized."""
+def _gaussian_matrix(subseeds: np.ndarray, count: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Row i holds gaussian_block(subseeds[i], count), computed in place.
+
+    `out` is a float64 buffer of at least (rows, 2 * pairs) that the
+    result is a view of; one is allocated when it is None. Each step is
+    the one _box_muller takes, on the same values, so rows match it bit
+    for bit.
+    """
     pairs = (count + 1) // 2
-    offsets = np.arange(1, 2 * pairs + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-    x = subseeds.astype(np.uint64)[:, None] + offsets[None, :]
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(_MIX1)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(_MIX2)
-    x ^= x >> np.uint64(31)
-    return _box_muller(x)[:, :count]
+    rows = len(subseeds)
+    if out is None:
+        out = np.empty((rows, 2 * pairs))
+    z = out[:rows, : 2 * pairs]
+    w = words(subseeds, 0, 2 * pairs)
+    w >>= np.uint64(11)
+    # The angle goes in the first half and the radius in the second, so
+    # that cos and sin each land in their output half without a copy.
+    angle, radius = z[:, :pairs], z[:, pairs:]
+    angle[...] = w[:, pairs:]
+    radius[...] = w[:, :pairs]
+    z += 1.0
+    z *= 2.0 ** -53
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle *= 2.0 * np.pi
+    # The words are spent; their memory holds the sines.
+    sine = w[:, :pairs].view(np.float64)
+    np.sin(angle, out=sine)
+    np.cos(angle, out=angle)
+    angle *= radius
+    radius *= sine
+    return z[:, :count]
 
 
 def _check_leaks(leaks, layout: TraceLayout) -> None:
@@ -220,43 +237,56 @@ def build_label_set(coefficients) -> traceio.LabelSet:
     return traceio.LabelSet(values=values, inner_bits=inner, neg_bits=neg)
 
 
+# Rows per render chunk come from this many float64 samples (2 MiB), so
+# a chunk's working set stays in cache whatever the trace length.
+_CHUNK_SAMPLES = 1 << 18
+
+
 def _render_traces(
-    coefficients,
+    inner_bits: np.ndarray,
+    neg_bits: np.ndarray,
     model: LeakModel,
     layout: TraceLayout,
     noise_subseeds: np.ndarray,
     threads: int = 1,
 ) -> np.ndarray:
-    """Vectorized synthesize_trace over many coefficients.
+    """Vectorized synthesize_trace over many coefficients' leak bits.
 
     Bit-identical to calling synthesize_trace per coefficient with the
-    matching sub-seed; chunks only bound memory, and threads only split
-    chunks, so neither changes the output.
+    matching sub-seed: the noise is scaled and shifted in the same order,
+    the gain is added where a mask bit is set, and the float32 cast is the
+    same. synthesize_trace also adds 0.0 at the other leak sites, which
+    changes a sample only if it is -0.0, which takes beta = -0.0 (and in
+    practice zero noise). Chunks only bound memory, and threads only
+    split chunks, so neither changes the output.
     """
-    n = len(coefficients)
+    n = len(noise_subseeds)
     length = layout.trace_length
-    _, inner_bits, neg_bits = _leak_bits(coefficients)
-    inner_cols = layout.inner_site_matrix().reshape(-1)
-    neg_cols = layout.neg_site_vector()
+    bits = np.concatenate([inner_bits.reshape(n, -1), neg_bits.reshape(n, -1)], axis=1)
+    cols = np.concatenate([layout.inner_site_matrix().reshape(-1), layout.neg_site_vector()])
+    gain = model.alpha * 64
+    width = 2 * ((length + 1) // 2)
+    chunk = max(1, _CHUNK_SAMPLES // width)
     out = np.empty((n, length), dtype=np.float32)
-    inner_gain = model.alpha * 64
-    chunk = max(1, (1 << 22) // max(length, 1))
 
-    def render(lo: int, hi: int) -> None:
-        block = model.beta + model.noise_sigma * _gaussian_matrix(
-            noise_subseeds[lo:hi], length
-        )
-        block[:, inner_cols] += inner_gain * inner_bits[lo:hi].reshape(hi - lo, -1)
-        block[:, neg_cols] += inner_gain * neg_bits[lo:hi]
-        out[lo:hi] = block.astype(np.float32)
+    def render(spans) -> None:
+        buf = np.empty((chunk, width))
+        for lo, hi in spans:
+            z = _gaussian_matrix(noise_subseeds[lo:hi], length, out=buf)
+            z *= model.noise_sigma
+            z += model.beta
+            rows, sites = np.nonzero(bits[lo:hi])
+            z[rows, cols[sites]] += gain
+            out[lo:hi] = z
 
     spans = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda s: render(*s), spans))
+    workers = min(threads, len(spans))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for done in [pool.submit(render, spans[t::workers]) for t in range(workers)]:
+                done.result()
     else:
-        for lo, hi in spans:
-            render(lo, hi)
+        render(spans)
     return out
 
 
@@ -289,27 +319,39 @@ def campaign_metadata(
     return md
 
 
+def metadata_number(md: dict[str, str], key: str, kind=int):
+    """Parse one metadata field; a missing or malformed one is a format error."""
+    try:
+        raw = md[key]
+    except KeyError:
+        raise TraceFormatError(f"trace file lacks campaign metadata field {key!r}") from None
+    try:
+        return kind(raw)
+    except ValueError:
+        raise TraceFormatError(f"metadata field {key!r} has bad value {raw!r}") from None
+
+
 def layout_from_metadata(md: dict[str, str]) -> TraceLayout:
     return TraceLayout(
-        outer_count=int(md["outer_count"]),
-        inner_count=int(md["inner_count"]),
-        samples_per_inner=int(md["samples_per_inner"]),
-        samples_per_outer_tail=int(md["samples_per_outer_tail"]),
-        leak_offset_inner=int(md["leak_offset_inner"]),
-        leak_offset_neg=int(md["leak_offset_neg"]),
+        outer_count=metadata_number(md, "outer_count"),
+        inner_count=metadata_number(md, "inner_count"),
+        samples_per_inner=metadata_number(md, "samples_per_inner"),
+        samples_per_outer_tail=metadata_number(md, "samples_per_outer_tail"),
+        leak_offset_inner=metadata_number(md, "leak_offset_inner"),
+        leak_offset_neg=metadata_number(md, "leak_offset_neg"),
     )
 
 
 def model_from_metadata(md: dict[str, str]) -> LeakModel:
     return LeakModel(
-        alpha=float(md["alpha"]),
-        beta=float(md["beta"]),
-        noise_sigma=float(md["noise_sigma"]),
+        alpha=metadata_number(md, "alpha", float),
+        beta=metadata_number(md, "beta", float),
+        noise_sigma=metadata_number(md, "noise_sigma", float),
     )
 
 
 def params_from_metadata(md: dict[str, str]) -> SamplerParams:
-    return SamplerParams(logn=int(md["logn"]), q=int(md["q"]))
+    return SamplerParams(logn=metadata_number(md, "logn"), q=metadata_number(md, "q"))
 
 
 def synthesize_campaign(
@@ -334,22 +376,15 @@ def synthesize_campaign(
         layout = TraceLayout.for_params(params, table)
     if (layout.outer_count, layout.inner_count) != (params.outer_count, table.inner_count):
         raise LayoutMismatch("layout disagrees with sampler parameters or table")
-    keys = []
-    coefficients: list[SecretCoefficient] = []
-    for j in range(n_keys):
-        f, g = generate_polynomials(derive_subseed(seed, j), params, table)
-        keys.append((f, g))
-        coefficients.extend(f.coefficients)
-        coefficients.extend(g.coefficients)
-    subseeds = np.array(
-        [derive_subseed(seed, n_keys + r) for r in range(len(coefficients))],
-        dtype=np.uint64,
-    )
-    samples = _render_traces(coefficients, model, layout, subseeds, threads=threads)
+    key_seeds = words([seed & MASK64], 0, n_keys)[0]
+    values, inner_bits, neg_bits = sample_keys(key_seeds, params, table)
+    subseeds = words([seed & MASK64], n_keys, len(values))[0]
+    samples = _render_traces(inner_bits, neg_bits, model, layout, subseeds, threads=threads)
     md = campaign_metadata(
         seed, params, table, model, layout, kind="campaign", n_keys=str(n_keys)
     )
-    labels = build_label_set(coefficients)
+    labels = traceio.LabelSet(values=values, inner_bits=inner_bits, neg_bits=neg_bits)
+    keys = key_pairs(values, inner_bits, neg_bits, params.n)
     return traceio.TraceSet(samples=samples, metadata=md), labels, keys
 
 
@@ -385,6 +420,34 @@ def plant_control_words(
     return w1, w2
 
 
+def _plant_first_iteration(table: GaussCdtTable, fire_slot: int, stream: np.ndarray) -> None:
+    """plant_control_words for every trace at once, in place.
+
+    Row i of `stream` is trace i's plant stream. Its columns 0 and 1 are
+    the words plant_control_words draws; they are replaced by the planted
+    first-iteration words: the first half of the rows latch at
+    fire_slot, the rest take the zero branch, and the sign bit is i & 1.
+    The columns after them feed the unscripted iterations unchanged.
+    """
+    entries = table.entries
+    if not 1 <= fire_slot <= table.inner_count:
+        raise DomainError("fire_slot out of range")
+    hi = MASK63 + 1 if fire_slot == 1 else entries[fire_slot - 1]
+    lo = entries[fire_slot]
+    if hi <= lo:
+        raise DomainError(f"slot {fire_slot} cannot fire: empty threshold range")
+    if entries[0] == 0:
+        raise DomainError("table gives zero probability to magnitude 0")
+    n = len(stream)
+    sign = (np.arange(n, dtype=np.uint64) & np.uint64(1)) << np.uint64(63)
+    fire, zero = stream[: n // 2], stream[n // 2 :]
+    fire[:, 0] = np.uint64(entries[0]) + fire[:, 0] % np.uint64(MASK63 + 1 - entries[0])
+    fire[:, 1] = np.uint64(lo) + fire[:, 1] % np.uint64(hi - lo)
+    zero[:, 0] %= np.uint64(entries[0])
+    zero[:, 1] &= np.uint64(MASK63)
+    stream[:, 0] |= sign
+
+
 def synthesize_profiling_set(
     seed: int,
     params: SamplerParams,
@@ -414,17 +477,14 @@ def synthesize_profiling_set(
         layout = TraceLayout.for_params(params, table)
     if (layout.outer_count, layout.inner_count) != (params.outer_count, table.inner_count):
         raise LayoutMismatch("layout disagrees with sampler parameters or table")
-    coefficients = []
-    for i in range(n_traces):
-        plant = WordSource(seed=derive_subseed(seed, i))
-        slot = fire_slot if i < n_traces // 2 else None
-        w1, w2 = plant_control_words(table, neg_bit=i & 1, fire_slot=slot, source=plant)
-        source = SequenceWordSource([w1, w2], fallback=plant)
-        coefficients.append(sample_coefficient(table, params, source))
-    subseeds = np.array(
-        [derive_subseed(seed, n_traces + i) for i in range(n_traces)], dtype=np.uint64
+    plant_seeds = words([seed & MASK64], 0, n_traces)[0]
+    stream = words(plant_seeds, 0, 2 * params.outer_count)
+    _plant_first_iteration(table, fire_slot, stream)
+    values, inner_bits, neg_bits = scan_words(
+        table, stream.reshape(n_traces, params.outer_count, 2)
     )
-    samples = _render_traces(coefficients, model, layout, subseeds, threads=threads)
+    subseeds = words([seed & MASK64], n_traces, n_traces)[0]
+    samples = _render_traces(inner_bits, neg_bits, model, layout, subseeds, threads=threads)
     md = campaign_metadata(
         seed,
         params,
@@ -434,4 +494,5 @@ def synthesize_profiling_set(
         kind="profiling",
         fire_slot=str(fire_slot),
     )
-    return traceio.TraceSet(samples=samples, metadata=md), build_label_set(coefficients)
+    labels = traceio.LabelSet(values=values, inner_bits=inner_bits, neg_bits=neg_bits)
+    return traceio.TraceSet(samples=samples, metadata=md), labels

@@ -97,22 +97,37 @@ def next_word(source) -> int:
     return source.next_u64()
 
 
-def word_block(seed: int, counter: int, count: int) -> np.ndarray:
-    """Vectorized WordSource: the `count` words following `counter`.
+def words(seeds, start: int, count: int) -> np.ndarray:
+    """Vectorized WordSource: `count` words per seed, shape (rows, count).
 
-    Equivalent to calling next_word on WordSource(seed, counter) `count`
-    times, returned as a uint64 array.
+    Row i holds the words WordSource(seeds[i], start) returns next, that
+    is splitmix64(seeds[i] + (start + c + 1) * GOLDEN) for c < count, all
+    mod 2**64. Seeds must already be 64-bit values.
     """
     if count < 0:
         raise DomainError("count must be non-negative")
-    idx = np.arange(1, count + 1, dtype=np.uint64) + np.uint64(counter & MASK64)
-    x = np.uint64(seed & MASK64) + idx * np.uint64(_GOLDEN)
-    x ^= x >> np.uint64(30)
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    if seeds.ndim != 1:
+        raise DomainError("seeds must be one-dimensional")
+    steps = np.arange(1, count + 1, dtype=np.uint64)
+    steps += np.uint64(start & MASK64)
+    steps *= np.uint64(_GOLDEN)
+    x = seeds[:, None] + steps[None, :]
+    t = np.empty_like(x)
+    np.right_shift(x, np.uint64(30), out=t)
+    x ^= t
     x *= np.uint64(_MIX1)
-    x ^= x >> np.uint64(27)
+    np.right_shift(x, np.uint64(27), out=t)
+    x ^= t
     x *= np.uint64(_MIX2)
-    x ^= x >> np.uint64(31)
+    np.right_shift(x, np.uint64(31), out=t)
+    x ^= t
     return x
+
+
+def word_block(seed: int, counter: int, count: int) -> np.ndarray:
+    """The `count` words WordSource(seed, counter) returns next, as uint64."""
+    return words([seed & MASK64], counter, count)[0]
 
 
 def derive_subseed(seed: int, index: int) -> int:
@@ -123,7 +138,7 @@ def derive_subseed(seed: int, index: int) -> int:
     """
     if index < 0:
         raise DomainError("index must be non-negative")
-    return splitmix64((seed + (index + 1) * _GOLDEN) & MASK64)
+    return int(words([seed & MASK64], index, 1)[0, 0])
 
 
 def msb_mask(x: int) -> int:
@@ -263,17 +278,53 @@ class SecretCoefficient:
     leaks: tuple[IterationLeakRecord, ...]
 
 
-@dataclass(frozen=True)
 class SecretPolynomial:
-    """A polynomial of sampled coefficients, kept with their leaks."""
+    """A polynomial of sampled coefficients, viewed over batch scan rows.
 
-    coefficients: tuple[SecretCoefficient, ...]
+    values (n,), inner_bits (n, outer, inner_count) and neg_bits
+    (n, outer) are rows of scan_words' output. The SecretCoefficient
+    records with their leaks are built only when .coefficients is read.
+    """
+
+    def __init__(self, values: np.ndarray, inner_bits: np.ndarray, neg_bits: np.ndarray):
+        self._values = values
+        self.inner_bits = inner_bits
+        self.neg_bits = neg_bits
+
+    @functools.cached_property
+    def coefficients(self) -> tuple[SecretCoefficient, ...]:
+        coeffs = []
+        for value, inner, neg in zip(
+            self._values.tolist(), self.inner_bits.tolist(), self.neg_bits.tolist()
+        ):
+            records = []
+            for fired, sign in zip(inner, neg):
+                v = fired.index(True) + 1 if True in fired else 0
+                records.append(
+                    IterationLeakRecord(
+                        inner_masks=tuple(MASK64 if b else 0 for b in fired),
+                        neg_mask=MASK64 if sign else 0,
+                        v_value=v,
+                        signed_v=-v if sign else v,
+                    )
+                )
+            coeffs.append(SecretCoefficient(value=value, leaks=tuple(records)))
+        return tuple(coeffs)
 
     def values(self) -> list[int]:
-        return [c.value for c in self.coefficients]
+        return self._values.tolist()
 
     def __len__(self) -> int:
-        return len(self.coefficients)
+        return len(self._values)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SecretPolynomial):
+            return NotImplemented
+        return (
+            np.array_equal(self._values, other._values)
+            and np.array_equal(self.inner_bits, other.inner_bits)
+            and np.array_equal(self.neg_bits, other.neg_bits)
+        )
 
 
 def sample_coefficient(table: GaussCdtTable, params: SamplerParams, source) -> SecretCoefficient:
@@ -319,17 +370,69 @@ def sample_coefficient(table: GaussCdtTable, params: SamplerParams, source) -> S
     return SecretCoefficient(value=value, leaks=tuple(records))
 
 
+def scan_words(
+    table: GaussCdtTable, draws: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batch sample_coefficient over words drawn in advance.
+
+    draws has shape (rows, outer, 2): the two words each outer iteration
+    of one coefficient's scan consumes, in stream order. Returns the
+    signed values (rows,) int32, inner_bits (rows, outer, inner_count),
+    true where the inner mask was all ones, and neg_bits (rows, outer),
+    the sign draws; sample_coefficient on the same words gives the same.
+
+    Unless the first draw takes the zero branch, the one-shot flag fires
+    at the first k with r >= entries[k]. The tail is non-increasing, so
+    those k form a suffix, whose length a search of the reversed tail
+    counts; an empty suffix means no slot fires and the magnitude is 0.
+    """
+    draws = np.asarray(draws, dtype=np.uint64)
+    if draws.ndim != 3 or draws.shape[2] != 2:
+        raise DomainError(f"draws must have shape (rows, outer, 2), got {draws.shape}")
+    entries = np.array(table.entries, dtype=np.uint64)
+    inner_count = table.inner_count
+    low63 = np.uint64(MASK63)
+    first, second = draws[..., 0], draws[..., 1]
+    neg_bits = (first >> np.uint64(63)).astype(bool)
+    zero = (first & low63) < entries[0]
+    suffix = np.searchsorted(entries[:0:-1], second & low63, side="right")
+    slot = np.where(zero | (suffix == 0), 0, inner_count + 1 - suffix)
+    inner_bits = slot[..., None] == np.arange(1, inner_count + 1)
+    # The scan accumulates in 32 bits; the int64 sum wraps the same way
+    # when cast down.
+    values = np.where(neg_bits, -slot, slot).sum(axis=1).astype(np.int32)
+    return values, inner_bits, neg_bits
+
+
+def sample_keys(
+    seeds, params: SamplerParams, table: GaussCdtTable
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """scan_words over the 2n coefficients (f, then g) of each key seed.
+
+    Every coefficient consumes exactly 2 * outer_count words, so key i is
+    one words() row; the result's rows run key by key.
+    """
+    per_coefficient = 2 * params.outer_count
+    draws = words(seeds, 0, 2 * params.n * per_coefficient)
+    return scan_words(table, draws.reshape(-1, params.outer_count, 2))
+
+
+def key_pairs(
+    values: np.ndarray, inner_bits: np.ndarray, neg_bits: np.ndarray, n: int
+) -> list[tuple[SecretPolynomial, SecretPolynomial]]:
+    """Split sample_keys rows into (f, g) polynomial views, key by key."""
+    polys = [
+        SecretPolynomial(values[a : a + n], inner_bits[a : a + n], neg_bits[a : a + n])
+        for a in range(0, len(values), n)
+    ]
+    return list(zip(polys[::2], polys[1::2]))
+
+
 def generate_polynomials(
     seed: int, params: SamplerParams, table: GaussCdtTable | None = None
 ) -> tuple[SecretPolynomial, SecretPolynomial]:
     """Sample the key pair (f, g): 2n coefficients off one seeded stream."""
     if table is None:
         table = default_table()
-    source = WordSource(seed=seed & MASK64)
-    polys = []
-    for _ in range(2):
-        coeffs = tuple(
-            sample_coefficient(table, params, source) for _ in range(params.n)
-        )
-        polys.append(SecretPolynomial(coefficients=coeffs))
-    return polys[0], polys[1]
+    batch = sample_keys([seed & MASK64], params, table)
+    return key_pairs(*batch, params.n)[0]

@@ -92,13 +92,15 @@ def _decode_metadata(blob: bytes) -> dict[str, str]:
     return out
 
 
-def _atomic_write(path, blob: bytes) -> None:
+def _atomic_write(path, *chunks) -> None:
+    """Write the byte-like chunks, in order, as the whole file at path."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -121,7 +123,7 @@ def write_trace_set(trace_set: TraceSet, path) -> None:
     header = TRACE_MAGIC + _HEADER.pack(
         FORMAT_VERSION, samples.shape[0], samples.shape[1], len(meta)
     )
-    _atomic_write(path, header + meta + np.ascontiguousarray(samples).tobytes())
+    _atomic_write(path, header, meta, memoryview(np.ascontiguousarray(samples)))
 
 
 def read_trace_set(path) -> TraceSet:

@@ -463,3 +463,59 @@ class TestParserBasics:
         rc = main(["analyze", "--p-inner", "2", "--p-neg", "1"])
         capsys.readouterr()
         assert rc == 2
+
+
+class TestThreadsAndMetadataErrors:
+    @pytest.mark.parametrize("command", ["simulate", "profile"])
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, capsys, tmp_path, command, threads):
+        rc, _, err = _run(
+            capsys, command, "--threads", threads, "--out", str(tmp_path / "x")
+        )
+        assert rc == 2
+        assert "--threads must be at least 1" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_outputs_do_not_depend_on_threads(self, tmp_path):
+        blobs = []
+        for threads in ("1", "3"):
+            rc, _ = _quiet(
+                "simulate", "--seed", "8", "--logn", "7", "--threads", threads,
+                "--out", str(tmp_path / f"t{threads}"),
+            )
+            assert rc == 0
+            blobs.append([(tmp_path / f"t{threads}{s}").read_bytes() for s in (".trc", ".lbl")])
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("fire_slot", [None, "x", "0", "27"])
+    def test_profiling_input_with_bad_fire_slot(self, capsys, tmp_path, fire_slot):
+        traces, labels = leakage.synthesize_profiling_set(
+            seed=42, params=SamplerParams(logn=9), table=default_table(),
+            model=leakage.LeakModel(), n_traces=40,
+        )
+        if fire_slot is None:
+            del traces.metadata["fire_slot"]
+        else:
+            traces.metadata["fire_slot"] = fire_slot
+        prefix = str(tmp_path / "prof")
+        traceio.write_trace_set(traces, prefix + ".trc")
+        traceio.write_label_set(labels, prefix + ".lbl")
+        rc, _, err = _run(
+            capsys, "profile", "--in", prefix, "--out", str(tmp_path / "t")
+        )
+        assert rc == 2
+        assert "fire_slot" in err
+
+    def test_attack_on_non_integer_outer_count(self, capsys, pipeline, tmp_path):
+        original = traceio.read_trace_set(pipeline["camp"] + ".trc")
+        doctored = traceio.TraceSet(
+            samples=original.samples[:8],
+            metadata={**original.metadata, "outer_count": "x"},
+        )
+        prefix = str(tmp_path / "bad")
+        traceio.write_trace_set(doctored, prefix + ".trc")
+        rc, _, err = _run(
+            capsys, "attack", "--in", prefix, "--templates", pipeline["tpl"]
+        )
+        assert rc == 2
+        assert "outer_count" in err
