@@ -75,13 +75,18 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+def _add_config(sub) -> None:
+    sub.add_argument("--config", type=str, default=None, help="key=value defaults file")
+
+
 def _add_common(sub) -> None:
+    """Flags of the commands that sample keys and render traces."""
     sub.add_argument("--seed", type=int, default=1, help="master 64-bit seed")
     sub.add_argument("--logn", type=int, default=9, help="ring dimension exponent")
     sub.add_argument("--table", type=str, default=None, help="CDT table file")
     sub.add_argument("--threads", type=int, default=_usable_cores(),
                      help="render threads (default: usable cores); outputs do not depend on it")
-    sub.add_argument("--config", type=str, default=None, help="key=value defaults file")
+    _add_config(sub)
 
 
 def _add_model_flags(sub) -> None:
@@ -324,7 +329,7 @@ def _build_parser():
     built.append(prof)
 
     atk = subs.add_parser("attack", help="recover keys from campaign traces")
-    _add_common(atk)
+    _add_config(atk)
     atk.add_argument("--in", dest="inp", type=str, required=True,
                      help="campaign prefix (.trc plus optional .lbl)")
     atk.add_argument("--templates", type=str, default=None,
@@ -336,7 +341,7 @@ def _build_parser():
     built.append(atk)
 
     ana = subs.add_parser("analyze", help="success rates from the analytic model")
-    _add_common(ana)
+    _add_config(ana)
     ana.add_argument("--p-inner", type=float, default=None,
                      help="per-site success at inner mask sites")
     ana.add_argument("--p-neg", type=float, default=None,

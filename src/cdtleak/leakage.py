@@ -14,6 +14,7 @@ reproducible from a single 64-bit seed.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -255,16 +256,18 @@ def _render_traces(
     Bit-identical to calling synthesize_trace per coefficient with the
     matching sub-seed: the noise is scaled and shifted in the same order,
     the gain is added where a mask bit is set, and the float32 cast is the
-    same. synthesize_trace also adds 0.0 at the other leak sites, which
-    changes a sample only if it is -0.0, which takes beta = -0.0 (and in
-    practice zero noise). Chunks only bound memory, and threads only
-    split chunks, so neither changes the output.
+    same. synthesize_trace also adds alpha * 0 at the other leak sites.
+    That changes a sample only if it is -0.0, which takes beta = -0.0, so
+    only then are those zeros added here too (at every leak site, before
+    the gain). Chunks only bound memory, and threads only split chunks, so
+    neither changes the output.
     """
     n = len(noise_subseeds)
     length = layout.trace_length
     bits = np.concatenate([inner_bits.reshape(n, -1), neg_bits.reshape(n, -1)], axis=1)
     cols = np.concatenate([layout.inner_site_matrix().reshape(-1), layout.neg_site_vector()])
     gain = model.alpha * 64
+    add_zeros = model.beta == 0.0 and math.copysign(1.0, model.beta) < 0
     width = 2 * ((length + 1) // 2)
     chunk = max(1, _CHUNK_SAMPLES // width)
     out = np.empty((n, length), dtype=np.float32)
@@ -275,6 +278,8 @@ def _render_traces(
             z = _gaussian_matrix(noise_subseeds[lo:hi], length, out=buf)
             z *= model.noise_sigma
             z += model.beta
+            if add_zeros:
+                z[:, cols] += model.alpha * 0
             rows, sites = np.nonzero(bits[lo:hi])
             z[rows, cols[sites]] += gain
             out[lo:hi] = z

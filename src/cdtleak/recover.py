@@ -24,6 +24,7 @@ from .errors import (
 from .leakage import TraceLayout
 from .sampler import MASK32, SamplerParams
 from .template import (
+    ClassStats,
     SuccessModel,
     Template,
     full_key_success,
@@ -107,7 +108,11 @@ def _site_pois(template: Template, site_index: int, trace_length: int) -> list[i
 
 
 def _margin_columns(samples: np.ndarray, template: Template, site_index: int) -> np.ndarray:
-    """Signed log-likelihood margin of every trace at one leak site."""
+    """Signed log-likelihood margin of every trace at one leak site.
+
+    One column pass per POI. The attack uses _site_margins, which computes
+    the same margins for many sites at once; the tests compare the two.
+    """
     pois = _site_pois(template, site_index, samples.shape[1])
     margin = np.zeros(samples.shape[0], dtype=np.float64)
     for p, s0, s1 in zip(pois, template.class0, template.class1):
@@ -118,6 +123,46 @@ def _margin_columns(samples: np.ndarray, template: Template, site_index: int) ->
     return margin
 
 
+# Rows per block of _site_margins: 1,024 rows of a few hundred float32
+# samples keep a block, and its gathered float64 columns, in cache.
+_BLOCK_ROWS = 1024
+
+
+def _log_likelihood(x: np.ndarray, stats: ClassStats) -> np.ndarray:
+    """-0.5 * (log(2 pi var) + (x - mu)**2 / var), in a new array."""
+    d = x - stats.mu
+    d **= 2
+    d /= stats.var
+    d += np.log(2.0 * np.pi * stats.var)
+    d *= -0.5
+    return d
+
+
+def _site_margins(samples: np.ndarray, template: Template, sites) -> np.ndarray:
+    """Margins of every trace at many leak sites: (rows, len(sites)) float64.
+
+    Column j equals _margin_columns(samples, template, sites[j]) bit for
+    bit: the arithmetic and its order are the same, per class and then
+    summed over POIs in POI order. Rows go in blocks of _BLOCK_ROWS, and
+    each block gathers the columns of one POI at every site with a
+    single index.
+    """
+    n_pois = len(template.pois)
+    # cols[i, j]: sample index of POI i at site j.
+    cols = np.array(
+        [_site_pois(template, s, samples.shape[1]) for s in sites], dtype=np.intp
+    ).reshape(len(sites), n_pois).T
+    out = np.zeros((samples.shape[0], len(sites)), dtype=np.float64)
+    for lo in range(0, samples.shape[0], _BLOCK_ROWS):
+        block = samples[lo : lo + _BLOCK_ROWS]
+        for poi_cols, s0, s1 in zip(cols, template.class0, template.class1):
+            x = block[:, poi_cols].astype(np.float64)
+            ll1 = _log_likelihood(x, s1)
+            ll1 -= _log_likelihood(x, s0)
+            out[lo : lo + _BLOCK_ROWS] += ll1
+    return out
+
+
 def classify_trace(
     trace, template_inner: Template, template_neg: Template, layout: TraceLayout
 ) -> ClassifiedLeaks:
@@ -126,18 +171,18 @@ def classify_trace(
     if trace.ndim != 1 or trace.shape[0] != layout.trace_length:
         raise LayoutMismatch("trace does not match layout length")
     row = trace[None, :]
+    inner_margins = _site_margins(row, template_inner, layout.inner_site_matrix().reshape(-1))
+    neg_margins = _site_margins(row, template_neg, layout.neg_site_vector())
     decisions = []
-    for u in range(layout.outer_count):
-        margins = tuple(
-            float(_margin_columns(row, template_inner, layout.inner_site_index(u, k))[0])
-            for k in range(1, layout.inner_count + 1)
-        )
-        neg_margin = float(_margin_columns(row, template_neg, layout.neg_site_index(u))[0])
+    for margins, neg_margin in zip(
+        inner_margins.reshape(layout.outer_count, layout.inner_count).tolist(),
+        neg_margins[0].tolist(),
+    ):
         decisions.append(
             OuterDecision(
                 inner_bits=tuple(m > 0.0 for m in margins),
                 neg_bit=neg_margin > 0.0,
-                inner_margins=margins,
+                inner_margins=tuple(margins),
                 neg_margin=neg_margin,
             )
         )
@@ -335,24 +380,18 @@ def recover_key(
 
     outer = layout.outer_count
     inner = layout.inner_count
-    inner_margins = np.empty((rows, outer, inner), dtype=np.float64)
-    neg_margins = np.empty((rows, outer), dtype=np.float64)
-    for u in range(outer):
-        for k in range(1, inner + 1):
-            inner_margins[:, u, k - 1] = _margin_columns(
-                samples, template_inner, layout.inner_site_index(u, k)
-            )
-        neg_margins[:, u] = _margin_columns(
-            samples, template_neg, layout.neg_site_index(u)
-        )
+    # Inner sites in (u, k) order, so the margins reshape to (rows, outer, inner).
+    inner_margins = _site_margins(
+        samples, template_inner, layout.inner_site_matrix().reshape(-1)
+    ).reshape(rows, outer, inner)
+    neg_margins = _site_margins(samples, template_neg, layout.neg_site_vector())
     inner_bits = inner_margins > 0.0
     neg_bits = neg_margins > 0.0
 
     # Fold bits back into signed coefficients with the sampler's own
     # wrap-around arithmetic (vectorized over rows and outer iterations).
-    v = np.zeros((rows, outer), dtype=np.uint32)
-    for k in range(1, inner + 1):
-        v |= np.where(inner_bits[:, :, k - 1], np.uint32(k), np.uint32(0))
+    slots = np.arange(1, inner + 1, dtype=np.uint32)
+    v = np.bitwise_or.reduce(inner_bits * slots, axis=2)
     neg_mask32 = np.where(neg_bits, np.uint32(MASK32), np.uint32(0))
     signed32 = (v ^ neg_mask32) + neg_bits.astype(np.uint32)
     totals = np.zeros(rows, dtype=np.uint32)
@@ -361,8 +400,8 @@ def recover_key(
     values = totals.astype(np.int32)
 
     per_poly = values.reshape(n_keys, 2, params.n)
-    keys_f = [list(map(int, per_poly[j, 0])) for j in range(n_keys)]
-    keys_g = [list(map(int, per_poly[j, 1])) for j in range(n_keys)]
+    keys_f = per_poly[:, 0].tolist()
+    keys_g = per_poly[:, 1].tolist()
 
     s0, s1 = template_inner.class0[0], template_inner.class1[0]
     ov_inner = gaussian_overlap(s0.mu, s0.var, s1.mu, s1.var).area
@@ -418,10 +457,7 @@ def recover_key(
     report.coefficients_correct = int(correct.sum())
     report.coefficients_total = int(correct.size)
     report.keys_recovered = int(per_key_correct.all(axis=(1, 2)).sum())
-    report.correct_flags_f = [
-        "".join("1" if c else "0" for c in per_key_correct[j, 0]) for j in range(n_keys)
-    ]
-    report.correct_flags_g = [
-        "".join("1" if c else "0" for c in per_key_correct[j, 1]) for j in range(n_keys)
-    ]
+    flags = per_key_correct.astype(np.uint8) + ord("0")
+    report.correct_flags_f = [flags[j, 0].tobytes().decode() for j in range(n_keys)]
+    report.correct_flags_g = [flags[j, 1].tobytes().decode() for j in range(n_keys)]
     return report

@@ -141,10 +141,6 @@ class OverlapResult(NamedTuple):
     fraction_of_total: float
 
 
-def _pdf(x: float, mu: float, var: float) -> float:
-    return math.exp(-0.5 * (x - mu) ** 2 / var) / math.sqrt(2.0 * math.pi * var)
-
-
 def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
     """Adaptive Simpson quadrature with Richardson correction."""
 
@@ -224,8 +220,16 @@ def gaussian_overlap(
     lo = min(mu0, mu1) - _SIGMA_RANGE * sigma_max
     hi = max(mu0, mu1) + _SIGMA_RANGE * sigma_max
 
+    # The two class densities, with their normalizers computed once.
+    norm0 = math.sqrt(2.0 * math.pi * var0)
+    norm1 = math.sqrt(2.0 * math.pi * var1)
+    exp = math.exp
+
     def integrand(x: float) -> float:
-        return min(_pdf(x, mu0, var0), _pdf(x, mu1, var1))
+        return min(
+            exp(-0.5 * (x - mu0) ** 2 / var0) / norm0,
+            exp(-0.5 * (x - mu1) ** 2 / var1) / norm1,
+        )
 
     points = [lo] + [x for x in _crossings(mu0, var0, mu1, var1) if lo < x < hi] + [hi]
     tol = _SIMPSON_TOL / (len(points) - 1)

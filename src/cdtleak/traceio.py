@@ -42,6 +42,10 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<IIII")
 _LABEL_HEADER = struct.Struct("<IIII")
 
+# Samples per block of the read's finiteness check, so that its boolean
+# temporary stays small next to the payload it checks.
+_CHECK_SAMPLES = 1 << 18
+
 
 @dataclass
 class TraceSet:
@@ -127,35 +131,42 @@ def write_trace_set(trace_set: TraceSet, path) -> None:
 
 
 def read_trace_set(path) -> TraceSet:
-    """Read a trace file back, verifying structure and finiteness."""
+    """Read a trace file back, verifying structure and finiteness.
+
+    The payload size is checked against the file size before anything is
+    allocated, and the samples are read straight into their array, so
+    the file's bytes are held once.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(TRACE_MAGIC):
-        raise TruncatedFile("file too short for magic")
-    if blob[: len(TRACE_MAGIC)] != TRACE_MAGIC:
-        raise BadMagic(f"expected {TRACE_MAGIC!r}")
-    off = len(TRACE_MAGIC)
-    if len(blob) < off + _HEADER.size:
-        raise TruncatedFile("file too short for header")
-    version, n_traces, n_samples, meta_len = _HEADER.unpack_from(blob, off)
-    if version != FORMAT_VERSION:
-        raise UnsupportedVersion(f"version {version} not supported")
-    off += _HEADER.size
-    if len(blob) < off + meta_len:
-        raise TruncatedFile("metadata extends past end of file")
-    metadata = _decode_metadata(blob[off : off + meta_len])
-    off += meta_len
-    payload = n_traces * n_samples * 4
-    if len(blob) < off + payload:
-        raise TruncatedFile(
-            f"payload needs {payload} bytes, file has {len(blob) - off}"
-        )
-    if len(blob) > off + payload:
-        raise TraceFormatError("trailing bytes after payload")
-    samples = np.frombuffer(blob, dtype="<f4", count=n_traces * n_samples, offset=off)
-    samples = samples.reshape(n_traces, n_samples).copy()
-    if samples.size and not np.isfinite(samples).all():
-        raise NonFiniteSample("trace payload contains NaN or infinity")
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(len(TRACE_MAGIC) + _HEADER.size)
+        if len(head) < len(TRACE_MAGIC):
+            raise TruncatedFile("file too short for magic")
+        if head[: len(TRACE_MAGIC)] != TRACE_MAGIC:
+            raise BadMagic(f"expected {TRACE_MAGIC!r}")
+        if len(head) < len(TRACE_MAGIC) + _HEADER.size:
+            raise TruncatedFile("file too short for header")
+        version, n_traces, n_samples, meta_len = _HEADER.unpack_from(head, len(TRACE_MAGIC))
+        if version != FORMAT_VERSION:
+            raise UnsupportedVersion(f"version {version} not supported")
+        off = len(head) + meta_len
+        if size < off:
+            raise TruncatedFile("metadata extends past end of file")
+        metadata = _decode_metadata(fh.read(meta_len))
+        payload = n_traces * n_samples * 4
+        if size < off + payload:
+            raise TruncatedFile(f"payload needs {payload} bytes, file has {size - off}")
+        if size > off + payload:
+            raise TraceFormatError("trailing bytes after payload")
+        samples = np.empty((n_traces, n_samples), dtype="<f4")
+        if payload:
+            got = fh.readinto(memoryview(samples).cast("B"))
+            if got < payload:
+                raise TruncatedFile(f"payload needs {payload} bytes, file has {got}")
+    flat = samples.reshape(-1)
+    for lo in range(0, flat.size, _CHECK_SAMPLES):
+        if not np.isfinite(flat[lo : lo + _CHECK_SAMPLES]).all():
+            raise NonFiniteSample("trace payload contains NaN or infinity")
     return TraceSet(samples=samples, metadata=metadata)
 
 

@@ -1,10 +1,12 @@
-"""Batch sampler, planting and render paths against their scalar oracles.
+"""Batch sampler, planting, render and margin paths against their oracles.
 
 The campaign and profiling paths run on arrays: one words() call per key
 or trace, one scan_words() over all coefficients, and a chunked in-place
-render. Each test here runs the scalar path (WordSource,
-sample_coefficient, plant_control_words, synthesize_trace) on the same
-inputs and requires equal results, bit for bit.
+render, and the attack computes margins with one row-blocked kernel.
+Each test here runs the scalar or per-site path (WordSource,
+sample_coefficient, plant_control_words, synthesize_trace,
+_margin_columns) on the same inputs and requires equal results, bit for
+bit.
 """
 
 import hashlib
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdtleak import leakage, sampler
+from cdtleak import leakage, recover, sampler, template, traceio
 from cdtleak.cli import main
 from cdtleak.errors import DomainError
 from cdtleak.leakage import (
@@ -39,6 +41,7 @@ from cdtleak.sampler import (
     scan_words,
     words,
 )
+from cdtleak.template import ClassStats, Template
 
 # Tied tail entries, a zero tail entry, and entries[0] == 0 (the zero
 # branch can never be taken).
@@ -208,6 +211,25 @@ class TestRender:
             assert np.array_equal(out[r], want)
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_negative_zero_baseline_equals_synthesize_trace(tmp_path, capsys, threads):
+    """beta = -0.0 without noise: every sample keeps synthesize_trace's sign of zero."""
+    seed, out = 3, str(tmp_path / "z")
+    argv = ["simulate", "--seed", str(seed), "--beta", "-0.0", "--noise-sigma", "0"]
+    assert main(argv + ["--threads", threads, "--out", out]) == 0
+    capsys.readouterr()
+    samples = traceio.read_trace_set(out + ".trc").samples
+    params = SamplerParams(logn=9)
+    table = default_table()
+    layout = TraceLayout.for_params(params, table)
+    model = LeakModel(beta=-0.0, noise_sigma=0.0)
+    source = WordSource(seed=derive_subseed(seed, 0))
+    for r in range(2 * params.n):
+        coeff = sample_coefficient(table, params, source)
+        want = synthesize_trace(coeff.leaks, model, layout, derive_subseed(seed, 1 + r))
+        assert samples[r].tobytes() == want.tobytes(), r
+
+
 def test_batch_paths_build_no_coefficient_records(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("SecretCoefficient built on a batch path")
@@ -237,6 +259,24 @@ GOLDEN = {
 }
 
 
+# SHA-256 of the report of `attack` on the GOLDEN simulate and profile
+# outputs, recorded before the batch margin kernel.
+GOLDEN_REPORT = "524e2886087191ffcf55f910598585e13d07bbe6ed47b128137c00f1f0a81883"
+
+
+@pytest.mark.skipif(
+    np.__version__ != GOLDEN_NUMPY, reason=f"digests recorded with numpy {GOLDEN_NUMPY}"
+)
+def test_golden_report_bytes(tmp_path, capsys):
+    camp, tpl = str(tmp_path / "camp"), str(tmp_path / "tpl")
+    assert main(["simulate", "--seed", "20260819", "--keys", "1", "--out", camp]) == 0
+    assert main(["profile", "--seed", "714", "--traces", "1000", "--out", tpl]) == 0
+    assert main(["attack", "--in", camp, "--templates", tpl]) == 1
+    assert "coefficients correct: 1022/1024" in capsys.readouterr().out
+    with open(camp + ".report.txt", "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == GOLDEN_REPORT
+
+
 @pytest.mark.skipif(
     np.__version__ != GOLDEN_NUMPY, reason=f"digests recorded with numpy {GOLDEN_NUMPY}"
 )
@@ -248,3 +288,53 @@ def test_golden_output_bytes(tmp_path, capsys):
     for (command, suffix), digest in GOLDEN.items():
         with open(out[command] + suffix, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest, command + suffix
+
+
+class TestSiteMargins:
+    """recover._site_margins against the per-site oracle _margin_columns."""
+
+    @pytest.fixture(scope="class")
+    def readme_templates(self, tmp_path_factory):
+        prefix = str(tmp_path_factory.mktemp("tpl") / "tpl")
+        argv = ["profile", "--seed", "714", "--noise-sigma", "2.284", "--traces", "10000"]
+        assert main(argv + ["--out", prefix]) == 0
+        return {
+            name: template.load_template(f"{prefix}.{name}.tpl") for name in ("inner", "neg")
+        }
+
+    @staticmethod
+    def _two_poi_template():
+        return Template(
+            pois=(3, 5),
+            class0=(ClassStats(40.0, 5.1, 100), ClassStats(39.5, 6.3, 100)),
+            class1=(ClassStats(56.2, 4.9, 100), ClassStats(41.0, 5.8, 100)),
+        )
+
+    @pytest.mark.parametrize("name", ["inner", "neg", "two_poi"])
+    def test_equals_margin_columns(self, readme_templates, name):
+        tpl = self._two_poi_template() if name == "two_poi" else readme_templates[name]
+        layout = TraceLayout.for_params(SamplerParams(logn=9), default_table())
+        sites = np.concatenate([layout.inner_site_matrix().reshape(-1), layout.neg_site_vector()])
+        rows = 1027  # one full block of 1,024 rows and a partial one
+        assert rows % recover._BLOCK_ROWS
+        rng = np.random.default_rng(0x51735)
+        samples = rng.normal(40.0, 4.0, (rows, layout.trace_length))
+        samples[:, sites] += 16.0 * rng.integers(0, 2, (rows, len(sites)))
+        samples = samples.astype(np.float32)
+        got = recover._site_margins(samples, tpl, sites)
+        want = np.stack([recover._margin_columns(samples, tpl, s) for s in sites], axis=1)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
+        assert (got > 0).any() and (got < 0).any()
+
+
+@pytest.mark.parametrize(
+    "args, area",
+    [
+        ((0, 1, 1, 2), "0.6543599148536925"),
+        ((40, 16, 56, 20), "0.05884281210154568"),
+        ((0, 1, 0, 4), "0.6773254311652315"),
+    ],
+)
+def test_numeric_overlap_areas(args, area):
+    assert repr(template.gaussian_overlap(*args, method="numeric").area) == area

@@ -519,3 +519,29 @@ class TestThreadsAndMetadataErrors:
         )
         assert rc == 2
         assert "outer_count" in err
+
+
+class TestAttackAndAnalyzeFlags:
+    """attack and analyze take no sampling flags; a shared config still loads."""
+
+    @pytest.mark.parametrize("flag", ["--seed", "--logn", "--table", "--threads"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["attack", "--in", "camp"], ["analyze", "--p-inner", "0.9", "--p-neg", "0.9"]],
+        ids=["attack", "analyze"],
+    )
+    def test_sampling_flags_rejected(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_sampling_config_keys_load_for_attack(self, capsys, pipeline, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 5\nlogn = 9\nthreads = 1\nnoise-sigma = 2.284\n")
+        rc, _, _ = _run(
+            capsys, "attack", "--config", str(cfg), "--in", pipeline["camp"],
+            "--templates", pipeline["tpl"], "--out", str(tmp_path / "r"),
+        )
+        assert rc == 0
+        assert (tmp_path / "r.report.txt").exists()

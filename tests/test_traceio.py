@@ -1,6 +1,7 @@
 """Trace and label container tests: round trips and strict rejection."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -334,3 +335,27 @@ class TestLabelRejection:
         write_trace_set(_small_set(), path)
         with pytest.raises(BadMagic):
             read_label_set(path)
+
+
+class TestTraceReadMemory:
+    def test_huge_header_on_short_file(self, tmp_path):
+        # The payload size is checked against the file before anything
+        # is allocated, so an absurd header cannot ask for ~64 EiB.
+        path = tmp_path / "huge.trc"
+        header = TRACE_MAGIC + struct.pack("<IIII", 1, 0xFFFFFFFF, 0xFFFFFFFF, 0)
+        path.write_bytes(header + bytes(64 - len(header)))
+        with pytest.raises(TruncatedFile):
+            read_trace_set(path)
+
+    def test_payload_is_held_once(self, tmp_path):
+        samples = np.ones((1024, 1024), dtype=np.float32)
+        path = tmp_path / "big.trc"
+        write_trace_set(TraceSet(samples=samples, metadata={"kind": "test"}), path)
+        tracemalloc.start()
+        try:
+            loaded = read_trace_set(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.samples, samples)
+        assert peak < 1.25 * samples.nbytes
