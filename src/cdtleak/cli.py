@@ -24,17 +24,8 @@ def _fmt_pct(p: float) -> str:
 
 
 def _read_config(path) -> dict[str, str]:
-    cfg: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise CdtLeakError(f"{path}: line {lineno}: expected key=value")
-            k, v = line.split("=", 1)
-            cfg[k.strip().replace("-", "_")] = v.strip()
-    return cfg
+    cfg = traceio.parse_key_values(traceio.read_text(path, CdtLeakError), CdtLeakError)
+    return {k.replace("-", "_"): v for k, v in cfg.items()}
 
 
 def _scan_config_path(argv) -> str | None:
@@ -232,20 +223,13 @@ def cmd_attack(args) -> int:
     return 0
 
 
-def _site_success_from_template(path: str) -> tuple[float, float]:
-    tpl = template.load_template(path)
-    s0, s1 = tpl.class0[0], tpl.class1[0]
-    area = template.gaussian_overlap(s0.mu, s0.var, s1.mu, s1.var).area
-    return template.success_from_overlap(area), area
-
-
 def cmd_analyze(args) -> int:
     if args.p_inner is not None:
         p_inner = args.p_inner
         area_inner = 2.0 * (1.0 - p_inner)
     elif args.templates or args.template_inner:
         path = (args.templates + ".inner.tpl") if args.templates else args.template_inner
-        p_inner, area_inner = _site_success_from_template(path)
+        p_inner, area_inner = recover.site_success(template.load_template(path))
     else:
         raise CdtLeakError("need --p-inner or a template for the inner attack point")
     if args.p_neg is not None:
@@ -253,7 +237,7 @@ def cmd_analyze(args) -> int:
         area_neg = 2.0 * (1.0 - p_neg)
     elif args.templates or args.template_neg:
         path = (args.templates + ".neg.tpl") if args.templates else args.template_neg
-        p_neg, area_neg = _site_success_from_template(path)
+        p_neg, area_neg = recover.site_success(template.load_template(path))
     else:
         raise CdtLeakError("need --p-neg or a template for the sign attack point")
 

@@ -216,26 +216,21 @@ def synthesize_trace(leaks, model: LeakModel, layout: TraceLayout, noise_seed: i
     return trace.astype(np.float32)
 
 
-def _leak_bits(coefficients) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack mask bits and values from coefficients into label arrays."""
-    values = np.array([c.value for c in coefficients], dtype=np.int32)
-    inner = np.array(
-        [[[m != 0 for m in rec.inner_masks] for rec in c.leaks] for c in coefficients],
-        dtype=bool,
-    )
-    neg = np.array(
-        [[rec.neg_mask != 0 for rec in c.leaks] for c in coefficients], dtype=bool
-    )
-    return values, inner, neg
-
-
 def build_label_set(coefficients) -> traceio.LabelSet:
     """Ground-truth labels for a flat list of sampled coefficients."""
     coefficients = list(coefficients)
     if not coefficients:
         raise DomainError("no coefficients to label")
-    values, inner, neg = _leak_bits(coefficients)
-    return traceio.LabelSet(values=values, inner_bits=inner, neg_bits=neg)
+    return traceio.LabelSet(
+        values=np.array([c.value for c in coefficients], dtype=np.int32),
+        inner_bits=np.array(
+            [[[m != 0 for m in rec.inner_masks] for rec in c.leaks] for c in coefficients],
+            dtype=bool,
+        ),
+        neg_bits=np.array(
+            [[rec.neg_mask != 0 for rec in c.leaks] for c in coefficients], dtype=bool
+        ),
+    )
 
 
 # Rows per render chunk come from this many float64 samples (2 MiB), so

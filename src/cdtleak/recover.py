@@ -10,7 +10,7 @@ summed with 32-bit wrap, mirroring the sampler's own arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .template import (
     per_coefficient_success,
     success_from_overlap,
 )
-from .traceio import LabelSet, TraceSet, _atomic_write
+from .traceio import LabelSet, TraceSet, _atomic_write, parse_key_values, read_text
 
 REPORT_VERSION = 1
 
@@ -189,6 +189,24 @@ def classify_trace(
     return ClassifiedLeaks(outer=tuple(decisions))
 
 
+# Text form of each report field type, by its annotation: (encode, decode).
+_CODECS = {
+    "int": (str, int),
+    "float": (repr, float),
+    "bool": (lambda b: str(int(b)), lambda s: bool(int(s))),
+    "str": (str, str),
+    "list[int]": (
+        lambda xs: ",".join(str(v) for v in xs),
+        lambda s: [int(v) for v in s.split(",")],
+    ),
+}
+
+
+def _element(f) -> str:
+    """Element type of a per-key field: the T of its list[T] annotation."""
+    return f.type[len("list[") : -1]
+
+
 @dataclass
 class RecoveryReport:
     """Machine-readable outcome of a key-recovery run.
@@ -197,6 +215,11 @@ class RecoveryReport:
     overlap model; empirical fields are present only when ground-truth
     labels were supplied. Recovered coefficient values are kept per key,
     f and g separately, in sampling order.
+
+    The text form follows the declaration order: report_version, the
+    scalar fields, then key by key one `key.{j}.{line}` line per field
+    whose metadata names a line. Fields marked labeled are written and
+    read only when has_labels, declared before them, is set.
     """
 
     n_keys: int
@@ -204,8 +227,8 @@ class RecoveryReport:
     poly_count: int
     outer_count: int
     inner_count: int
-    keys_f: list[list[int]]
-    keys_g: list[list[int]]
+    keys_f: list[list[int]] = field(metadata={"line": "f"})
+    keys_g: list[list[int]] = field(metadata={"line": "g"})
     inner_sites_total: int
     inner_sites_ones: int
     neg_sites_total: int
@@ -220,122 +243,62 @@ class RecoveryReport:
     p_coefficient: float
     p_full_key: float
     has_labels: bool = False
-    inner_site_errors: int = 0
-    neg_site_errors: int = 0
-    coefficients_correct: int = 0
-    coefficients_total: int = 0
-    keys_recovered: int = 0
-    correct_flags_f: list[str] = field(default_factory=list)
-    correct_flags_g: list[str] = field(default_factory=list)
+    inner_site_errors: int = field(default=0, metadata={"labeled": True})
+    neg_site_errors: int = field(default=0, metadata={"labeled": True})
+    coefficients_correct: int = field(default=0, metadata={"labeled": True})
+    coefficients_total: int = field(default=0, metadata={"labeled": True})
+    keys_recovered: int = field(default=0, metadata={"labeled": True})
+    correct_flags_f: list[str] = field(
+        default_factory=list, metadata={"line": "f_correct", "labeled": True}
+    )
+    correct_flags_g: list[str] = field(
+        default_factory=list, metadata={"line": "g_correct", "labeled": True}
+    )
 
     def fully_recovered(self) -> bool:
         return self.has_labels and self.keys_recovered == self.n_keys
 
     def to_text(self) -> str:
-        lines = [
-            f"report_version={REPORT_VERSION}",
-            f"n_keys={self.n_keys}",
-            f"n={self.n}",
-            f"poly_count={self.poly_count}",
-            f"outer_count={self.outer_count}",
-            f"inner_count={self.inner_count}",
-            f"inner_sites_total={self.inner_sites_total}",
-            f"inner_sites_ones={self.inner_sites_ones}",
-            f"neg_sites_total={self.neg_sites_total}",
-            f"neg_sites_ones={self.neg_sites_ones}",
-            f"anomalous_outer_iterations={self.anomalous_outer_iterations}",
-            f"mean_abs_margin_inner={self.mean_abs_margin_inner!r}",
-            f"mean_abs_margin_neg={self.mean_abs_margin_neg!r}",
-            f"overlap_inner={self.overlap_inner!r}",
-            f"overlap_neg={self.overlap_neg!r}",
-            f"p_site_inner={self.p_site_inner!r}",
-            f"p_site_neg={self.p_site_neg!r}",
-            f"p_coefficient={self.p_coefficient!r}",
-            f"p_full_key={self.p_full_key!r}",
-            f"has_labels={int(self.has_labels)}",
+        written = [
+            f for f in fields(self) if self.has_labels or not f.metadata.get("labeled")
         ]
-        if self.has_labels:
-            lines += [
-                f"inner_site_errors={self.inner_site_errors}",
-                f"neg_site_errors={self.neg_site_errors}",
-                f"coefficients_correct={self.coefficients_correct}",
-                f"coefficients_total={self.coefficients_total}",
-                f"keys_recovered={self.keys_recovered}",
-            ]
+        per_key = [(f, _CODECS[_element(f)][0]) for f in written if "line" in f.metadata]
+        lines = [f"report_version={REPORT_VERSION}"]
+        lines += [
+            f"{f.name}={_CODECS[f.type][0](getattr(self, f.name))}"
+            for f in written
+            if "line" not in f.metadata
+        ]
         for j in range(self.n_keys):
-            lines.append(f"key.{j}.f=" + ",".join(str(v) for v in self.keys_f[j]))
-            lines.append(f"key.{j}.g=" + ",".join(str(v) for v in self.keys_g[j]))
-            if self.has_labels:
-                lines.append(f"key.{j}.f_correct={self.correct_flags_f[j]}")
-                lines.append(f"key.{j}.g_correct={self.correct_flags_g[j]}")
+            for f, encode in per_key:
+                lines.append(f"key.{j}.{f.metadata['line']}={encode(getattr(self, f.name)[j])}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "RecoveryReport":
-        fields_: dict[str, str] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ReportFormatError(f"line {lineno}: expected key=value")
-            k, v = line.split("=", 1)
-            fields_[k] = v
+        values = parse_key_values(text, ReportFormatError)
+        kw: dict = {}
         try:
-            if int(fields_["report_version"]) != REPORT_VERSION:
+            if int(values["report_version"]) != REPORT_VERSION:
                 raise ReportFormatError(
-                    f"unsupported report version {fields_['report_version']}"
+                    f"unsupported report version {values['report_version']}"
                 )
-            n_keys = int(fields_["n_keys"])
-            has_labels = bool(int(fields_["has_labels"]))
-            keys_f = [
-                [int(v) for v in fields_[f"key.{j}.f"].split(",")]
-                for j in range(n_keys)
-            ]
-            keys_g = [
-                [int(v) for v in fields_[f"key.{j}.g"].split(",")]
-                for j in range(n_keys)
-            ]
-            report = cls(
-                n_keys=n_keys,
-                n=int(fields_["n"]),
-                poly_count=int(fields_["poly_count"]),
-                outer_count=int(fields_["outer_count"]),
-                inner_count=int(fields_["inner_count"]),
-                keys_f=keys_f,
-                keys_g=keys_g,
-                inner_sites_total=int(fields_["inner_sites_total"]),
-                inner_sites_ones=int(fields_["inner_sites_ones"]),
-                neg_sites_total=int(fields_["neg_sites_total"]),
-                neg_sites_ones=int(fields_["neg_sites_ones"]),
-                anomalous_outer_iterations=int(fields_["anomalous_outer_iterations"]),
-                mean_abs_margin_inner=float(fields_["mean_abs_margin_inner"]),
-                mean_abs_margin_neg=float(fields_["mean_abs_margin_neg"]),
-                overlap_inner=float(fields_["overlap_inner"]),
-                overlap_neg=float(fields_["overlap_neg"]),
-                p_site_inner=float(fields_["p_site_inner"]),
-                p_site_neg=float(fields_["p_site_neg"]),
-                p_coefficient=float(fields_["p_coefficient"]),
-                p_full_key=float(fields_["p_full_key"]),
-                has_labels=has_labels,
-            )
-            if has_labels:
-                report.inner_site_errors = int(fields_["inner_site_errors"])
-                report.neg_site_errors = int(fields_["neg_site_errors"])
-                report.coefficients_correct = int(fields_["coefficients_correct"])
-                report.coefficients_total = int(fields_["coefficients_total"])
-                report.keys_recovered = int(fields_["keys_recovered"])
-                report.correct_flags_f = [
-                    fields_[f"key.{j}.f_correct"] for j in range(n_keys)
-                ]
-                report.correct_flags_g = [
-                    fields_[f"key.{j}.g_correct"] for j in range(n_keys)
-                ]
+            for f in fields(cls):
+                if f.metadata.get("labeled") and not kw["has_labels"]:
+                    continue
+                if "line" in f.metadata:
+                    decode = _CODECS[_element(f)][1]
+                    kw[f.name] = [
+                        decode(values[f"key.{j}.{f.metadata['line']}"])
+                        for j in range(kw["n_keys"])
+                    ]
+                else:
+                    kw[f.name] = _CODECS[f.type][1](values[f.name])
         except KeyError as exc:
             raise ReportFormatError(f"missing field {exc.args[0]!r}") from None
         except ValueError as exc:
             raise ReportFormatError(str(exc)) from None
-        return report
+        return cls(**kw)
 
 
 def save_report(report: RecoveryReport, path) -> None:
@@ -343,8 +306,14 @@ def save_report(report: RecoveryReport, path) -> None:
 
 
 def load_report(path) -> RecoveryReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        return RecoveryReport.from_text(fh.read())
+    return RecoveryReport.from_text(read_text(path, ReportFormatError))
+
+
+def site_success(tpl: Template) -> tuple[float, float]:
+    """Per-site success and overlap area of a template's first POI."""
+    s0, s1 = tpl.class0[0], tpl.class1[0]
+    area = gaussian_overlap(s0.mu, s0.var, s1.mu, s1.var).area
+    return success_from_overlap(area), area
 
 
 def recover_key(
@@ -403,12 +372,8 @@ def recover_key(
     keys_f = per_poly[:, 0].tolist()
     keys_g = per_poly[:, 1].tolist()
 
-    s0, s1 = template_inner.class0[0], template_inner.class1[0]
-    ov_inner = gaussian_overlap(s0.mu, s0.var, s1.mu, s1.var).area
-    s0, s1 = template_neg.class0[0], template_neg.class1[0]
-    ov_neg = gaussian_overlap(s0.mu, s0.var, s1.mu, s1.var).area
-    p_site_inner = success_from_overlap(ov_inner)
-    p_site_neg = success_from_overlap(ov_neg)
+    p_site_inner, ov_inner = site_success(template_inner)
+    p_site_neg, ov_neg = site_success(template_neg)
     p_coeff = per_coefficient_success(
         SuccessModel(
             p_inner=p_site_inner,

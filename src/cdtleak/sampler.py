@@ -92,11 +92,6 @@ class SequenceWordSource:
         return self._fallback.next_u64()
 
 
-def next_word(source) -> int:
-    """Return the word at the source's current counter and advance it."""
-    return source.next_u64()
-
-
 def words(seeds, start: int, count: int) -> np.ndarray:
     """Vectorized WordSource: `count` words per seed, shape (rows, count).
 
@@ -341,12 +336,12 @@ def sample_coefficient(table: GaussCdtTable, params: SamplerParams, source) -> S
     val = 0
     records = []
     for _ in range(params.outer_count):
-        r = next_word(source) & MASK64
+        r = source.next_u64() & MASK64
         neg = r >> 63
         r &= MASK63
         f = ((r - entries[0]) & MASK64) >> 63
         v = 0
-        r = next_word(source) & MASK63
+        r = source.next_u64() & MASK63
         inner_masks = []
         for k in range(1, len(entries)):
             t = (((r - entries[k]) & MASK64) >> 63) ^ 1

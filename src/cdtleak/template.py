@@ -22,7 +22,7 @@ from .errors import (
     InsufficientClassData,
     TemplateFormatError,
 )
-from .traceio import _atomic_write
+from .traceio import _atomic_write, parse_key_values, read_text
 
 VAR_FLOOR = 1e-12
 
@@ -299,16 +299,7 @@ def save_template(template: Template, path) -> None:
 
 def load_template(path) -> Template:
     """Read a template file back, validating structure and invariants."""
-    fields: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise TemplateFormatError(f"line {lineno}: expected key=value")
-            k, v = line.split("=", 1)
-            fields[k.strip()] = v.strip()
+    fields = parse_key_values(read_text(path, TemplateFormatError), TemplateFormatError)
     if fields.get("version") != "1":
         raise TemplateFormatError(f"unsupported version {fields.get('version')!r}")
     if "pois" not in fields:

@@ -96,6 +96,35 @@ def _decode_metadata(blob: bytes) -> dict[str, str]:
     return out
 
 
+def read_text(path, error) -> str:
+    """The file's contents decoded as UTF-8; undecodable bytes raise `error`."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{os.fspath(path)}: not valid UTF-8: {exc}") from None
+
+
+def parse_key_values(text: str, error) -> dict[str, str]:
+    """Parse the key=value text of templates, reports and config files.
+
+    `#` starts a comment anywhere on a line, blank lines are skipped, and
+    keys and values are stripped; a line without `=` raises `error`.
+    Trace metadata has its own decoder, which keeps every character.
+    """
+    out: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise error(f"line {lineno}: expected key=value")
+        k, v = line.split("=", 1)
+        out[k.strip()] = v.strip()
+    return out
+
+
 def _atomic_write(path, *chunks) -> None:
     """Write the byte-like chunks, in order, as the whole file at path."""
     path = os.fspath(path)

@@ -1,0 +1,220 @@
+"""The shared key=value codec of templates, reports and config files.
+
+Templates, recovery reports and `--config` files are read by one parser
+(`traceio.parse_key_values` over `traceio.read_text`): UTF-8 only, `#`
+comments anywhere on a line, whitespace around `=` ignored. Trace
+metadata keeps its own decoder, which preserves every character.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from cdtleak import traceio
+from cdtleak.cli import main
+from cdtleak.errors import CdtLeakError, ReportFormatError, TemplateFormatError
+from cdtleak.recover import RecoveryReport, load_report, save_report
+from cdtleak.template import ClassStats, Template, load_template, save_template
+
+NOT_UTF8 = b"\xff\xfe=1\n"
+
+UNLABELED = RecoveryReport(
+    n_keys=2,
+    n=2,
+    poly_count=2,
+    outer_count=2,
+    inner_count=3,
+    keys_f=[[1, -2], [0, 3]],
+    keys_g=[[-1, 0], [2, 2]],
+    inner_sites_total=48,
+    inner_sites_ones=5,
+    neg_sites_total=16,
+    neg_sites_ones=4,
+    anomalous_outer_iterations=1,
+    mean_abs_margin_inner=12.5,
+    mean_abs_margin_neg=0.1,
+    overlap_inner=2.5e-05,
+    overlap_neg=1.0 / 3.0,
+    p_site_inner=0.9999875,
+    p_site_neg=1.0,
+    p_coefficient=0.99,
+    p_full_key=0.9,
+)
+
+UNLABELED_TEXT = """\
+report_version=1
+n_keys=2
+n=2
+poly_count=2
+outer_count=2
+inner_count=3
+inner_sites_total=48
+inner_sites_ones=5
+neg_sites_total=16
+neg_sites_ones=4
+anomalous_outer_iterations=1
+mean_abs_margin_inner=12.5
+mean_abs_margin_neg=0.1
+overlap_inner=2.5e-05
+overlap_neg=0.3333333333333333
+p_site_inner=0.9999875
+p_site_neg=1.0
+p_coefficient=0.99
+p_full_key=0.9
+has_labels=0
+key.0.f=1,-2
+key.0.g=-1,0
+key.1.f=0,3
+key.1.g=2,2
+"""
+
+LABELED = dataclasses.replace(
+    UNLABELED,
+    has_labels=True,
+    inner_site_errors=1,
+    neg_site_errors=0,
+    coefficients_correct=7,
+    coefficients_total=8,
+    keys_recovered=1,
+    correct_flags_f=["11", "01"],
+    correct_flags_g=["11", "11"],
+)
+
+LABELED_TEXT = UNLABELED_TEXT.split("has_labels=0\n")[0] + """\
+has_labels=1
+inner_site_errors=1
+neg_site_errors=0
+coefficients_correct=7
+coefficients_total=8
+keys_recovered=1
+key.0.f=1,-2
+key.0.g=-1,0
+key.0.f_correct=11
+key.0.g_correct=11
+key.1.f=0,3
+key.1.g=2,2
+key.1.f_correct=01
+key.1.g_correct=11
+"""
+
+
+def _template():
+    return Template(
+        pois=(3, 5),
+        class0=(ClassStats(40.0, 16.0, 100), ClassStats(39.5, 15.5, 100)),
+        class1=(ClassStats(70.0, 16.25, 90), ClassStats(69.0, 1.0 / 3.0, 90)),
+    )
+
+
+def _commented(text: str) -> str:
+    """The same key=value text with spaces around `=` and `#` comments."""
+    lines = ["# written by hand", ""]
+    for line in text.splitlines():
+        k, v = line.split("=", 1)
+        lines.append(f"  {k} =  {v}   # {k}")
+    return "\n".join(lines) + "\n"
+
+
+class TestParseKeyValues:
+    def test_rules(self):
+        text = "a=1\n\n  # whole-line comment\nb = x y # trailing\nc==2\n"
+        assert traceio.parse_key_values(text, CdtLeakError) == {
+            "a": "1",
+            "b": "x y",
+            "c": "=2",
+        }
+
+    def test_line_number_in_error(self):
+        with pytest.raises(ReportFormatError, match="line 3: expected key=value"):
+            traceio.parse_key_values("a=1\n# c\nno equals\n", ReportFormatError)
+
+    def test_read_text_names_the_path(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(NOT_UTF8)
+        with pytest.raises(TemplateFormatError, match="bad.txt"):
+            traceio.read_text(path, TemplateFormatError)
+
+    def test_trace_metadata_keeps_every_character(self, tmp_path):
+        metadata = {"#k": " v ", "note": "a b # c", "eq": "x=y"}
+        path = tmp_path / "m.trc"
+        traceio.write_trace_set(
+            traceio.TraceSet(np.zeros((1, 2), dtype=np.float32), metadata), path
+        )
+        assert traceio.read_trace_set(path).metadata == metadata
+
+
+class TestNotUtf8:
+    def test_load_template(self, tmp_path):
+        path = tmp_path / "t.tpl"
+        path.write_bytes(NOT_UTF8)
+        with pytest.raises(TemplateFormatError):
+            load_template(path)
+
+    def test_load_report(self, tmp_path):
+        path = tmp_path / "r.report.txt"
+        path.write_bytes(NOT_UTF8)
+        with pytest.raises(ReportFormatError):
+            load_report(path)
+
+    def test_cli_report(self, capsys, tmp_path):
+        path = tmp_path / "r.report.txt"
+        path.write_bytes(NOT_UTF8)
+        assert main(["report", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_cli_analyze_templates(self, capsys, tmp_path):
+        prefix = tmp_path / "tpl"
+        save_template(_template(), f"{prefix}.neg.tpl")
+        (tmp_path / "tpl.inner.tpl").write_bytes(NOT_UTF8)
+        assert main(["analyze", "--templates", str(prefix)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_cli_simulate_config(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(NOT_UTF8)
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "a")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "a.trc").exists()
+
+
+class TestCommentsAndSpaces:
+    def test_template(self, tmp_path):
+        plain = tmp_path / "plain.tpl"
+        save_template(_template(), plain)
+        commented = tmp_path / "commented.tpl"
+        commented.write_text(_commented(plain.read_text()))
+        assert load_template(commented) == load_template(plain) == _template()
+
+    @pytest.mark.parametrize("report", [UNLABELED, LABELED], ids=["unlabeled", "labeled"])
+    def test_report(self, tmp_path, report):
+        path = tmp_path / "r.report.txt"
+        path.write_text(_commented(report.to_text()))
+        assert load_report(path) == report
+
+
+class TestReportText:
+    """Exact report text, so the field order is pinned whatever numpy runs."""
+
+    @pytest.mark.parametrize(
+        "report, text",
+        [(UNLABELED, UNLABELED_TEXT), (LABELED, LABELED_TEXT)],
+        ids=["unlabeled", "labeled"],
+    )
+    def test_literal_and_round_trip(self, tmp_path, report, text):
+        assert report.to_text() == text
+        assert RecoveryReport.from_text(text) == report
+        path = tmp_path / "r.report.txt"
+        save_report(report, path)
+        assert path.read_bytes() == text.encode("utf-8")
+        assert load_report(path) == report
+
+    def test_labeled_fields_ignored_without_labels(self):
+        text = UNLABELED_TEXT + "keys_recovered=2\nkey.0.f_correct=11\n"
+        assert RecoveryReport.from_text(text) == UNLABELED
+
+    def test_missing_labeled_field(self):
+        text = LABELED_TEXT.replace("keys_recovered=1\n", "")
+        with pytest.raises(ReportFormatError, match="keys_recovered"):
+            RecoveryReport.from_text(text)
