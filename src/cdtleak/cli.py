@@ -185,25 +185,31 @@ def cmd_profile(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    trace_set = traceio.read_trace_set(args.inp + ".trc")
-    params = leakage.params_from_metadata(trace_set.metadata)
-    layout = leakage.layout_from_metadata(trace_set.metadata)
-    labels = None
-    label_path = args.inp + ".lbl"
-    if os.path.exists(label_path):
-        labels = traceio.read_label_set(label_path)
-    if args.templates:
-        inner_path = args.templates + ".inner.tpl"
-        neg_path = args.templates + ".neg.tpl"
-    else:
-        inner_path, neg_path = args.template_inner, args.template_neg
-    if not inner_path or not neg_path:
-        raise CdtLeakError("need --templates or both --template-inner and --template-neg")
-    template_inner = template.load_template(inner_path)
-    template_neg = template.load_template(neg_path)
-    report = recover.recover_key(
-        trace_set, template_inner, template_neg, layout, params, labels=labels
-    )
+    with traceio.open_trace_set(args.inp + ".trc") as reader:
+        params = leakage.params_from_metadata(reader.metadata)
+        layout = leakage.layout_from_metadata(reader.metadata)
+        labels = None
+        label_path = args.inp + ".lbl"
+        if os.path.exists(label_path):
+            labels = traceio.read_label_set(label_path)
+        if args.templates:
+            inner_path = args.templates + ".inner.tpl"
+            neg_path = args.templates + ".neg.tpl"
+        else:
+            inner_path, neg_path = args.template_inner, args.template_neg
+        if not inner_path or not neg_path:
+            raise CdtLeakError("need --templates or both --template-inner and --template-neg")
+        template_inner = template.load_template(inner_path)
+        template_neg = template.load_template(neg_path)
+        report = recover.recover_blocks(
+            reader.blocks(recover._BLOCK_ROWS),
+            (reader.n_traces, reader.n_samples),
+            template_inner,
+            template_neg,
+            layout,
+            params,
+            labels,
+        )
     out = args.out if args.out else args.inp
     recover.save_report(report, out + ".report.txt")
     print(f"classified {report.inner_sites_total} inner and {report.neg_sites_total} sign sites")

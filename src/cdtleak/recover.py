@@ -110,8 +110,9 @@ def _site_pois(template: Template, site_index: int, trace_length: int) -> list[i
 def _margin_columns(samples: np.ndarray, template: Template, site_index: int) -> np.ndarray:
     """Signed log-likelihood margin of every trace at one leak site.
 
-    One column pass per POI. The attack uses _site_margins, which computes
-    the same margins for many sites at once; the tests compare the two.
+    One column pass per POI. The attack uses _column_margins, which
+    computes the same margins for many sites at once; the tests compare
+    the two through _site_margins.
     """
     pois = _site_pois(template, site_index, samples.shape[1])
     margin = np.zeros(samples.shape[0], dtype=np.float64)
@@ -123,8 +124,8 @@ def _margin_columns(samples: np.ndarray, template: Template, site_index: int) ->
     return margin
 
 
-# Rows per block of _site_margins: 1,024 rows of a few hundred float32
-# samples keep a block, and its gathered float64 columns, in cache.
+# Rows per block of the recovery loop: 1,024 rows of a few hundred
+# float32 samples keep a block, and its gathered float64 columns, in cache.
 _BLOCK_ROWS = 1024
 
 
@@ -138,29 +139,106 @@ def _log_likelihood(x: np.ndarray, stats: ClassStats) -> np.ndarray:
     return d
 
 
+def _site_columns(template: Template, sites, trace_length: int) -> np.ndarray:
+    """cols[i, j]: sample index of POI i at site j; POIs off the trace raise."""
+    return np.array(
+        [_site_pois(template, s, trace_length) for s in sites], dtype=np.intp
+    ).reshape(len(sites), len(template.pois)).T
+
+
+def _column_margins(samples: np.ndarray, template: Template, cols: np.ndarray) -> np.ndarray:
+    """Margins of every row at the sites of _site_columns: (rows, sites) float64.
+
+    The arithmetic and its order are _margin_columns': per class, then
+    summed over POIs in POI order. Each POI's columns at every site are
+    gathered with a single index.
+    """
+    out = np.zeros((samples.shape[0], cols.shape[1]), dtype=np.float64)
+    for poi_cols, s0, s1 in zip(cols, template.class0, template.class1):
+        x = samples[:, poi_cols].astype(np.float64)
+        ll1 = _log_likelihood(x, s1)
+        ll1 -= _log_likelihood(x, s0)
+        out += ll1
+    return out
+
+
 def _site_margins(samples: np.ndarray, template: Template, sites) -> np.ndarray:
     """Margins of every trace at many leak sites: (rows, len(sites)) float64.
 
-    Column j equals _margin_columns(samples, template, sites[j]) bit for
-    bit: the arithmetic and its order are the same, per class and then
-    summed over POIs in POI order. Rows go in blocks of _BLOCK_ROWS, and
-    each block gathers the columns of one POI at every site with a
-    single index.
+    Column j equals _margin_columns(samples, template, sites[j]) bit for bit.
     """
-    n_pois = len(template.pois)
-    # cols[i, j]: sample index of POI i at site j.
-    cols = np.array(
-        [_site_pois(template, s, samples.shape[1]) for s in sites], dtype=np.intp
-    ).reshape(len(sites), n_pois).T
-    out = np.zeros((samples.shape[0], len(sites)), dtype=np.float64)
-    for lo in range(0, samples.shape[0], _BLOCK_ROWS):
-        block = samples[lo : lo + _BLOCK_ROWS]
-        for poi_cols, s0, s1 in zip(cols, template.class0, template.class1):
-            x = block[:, poi_cols].astype(np.float64)
-            ll1 = _log_likelihood(x, s1)
-            ll1 -= _log_likelihood(x, s0)
-            out[lo : lo + _BLOCK_ROWS] += ll1
-    return out
+    return _column_margins(samples, template, _site_columns(template, sites, samples.shape[1]))
+
+
+# Most values that _PairwiseSum passes to one np.add.reduce call.
+_SUM_LEAF = 1 << 16
+
+
+def _pairwise_halves(n: int) -> tuple[int, int]:
+    """How numpy's pairwise summation splits a run of more than 128 values."""
+    left = n // 2
+    left -= left % 8
+    return left, n - left
+
+
+def _leaf_sizes(n: int) -> list[int]:
+    """Sizes, in order, of the subtrees of at most _SUM_LEAF values of n's tree."""
+    if n <= _SUM_LEAF:
+        return [n]
+    left, right = _pairwise_halves(n)
+    return _leaf_sizes(left) + _leaf_sizes(right)
+
+
+class _PairwiseSum:
+    """np.add.reduce of n float64 values that arrive in pieces, bit for bit.
+
+    numpy 2.4 sums a contiguous float64 array as one pairwise tree that
+    splits runs by _pairwise_halves. Summing each subtree of at most
+    _SUM_LEAF values with np.add.reduce, then adding the subtree sums up
+    the same tree, gives np.add.reduce of all n values while holding one
+    subtree's values. Fixed-size chunks would not: their bounds are not
+    the tree's.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        sizes = _leaf_sizes(n)
+        self._leaves = iter(sizes)
+        self._want = next(self._leaves)
+        self._buf = np.empty(max(sizes), dtype=np.float64)
+        self._fill = 0
+        self._sums: list[np.float64] = []
+
+    def add(self, values: np.ndarray) -> None:
+        """Append the next values of the run (1-D float64)."""
+        pos = 0
+        while pos < values.size:
+            if self._want == 0:
+                raise DomainError(f"more than the {self.n} values declared")
+            take = min(self._want - self._fill, values.size - pos)
+            self._buf[self._fill : self._fill + take] = values[pos : pos + take]
+            self._fill += take
+            pos += take
+            if self._fill == self._want:
+                self._sums.append(np.add.reduce(self._buf[: self._want]))
+                self._fill = 0
+                self._want = next(self._leaves, 0)
+
+    def total(self) -> np.float64:
+        """The sum; every declared value must have been added."""
+        if self.n == 0:
+            return np.add.reduce(self._buf)
+        if self._want:
+            raise DomainError(f"fewer than the {self.n} values declared")
+        sums = iter(self._sums)
+
+        def up(n: int) -> np.float64:
+            if n <= _SUM_LEAF:
+                return next(sums)
+            left, right = _pairwise_halves(n)
+            return up(left) + up(right)
+
+        return up(self.n)
 
 
 def classify_trace(
@@ -332,14 +410,39 @@ def recover_key(
     carries empirical per-site and per-key accuracy, comparable against
     the predicted rates derived from the templates themselves.
     """
+    samples = np.asarray(trace_set.samples)
+    if samples.ndim != 2:
+        raise LayoutMismatch("trace set does not match layout length")
+    blocks = (samples[lo : lo + _BLOCK_ROWS] for lo in range(0, samples.shape[0], _BLOCK_ROWS))
+    return recover_blocks(
+        blocks, samples.shape, template_inner, template_neg, layout, params, labels
+    )
+
+
+def recover_blocks(
+    blocks,
+    shape: tuple[int, int],
+    template_inner: Template,
+    template_neg: Template,
+    layout: TraceLayout,
+    params: SamplerParams,
+    labels: LabelSet | None,
+) -> RecoveryReport:
+    """recover_key on a trace set of `shape` (rows, samples) given as row blocks.
+
+    `blocks` yields the rows in order; recover_key and attack cut them
+    every _BLOCK_ROWS rows. Every input is checked before the first block
+    is taken. A block's margins and bits are dropped once its counts are
+    added, so beyond the labels only the recovered values, 4 bytes per
+    row, are held. labels may be None.
+    """
     if template_inner is None or template_neg is None:
         raise MissingTemplate("both templates are required")
-    samples = np.asarray(trace_set.samples)
-    if samples.ndim != 2 or samples.shape[1] != layout.trace_length:
+    rows, n_samples = shape
+    if n_samples != layout.trace_length:
         raise LayoutMismatch("trace set does not match layout length")
     if layout.outer_count != params.outer_count:
         raise LayoutMismatch("layout outer count disagrees with parameters")
-    rows = samples.shape[0]
     per_key = 2 * params.n
     if rows == 0 or rows % per_key:
         raise LayoutMismatch(
@@ -349,29 +452,52 @@ def recover_key(
 
     outer = layout.outer_count
     inner = layout.inner_count
-    # Inner sites in (u, k) order, so the margins reshape to (rows, outer, inner).
-    inner_margins = _site_margins(
-        samples, template_inner, layout.inner_site_matrix().reshape(-1)
-    ).reshape(rows, outer, inner)
-    neg_margins = _site_margins(samples, template_neg, layout.neg_site_vector())
-    inner_bits = inner_margins > 0.0
-    neg_bits = neg_margins > 0.0
+    # Inner sites in (u, k) order, so a block's margins reshape to (rows, outer, inner).
+    inner_cols = _site_columns(template_inner, layout.inner_site_matrix().reshape(-1), n_samples)
+    neg_cols = _site_columns(template_neg, layout.neg_site_vector(), n_samples)
+    if labels is not None:
+        if labels.n_records != rows:
+            raise LengthMismatch(f"{labels.n_records} labels for {rows} traces")
+        if labels.outer_count != outer or labels.inner_count != inner:
+            raise LayoutMismatch("labels disagree with layout iteration counts")
+        true_inner = np.asarray(labels.inner_bits, dtype=bool)
+        true_neg = np.asarray(labels.neg_bits, dtype=bool)
 
-    # Fold bits back into signed coefficients with the sampler's own
-    # wrap-around arithmetic (vectorized over rows and outer iterations).
     slots = np.arange(1, inner + 1, dtype=np.uint32)
-    v = np.bitwise_or.reduce(inner_bits * slots, axis=2)
-    neg_mask32 = np.where(neg_bits, np.uint32(MASK32), np.uint32(0))
-    signed32 = (v ^ neg_mask32) + neg_bits.astype(np.uint32)
-    totals = np.zeros(rows, dtype=np.uint32)
-    for u in range(outer):
-        totals += signed32[:, u]
-    values = totals.astype(np.int32)
+    values = np.empty(rows, dtype=np.int32)
+    abs_inner = _PairwiseSum(rows * outer * inner)
+    abs_neg = _PairwiseSum(rows * outer)
+    inner_ones = neg_ones = anomalous = inner_errors = neg_errors = 0
+    lo = 0
+    for block in blocks:
+        hi = lo + block.shape[0]
+        inner_margins = _column_margins(block, template_inner, inner_cols)
+        neg_margins = _column_margins(block, template_neg, neg_cols)
+        inner_bits = (inner_margins > 0.0).reshape(-1, outer, inner)
+        neg_bits = neg_margins > 0.0
+        # |margin| in place: the bits are all the rest of the loop needs.
+        abs_inner.add(np.abs(inner_margins, out=inner_margins).reshape(-1))
+        abs_neg.add(np.abs(neg_margins, out=neg_margins).reshape(-1))
+
+        # Fold bits back into signed coefficients with the sampler's own
+        # wrap-around arithmetic (vectorized over rows and outer iterations).
+        v = np.bitwise_or.reduce(inner_bits * slots, axis=2)
+        neg_mask32 = np.where(neg_bits, np.uint32(MASK32), np.uint32(0))
+        signed32 = (v ^ neg_mask32) + neg_bits.astype(np.uint32)
+        totals = np.zeros(hi - lo, dtype=np.uint32)
+        for u in range(outer):
+            totals += signed32[:, u]
+        values[lo:hi] = totals.astype(np.int32)
+
+        inner_ones += int(inner_bits.sum())
+        neg_ones += int(neg_bits.sum())
+        anomalous += int((inner_bits.sum(axis=2) > 1).sum())
+        if labels is not None:
+            inner_errors += int((inner_bits != true_inner[lo:hi]).sum())
+            neg_errors += int((neg_bits != true_neg[lo:hi]).sum())
+        lo = hi
 
     per_poly = values.reshape(n_keys, 2, params.n)
-    keys_f = per_poly[:, 0].tolist()
-    keys_g = per_poly[:, 1].tolist()
-
     p_site_inner, ov_inner = site_success(template_inner)
     p_site_neg, ov_neg = site_success(template_neg)
     p_coeff = per_coefficient_success(
@@ -388,15 +514,15 @@ def recover_key(
         poly_count=2,
         outer_count=outer,
         inner_count=inner,
-        keys_f=keys_f,
-        keys_g=keys_g,
-        inner_sites_total=int(inner_bits.size),
-        inner_sites_ones=int(inner_bits.sum()),
-        neg_sites_total=int(neg_bits.size),
-        neg_sites_ones=int(neg_bits.sum()),
-        anomalous_outer_iterations=int((inner_bits.sum(axis=2) > 1).sum()),
-        mean_abs_margin_inner=float(np.abs(inner_margins).mean()),
-        mean_abs_margin_neg=float(np.abs(neg_margins).mean()),
+        keys_f=per_poly[:, 0].tolist(),
+        keys_g=per_poly[:, 1].tolist(),
+        inner_sites_total=abs_inner.n,
+        inner_sites_ones=inner_ones,
+        neg_sites_total=abs_neg.n,
+        neg_sites_ones=neg_ones,
+        anomalous_outer_iterations=anomalous,
+        mean_abs_margin_inner=float(abs_inner.total() / abs_inner.n),
+        mean_abs_margin_neg=float(abs_neg.total() / abs_neg.n),
         overlap_inner=ov_inner,
         overlap_neg=ov_neg,
         p_site_inner=p_site_inner,
@@ -407,18 +533,11 @@ def recover_key(
     if labels is None:
         return report
 
-    if labels.n_records != rows:
-        raise LengthMismatch(f"{labels.n_records} labels for {rows} traces")
-    if labels.outer_count != outer or labels.inner_count != inner:
-        raise LayoutMismatch("labels disagree with layout iteration counts")
-    true_inner = np.asarray(labels.inner_bits, dtype=bool)
-    true_neg = np.asarray(labels.neg_bits, dtype=bool)
-    true_values = np.asarray(labels.values, dtype=np.int32)
-    correct = values == true_values
+    correct = values == np.asarray(labels.values, dtype=np.int32)
     per_key_correct = correct.reshape(n_keys, 2, params.n)
     report.has_labels = True
-    report.inner_site_errors = int((inner_bits != true_inner).sum())
-    report.neg_site_errors = int((neg_bits != true_neg).sum())
+    report.inner_site_errors = inner_errors
+    report.neg_site_errors = neg_errors
     report.coefficients_correct = int(correct.sum())
     report.coefficients_total = int(correct.size)
     report.keys_recovered = int(per_key_correct.all(axis=(1, 2)).sum())

@@ -88,16 +88,18 @@ def build_template(traces, labels, pois) -> Template:
     for p in pois:
         if not 0 <= p < traces.shape[1]:
             raise DomainError(f"POI {p} outside trace of length {traces.shape[1]}")
+    cols = traces[:, pois].astype(np.float64)
     stats: list[tuple[ClassStats, ...]] = []
     for cls in (0, 1):
-        rows = traces[labels] if cls else traces[~labels]
+        # Column-major, like traces[labels][:, pois]: the order in which
+        # var sums follows the layout, and the .tpl bytes depend on it.
+        rows = np.asfortranarray(cols[labels] if cls else cols[~labels])
         if rows.shape[0] < 2:
             raise InsufficientClassData(
                 f"class {cls} has {rows.shape[0]} traces, need at least 2"
             )
-        cols = rows[:, pois].astype(np.float64)
-        mu = cols.mean(axis=0)
-        var = np.maximum(cols.var(axis=0, ddof=1), VAR_FLOOR)
+        mu = rows.mean(axis=0)
+        var = np.maximum(rows.var(axis=0, ddof=1), VAR_FLOOR)
         stats.append(
             tuple(
                 ClassStats(mu=float(m), var=float(v), count=rows.shape[0])

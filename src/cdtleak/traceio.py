@@ -110,7 +110,8 @@ def parse_key_values(text: str, error) -> dict[str, str]:
     """Parse the key=value text of templates, reports and config files.
 
     `#` starts a comment anywhere on a line, blank lines are skipped, and
-    keys and values are stripped; a line without `=` raises `error`.
+    keys and values are stripped; a line without `=` or a key seen on an
+    earlier line raises `error`.
     Trace metadata has its own decoder, which keeps every character.
     """
     out: dict[str, str] = {}
@@ -120,8 +121,10 @@ def parse_key_values(text: str, error) -> dict[str, str]:
             continue
         if "=" not in line:
             raise error(f"line {lineno}: expected key=value")
-        k, v = line.split("=", 1)
-        out[k.strip()] = v.strip()
+        k, v = (part.strip() for part in line.split("=", 1))
+        if k in out:
+            raise error(f"line {lineno}: duplicate key {k!r}")
+        out[k] = v
     return out
 
 
@@ -159,14 +162,64 @@ def write_trace_set(trace_set: TraceSet, path) -> None:
     _atomic_write(path, header, meta, memoryview(np.ascontiguousarray(samples)))
 
 
-def read_trace_set(path) -> TraceSet:
-    """Read a trace file back, verifying structure and finiteness.
+def _check_finite(samples: np.ndarray) -> None:
+    """Raise NonFiniteSample for any NaN or infinity, in blocks of samples."""
+    flat = samples.reshape(-1)
+    for lo in range(0, flat.size, _CHECK_SAMPLES):
+        if not np.isfinite(flat[lo : lo + _CHECK_SAMPLES]).all():
+            raise NonFiniteSample("trace payload contains NaN or infinity")
+
+
+class TraceReader:
+    """A trace file whose header, metadata and payload size are checked.
+
+    Made by open_trace_set. Rows are read in file order, each read
+    straight into the caller's array and checked for finiteness, so a
+    campaign can be processed without holding its sample matrix.
+    """
+
+    def __init__(self, fh, n_traces: int, n_samples: int, metadata: dict[str, str]):
+        self._fh = fh
+        self.n_traces = n_traces
+        self.n_samples = n_samples
+        self.metadata = metadata
+
+    def read_rows(self, out: np.ndarray) -> np.ndarray:
+        """Fill out, a C-contiguous (rows, n_samples) float32 array, with the next rows."""
+        if out.size:
+            got = self._fh.readinto(memoryview(out).cast("B"))
+            if got < out.nbytes:
+                raise TruncatedFile(f"payload ended {out.nbytes - got} bytes early")
+        _check_finite(out)
+        return out
+
+    def blocks(self, rows: int):
+        """Yield every row in blocks of up to `rows` rows.
+
+        Each block is a view of one buffer that the next block overwrites.
+        """
+        buf = np.empty((min(rows, self.n_traces), self.n_samples), dtype="<f4")
+        for lo in range(0, self.n_traces, rows):
+            yield self.read_rows(buf[: min(rows, self.n_traces - lo)])
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self) -> "TraceReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def open_trace_set(path) -> TraceReader:
+    """Open a trace file and check everything but the samples themselves.
 
     The payload size is checked against the file size before anything is
-    allocated, and the samples are read straight into their array, so
-    the file's bytes are held once.
+    allocated; the reader checks each block of samples as it reads it.
     """
-    with open(path, "rb") as fh:
+    fh = open(path, "rb")
+    try:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(len(TRACE_MAGIC) + _HEADER.size)
         if len(head) < len(TRACE_MAGIC):
@@ -187,16 +240,22 @@ def read_trace_set(path) -> TraceSet:
             raise TruncatedFile(f"payload needs {payload} bytes, file has {size - off}")
         if size > off + payload:
             raise TraceFormatError("trailing bytes after payload")
-        samples = np.empty((n_traces, n_samples), dtype="<f4")
-        if payload:
-            got = fh.readinto(memoryview(samples).cast("B"))
-            if got < payload:
-                raise TruncatedFile(f"payload needs {payload} bytes, file has {got}")
-    flat = samples.reshape(-1)
-    for lo in range(0, flat.size, _CHECK_SAMPLES):
-        if not np.isfinite(flat[lo : lo + _CHECK_SAMPLES]).all():
-            raise NonFiniteSample("trace payload contains NaN or infinity")
-    return TraceSet(samples=samples, metadata=metadata)
+    except BaseException:
+        fh.close()
+        raise
+    return TraceReader(fh, n_traces, n_samples, metadata)
+
+
+def read_trace_set(path) -> TraceSet:
+    """Read a whole trace file into one array, verifying structure and finiteness.
+
+    The samples are read straight into their array, so the file's bytes
+    are held once.
+    """
+    with open_trace_set(path) as reader:
+        samples = np.empty((reader.n_traces, reader.n_samples), dtype="<f4")
+        reader.read_rows(samples)
+    return TraceSet(samples=samples, metadata=reader.metadata)
 
 
 @dataclass

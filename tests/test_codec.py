@@ -218,3 +218,34 @@ class TestReportText:
         text = LABELED_TEXT.replace("keys_recovered=1\n", "")
         with pytest.raises(ReportFormatError, match="keys_recovered"):
             RecoveryReport.from_text(text)
+
+
+class TestDuplicateKeys:
+    """A key given twice is an error, not a silent last-one-wins."""
+
+    def test_parse_key_values(self):
+        with pytest.raises(ReportFormatError, match="line 3: duplicate key 'n_keys'"):
+            traceio.parse_key_values("n_keys=1\n# c\n n_keys = 5\n", ReportFormatError)
+
+    def test_cli_analyze_templates(self, capsys, tmp_path):
+        prefix = tmp_path / "tpl"
+        for name in ("inner", "neg"):
+            save_template(_template(), f"{prefix}.{name}.tpl")
+        path = tmp_path / "tpl.inner.tpl"
+        path.write_text(path.read_text() + "class0.mu.0=41.0\n")
+        assert main(["analyze", "--templates", str(prefix)]) == 2
+        assert "duplicate key 'class0.mu.0'" in capsys.readouterr().err
+
+    def test_cli_report(self, capsys, tmp_path):
+        path = tmp_path / "r.report.txt"
+        path.write_text(UNLABELED_TEXT + "n_keys=5\n")
+        assert main(["report", str(path)]) == 2
+        assert "duplicate key 'n_keys'" in capsys.readouterr().err
+
+    def test_cli_simulate_config(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 1\nkeys = 1\nseed = 2\n")
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "a")])
+        assert rc == 2
+        assert "line 3: duplicate key 'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "a.trc").exists()
