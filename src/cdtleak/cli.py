@@ -24,8 +24,9 @@ def _fmt_pct(p: float) -> str:
 
 
 def _read_config(path) -> dict[str, str]:
-    cfg = traceio.parse_key_values(traceio.read_text(path, CdtLeakError), CdtLeakError)
-    return {k.replace("-", "_"): v for k, v in cfg.items()}
+    """Config entries keyed by flag dest: dashes and underscores name the same flag."""
+    text = traceio.read_text(path, CdtLeakError)
+    return traceio.parse_key_values(text, CdtLeakError, key=lambda k: k.replace("-", "_"))
 
 
 def _scan_config_path(argv) -> str | None:
@@ -120,18 +121,19 @@ def _setup_from(args):
 
 def cmd_simulate(args) -> int:
     tab, params, model, layout = _setup_from(args)
-    trace_set, labels, _keys = leakage.synthesize_campaign(
-        seed=args.seed,
-        params=params,
-        table=tab,
-        model=model,
-        layout=layout,
-        n_keys=args.keys,
-        threads=args.threads,
+    md, blocks = leakage.campaign_blocks(
+        args.seed, params, tab, model, layout, args.keys, args.threads
     )
-    traceio.write_trace_set(trace_set, args.out + ".trc")
-    traceio.write_label_set(labels, args.out + ".lbl")
-    print(f"simulated {trace_set.n_traces} traces of {trace_set.n_samples} samples")
+    n_traces = args.keys * 2 * params.n
+    with traceio.staged_files(args.out + ".trc", args.out + ".lbl") as (trc, lbl):
+        traces = traceio.TraceWriter(trc, n_traces, layout.trace_length, md)
+        labels = traceio.LabelWriter(lbl, n_traces, layout.outer_count, layout.inner_count)
+        for part, samples in blocks:
+            traces.write(samples)
+            labels.write(part)
+        traces.finish()
+        labels.finish()
+    print(f"simulated {n_traces} traces of {layout.trace_length} samples")
     print(f"keys: {args.keys} (n={params.n}, f and g)")
     print(f"wrote {args.out}.trc")
     print(f"wrote {args.out}.lbl")

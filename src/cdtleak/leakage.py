@@ -15,6 +15,8 @@ reproducible from a single 64-bit seed.
 from __future__ import annotations
 
 import math
+import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -236,17 +238,21 @@ def build_label_set(coefficients) -> traceio.LabelSet:
 # Rows per render chunk come from this many float64 samples (2 MiB), so
 # a chunk's working set stays in cache whatever the trace length.
 _CHUNK_SAMPLES = 1 << 18
+# Chunks rendering or waiting per render thread, each with its block.
+_CHUNKS_PER_THREAD = 2
+# Rows per key block of a campaign, rounded down to whole keys (at least one).
+_KEY_BLOCK_ROWS = 1 << 11
 
 
-def _render_traces(
-    inner_bits: np.ndarray,
-    neg_bits: np.ndarray,
-    model: LeakModel,
-    layout: TraceLayout,
-    noise_subseeds: np.ndarray,
-    threads: int = 1,
-) -> np.ndarray:
-    """Vectorized synthesize_trace over many coefficients' leak bits.
+def _render_blocks(parts, model: LeakModel, layout: TraceLayout, threads: int = 1, out=None):
+    """Render traces chunk by chunk; yield (labels, samples) per chunk, in row order.
+
+    `parts` is an iterable of (LabelSet, noise sub-seeds) pairs of
+    consecutive rows, drawn as the render needs them. Each part is cut
+    into chunks that are rendered on one pool of `threads` threads, each
+    thread with its own float64 buffer, with at most _CHUNKS_PER_THREAD
+    chunks per thread pending. A chunk's samples are a new float32 block,
+    or rows of `out` when that (rows, trace_length) array is given.
 
     Bit-identical to calling synthesize_trace per coefficient with the
     matching sub-seed: the noise is scaled and shifted in the same order,
@@ -257,36 +263,69 @@ def _render_traces(
     the gain). Chunks only bound memory, and threads only split chunks, so
     neither changes the output.
     """
-    n = len(noise_subseeds)
     length = layout.trace_length
-    bits = np.concatenate([inner_bits.reshape(n, -1), neg_bits.reshape(n, -1)], axis=1)
     cols = np.concatenate([layout.inner_site_matrix().reshape(-1), layout.neg_site_vector()])
     gain = model.alpha * 64
     add_zeros = model.beta == 0.0 and math.copysign(1.0, model.beta) < 0
     width = 2 * ((length + 1) // 2)
     chunk = max(1, _CHUNK_SAMPLES // width)
-    out = np.empty((n, length), dtype=np.float32)
+    local = threading.local()
 
-    def render(spans) -> None:
-        buf = np.empty((chunk, width))
-        for lo, hi in spans:
-            z = _gaussian_matrix(noise_subseeds[lo:hi], length, out=buf)
-            z *= model.noise_sigma
-            z += model.beta
-            if add_zeros:
-                z[:, cols] += model.alpha * 0
-            rows, sites = np.nonzero(bits[lo:hi])
-            z[rows, cols[sites]] += gain
-            out[lo:hi] = z
+    def render(bits, subseeds, samples):
+        if not hasattr(local, "buf"):
+            local.buf = np.empty((chunk, width))
+        z = _gaussian_matrix(subseeds, length, out=local.buf)
+        z *= model.noise_sigma
+        z += model.beta
+        if add_zeros:
+            z[:, cols] += model.alpha * 0
+        rows, sites = np.nonzero(bits)
+        z[rows, cols[sites]] += gain
+        samples[...] = z
+        return samples
 
-    spans = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    workers = min(threads, len(spans))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for done in [pool.submit(render, spans[t::workers]) for t in range(workers)]:
-                done.result()
-    else:
-        render(spans)
+    def chunks():
+        row = 0
+        for labels, subseeds in parts:
+            n = len(subseeds)
+            bits = np.concatenate(
+                [labels.inner_bits.reshape(n, -1), labels.neg_bits.reshape(n, -1)], axis=1
+            )
+            for lo in range(0, n, chunk):
+                hi = min(lo + chunk, n)
+                if out is None:
+                    samples = np.empty((hi - lo, length), dtype=np.float32)
+                else:
+                    samples = out[row + lo : row + hi]
+                yield labels.rows(lo, hi), (bits[lo:hi], subseeds[lo:hi], samples)
+            row += n
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending: deque = deque()
+        for part, job in chunks():
+            pending.append((part, pool.submit(render, *job)))
+            if len(pending) == _CHUNKS_PER_THREAD * threads:
+                part, done = pending.popleft()
+                yield part, done.result()
+        for part, done in pending:
+            yield part, done.result()
+
+
+def _render_traces(
+    inner_bits: np.ndarray,
+    neg_bits: np.ndarray,
+    model: LeakModel,
+    layout: TraceLayout,
+    noise_subseeds: np.ndarray,
+    threads: int = 1,
+) -> np.ndarray:
+    """Vectorized synthesize_trace over many coefficients' leak bits, as one matrix."""
+    n = len(noise_subseeds)
+    out = np.empty((n, layout.trace_length), dtype=np.float32)
+    # The render only passes the values through; these are never read.
+    labels = traceio.LabelSet(np.zeros(n, dtype=np.int32), inner_bits, neg_bits)
+    for _ in _render_blocks([(labels, noise_subseeds)], model, layout, threads, out=out):
+        pass
     return out
 
 
@@ -354,6 +393,59 @@ def params_from_metadata(md: dict[str, str]) -> SamplerParams:
     return SamplerParams(logn=metadata_number(md, "logn"), q=metadata_number(md, "q"))
 
 
+def _checked_layout(params: SamplerParams, table: GaussCdtTable, layout) -> TraceLayout:
+    if layout is None:
+        return TraceLayout.for_params(params, table)
+    if (layout.outer_count, layout.inner_count) != (params.outer_count, table.inner_count):
+        raise LayoutMismatch("layout disagrees with sampler parameters or table")
+    return layout
+
+
+def _campaign_layout(params: SamplerParams, table: GaussCdtTable, layout, n_keys: int):
+    if n_keys < 1:
+        raise DomainError("n_keys must be positive")
+    traceio.check_count(n_keys * 2 * params.n, "trace count")
+    return _checked_layout(params, table, layout)
+
+
+def _key_blocks(seed: int, params: SamplerParams, table: GaussCdtTable, n_keys: int):
+    """The campaign's labels and noise sub-seeds, a block of whole keys at a time."""
+    root = [seed & MASK64]
+    per_key = 2 * params.n
+    step = max(1, _KEY_BLOCK_ROWS // per_key)
+    for k in range(0, n_keys, step):
+        count = min(step, n_keys - k)
+        values, inner_bits, neg_bits = sample_keys(words(root, k, count)[0], params, table)
+        subseeds = words(root, n_keys + k * per_key, count * per_key)[0]
+        yield traceio.LabelSet(values, inner_bits, neg_bits), subseeds
+
+
+def campaign_blocks(
+    seed: int,
+    params: SamplerParams,
+    table: GaussCdtTable,
+    model: LeakModel,
+    layout: TraceLayout | None = None,
+    n_keys: int = 1,
+    threads: int = 1,
+    out: np.ndarray | None = None,
+):
+    """synthesize_campaign's metadata, and its rows as (labels, samples) blocks.
+
+    Every argument is checked here, before a key is sampled; the rows of
+    n_keys * 2n must fit a trace file. The returned iterator samples keys
+    a block at a time as the render needs them, so a caller that writes
+    and drops each block holds a few MB whatever n_keys is. Blocks are
+    new arrays, or rows of `out` when that matrix is given.
+    """
+    layout = _campaign_layout(params, table, layout, n_keys)
+    md = campaign_metadata(
+        seed, params, table, model, layout, kind="campaign", n_keys=str(n_keys)
+    )
+    parts = _key_blocks(seed, params, table, n_keys)
+    return md, _render_blocks(parts, model, layout, threads, out=out)
+
+
 def synthesize_campaign(
     seed: int,
     params: SamplerParams,
@@ -368,23 +460,13 @@ def synthesize_campaign(
     Rows are ordered key by key, f before g, coefficients ascending. The
     sampler stream for key j uses child seed j of `seed`; the noise stream
     for row r uses child seed n_keys + r. Returns the traces, their
-    labels, and the sampled keys.
+    labels, and the sampled keys: campaign_blocks gathered into one matrix.
     """
-    if n_keys < 1:
-        raise DomainError("n_keys must be positive")
-    if layout is None:
-        layout = TraceLayout.for_params(params, table)
-    if (layout.outer_count, layout.inner_count) != (params.outer_count, table.inner_count):
-        raise LayoutMismatch("layout disagrees with sampler parameters or table")
-    key_seeds = words([seed & MASK64], 0, n_keys)[0]
-    values, inner_bits, neg_bits = sample_keys(key_seeds, params, table)
-    subseeds = words([seed & MASK64], n_keys, len(values))[0]
-    samples = _render_traces(inner_bits, neg_bits, model, layout, subseeds, threads=threads)
-    md = campaign_metadata(
-        seed, params, table, model, layout, kind="campaign", n_keys=str(n_keys)
-    )
-    labels = traceio.LabelSet(values=values, inner_bits=inner_bits, neg_bits=neg_bits)
-    keys = key_pairs(values, inner_bits, neg_bits, params.n)
+    layout = _campaign_layout(params, table, layout, n_keys)
+    samples = np.empty((n_keys * 2 * params.n, layout.trace_length), dtype=np.float32)
+    md, blocks = campaign_blocks(seed, params, table, model, layout, n_keys, threads, out=samples)
+    labels = traceio.LabelSet.concatenate([part for part, _ in blocks])
+    keys = key_pairs(labels.values, labels.inner_bits, labels.neg_bits, params.n)
     return traceio.TraceSet(samples=samples, metadata=md), labels, keys
 
 
@@ -473,10 +555,7 @@ def synthesize_profiling_set(
     """
     if n_traces < 4:
         raise DomainError("n_traces must be at least 4")
-    if layout is None:
-        layout = TraceLayout.for_params(params, table)
-    if (layout.outer_count, layout.inner_count) != (params.outer_count, table.inner_count):
-        raise LayoutMismatch("layout disagrees with sampler parameters or table")
+    layout = _checked_layout(params, table, layout)
     plant_seeds = words([seed & MASK64], 0, n_traces)[0]
     stream = words(plant_seeds, 0, 2 * params.outer_count)
     _plant_first_iteration(table, fire_slot, stream)

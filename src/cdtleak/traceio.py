@@ -10,14 +10,16 @@ record per trace: u32 record index, i32 signed coefficient value, and an
 LSB-first packed bitfield of outer_count * (inner_count + 1) mask bits
 (inner positions 1..inner_count, then the sign bit, per outer iteration).
 
-Both writers are atomic (temp file in the target directory, then rename)
-and byte-deterministic for identical input; metadata keys are sorted on
-write. Readers are strict: anything structurally off raises instead of
-guessing.
+Both are written a block of rows at a time, through temp files in the
+target directory that are renamed into place only once every file of a
+write is complete, and both are byte-deterministic for identical input;
+metadata keys are sorted on write. Readers are strict: anything
+structurally off raises instead of guessing.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 import tempfile
@@ -41,9 +43,10 @@ FORMAT_VERSION = 1
 
 _HEADER = struct.Struct("<IIII")
 _LABEL_HEADER = struct.Struct("<IIII")
+_U32_MAX = 0xFFFFFFFF
 
-# Samples per block of the read's finiteness check, so that its boolean
-# temporary stays small next to the payload it checks.
+# Samples per block of the finiteness check of reads and writes, so that
+# its boolean temporary stays small next to the payload it checks.
 _CHECK_SAMPLES = 1 << 18
 
 
@@ -106,12 +109,13 @@ def read_text(path, error) -> str:
         raise error(f"{os.fspath(path)}: not valid UTF-8: {exc}") from None
 
 
-def parse_key_values(text: str, error) -> dict[str, str]:
+def parse_key_values(text: str, error, key=None) -> dict[str, str]:
     """Parse the key=value text of templates, reports and config files.
 
     `#` starts a comment anywhere on a line, blank lines are skipped, and
-    keys and values are stripped; a line without `=` or a key seen on an
-    earlier line raises `error`.
+    keys and values are stripped; `key`, when given, maps each stripped
+    key to the one stored. A line without `=` or a key seen on an earlier
+    line raises `error`.
     Trace metadata has its own decoder, which keeps every character.
     """
     out: dict[str, str] = {}
@@ -122,44 +126,76 @@ def parse_key_values(text: str, error) -> dict[str, str]:
         if "=" not in line:
             raise error(f"line {lineno}: expected key=value")
         k, v = (part.strip() for part in line.split("=", 1))
+        if key is not None:
+            k = key(k)
         if k in out:
             raise error(f"line {lineno}: duplicate key {k!r}")
         out[k] = v
     return out
 
 
-def _atomic_write(path, *chunks) -> None:
-    """Write the byte-like chunks, in order, as the whole file at path."""
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
+def check_count(count: int, what: str) -> None:
+    """Raise DimensionError unless `count` fits a header's u32 field."""
+    if not 0 <= count <= _U32_MAX:
+        raise DimensionError(f"{what} {count} does not fit the 32-bit header field")
+
+
+@contextlib.contextmanager
+def staged_files(*paths):
+    """Yield one open binary temp file per path, each in its path's directory.
+
+    When the body returns, every file is closed and then each is renamed
+    onto its path; when it raises, every temp file is removed and no path
+    changes.
+    """
+    handles, tmps = [], []
     try:
-        with os.fdopen(fd, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        os.replace(tmp, path)
+        for path in paths:
+            directory = os.path.dirname(os.fspath(path)) or "."
+            fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
+            tmps.append(tmp)
+            handles.append(os.fdopen(fd, "wb"))
+        yield handles
+        for fh in handles:
+            fh.close()
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        for fh in handles:
+            fh.close()
+        for tmp in tmps:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
         raise
 
 
-def write_trace_set(trace_set: TraceSet, path) -> None:
-    """Serialize a TraceSet; the file appears atomically or not at all."""
-    samples = np.asarray(trace_set.samples)
-    if samples.ndim != 2:
-        raise DimensionError(f"samples must be 2-D, got shape {samples.shape}")
-    samples = samples.astype("<f4", copy=False)
-    if samples.size and not np.isfinite(samples).all():
-        raise NonFiniteSample("refusing to write NaN or infinite samples")
-    _check_metadata(trace_set.metadata)
-    meta = _encode_metadata(trace_set.metadata)
-    header = TRACE_MAGIC + _HEADER.pack(
-        FORMAT_VERSION, samples.shape[0], samples.shape[1], len(meta)
-    )
-    _atomic_write(path, header, meta, memoryview(np.ascontiguousarray(samples)))
+def _atomic_write(path, data: bytes) -> None:
+    """Write data as the whole file at path, atomically."""
+    with staged_files(path) as (fh,):
+        fh.write(data)
+
+
+class _RowWriter:
+    """Rows written to an open file, against the count its header declares."""
+
+    def __init__(self, fh, n_rows: int, header: bytes):
+        self._fh = fh
+        self.n_rows = n_rows
+        self.rows = 0
+        fh.write(header)
+
+    def _take(self, rows: int) -> int:
+        """Index of the first of the next `rows` rows; rows past the count raise."""
+        start = self.rows
+        if start + rows > self.n_rows:
+            raise DimensionError(f"{start + rows} rows written, header declares {self.n_rows}")
+        self.rows += rows
+        return start
+
+    def finish(self) -> None:
+        """Raise unless exactly the declared rows were written."""
+        if self.rows != self.n_rows:
+            raise DimensionError(f"{self.rows} rows written, header declares {self.n_rows}")
 
 
 def _check_finite(samples: np.ndarray) -> None:
@@ -168,6 +204,55 @@ def _check_finite(samples: np.ndarray) -> None:
     for lo in range(0, flat.size, _CHECK_SAMPLES):
         if not np.isfinite(flat[lo : lo + _CHECK_SAMPLES]).all():
             raise NonFiniteSample("trace payload contains NaN or infinity")
+
+
+class TraceWriter(_RowWriter):
+    """A trace file written to an open binary file, block of rows by block.
+
+    The header and metadata go first, so the trace count is fixed up
+    front; each block is checked for shape and finiteness before its
+    bytes are written. Used inside staged_files, whose target stays
+    untouched when any check raises.
+    """
+
+    def __init__(self, fh, n_traces: int, n_samples: int, metadata: dict[str, str]):
+        check_count(n_traces, "trace count")
+        check_count(n_samples, "trace length")
+        _check_metadata(metadata)
+        meta = _encode_metadata(metadata)
+        header = TRACE_MAGIC + _HEADER.pack(FORMAT_VERSION, n_traces, n_samples, len(meta))
+        super().__init__(fh, n_traces, header + meta)
+        self.n_samples = n_samples
+
+    def write(self, block) -> None:
+        block = np.asarray(block)
+        if block.ndim != 2 or block.shape[1] != self.n_samples:
+            raise DimensionError(f"block of shape {block.shape}, want (rows, {self.n_samples})")
+        block = np.ascontiguousarray(block, dtype="<f4")
+        _check_finite(block)
+        self._take(len(block))
+        self._fh.write(memoryview(block))
+
+
+def write_trace_blocks(path, n_traces: int, n_samples: int, metadata: dict[str, str], blocks):
+    """Write a trace file from an iterable of row blocks; it appears whole or not at all.
+
+    The counts are checked before the first block is drawn, and the file
+    is not renamed into place unless the blocks hold exactly n_traces rows.
+    """
+    with staged_files(path) as (fh,):
+        writer = TraceWriter(fh, n_traces, n_samples, metadata)
+        for block in blocks:
+            writer.write(block)
+        writer.finish()
+
+
+def write_trace_set(trace_set: TraceSet, path) -> None:
+    """Serialize a TraceSet; the file appears atomically or not at all."""
+    samples = np.asarray(trace_set.samples)
+    if samples.ndim != 2:
+        raise DimensionError(f"samples must be 2-D, got shape {samples.shape}")
+    write_trace_blocks(path, *samples.shape, trace_set.metadata, [samples])
 
 
 class TraceReader:
@@ -283,6 +368,16 @@ class LabelSet:
     def inner_count(self) -> int:
         return int(self.inner_bits.shape[2])
 
+    def rows(self, lo: int, hi: int) -> "LabelSet":
+        """Records lo to hi, as views."""
+        return LabelSet(self.values[lo:hi], self.inner_bits[lo:hi], self.neg_bits[lo:hi])
+
+    @classmethod
+    def concatenate(cls, parts) -> "LabelSet":
+        """The records of `parts`, in order, as one LabelSet."""
+        fields = zip(*((p.values, p.inner_bits, p.neg_bits) for p in parts))
+        return cls(*(np.concatenate(arrays) for arrays in fields))
+
 
 def _check_label_shapes(labels: LabelSet) -> tuple[int, int, int]:
     values = np.asarray(labels.values)
@@ -300,28 +395,52 @@ def _check_label_shapes(labels: LabelSet) -> tuple[int, int, int]:
     return n, inner.shape[1], inner.shape[2]
 
 
+def _record_dtype(outer: int, inner: int) -> np.dtype:
+    nbytes = (outer * (inner + 1) + 7) // 8
+    return np.dtype([("idx", "<u4"), ("val", "<i4"), ("bits", "u1", (nbytes,))])
+
+
+class LabelWriter(_RowWriter):
+    """A label file written to an open binary file, block of records by block.
+
+    Records are numbered across blocks; used inside staged_files, like
+    TraceWriter.
+    """
+
+    def __init__(self, fh, n_records: int, outer_count: int, inner_count: int):
+        check_count(n_records, "record count")
+        if outer_count < 1 or inner_count < 1:
+            raise DimensionError("outer and inner counts must be positive")
+        header = _LABEL_HEADER.pack(FORMAT_VERSION, n_records, outer_count, inner_count)
+        super().__init__(fh, n_records, LABEL_MAGIC + header)
+        self.counts = (outer_count, inner_count)
+
+    def write(self, labels: LabelSet) -> None:
+        n, outer, inner = _check_label_shapes(labels)
+        if (outer, inner) != self.counts:
+            raise DimensionError(f"labels of {outer}x{inner} masks, header declares {self.counts}")
+        start = self._take(n)
+        bits = np.concatenate(
+            [
+                np.asarray(labels.inner_bits, dtype=np.uint8),
+                np.asarray(labels.neg_bits, dtype=np.uint8).reshape(n, outer, 1),
+            ],
+            axis=2,
+        ).reshape(n, outer * (inner + 1))
+        record = np.zeros(n, dtype=_record_dtype(outer, inner))
+        record["idx"] = np.arange(start, start + n, dtype="<u4")
+        record["val"] = np.asarray(labels.values, dtype="<i4")
+        record["bits"] = np.packbits(bits, axis=1, bitorder="little")
+        self._fh.write(memoryview(record))
+
+
 def write_label_set(labels: LabelSet, path) -> None:
     """Serialize a LabelSet with the same atomicity guarantees as traces."""
     n, outer, inner = _check_label_shapes(labels)
-    bits = np.concatenate(
-        [
-            np.asarray(labels.inner_bits, dtype=np.uint8).reshape(n, outer, inner),
-            np.asarray(labels.neg_bits, dtype=np.uint8).reshape(n, outer, 1),
-        ],
-        axis=2,
-    ).reshape(n, outer * (inner + 1))
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    record = np.zeros(
-        n,
-        dtype=np.dtype(
-            [("idx", "<u4"), ("val", "<i4"), ("bits", "u1", (packed.shape[1],))]
-        ),
-    )
-    record["idx"] = np.arange(n, dtype="<u4")
-    record["val"] = np.asarray(labels.values, dtype="<i4")
-    record["bits"] = packed
-    header = LABEL_MAGIC + _LABEL_HEADER.pack(FORMAT_VERSION, n, outer, inner)
-    _atomic_write(path, header + record.tobytes())
+    with staged_files(path) as (fh,):
+        writer = LabelWriter(fh, n, outer, inner)
+        writer.write(labels)
+        writer.finish()
 
 
 def read_label_set(path) -> LabelSet:
@@ -341,8 +460,8 @@ def read_label_set(path) -> LabelSet:
     if outer < 1 or inner < 1:
         raise TraceFormatError("outer and inner counts must be positive")
     off += _LABEL_HEADER.size
-    nbytes = (outer * (inner + 1) + 7) // 8
-    rec_dtype = np.dtype([("idx", "<u4"), ("val", "<i4"), ("bits", "u1", (nbytes,))])
+    rec_dtype = _record_dtype(outer, inner)
+    nbytes = rec_dtype["bits"].shape[0]
     need = n * rec_dtype.itemsize
     if len(blob) - off < need:
         raise TruncatedFile(f"records need {need} bytes, file has {len(blob) - off}")
