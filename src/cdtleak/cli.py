@@ -146,9 +146,7 @@ def _profile_campaign(args):
         trace_set = traceio.read_trace_set(args.inp + ".trc")
         labels = traceio.read_label_set(args.inp + ".lbl")
         md = trace_set.metadata
-        if md.get("kind") != "profiling":
-            raise CdtLeakError("input traces are not a profiling campaign")
-        layout = leakage.layout_from_metadata(md)
+        _, layout, _ = leakage.campaign_from_metadata(md, "profiling")
         fire_slot = leakage.metadata_number(md, "fire_slot")
         if not 1 <= fire_slot <= layout.inner_count:
             raise TraceFormatError(f"fire_slot {fire_slot} outside 1..{layout.inner_count}")
@@ -188,8 +186,7 @@ def cmd_profile(args) -> int:
 
 def cmd_attack(args) -> int:
     with traceio.open_trace_set(args.inp + ".trc") as reader:
-        params = leakage.params_from_metadata(reader.metadata)
-        layout = leakage.layout_from_metadata(reader.metadata)
+        params, layout, _ = leakage.campaign_from_metadata(reader.metadata, "campaign")
         labels = None
         label_path = args.inp + ".lbl"
         if os.path.exists(label_path):

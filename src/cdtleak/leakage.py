@@ -18,7 +18,7 @@ import math
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -281,7 +281,9 @@ def _render_blocks(parts, model: LeakModel, layout: TraceLayout, threads: int = 
             z[:, cols] += model.alpha * 0
         rows, sites = np.nonzero(bits)
         z[rows, cols[sites]] += gain
-        samples[...] = z
+        # Past float32's range the cast gives inf, which the trace writer rejects.
+        with np.errstate(over="ignore"):
+            samples[...] = z
         return samples
 
     def chunks():
@@ -332,65 +334,66 @@ def _render_traces(
 def campaign_metadata(
     seed: int,
     params: SamplerParams,
-    table: GaussCdtTable,
     model: LeakModel,
     layout: TraceLayout,
     kind: str,
     **extra: str,
 ) -> dict[str, str]:
-    """Self-describing metadata so a trace file can be attacked standalone."""
-    md = {
-        "kind": kind,
-        "seed": str(seed),
-        "logn": str(params.logn),
-        "q": str(params.q),
-        "outer_count": str(layout.outer_count),
-        "inner_count": str(layout.inner_count),
-        "samples_per_inner": str(layout.samples_per_inner),
-        "samples_per_outer_tail": str(layout.samples_per_outer_tail),
-        "leak_offset_inner": str(layout.leak_offset_inner),
-        "leak_offset_neg": str(layout.leak_offset_neg),
-        "alpha": repr(model.alpha),
-        "beta": repr(model.beta),
-        "noise_sigma": repr(model.noise_sigma),
-    }
+    """Self-describing metadata so a trace file can be attacked standalone.
+
+    Holds kind, seed, every field of params, layout and model by name, and extra.
+    """
+    md = {"kind": kind, "seed": str(seed)}
+    for setup in (params, layout, model):
+        md.update(
+            (f.name, traceio.CODECS[f.type][0](getattr(setup, f.name))) for f in fields(setup)
+        )
     md.update(extra)
     return md
 
 
-def metadata_number(md: dict[str, str], key: str, kind=int):
+def metadata_number(md: dict[str, str], key: str, decode=int):
     """Parse one metadata field; a missing or malformed one is a format error."""
     try:
         raw = md[key]
     except KeyError:
         raise TraceFormatError(f"trace file lacks campaign metadata field {key!r}") from None
     try:
-        return kind(raw)
+        return decode(raw)
     except ValueError:
         raise TraceFormatError(f"metadata field {key!r} has bad value {raw!r}") from None
 
 
-def layout_from_metadata(md: dict[str, str]) -> TraceLayout:
-    return TraceLayout(
-        outer_count=metadata_number(md, "outer_count"),
-        inner_count=metadata_number(md, "inner_count"),
-        samples_per_inner=metadata_number(md, "samples_per_inner"),
-        samples_per_outer_tail=metadata_number(md, "samples_per_outer_tail"),
-        leak_offset_inner=metadata_number(md, "leak_offset_inner"),
-        leak_offset_neg=metadata_number(md, "leak_offset_neg"),
-    )
+_KIND_NAMES = {"campaign": "key-generation campaign", "profiling": "profiling campaign"}
 
 
-def model_from_metadata(md: dict[str, str]) -> LeakModel:
-    return LeakModel(
-        alpha=metadata_number(md, "alpha", float),
-        beta=metadata_number(md, "beta", float),
-        noise_sigma=metadata_number(md, "noise_sigma", float),
-    )
+def campaign_from_metadata(
+    md: dict[str, str], kind: str
+) -> tuple[SamplerParams, TraceLayout, LeakModel]:
+    """The setup campaign_metadata wrote, from a trace file of the given kind.
 
-
-def params_from_metadata(md: dict[str, str]) -> SamplerParams:
-    return SamplerParams(logn=metadata_number(md, "logn"), q=metadata_number(md, "q"))
+    Another kind, a missing or malformed field, a value its dataclass
+    rejects, or an outer_count that logn does not give raises TraceFormatError.
+    """
+    if md.get("kind") != kind:
+        raise TraceFormatError(
+            f"input traces are not a {_KIND_NAMES[kind]} (metadata kind {md.get('kind')!r})"
+        )
+    setup = []
+    for cls in (SamplerParams, TraceLayout, LeakModel):
+        decoded = {
+            f.name: metadata_number(md, f.name, traceio.CODECS[f.type][1]) for f in fields(cls)
+        }
+        try:
+            setup.append(cls(**decoded))
+        except DomainError as exc:
+            raise TraceFormatError(f"campaign metadata: {exc}") from None
+    params, layout, model = setup
+    if layout.outer_count != params.outer_count:
+        raise TraceFormatError(
+            f"campaign metadata: outer_count {layout.outer_count} disagrees with logn {params.logn}"
+        )
+    return params, layout, model
 
 
 def _checked_layout(params: SamplerParams, table: GaussCdtTable, layout) -> TraceLayout:
@@ -439,9 +442,7 @@ def campaign_blocks(
     new arrays, or rows of `out` when that matrix is given.
     """
     layout = _campaign_layout(params, table, layout, n_keys)
-    md = campaign_metadata(
-        seed, params, table, model, layout, kind="campaign", n_keys=str(n_keys)
-    )
+    md = campaign_metadata(seed, params, model, layout, kind="campaign", n_keys=str(n_keys))
     parts = _key_blocks(seed, params, table, n_keys)
     return md, _render_blocks(parts, model, layout, threads, out=out)
 
@@ -565,13 +566,7 @@ def synthesize_profiling_set(
     subseeds = words([seed & MASK64], n_traces, n_traces)[0]
     samples = _render_traces(inner_bits, neg_bits, model, layout, subseeds, threads=threads)
     md = campaign_metadata(
-        seed,
-        params,
-        table,
-        model,
-        layout,
-        kind="profiling",
-        fire_slot=str(fire_slot),
+        seed, params, model, layout, kind="profiling", fire_slot=str(fire_slot)
     )
     labels = traceio.LabelSet(values=values, inner_bits=inner_bits, neg_bits=neg_bits)
     return traceio.TraceSet(samples=samples, metadata=md), labels

@@ -32,7 +32,7 @@ from .template import (
     per_coefficient_success,
     success_from_overlap,
 )
-from .traceio import LabelSet, TraceSet, _atomic_write, parse_key_values, read_text
+from .traceio import CODECS, LabelSet, TraceSet, _atomic_write, parse_key_values, read_text
 
 REPORT_VERSION = 1
 
@@ -267,19 +267,6 @@ def classify_trace(
     return ClassifiedLeaks(outer=tuple(decisions))
 
 
-# Text form of each report field type, by its annotation: (encode, decode).
-_CODECS = {
-    "int": (str, int),
-    "float": (repr, float),
-    "bool": (lambda b: str(int(b)), lambda s: bool(int(s))),
-    "str": (str, str),
-    "list[int]": (
-        lambda xs: ",".join(str(v) for v in xs),
-        lambda s: [int(v) for v in s.split(",")],
-    ),
-}
-
-
 def _element(f) -> str:
     """Element type of a per-key field: the T of its list[T] annotation."""
     return f.type[len("list[") : -1]
@@ -340,10 +327,10 @@ class RecoveryReport:
         written = [
             f for f in fields(self) if self.has_labels or not f.metadata.get("labeled")
         ]
-        per_key = [(f, _CODECS[_element(f)][0]) for f in written if "line" in f.metadata]
+        per_key = [(f, CODECS[_element(f)][0]) for f in written if "line" in f.metadata]
         lines = [f"report_version={REPORT_VERSION}"]
         lines += [
-            f"{f.name}={_CODECS[f.type][0](getattr(self, f.name))}"
+            f"{f.name}={CODECS[f.type][0](getattr(self, f.name))}"
             for f in written
             if "line" not in f.metadata
         ]
@@ -365,13 +352,13 @@ class RecoveryReport:
                 if f.metadata.get("labeled") and not kw["has_labels"]:
                     continue
                 if "line" in f.metadata:
-                    decode = _CODECS[_element(f)][1]
+                    decode = CODECS[_element(f)][1]
                     kw[f.name] = [
                         decode(values[f"key.{j}.{f.metadata['line']}"])
                         for j in range(kw["n_keys"])
                     ]
                 else:
-                    kw[f.name] = _CODECS[f.type][1](values[f.name])
+                    kw[f.name] = CODECS[f.type][1](values[f.name])
         except KeyError as exc:
             raise ReportFormatError(f"missing field {exc.args[0]!r}") from None
         except ValueError as exc:

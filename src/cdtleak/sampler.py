@@ -21,6 +21,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import DomainError, TableFormatError
+from .traceio import read_text
 
 MASK64 = (1 << 64) - 1
 MASK63 = (1 << 63) - 1
@@ -199,8 +200,7 @@ def parse_cdt_table(text: str) -> GaussCdtTable:
 
 def load_cdt_table(path) -> GaussCdtTable:
     """Load and validate a CDT table file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_cdt_table(fh.read())
+    return parse_cdt_table(read_text(path, TableFormatError))
 
 
 @functools.lru_cache(maxsize=1)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import contextlib
 import os
 import struct
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +43,7 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<IIII")
 _LABEL_HEADER = struct.Struct("<IIII")
 _U32_MAX = 0xFFFFFFFF
+_CREATE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
 
 # Samples per block of the finiteness check of reads and writes, so that
 # its boolean temporary stays small next to the payload it checks.
@@ -99,6 +99,20 @@ def _decode_metadata(blob: bytes) -> dict[str, str]:
     return out
 
 
+# Text form of each dataclass field type, by its annotation: (encode, decode).
+# Recovery reports and trace metadata are written and read through it.
+CODECS = {
+    "int": (str, int),
+    "float": (repr, float),
+    "bool": (lambda b: str(int(b)), lambda s: bool(int(s))),
+    "str": (str, str),
+    "list[int]": (
+        lambda xs: ",".join(str(v) for v in xs),
+        lambda s: [int(v) for v in s.split(",")],
+    ),
+}
+
+
 def read_text(path, error) -> str:
     """The file's contents decoded as UTF-8; undecodable bytes raise `error`."""
     with open(path, "rb") as fh:
@@ -146,13 +160,15 @@ def staged_files(*paths):
 
     When the body returns, every file is closed and then each is renamed
     onto its path; when it raises, every temp file is removed and no path
-    changes.
+    changes. Each file is created as open() creates one, with mode 0o666
+    less the umask, and O_EXCL, so no existing file is taken over.
     """
     handles, tmps = [], []
     try:
         for path in paths:
             directory = os.path.dirname(os.fspath(path)) or "."
-            fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
+            tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+            fd = os.open(tmp, _CREATE_FLAGS, 0o666)
             tmps.append(tmp)
             handles.append(os.fdopen(fd, "wb"))
         yield handles
@@ -460,8 +476,10 @@ def read_label_set(path) -> LabelSet:
     if outer < 1 or inner < 1:
         raise TraceFormatError("outer and inner counts must be positive")
     off += _LABEL_HEADER.size
-    rec_dtype = _record_dtype(outer, inner)
-    nbytes = rec_dtype["bits"].shape[0]
+    try:
+        rec_dtype = _record_dtype(outer, inner)
+    except ValueError:
+        raise TraceFormatError(f"records of {outer}x{inner} mask bits are too large") from None
     need = n * rec_dtype.itemsize
     if len(blob) - off < need:
         raise TruncatedFile(f"records need {need} bytes, file has {len(blob) - off}")
@@ -470,10 +488,7 @@ def read_label_set(path) -> LabelSet:
     records = np.frombuffer(blob, dtype=rec_dtype, count=n, offset=off)
     if not np.array_equal(records["idx"], np.arange(n, dtype=np.uint32)):
         raise TraceFormatError("record indices out of order")
-    if n:
-        bits = np.unpackbits(records["bits"], axis=1, bitorder="little")
-    else:
-        bits = np.zeros((0, nbytes * 8), dtype=np.uint8)
+    bits = np.unpackbits(records["bits"], axis=1, bitorder="little")
     bits = bits[:, : outer * (inner + 1)].reshape(n, outer, inner + 1)
     return LabelSet(
         values=records["val"].astype(np.int32),

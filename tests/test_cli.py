@@ -9,7 +9,9 @@ cannot survive, so the attack must report a miss via exit code 1.
 
 import contextlib
 import io
+import os
 import shutil
+import stat
 
 import numpy as np
 import pytest
@@ -122,6 +124,16 @@ class TestSimulate:
         )
         assert rc == 2
         assert "error:" in err
+
+    def test_non_utf8_table_file(self, capsys, tmp_path):
+        table = tmp_path / "table.txt"
+        table.write_bytes(b"\xff\xfe1\n")
+        rc, _, err = _run(
+            capsys, "simulate", "--table", str(table), "--out", str(tmp_path / "c")
+        )
+        assert rc == 2
+        assert "not valid UTF-8" in err
+        assert not (tmp_path / "c.trc").exists()
 
 
 class TestProfile:
@@ -519,6 +531,74 @@ class TestThreadsAndMetadataErrors:
         )
         assert rc == 2
         assert "outer_count" in err
+
+    def test_attack_on_outer_count_disagreeing_with_logn(self, capsys, pipeline, tmp_path):
+        # One outer iteration of twice the samples keeps the trace width.
+        original = traceio.read_trace_set(pipeline["camp"] + ".trc")
+        doctored = traceio.TraceSet(
+            samples=original.samples[:8],
+            metadata={
+                **original.metadata,
+                "outer_count": "1",
+                "samples_per_inner": "16",
+                "samples_per_outer_tail": "16",
+            },
+        )
+        prefix = str(tmp_path / "bad")
+        traceio.write_trace_set(doctored, prefix + ".trc")
+        rc, _, err = _run(
+            capsys, "attack", "--in", prefix, "--templates", pipeline["tpl"]
+        )
+        assert rc == 2
+        assert "metadata: outer_count 1 disagrees with logn 9" in err
+
+    def test_attack_on_profiling_traces(self, capsys, pipeline, tmp_path):
+        traces, _ = leakage.synthesize_profiling_set(
+            seed=42, params=SamplerParams(logn=9), table=default_table(),
+            model=leakage.LeakModel(), n_traces=1024,
+        )
+        prefix = str(tmp_path / "prof")
+        traceio.write_trace_set(traces, prefix + ".trc")
+        rc, _, err = _run(
+            capsys, "attack", "--in", prefix, "--templates", pipeline["tpl"]
+        )
+        assert rc == 2
+        assert "not a key-generation campaign" in err
+        assert not (tmp_path / "prof.report.txt").exists()
+
+    def test_attack_with_oversized_label_header(self, capsys, pipeline, tmp_path):
+        prefix = str(tmp_path / "camp")
+        shutil.copy(pipeline["camp"] + ".trc", prefix + ".trc")
+        header = traceio._LABEL_HEADER.pack(1, 1, 0xFFFFFFFF, 0xFFFFFFFF)
+        (tmp_path / "camp.lbl").write_bytes(traceio.LABEL_MAGIC + header)
+        rc, _, err = _run(
+            capsys, "attack", "--in", prefix, "--templates", pipeline["tpl"]
+        )
+        assert rc == 2
+        assert "too large" in err
+
+
+@pytest.mark.parametrize(
+    "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"]
+)
+def test_outputs_take_their_mode_from_the_umask(tmp_path, umask, mode):
+    camp, tpl = str(tmp_path / "camp"), str(tmp_path / "tpl")
+    old = os.umask(umask)
+    try:
+        assert _quiet("simulate", "--seed", "3", "--logn", "7", "--out", camp)[0] == 0
+        assert _quiet("profile", "--logn", "7", "--traces", "400", "--out", tpl)[0] == 0
+        assert _quiet("attack", "--in", camp, "--templates", tpl)[0] in (0, 1)
+        assert _quiet(
+            "analyze", "--p-inner", "0.9", "--p-neg", "0.9", "--out", str(tmp_path / "a.txt")
+        )[0] == 0
+    finally:
+        os.umask(old)
+    outputs = sorted(p.name for p in tmp_path.iterdir())
+    assert outputs == [
+        "a.txt", "camp.lbl", "camp.report.txt", "camp.trc", "tpl.inner.tpl", "tpl.neg.tpl"
+    ]
+    for name in outputs:
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name
 
 
 class TestAttackAndAnalyzeFlags:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cdtleak.cpa import correlation_trace, find_poi
-from cdtleak.errors import DomainError, LayoutMismatch
+from cdtleak.errors import DomainError, LayoutMismatch, TraceFormatError
 from cdtleak.leakage import (
     DEFAULT_ALPHA,
     DEFAULT_BETA,
@@ -18,12 +18,10 @@ from cdtleak.leakage import (
     LeakModel,
     TraceLayout,
     build_label_set,
+    campaign_from_metadata,
     campaign_metadata,
     gaussian_block,
     hamming_weight,
-    layout_from_metadata,
-    model_from_metadata,
-    params_from_metadata,
     plant_control_words,
     synthesize_campaign,
     synthesize_profiling_set,
@@ -339,10 +337,11 @@ class TestCampaign:
         layout = TraceLayout.for_params(
             params, table, samples_per_inner=6, leak_offset_inner=2
         )
-        md = campaign_metadata(7, params, table, model, layout, kind="campaign")
-        assert layout_from_metadata(md) == layout
-        assert model_from_metadata(md) == model
-        assert params_from_metadata(md) == params
+        md = campaign_metadata(7, params, model, layout, kind="campaign")
+        got_params, got_layout, got_model = campaign_from_metadata(md, "campaign")
+        assert got_layout == layout
+        assert got_model == model
+        assert got_params == params
 
     def test_metadata_float_round_trip_is_exact(self):
         # repr round-trips any float, including ones that are not short
@@ -351,8 +350,41 @@ class TestCampaign:
         params = SamplerParams(logn=9)
         table = default_table()
         layout = TraceLayout.for_params(params, table)
-        md = campaign_metadata(0, params, table, model, layout, kind="campaign")
-        assert model_from_metadata(md) == model
+        md = campaign_metadata(0, params, model, layout, kind="campaign")
+        assert campaign_from_metadata(md, "campaign")[2] == model
+
+    def _metadata(self, kind="campaign"):
+        params = SamplerParams(logn=9)
+        layout = TraceLayout.for_params(params, default_table())
+        return campaign_metadata(3, params, LeakModel(), layout, kind=kind)
+
+    def test_metadata_keys_are_the_setup_fields(self):
+        assert set(self._metadata()) == {
+            "kind", "seed", "logn", "q", "outer_count", "inner_count",
+            "samples_per_inner", "samples_per_outer_tail", "leak_offset_inner",
+            "leak_offset_neg", "alpha", "beta", "noise_sigma",
+        }
+
+    def test_wrong_kind_rejected(self):
+        with pytest.raises(TraceFormatError, match="not a profiling campaign"):
+            campaign_from_metadata(self._metadata("campaign"), "profiling")
+        with pytest.raises(TraceFormatError, match="not a key-generation campaign"):
+            campaign_from_metadata(self._metadata("profiling"), "campaign")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("logn", "11"), ("q", "0"), ("noise_sigma", "-1.0"), ("alpha", "nan"),
+         ("leak_offset_inner", "8"), ("inner_count", "0")],
+    )
+    def test_field_its_dataclass_rejects_is_a_format_error(self, key, value):
+        md = {**self._metadata(), key: value}
+        with pytest.raises(TraceFormatError, match="campaign metadata"):
+            campaign_from_metadata(md, "campaign")
+
+    def test_outer_count_must_agree_with_logn(self):
+        md = {**self._metadata(), "outer_count": "4"}
+        with pytest.raises(TraceFormatError, match="outer_count 4 disagrees with logn 9"):
+            campaign_from_metadata(md, "campaign")
 
 
 class TestPlantControlWords:

@@ -58,12 +58,13 @@ def _expected_stdout(report, out):
 def _in_memory_report(camp, tpl, with_labels=True):
     trace_set = traceio.read_trace_set(camp + ".trc")
     labels = traceio.read_label_set(camp + ".lbl") if with_labels else None
+    params, layout, _ = leakage.campaign_from_metadata(trace_set.metadata, "campaign")
     return recover_key(
         trace_set,
         load_template(tpl + ".inner.tpl"),
         load_template(tpl + ".neg.tpl"),
-        leakage.layout_from_metadata(trace_set.metadata),
-        leakage.params_from_metadata(trace_set.metadata),
+        layout,
+        params,
         labels=labels,
     )
 
@@ -191,8 +192,7 @@ class TestAttackMatchesRecoverKey:
     def test_bad_input_rejected_before_the_first_block(self, logn7):
         camp, tpl = logn7
         trace_set = traceio.read_trace_set(camp + ".trc")
-        layout = leakage.layout_from_metadata(trace_set.metadata)
-        params = leakage.params_from_metadata(trace_set.metadata)
+        params, layout, _ = leakage.campaign_from_metadata(trace_set.metadata, "campaign")
         ti = load_template(tpl + ".inner.tpl")
 
         def untouched():

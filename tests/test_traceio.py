@@ -301,6 +301,13 @@ class TestLabelRejection:
         with pytest.raises(TraceFormatError):
             read_label_set(path)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_oversized_record_counts_rejected(self, tmp_path, n):
+        path = tmp_path / "l.lbl"
+        path.write_bytes(LABEL_MAGIC + struct.pack("<IIII", 1, n, 0xFFFFFFFF, 0xFFFFFFFF))
+        with pytest.raises(TraceFormatError, match="too large"):
+            read_label_set(path)
+
     def test_truncated_records(self, tmp_path):
         path = tmp_path / "l.lbl"
         write_label_set(_label_set(3, 2, 5), path)
