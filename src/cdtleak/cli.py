@@ -77,7 +77,8 @@ def _add_common(sub) -> None:
     sub.add_argument("--logn", type=int, default=9, help="ring dimension exponent")
     sub.add_argument("--table", type=str, default=None, help="CDT table file")
     sub.add_argument("--threads", type=int, default=_usable_cores(),
-                     help="render threads (default: usable cores); outputs do not depend on it")
+                     help="threads that render traces and, in profile, split the CPA columns "
+                     "(default: usable cores); outputs do not depend on it")
     _add_config(sub)
 
 
@@ -100,9 +101,13 @@ def _table_from(args) -> sampler.GaussCdtTable:
     return sampler.load_cdt_table(args.table)
 
 
-def _setup_from(args):
+def _check_threads(args) -> None:
     if args.threads < 1:
         raise CdtLeakError(f"--threads must be at least 1, got {args.threads}")
+
+
+def _setup_from(args):
+    _check_threads(args)
     tab = _table_from(args)
     params = sampler.SamplerParams(logn=args.logn)
     model = leakage.LeakModel(
@@ -140,9 +145,20 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+# profile flags that shape the campaign it generates; --in reads one instead.
+_GENERATION_FLAGS = (
+    "seed", "logn", "table", "alpha", "beta", "noise_sigma", "samples_per_inner",
+    "samples_per_outer_tail", "leak_offset_inner", "leak_offset_neg", "traces", "fire_slot",
+)
+
+
 def _profile_campaign(args):
-    tab, params, model, layout = _setup_from(args)
     if args.inp:
+        _check_threads(args)
+        unused = [d for d in _GENERATION_FLAGS if getattr(args, d) != args.flag_default(d)]
+        if unused:
+            flags = ", ".join("--" + d.replace("_", "-") for d in unused)
+            raise CdtLeakError(f"--in takes the campaign from its files; {flags} cannot apply")
         trace_set = traceio.read_trace_set(args.inp + ".trc")
         labels = traceio.read_label_set(args.inp + ".lbl")
         md = trace_set.metadata
@@ -151,6 +167,7 @@ def _profile_campaign(args):
         if not 1 <= fire_slot <= layout.inner_count:
             raise TraceFormatError(f"fire_slot {fire_slot} outside 1..{layout.inner_count}")
         return trace_set, labels, layout, fire_slot
+    tab, params, model, layout = _setup_from(args)
     trace_set, labels = leakage.synthesize_profiling_set(
         seed=args.seed,
         params=params,
@@ -166,13 +183,14 @@ def _profile_campaign(args):
 
 def cmd_profile(args) -> int:
     trace_set, labels, layout, fire_slot = _profile_campaign(args)
-    inner_cls = labels.inner_bits[:, 0, fire_slot - 1]
-    neg_cls = labels.neg_bits[:, 0]
-    for name, cls_bits, expected in (
-        ("inner", inner_cls, layout.inner_site_index(0, fire_slot)),
-        ("neg", neg_cls, layout.neg_site_index(0)),
-    ):
-        corr = cpa.correlation_trace(trace_set.samples, 64.0 * cls_bits)
+    points = (
+        ("inner", labels.inner_bits[:, 0, fire_slot - 1], layout.inner_site_index(0, fire_slot)),
+        ("neg", labels.neg_bits[:, 0], layout.neg_site_index(0)),
+    )
+    corrs = cpa.correlation_traces(
+        trace_set.samples, [64.0 * cls_bits for _, cls_bits, _ in points], args.threads
+    )
+    for (name, cls_bits, expected), corr in zip(points, corrs):
         pois = cpa.find_poi(corr, count=args.poi_count)
         tpl = template.build_template(trace_set.samples, cls_bits, pois)
         path = f"{args.out}.{name}.tpl"
@@ -314,7 +332,8 @@ def _build_parser():
     prof.add_argument("--in", dest="inp", type=str, default=None,
                       help="read an existing profiling campaign (prefix)")
     prof.add_argument("--out", type=str, required=True, help="template output prefix")
-    prof.set_defaults(func=cmd_profile)
+    # get_default also returns the defaults that --config sets.
+    prof.set_defaults(func=cmd_profile, flag_default=prof.get_default)
     built.append(prof)
 
     atk = subs.add_parser("attack", help="recover keys from campaign traces")

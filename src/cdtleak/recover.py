@@ -284,7 +284,8 @@ class RecoveryReport:
     The text form follows the declaration order: report_version, the
     scalar fields, then key by key one `key.{j}.{line}` line per field
     whose metadata names a line. Fields marked labeled are written and
-    read only when has_labels, declared before them, is set.
+    read only when has_labels, declared before them, is set. from_text
+    refuses a report whose fields contradict each other.
     """
 
     n_keys: int
@@ -323,10 +324,11 @@ class RecoveryReport:
     def fully_recovered(self) -> bool:
         return self.has_labels and self.keys_recovered == self.n_keys
 
+    def _written_fields(self) -> list:
+        return [f for f in fields(self) if self.has_labels or not f.metadata.get("labeled")]
+
     def to_text(self) -> str:
-        written = [
-            f for f in fields(self) if self.has_labels or not f.metadata.get("labeled")
-        ]
+        written = self._written_fields()
         per_key = [(f, CODECS[_element(f)][0]) for f in written if "line" in f.metadata]
         lines = [f"report_version={REPORT_VERSION}"]
         lines += [
@@ -363,7 +365,49 @@ class RecoveryReport:
             raise ReportFormatError(f"missing field {exc.args[0]!r}") from None
         except ValueError as exc:
             raise ReportFormatError(str(exc)) from None
-        return cls(**kw)
+        report = cls(**kw)
+        report._check()
+        return report
+
+    def _check(self) -> None:
+        """Raise ReportFormatError unless the fields agree with each other."""
+
+        def need(ok: bool, what: str) -> None:
+            if not ok:
+                raise ReportFormatError(f"inconsistent report: {what}")
+
+        for name in ("n_keys", "n", "poly_count"):
+            need(getattr(self, name) > 0, f"{name}={getattr(self, name)} is not positive")
+        for f in self._written_fields():
+            value = getattr(self, f.name)
+            if f.type == "int":
+                need(value >= 0, f"{f.name}={value} is negative")
+            elif f.name.startswith(("p_", "overlap_")):
+                need(0.0 <= value <= 1.0, f"{f.name}={value!r} is outside [0, 1]")
+            elif "line" in f.metadata:
+                for j, entry in enumerate(value):
+                    need(len(entry) == self.n, f"key.{j}.{f.metadata['line']} has "
+                         f"{len(entry)} entries, not n={self.n}")
+        coefficients = self.n_keys * self.poly_count * self.n
+        outer = coefficients * self.outer_count
+        totals = {"inner_sites_total": outer * self.inner_count, "neg_sites_total": outer}
+        bounded = [
+            ("inner_sites_ones", "inner_sites_total"),
+            ("neg_sites_ones", "neg_sites_total"),
+            ("anomalous_outer_iterations", "neg_sites_total"),
+        ]
+        if self.has_labels:
+            totals["coefficients_total"] = coefficients
+            bounded += [
+                ("coefficients_correct", "coefficients_total"),
+                ("keys_recovered", "n_keys"),
+                ("inner_site_errors", "inner_sites_total"),
+                ("neg_site_errors", "neg_sites_total"),
+            ]
+        for name, total in totals.items():
+            need(getattr(self, name) == total, f"{name}={getattr(self, name)} is not {total}")
+        for count, total in bounded:
+            need(getattr(self, count) <= getattr(self, total), f"{count} exceeds {total}")
 
 
 def save_report(report: RecoveryReport, path) -> None:

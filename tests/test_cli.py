@@ -198,6 +198,77 @@ class TestProfile:
         assert _line(stdout, "inner poi:") == f"inner poi: {layout.inner_site_index(0, 1)}"
         assert load_template(out + ".inner.tpl").pois
 
+    @pytest.fixture(scope="class")
+    def profiling_campaign(self, tmp_path_factory):
+        traces, labels = leakage.synthesize_profiling_set(
+            seed=43, params=SamplerParams(logn=9), table=default_table(),
+            model=leakage.LeakModel(), n_traces=600,
+        )
+        prefix = str(tmp_path_factory.mktemp("prof") / "prof")
+        traceio.write_trace_set(traces, prefix + ".trc")
+        traceio.write_label_set(labels, prefix + ".lbl")
+        return prefix
+
+    @staticmethod
+    def _templates(prefix):
+        return [open(f"{prefix}.{name}.tpl", "rb").read() for name in ("inner", "neg")]
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--seed", "2"), ("--logn", "3"), ("--table", "no-such-table.txt"),
+            ("--alpha", "9"), ("--beta", "1"), ("--noise-sigma", "100"),
+            ("--samples-per-inner", "9"), ("--samples-per-outer-tail", "7"),
+            ("--leak-offset-inner", "2"), ("--leak-offset-neg", "2"),
+            ("--traces", "7"), ("--fire-slot", "5"),
+        ],
+    )
+    def test_in_rejects_generation_flags(self, capsys, tmp_path, profiling_campaign, flag, value):
+        rc, stdout, err = _run(
+            capsys, "profile", "--in", profiling_campaign, flag, value,
+            "--out", str(tmp_path / "t"),
+        )
+        assert rc == 2
+        assert stdout == ""
+        assert f"{flag} cannot apply" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_in_names_every_generation_flag(self, capsys, tmp_path, profiling_campaign):
+        rc, _, err = _run(
+            capsys, "profile", "--in", profiling_campaign, "--logn", "3", "--alpha", "9",
+            "--noise-sigma", "100", "--fire-slot", "5", "--traces", "7",
+            "--out", str(tmp_path / "t"),
+        )
+        assert rc == 2
+        assert "--logn, --alpha, --noise-sigma, --traces, --fire-slot cannot apply" in err
+
+    def test_in_takes_config_defaults_and_its_own_flags(self, capsys, tmp_path, profiling_campaign):
+        plain = str(tmp_path / "plain")
+        assert _quiet("profile", "--in", profiling_campaign, "--out", plain)[0] == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 5\nnoise-sigma = 100\ntraces = 7\ntable = no-such-table.txt\n")
+        configured = str(tmp_path / "configured")
+        rc, _, _ = _run(
+            capsys, "profile", "--config", str(cfg), "--in", profiling_campaign,
+            "--threads", "3", "--seed", "5", "--out", configured,
+        )
+        assert rc == 0
+        assert self._templates(configured) == self._templates(plain)
+        rc, stdout, _ = _run(
+            capsys, "profile", "--in", profiling_campaign, "--poi-count", "2",
+            "--threads", "1", "--out", str(tmp_path / "two"),
+        )
+        assert rc == 0
+        assert len(_line(stdout, "inner poi:").split(":")[1].split()) == 2
+
+    def test_in_rejects_threads_below_one(self, capsys, tmp_path, profiling_campaign):
+        rc, _, err = _run(
+            capsys, "profile", "--in", profiling_campaign, "--threads", "0",
+            "--out", str(tmp_path / "t"),
+        )
+        assert rc == 2
+        assert "--threads must be at least 1" in err
+
     def test_rejects_campaign_as_profiling_input(self, capsys, tmp_path):
         camp = str(tmp_path / "camp")
         _quiet("simulate", "--seed", "5", "--logn", "10", "--out", camp)
@@ -365,6 +436,33 @@ class TestAnalyze:
         assert "error:" in err
 
 
+# One case per invariant between report fields; the pipeline report
+# has 1 key of n=512, so 2,048 outer iterations and 53,248 inner sites.
+INCONSISTENT_REPORTS = [
+    ({"outer_count": "-2"}, "outer_count=-2 is negative"),
+    ({"anomalous_outer_iterations": "-1"}, "anomalous_outer_iterations=-1 is negative"),
+    ({"n_keys": "-3"}, "n_keys=-3 is not positive"),
+    ({"n": "0"}, "n=0 is not positive"),
+    ({"poly_count": "0"}, "poly_count=0 is not positive"),
+    ({"inner_sites_ones": "53249"}, "inner_sites_ones exceeds inner_sites_total"),
+    ({"neg_sites_ones": "2049"}, "neg_sites_ones exceeds neg_sites_total"),
+    ({"inner_sites_total": "53247"}, "inner_sites_total=53247 is not 53248"),
+    ({"neg_sites_total": "4096"}, "neg_sites_total=4096 is not 2048"),
+    ({"outer_count": "3"}, "inner_sites_total=53248 is not 79872"),
+    ({"coefficients_total": "1023"}, "coefficients_total=1023 is not 1024"),
+    ({"coefficients_correct": "999999"}, "coefficients_correct exceeds coefficients_total"),
+    ({"keys_recovered": "2"}, "keys_recovered exceeds n_keys"),
+    ({"inner_site_errors": "53249"}, "inner_site_errors exceeds inner_sites_total"),
+    ({"neg_site_errors": "2049"}, "neg_site_errors exceeds neg_sites_total"),
+    ({"anomalous_outer_iterations": "2049"}, "anomalous_outer_iterations exceeds"),
+    ({"p_site_inner": "1.5"}, "p_site_inner=1.5 is outside [0, 1]"),
+    ({"p_full_key": "nan"}, "p_full_key=nan is outside [0, 1]"),
+    ({"overlap_neg": "-1e-300"}, "overlap_neg=-1e-300 is outside [0, 1]"),
+    ({"key.0.f": "1,2,3"}, "key.0.f has 3 entries, not n=512"),
+    ({"key.0.g_correct": "1"}, "key.0.g_correct has 1 entries, not n=512"),
+]
+
+
 class TestReportCommand:
     def test_prints_summary(self, capsys, pipeline):
         rc, stdout, _ = _run(capsys, "report", pipeline["report"])
@@ -384,6 +482,24 @@ class TestReportCommand:
         rc, _, err = _run(capsys, "report", str(path))
         assert rc == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "edits, message",
+        INCONSISTENT_REPORTS,
+        ids=["+".join(edits) for edits, _ in INCONSISTENT_REPORTS],
+    )
+    def test_inconsistent_report_rejected(self, capsys, pipeline, tmp_path, edits, message):
+        lines = []
+        for line in open(pipeline["report"], encoding="utf-8").read().splitlines():
+            key = line.split("=", 1)[0]
+            lines.append(f"{key}={edits.pop(key)}" if key in edits else line)
+        assert not edits
+        path = tmp_path / "edited.report.txt"
+        path.write_text("\n".join(lines) + "\n")
+        rc, stdout, err = _run(capsys, "report", str(path))
+        assert rc == 2
+        assert stdout == ""
+        assert f"inconsistent report: {message}" in err
 
 
 class TestConfigFile:
@@ -498,6 +614,24 @@ class TestThreadsAndMetadataErrors:
             assert rc == 0
             blobs.append([(tmp_path / f"t{threads}{s}").read_bytes() for s in (".trc", ".lbl")])
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize(
+        "extra",
+        [[], ["--poi-count", "2"], ["--samples-per-outer-tail", "7"]],
+        ids=["readme", "poi_count_2", "trace_length_430"],
+    )
+    def test_profile_outputs_do_not_depend_on_threads(self, tmp_path, extra):
+        runs = []
+        for threads in ("1", "2", "3"):
+            out = str(tmp_path / f"t{threads}")
+            rc, stdout = _quiet(
+                "profile", "--seed", "714", "--traces", "10000", "--threads", threads,
+                *extra, "--out", out,
+            )
+            assert rc == 0
+            blobs = [(tmp_path / f"t{threads}.{name}.tpl").read_bytes() for name in ("inner", "neg")]
+            runs.append((stdout.replace(out, "OUT"), blobs))
+        assert runs[0] == runs[1] == runs[2]
 
     @pytest.mark.parametrize("fire_slot", [None, "x", "0", "27"])
     def test_profiling_input_with_bad_fire_slot(self, capsys, tmp_path, fire_slot):

@@ -5,12 +5,14 @@ vectors are [-1.5,-0.5,0.5,1.5] and [-3,-1,0,4], giving covariance sum
 11, sum of squares 5 and 26, so r = 11 / sqrt(130) = 0.9647638212377322.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdtleak.cpa import correlation_trace, find_poi, pearson
+from cdtleak.cpa import correlation_trace, correlation_traces, find_poi, pearson
 from cdtleak.errors import DegenerateInput, DomainError, LengthMismatch
 from cdtleak.leakage import LeakModel, TraceLayout, synthesize_profiling_set
 from cdtleak.sampler import SamplerParams, default_table
@@ -149,6 +151,106 @@ class TestCorrelationTrace:
         site = layout.inner_site_index(0, 1)
         assert find_poi(corr, count=1)[0] == site
         assert corr[site] == pytest.approx(1.0, abs=1e-9)
+
+
+def _whole_chunk_correlation(traces, hypothesis):
+    """The whole-matrix kernel correlation_traces keeps the values of.
+
+    It casts, centres and squares every column of a 4,096-column chunk at
+    once and holds that float64 chunk, 8 bytes per cell.
+    """
+    h = np.asarray(hypothesis, dtype=np.float64)
+    hc = h - h.mean()
+    ssh = float(hc @ hc)
+    out = np.empty(traces.shape[1], dtype=np.float64)
+    for lo in range(0, traces.shape[1], 4096):
+        cols = traces[:, lo : lo + 4096].astype(np.float64)
+        cols -= cols.mean(axis=0)
+        cov = hc @ cols
+        ssc = np.einsum("ij,ij->j", cols, cols)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            r = cov / np.sqrt(ssc * ssh)
+        r[ssc == 0.0] = 0.0
+        out[lo : lo + cols.shape[1]] = r
+    return out
+
+
+class TestCorrelationTraces:
+    # 100 rows keep every whole-chunk product below the size at which BLAS
+    # splits one product over its own threads, which moves the rounding of
+    # some columns with the machine's core count.
+    ROWS = 100
+
+    @staticmethod
+    def _campaign(rows, columns, dtype, seed):
+        rng = np.random.default_rng(seed)
+        traces = (40.0 + 4.0 * rng.normal(size=(rows, columns))).astype(dtype)
+        bits = rng.integers(0, 2, size=(3, rows))
+        traces[:, columns // 2] += 30.0 * bits[0]
+        if columns >= 3:
+            traces[:, 0] = 41.0
+        return traces, 64.0 * bits
+
+    @pytest.mark.parametrize("columns", [1, 3, 31, 32, 33, 215, 432, 4097])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_bit_identical_to_whole_chunks(self, columns, dtype):
+        traces, hyps = self._campaign(self.ROWS, columns, dtype, columns)
+        want = np.stack([_whole_chunk_correlation(traces, h) for h in hyps])
+        for k in (1, 2, 3):
+            for threads in (1, 2, 3):
+                got = correlation_traces(traces, hyps[:k], threads=threads)
+                assert got.shape == (k, columns) and got.dtype == np.float64
+                assert np.array_equal(got, want[:k]), (k, threads)
+        if columns >= 3:
+            assert (want[:, 0] == 0.0).all()
+        assert abs(want[0, columns // 2]) > 0.5
+
+    @pytest.mark.parametrize("columns", [33, 432])
+    def test_rows_equal_correlation_trace(self, columns):
+        traces, hyps = self._campaign(self.ROWS, columns, np.float32, 5)
+        got = correlation_traces(traces, list(hyps), threads=2)
+        for row, h in zip(got, hyps):
+            assert np.array_equal(row, correlation_trace(traces, h))
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_peak_memory_is_a_few_column_blocks(self, threads):
+        rows = 256
+        traces, hyps = self._campaign(rows, 4096, np.float32, 6)
+        float64_copy = rows * 4096 * 8
+        tracemalloc.start()
+        try:
+            correlation_traces(traces, hyps[:2], threads=threads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * float64_copy, peak
+
+    def test_error_paths(self):
+        rng = np.random.default_rng(16)
+        traces = rng.normal(size=(10, 4))
+        hyps = rng.normal(size=(2, 10))
+        with pytest.raises(DegenerateInput):
+            correlation_traces(traces[0], hyps)
+        with pytest.raises(DegenerateInput):
+            correlation_traces(traces, hyps[0])
+        with pytest.raises(DegenerateInput):
+            correlation_traces(traces, np.ones((2, 10, 1)))
+        with pytest.raises(DegenerateInput):
+            correlation_traces(traces, np.empty((0, 10)))
+        with pytest.raises(LengthMismatch):
+            correlation_traces(traces, hyps[:, :9])
+        with pytest.raises(DegenerateInput):
+            correlation_traces(traces[:1], hyps[:, :1])
+        with pytest.raises(DegenerateInput):
+            correlation_traces(traces, np.stack([hyps[0], np.full(10, 3.0)]))
+        for threads in (0, -1):
+            with pytest.raises(DomainError):
+                correlation_traces(traces, hyps, threads=threads)
+
+    def test_no_columns(self):
+        rng = np.random.default_rng(17)
+        got = correlation_traces(np.empty((5, 0)), rng.normal(size=(2, 5)), threads=2)
+        assert got.shape == (2, 0)
 
 
 class TestFindPoi:
