@@ -10,6 +10,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -202,31 +203,26 @@ def cmd_profile(args) -> int:
     return 0
 
 
+def _template_path(args, point: str) -> str | None:
+    """The template file of one attack point: --templates PREFIX or --template-POINT."""
+    own = getattr(args, f"template_{point}")
+    if args.templates and own:
+        raise CdtLeakError(f"--templates and --template-{point} both name the {point} template")
+    return f"{args.templates}.{point}.tpl" if args.templates else own
+
+
 def cmd_attack(args) -> int:
-    with traceio.open_trace_set(args.inp + ".trc") as reader:
+    with contextlib.ExitStack() as stack:
+        reader = stack.enter_context(traceio.open_trace_set(args.inp + ".trc"))
         params, layout, _ = leakage.campaign_from_metadata(reader.metadata, "campaign")
         labels = None
-        label_path = args.inp + ".lbl"
-        if os.path.exists(label_path):
-            labels = traceio.read_label_set(label_path)
-        if args.templates:
-            inner_path = args.templates + ".inner.tpl"
-            neg_path = args.templates + ".neg.tpl"
-        else:
-            inner_path, neg_path = args.template_inner, args.template_neg
-        if not inner_path or not neg_path:
+        if os.path.exists(args.inp + ".lbl"):
+            labels = stack.enter_context(traceio.open_label_set(args.inp + ".lbl"))
+        paths = [_template_path(args, point) for point in ("inner", "neg")]
+        if not all(paths):
             raise CdtLeakError("need --templates or both --template-inner and --template-neg")
-        template_inner = template.load_template(inner_path)
-        template_neg = template.load_template(neg_path)
-        report = recover.recover_blocks(
-            reader.blocks(recover._BLOCK_ROWS),
-            (reader.n_traces, reader.n_samples),
-            template_inner,
-            template_neg,
-            layout,
-            params,
-            labels,
-        )
+        templates = [template.load_template(path) for path in paths]
+        report = recover.recover_key(reader, *templates, layout, params, labels)
     out = args.out if args.out else args.inp
     recover.save_report(report, out + ".report.txt")
     print(f"classified {report.inner_sites_total} inner and {report.neg_sites_total} sign sites")
@@ -250,16 +246,14 @@ def cmd_analyze(args) -> int:
     if args.p_inner is not None:
         p_inner = args.p_inner
         area_inner = 2.0 * (1.0 - p_inner)
-    elif args.templates or args.template_inner:
-        path = (args.templates + ".inner.tpl") if args.templates else args.template_inner
+    elif path := _template_path(args, "inner"):
         p_inner, area_inner = recover.site_success(template.load_template(path))
     else:
         raise CdtLeakError("need --p-inner or a template for the inner attack point")
     if args.p_neg is not None:
         p_neg = args.p_neg
         area_neg = 2.0 * (1.0 - p_neg)
-    elif args.templates or args.template_neg:
-        path = (args.templates + ".neg.tpl") if args.templates else args.template_neg
+    elif path := _template_path(args, "neg"):
         p_neg, area_neg = recover.site_success(template.load_template(path))
     else:
         raise CdtLeakError("need --p-neg or a template for the sign attack point")

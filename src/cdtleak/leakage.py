@@ -313,24 +313,6 @@ def _render_blocks(parts, model: LeakModel, layout: TraceLayout, threads: int = 
             yield part, done.result()
 
 
-def _render_traces(
-    inner_bits: np.ndarray,
-    neg_bits: np.ndarray,
-    model: LeakModel,
-    layout: TraceLayout,
-    noise_subseeds: np.ndarray,
-    threads: int = 1,
-) -> np.ndarray:
-    """Vectorized synthesize_trace over many coefficients' leak bits, as one matrix."""
-    n = len(noise_subseeds)
-    out = np.empty((n, layout.trace_length), dtype=np.float32)
-    # The render only passes the values through; these are never read.
-    labels = traceio.LabelSet(np.zeros(n, dtype=np.int32), inner_bits, neg_bits)
-    for _ in _render_blocks([(labels, noise_subseeds)], model, layout, threads, out=out):
-        pass
-    return out
-
-
 def campaign_metadata(
     seed: int,
     params: SamplerParams,
@@ -563,10 +545,12 @@ def synthesize_profiling_set(
     values, inner_bits, neg_bits = scan_words(
         table, stream.reshape(n_traces, params.outer_count, 2)
     )
+    labels = traceio.LabelSet(values=values, inner_bits=inner_bits, neg_bits=neg_bits)
     subseeds = words([seed & MASK64], n_traces, n_traces)[0]
-    samples = _render_traces(inner_bits, neg_bits, model, layout, subseeds, threads=threads)
+    samples = np.empty((n_traces, layout.trace_length), dtype=np.float32)
+    for _ in _render_blocks([(labels, subseeds)], model, layout, threads, out=samples):
+        pass
     md = campaign_metadata(
         seed, params, model, layout, kind="profiling", fire_slot=str(fire_slot)
     )
-    labels = traceio.LabelSet(values=values, inner_bits=inner_bits, neg_bits=neg_bits)
     return traceio.TraceSet(samples=samples, metadata=md), labels

@@ -10,6 +10,7 @@ summed with 32-bit wrap, mirroring the sampler's own arithmetic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -32,7 +33,7 @@ from .template import (
     per_coefficient_success,
     success_from_overlap,
 )
-from .traceio import CODECS, LabelSet, TraceSet, _atomic_write, parse_key_values, read_text
+from .traceio import CODECS, TraceSet, _atomic_write, parse_key_values, read_text
 
 REPORT_VERSION = 1
 
@@ -112,7 +113,7 @@ def _margin_columns(samples: np.ndarray, template: Template, site_index: int) ->
 
     One column pass per POI. The attack uses _column_margins, which
     computes the same margins for many sites at once; the tests compare
-    the two through _site_margins.
+    the two.
     """
     pois = _site_pois(template, site_index, samples.shape[1])
     margin = np.zeros(samples.shape[0], dtype=np.float64)
@@ -160,14 +161,6 @@ def _column_margins(samples: np.ndarray, template: Template, cols: np.ndarray) -
         ll1 -= _log_likelihood(x, s0)
         out += ll1
     return out
-
-
-def _site_margins(samples: np.ndarray, template: Template, sites) -> np.ndarray:
-    """Margins of every trace at many leak sites: (rows, len(sites)) float64.
-
-    Column j equals _margin_columns(samples, template, sites[j]) bit for bit.
-    """
-    return _column_margins(samples, template, _site_columns(template, sites, samples.shape[1]))
 
 
 # Most values that _PairwiseSum passes to one np.add.reduce call.
@@ -249,8 +242,12 @@ def classify_trace(
     if trace.ndim != 1 or trace.shape[0] != layout.trace_length:
         raise LayoutMismatch("trace does not match layout length")
     row = trace[None, :]
-    inner_margins = _site_margins(row, template_inner, layout.inner_site_matrix().reshape(-1))
-    neg_margins = _site_margins(row, template_neg, layout.neg_site_vector())
+
+    def margins(tpl: Template, sites) -> np.ndarray:
+        return _column_margins(row, tpl, _site_columns(tpl, sites, layout.trace_length))
+
+    inner_margins = margins(template_inner, layout.inner_site_matrix().reshape(-1))
+    neg_margins = margins(template_neg, layout.neg_site_vector())
     decisions = []
     for margins, neg_margin in zip(
         inner_margins.reshape(layout.outer_count, layout.inner_count).tolist(),
@@ -426,73 +423,53 @@ def site_success(tpl: Template) -> tuple[float, float]:
 
 
 def recover_key(
-    trace_set: TraceSet,
+    traces,
     template_inner: Template,
     template_neg: Template,
     layout: TraceLayout,
     params: SamplerParams,
-    labels: LabelSet | None = None,
+    labels=None,
 ) -> RecoveryReport:
-    """Recover every key in a campaign trace set, one trace per coefficient.
+    """Recover every key in a campaign, one trace per coefficient.
 
-    Rows must be ordered the way synthesize_campaign writes them: key by
-    key, f before g. Each row is classified in isolation; nothing is
-    averaged across traces. With labels supplied the report additionally
-    carries empirical per-site and per-key accuracy, comparable against
-    the predicted rates derived from the templates themselves.
+    `traces` is a TraceSet or a TraceReader, and `labels` a LabelSet, a
+    LabelReader or None. Rows must be ordered the way synthesize_campaign
+    writes them: key by key, f before g. Each row is classified in
+    isolation; nothing is averaged across traces. With labels the report
+    also carries empirical per-site and per-key accuracy, comparable
+    against the predicted rates derived from the templates themselves.
+
+    Every input is checked before the first block is read. Rows and
+    labels are taken _BLOCK_ROWS at a time, and a block's margins and
+    bits are dropped once its counts are added, so only the recovered
+    value and, with labels, whether it is correct are held per row.
     """
-    samples = np.asarray(trace_set.samples)
-    if samples.ndim != 2:
+    if isinstance(traces, TraceSet) and np.ndim(traces.samples) != 2:
         raise LayoutMismatch("trace set does not match layout length")
-    blocks = (samples[lo : lo + _BLOCK_ROWS] for lo in range(0, samples.shape[0], _BLOCK_ROWS))
-    return recover_blocks(
-        blocks, samples.shape, template_inner, template_neg, layout, params, labels
-    )
-
-
-def recover_blocks(
-    blocks,
-    shape: tuple[int, int],
-    template_inner: Template,
-    template_neg: Template,
-    layout: TraceLayout,
-    params: SamplerParams,
-    labels: LabelSet | None,
-) -> RecoveryReport:
-    """recover_key on a trace set of `shape` (rows, samples) given as row blocks.
-
-    `blocks` yields the rows in order; recover_key and attack cut them
-    every _BLOCK_ROWS rows. Every input is checked before the first block
-    is taken. A block's margins and bits are dropped once its counts are
-    added, so beyond the labels only the recovered values, 4 bytes per
-    row, are held. labels may be None.
-    """
     if template_inner is None or template_neg is None:
         raise MissingTemplate("both templates are required")
-    rows, n_samples = shape
+    rows, n_samples = traces.n_traces, traces.n_samples
     if n_samples != layout.trace_length:
         raise LayoutMismatch("trace set does not match layout length")
     if layout.outer_count != params.outer_count:
         raise LayoutMismatch("layout outer count disagrees with parameters")
     per_key = 2 * params.n
     if rows == 0 or rows % per_key:
-        raise LayoutMismatch(
-            f"{rows} traces do not divide into keys of {per_key} coefficients"
-        )
+        raise LayoutMismatch(f"{rows} traces do not divide into keys of {per_key} coefficients")
     n_keys = rows // per_key
 
-    outer = layout.outer_count
-    inner = layout.inner_count
+    outer, inner = layout.outer_count, layout.inner_count
     # Inner sites in (u, k) order, so a block's margins reshape to (rows, outer, inner).
     inner_cols = _site_columns(template_inner, layout.inner_site_matrix().reshape(-1), n_samples)
     neg_cols = _site_columns(template_neg, layout.neg_site_vector(), n_samples)
+    truths = itertools.repeat(None)
     if labels is not None:
         if labels.n_records != rows:
             raise LengthMismatch(f"{labels.n_records} labels for {rows} traces")
         if labels.outer_count != outer or labels.inner_count != inner:
             raise LayoutMismatch("labels disagree with layout iteration counts")
-        true_inner = np.asarray(labels.inner_bits, dtype=bool)
-        true_neg = np.asarray(labels.neg_bits, dtype=bool)
+        truths = labels.blocks(_BLOCK_ROWS)
+        correct = np.empty(rows, dtype=bool)
 
     slots = np.arange(1, inner + 1, dtype=np.uint32)
     values = np.empty(rows, dtype=np.int32)
@@ -500,7 +477,7 @@ def recover_blocks(
     abs_neg = _PairwiseSum(rows * outer)
     inner_ones = neg_ones = anomalous = inner_errors = neg_errors = 0
     lo = 0
-    for block in blocks:
+    for block, truth in zip(traces.blocks(_BLOCK_ROWS), truths):
         hi = lo + block.shape[0]
         inner_margins = _column_margins(block, template_inner, inner_cols)
         neg_margins = _column_margins(block, template_neg, neg_cols)
@@ -523,9 +500,10 @@ def recover_blocks(
         inner_ones += int(inner_bits.sum())
         neg_ones += int(neg_bits.sum())
         anomalous += int((inner_bits.sum(axis=2) > 1).sum())
-        if labels is not None:
-            inner_errors += int((inner_bits != true_inner[lo:hi]).sum())
-            neg_errors += int((neg_bits != true_neg[lo:hi]).sum())
+        if truth is not None:
+            inner_errors += int((inner_bits != np.asarray(truth.inner_bits, dtype=bool)).sum())
+            neg_errors += int((neg_bits != np.asarray(truth.neg_bits, dtype=bool)).sum())
+            correct[lo:hi] = values[lo:hi] == np.asarray(truth.values, dtype=np.int32)
         lo = hi
 
     per_poly = values.reshape(n_keys, 2, params.n)
@@ -564,7 +542,6 @@ def recover_blocks(
     if labels is None:
         return report
 
-    correct = values == np.asarray(labels.values, dtype=np.int32)
     per_key_correct = correct.reshape(n_keys, 2, params.n)
     report.has_labels = True
     report.inner_site_errors = inner_errors

@@ -10,16 +10,17 @@ record per trace: u32 record index, i32 signed coefficient value, and an
 LSB-first packed bitfield of outer_count * (inner_count + 1) mask bits
 (inner positions 1..inner_count, then the sign bit, per outer iteration).
 
-Both are written a block of rows at a time, through temp files in the
-target directory that are renamed into place only once every file of a
-write is complete, and both are byte-deterministic for identical input;
-metadata keys are sorted on write. Readers are strict: anything
-structurally off raises instead of guessing.
+Both are written and read a block of rows at a time. Writes go through
+temp files in the target directory that are renamed into place only once
+every file of a write is complete, and are byte-deterministic for
+identical input; metadata keys are sorted on write. Readers are strict:
+anything structurally off raises instead of guessing.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -64,6 +65,11 @@ class TraceSet:
     @property
     def n_samples(self) -> int:
         return int(self.samples.shape[1])
+
+    def blocks(self, rows: int):
+        """Yield the samples in views of up to `rows` rows, in order."""
+        for lo in range(0, self.n_traces, rows):
+            yield self.samples[lo : lo + rows]
 
 
 def _check_metadata(metadata: dict[str, str]) -> None:
@@ -250,113 +256,137 @@ class TraceWriter(_RowWriter):
         self._fh.write(memoryview(block))
 
 
-def write_trace_blocks(path, n_traces: int, n_samples: int, metadata: dict[str, str], blocks):
-    """Write a trace file from an iterable of row blocks; it appears whole or not at all.
-
-    The counts are checked before the first block is drawn, and the file
-    is not renamed into place unless the blocks hold exactly n_traces rows.
-    """
-    with staged_files(path) as (fh,):
-        writer = TraceWriter(fh, n_traces, n_samples, metadata)
-        for block in blocks:
-            writer.write(block)
-        writer.finish()
-
-
 def write_trace_set(trace_set: TraceSet, path) -> None:
     """Serialize a TraceSet; the file appears atomically or not at all."""
     samples = np.asarray(trace_set.samples)
     if samples.ndim != 2:
         raise DimensionError(f"samples must be 2-D, got shape {samples.shape}")
-    write_trace_blocks(path, *samples.shape, trace_set.metadata, [samples])
+    with staged_files(path) as (fh,):
+        TraceWriter(fh, *samples.shape, trace_set.metadata).write(samples)
 
 
-class TraceReader:
-    """A trace file whose header, metadata and payload size are checked.
+class _RowReader:
+    """Fixed-size rows after a checked header, read in file order.
 
-    Made by open_trace_set. Rows are read in file order, each read
-    straight into the caller's array and checked for finiteness, so a
-    campaign can be processed without holding its sample matrix.
+    Made by _open_rows, which checks the magic, the version, the header
+    and the payload size against the file size before anything is
+    allocated. Each subclass names its magic and header, reads what
+    follows the header in from_header, and checks and decodes a block of
+    rows in _decode.
     """
 
-    def __init__(self, fh, n_traces: int, n_samples: int, metadata: dict[str, str]):
-        self._fh = fh
-        self.n_traces = n_traces
-        self.n_samples = n_samples
-        self.metadata = metadata
+    MAGIC: bytes
+    HEADER: struct.Struct
 
-    def read_rows(self, out: np.ndarray) -> np.ndarray:
-        """Fill out, a C-contiguous (rows, n_samples) float32 array, with the next rows."""
-        if out.size:
-            got = self._fh.readinto(memoryview(out).cast("B"))
-            if got < out.nbytes:
-                raise TruncatedFile(f"payload ended {out.nbytes - got} bytes early")
-        _check_finite(out)
-        return out
+    def __init__(self, fh, n_rows: int, row_shape: tuple, dtype):
+        self._fh = fh
+        self._n_rows = n_rows
+        self._row_shape = row_shape
+        self._dtype = np.dtype(dtype)
+        self._row_bytes = math.prod(row_shape) * self._dtype.itemsize
+        self._next_row = 0
+
+    @classmethod
+    def from_header(cls, fh, size: int, *fields: int):
+        """The reader of an open file whose header fields are `fields`."""
+        return cls(fh, *fields)
+
+    def _fill(self, buf: np.ndarray):
+        """Read the next len(buf) rows into buf and return them decoded."""
+        if buf.size:
+            got = self._fh.readinto(memoryview(buf).cast("B"))
+            if got < buf.nbytes:
+                raise TruncatedFile(f"payload ended {buf.nbytes - got} bytes early")
+        lo = self._next_row
+        self._next_row += len(buf)
+        return self._decode(buf, lo)
+
+    def read(self, rows: int):
+        """The next `rows` rows, in new arrays."""
+        return self._fill(np.empty((rows, *self._row_shape), self._dtype))
 
     def blocks(self, rows: int):
         """Yield every row in blocks of up to `rows` rows.
 
-        Each block is a view of one buffer that the next block overwrites.
+        The rows are read into one buffer that the next block overwrites.
         """
-        buf = np.empty((min(rows, self.n_traces), self.n_samples), dtype="<f4")
-        for lo in range(0, self.n_traces, rows):
-            yield self.read_rows(buf[: min(rows, self.n_traces - lo)])
+        buf = np.empty((min(rows, self._n_rows), *self._row_shape), self._dtype)
+        for lo in range(0, self._n_rows, rows):
+            yield self._fill(buf[: min(rows, self._n_rows - lo)])
 
     def close(self) -> None:
         self._fh.close()
 
-    def __enter__(self) -> "TraceReader":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
 
 
-def open_trace_set(path) -> TraceReader:
-    """Open a trace file and check everything but the samples themselves.
-
-    The payload size is checked against the file size before anything is
-    allocated; the reader checks each block of samples as it reads it.
-    """
+def _open_rows(path, cls):
+    """Open a file of cls's kind; every check but those of the rows themselves runs here."""
     fh = open(path, "rb")
     try:
         size = os.fstat(fh.fileno()).st_size
-        head = fh.read(len(TRACE_MAGIC) + _HEADER.size)
-        if len(head) < len(TRACE_MAGIC):
+        head = fh.read(len(cls.MAGIC) + cls.HEADER.size)
+        if len(head) < len(cls.MAGIC):
             raise TruncatedFile("file too short for magic")
-        if head[: len(TRACE_MAGIC)] != TRACE_MAGIC:
-            raise BadMagic(f"expected {TRACE_MAGIC!r}")
-        if len(head) < len(TRACE_MAGIC) + _HEADER.size:
+        if head[: len(cls.MAGIC)] != cls.MAGIC:
+            raise BadMagic(f"expected {cls.MAGIC!r}")
+        if len(head) < len(cls.MAGIC) + cls.HEADER.size:
             raise TruncatedFile("file too short for header")
-        version, n_traces, n_samples, meta_len = _HEADER.unpack_from(head, len(TRACE_MAGIC))
+        version, *fields = cls.HEADER.unpack_from(head, len(cls.MAGIC))
         if version != FORMAT_VERSION:
             raise UnsupportedVersion(f"version {version} not supported")
-        off = len(head) + meta_len
-        if size < off:
-            raise TruncatedFile("metadata extends past end of file")
-        metadata = _decode_metadata(fh.read(meta_len))
-        payload = n_traces * n_samples * 4
-        if size < off + payload:
-            raise TruncatedFile(f"payload needs {payload} bytes, file has {size - off}")
-        if size > off + payload:
+        reader = cls.from_header(fh, size, *fields)
+        need, left = reader._n_rows * reader._row_bytes, size - fh.tell()
+        if left < need:
+            raise TruncatedFile(f"payload needs {need} bytes, file has {left}")
+        if left > need:
             raise TraceFormatError("trailing bytes after payload")
     except BaseException:
         fh.close()
         raise
-    return TraceReader(fh, n_traces, n_samples, metadata)
+    return reader
+
+
+class TraceReader(_RowReader):
+    """A trace file whose header, metadata and payload size are checked.
+
+    Made by open_trace_set. Each block of samples is checked for
+    finiteness as it is read, so a campaign can be processed without
+    holding its sample matrix.
+    """
+
+    MAGIC, HEADER = TRACE_MAGIC, _HEADER
+
+    def __init__(self, fh, n_traces: int, n_samples: int, metadata: dict[str, str]):
+        super().__init__(fh, n_traces, (n_samples,), "<f4")
+        self.n_traces = n_traces
+        self.n_samples = n_samples
+        self.metadata = metadata
+
+    @classmethod
+    def from_header(cls, fh, size: int, n_traces: int, n_samples: int, meta_len: int):
+        if size < fh.tell() + meta_len:
+            raise TruncatedFile("metadata extends past end of file")
+        return cls(fh, n_traces, n_samples, _decode_metadata(fh.read(meta_len)))
+
+    def _decode(self, samples: np.ndarray, lo: int) -> np.ndarray:
+        _check_finite(samples)
+        return samples
+
+
+def open_trace_set(path) -> TraceReader:
+    """Open a trace file and check everything but the samples themselves."""
+    return _open_rows(path, TraceReader)
 
 
 def read_trace_set(path) -> TraceSet:
-    """Read a whole trace file into one array, verifying structure and finiteness.
-
-    The samples are read straight into their array, so the file's bytes
-    are held once.
-    """
+    """Read a whole trace file into one array, verifying structure and finiteness."""
     with open_trace_set(path) as reader:
-        samples = np.empty((reader.n_traces, reader.n_samples), dtype="<f4")
-        reader.read_rows(samples)
-    return TraceSet(samples=samples, metadata=reader.metadata)
+        return TraceSet(samples=reader.read(reader.n_traces), metadata=reader.metadata)
 
 
 @dataclass
@@ -387,6 +417,11 @@ class LabelSet:
     def rows(self, lo: int, hi: int) -> "LabelSet":
         """Records lo to hi, as views."""
         return LabelSet(self.values[lo:hi], self.inner_bits[lo:hi], self.neg_bits[lo:hi])
+
+    def blocks(self, rows: int):
+        """Yield the records in views of up to `rows` records, in order."""
+        for lo in range(0, self.n_records, rows):
+            yield self.rows(lo, lo + rows)
 
     @classmethod
     def concatenate(cls, parts) -> "LabelSet":
@@ -454,44 +489,48 @@ def write_label_set(labels: LabelSet, path) -> None:
     """Serialize a LabelSet with the same atomicity guarantees as traces."""
     n, outer, inner = _check_label_shapes(labels)
     with staged_files(path) as (fh,):
-        writer = LabelWriter(fh, n, outer, inner)
-        writer.write(labels)
-        writer.finish()
+        LabelWriter(fh, n, outer, inner).write(labels)
+
+
+class LabelReader(_RowReader):
+    """A label file whose header and payload size are checked.
+
+    Made by open_label_set. Each block's record indices are checked as it
+    is read, and the block is decoded into a LabelSet.
+    """
+
+    MAGIC, HEADER = LABEL_MAGIC, _LABEL_HEADER
+
+    def __init__(self, fh, n_records: int, outer_count: int, inner_count: int):
+        if outer_count < 1 or inner_count < 1:
+            raise TraceFormatError("outer and inner counts must be positive")
+        try:
+            record = _record_dtype(outer_count, inner_count)
+        except ValueError:
+            raise TraceFormatError(
+                f"records of {outer_count}x{inner_count} mask bits are too large"
+            ) from None
+        super().__init__(fh, n_records, (), record)
+        self.n_records = n_records
+        self.outer_count = outer_count
+        self.inner_count = inner_count
+
+    def _decode(self, records: np.ndarray, lo: int) -> LabelSet:
+        if not np.array_equal(records["idx"], np.arange(lo, lo + len(records), dtype=np.uint32)):
+            raise TraceFormatError("record indices out of order")
+        outer, inner = self.outer_count, self.inner_count
+        bits = np.unpackbits(records["bits"], axis=1, count=outer * (inner + 1), bitorder="little")
+        # Unpacked bits are 0 or 1, so they are valid bools as they are.
+        bits = bits.view(bool).reshape(len(records), outer, inner + 1)
+        return LabelSet(records["val"].astype(np.int32), bits[:, :, :inner], bits[:, :, inner])
+
+
+def open_label_set(path) -> LabelReader:
+    """Open a label file and check everything but the records themselves."""
+    return _open_rows(path, LabelReader)
 
 
 def read_label_set(path) -> LabelSet:
-    """Read a label file back, verifying counts and record indices."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(LABEL_MAGIC):
-        raise TruncatedFile("file too short for magic")
-    if blob[: len(LABEL_MAGIC)] != LABEL_MAGIC:
-        raise BadMagic(f"expected {LABEL_MAGIC!r}")
-    off = len(LABEL_MAGIC)
-    if len(blob) < off + _LABEL_HEADER.size:
-        raise TruncatedFile("file too short for header")
-    version, n, outer, inner = _LABEL_HEADER.unpack_from(blob, off)
-    if version != FORMAT_VERSION:
-        raise UnsupportedVersion(f"version {version} not supported")
-    if outer < 1 or inner < 1:
-        raise TraceFormatError("outer and inner counts must be positive")
-    off += _LABEL_HEADER.size
-    try:
-        rec_dtype = _record_dtype(outer, inner)
-    except ValueError:
-        raise TraceFormatError(f"records of {outer}x{inner} mask bits are too large") from None
-    need = n * rec_dtype.itemsize
-    if len(blob) - off < need:
-        raise TruncatedFile(f"records need {need} bytes, file has {len(blob) - off}")
-    if len(blob) - off > need:
-        raise TraceFormatError("trailing bytes after records")
-    records = np.frombuffer(blob, dtype=rec_dtype, count=n, offset=off)
-    if not np.array_equal(records["idx"], np.arange(n, dtype=np.uint32)):
-        raise TraceFormatError("record indices out of order")
-    bits = np.unpackbits(records["bits"], axis=1, bitorder="little")
-    bits = bits[:, : outer * (inner + 1)].reshape(n, outer, inner + 1)
-    return LabelSet(
-        values=records["val"].astype(np.int32),
-        inner_bits=bits[:, :, :inner].astype(bool),
-        neg_bits=bits[:, :, inner].astype(bool),
-    )
+    """Read a whole label file, verifying counts and record indices."""
+    with open_label_set(path) as reader:
+        return reader.read(reader.n_records)

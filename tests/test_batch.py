@@ -184,6 +184,15 @@ class TestRender:
         subseeds = words([seed], 1, rows)[0]
         return coeffs, inner, neg, layout, subseeds
 
+    @staticmethod
+    def _render(inner, neg, model, layout, subseeds, threads):
+        """Render many rows of leak bits into one matrix, as synthesize_profiling_set does."""
+        out = np.empty((len(subseeds), layout.trace_length), dtype=np.float32)
+        labels = traceio.LabelSet(np.zeros(len(subseeds), np.int32), inner, neg)
+        for _ in leakage._render_blocks([(labels, subseeds)], model, layout, threads, out=out):
+            pass
+        return out
+
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize(
         "layout_kw", [{}, {"samples_per_outer_tail": 3, "leak_offset_neg": 2}]
@@ -194,7 +203,7 @@ class TestRender:
         width = 2 * ((layout.trace_length + 1) // 2)
         monkeypatch.setattr(leakage, "_CHUNK_SAMPLES", 5 * width)
         model = LeakModel(noise_sigma=2.284, beta=-3.25, alpha=0.7)
-        out = leakage._render_traces(inner, neg, model, layout, subseeds, threads=threads)
+        out = self._render(inner, neg, model, layout, subseeds, threads)
         assert out.dtype == np.float32
         for r, coeff in enumerate(coeffs):
             want = synthesize_trace(coeff.leaks, model, layout, int(subseeds[r]))
@@ -205,7 +214,7 @@ class TestRender:
         coeffs, inner, neg, layout, subseeds = self._case(700, {})
         chunk = leakage._CHUNK_SAMPLES // layout.trace_length
         assert chunk < 700
-        out = leakage._render_traces(inner, neg, model, layout, subseeds, threads=2)
+        out = self._render(inner, neg, model, layout, subseeds, threads=2)
         for r in (0, chunk - 1, chunk, 699):
             want = synthesize_trace(coeffs[r].leaks, model, layout, int(subseeds[r]))
             assert np.array_equal(out[r], want)
@@ -291,7 +300,7 @@ def test_golden_output_bytes(tmp_path, capsys):
 
 
 class TestSiteMargins:
-    """recover._site_margins against the per-site oracle _margin_columns."""
+    """recover._column_margins against the per-site oracle _margin_columns."""
 
     @pytest.fixture(scope="class")
     def readme_templates(self, tmp_path_factory):
@@ -321,7 +330,8 @@ class TestSiteMargins:
         samples = rng.normal(40.0, 4.0, (rows, layout.trace_length))
         samples[:, sites] += 16.0 * rng.integers(0, 2, (rows, len(sites)))
         samples = samples.astype(np.float32)
-        got = recover._site_margins(samples, tpl, sites)
+        cols = recover._site_columns(tpl, sites, layout.trace_length)
+        got = recover._column_margins(samples, tpl, cols)
         want = np.stack([recover._margin_columns(samples, tpl, s) for s in sites], axis=1)
         assert got.dtype == np.float64
         assert np.array_equal(got, want)

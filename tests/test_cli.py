@@ -12,6 +12,7 @@ import io
 import os
 import shutil
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,7 +212,7 @@ class TestProfile:
 
     @staticmethod
     def _templates(prefix):
-        return [open(f"{prefix}.{name}.tpl", "rb").read() for name in ("inner", "neg")]
+        return [Path(f"{prefix}.{name}.tpl").read_bytes() for name in ("inner", "neg")]
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -350,6 +351,19 @@ class TestAttack:
         assert rc == 2
         assert "need --templates" in err
 
+    @pytest.mark.parametrize("point", ["inner", "neg"])
+    def test_templates_and_a_template_path_conflict(self, capsys, pipeline, tmp_path, point):
+        out = str(tmp_path / "r")
+        rc, stdout, err = _run(
+            capsys,
+            "attack", "--in", pipeline["camp"], "--templates", pipeline["tpl"],
+            f"--template-{point}", str(tmp_path / "nonexistent.tpl"), "--out", out,
+        )
+        assert rc == 2
+        assert f"--templates and --template-{point}" in err
+        assert stdout == ""
+        assert not os.path.exists(out + ".report.txt")
+
     def test_rejects_width_metadata_disagreement(self, capsys, pipeline, tmp_path):
         original = traceio.read_trace_set(pipeline["camp"] + ".trc")
         doctored = traceio.TraceSet(
@@ -422,6 +436,27 @@ class TestAnalyze:
         assert rc == 0
         assert path.read_text() == stdout
 
+    @pytest.mark.parametrize("point", ["inner", "neg"])
+    def test_templates_and_a_template_path_conflict(self, capsys, pipeline, tmp_path, point):
+        rc, stdout, err = _run(
+            capsys,
+            "analyze", "--templates", pipeline["tpl"],
+            f"--template-{point}", str(tmp_path / "nonexistent.tpl"),
+        )
+        assert rc == 2
+        assert f"--templates and --template-{point}" in err
+        assert stdout == ""
+
+    @pytest.mark.parametrize("point", ["inner", "neg"])
+    def test_probability_takes_precedence_over_templates(self, capsys, pipeline, tmp_path, point):
+        rc, stdout, _ = _run(
+            capsys,
+            "analyze", f"--p-{point}", "0.999", "--templates", pipeline["tpl"],
+            f"--template-{point}", str(tmp_path / "nonexistent.tpl"),
+        )
+        assert rc == 0
+        assert f"per-site success {point}: 99.9%" in stdout
+
     def test_requires_an_operating_point(self, capsys):
         rc, _, err = _run(capsys, "analyze")
         assert rc == 2
@@ -490,7 +525,7 @@ class TestReportCommand:
     )
     def test_inconsistent_report_rejected(self, capsys, pipeline, tmp_path, edits, message):
         lines = []
-        for line in open(pipeline["report"], encoding="utf-8").read().splitlines():
+        for line in Path(pipeline["report"]).read_text(encoding="utf-8").splitlines():
             key = line.split("=", 1)[0]
             lines.append(f"{key}={edits.pop(key)}" if key in edits else line)
         assert not edits

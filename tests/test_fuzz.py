@@ -120,6 +120,15 @@ def _read_all_rows(path):
             assert np.isfinite(block).all()
 
 
+def _read_all_records(path):
+    with traceio.open_label_set(path) as reader:
+        records = 0
+        for block in reader.blocks(1):
+            assert block.inner_bits.shape == (1, reader.outer_count, reader.inner_count)
+            records += block.n_records
+        assert records == reader.n_records
+
+
 @FUZZ
 @given(data=st.data())
 def test_campaign_from_metadata(valid, data):
@@ -147,6 +156,12 @@ def test_open_trace_set(valid, data):
 @given(data=st.data())
 def test_read_label_set(valid, data):
     _read(valid.path, data.draw(_binary_file(valid.lbl)), traceio.read_label_set)
+
+
+@FUZZ
+@given(data=st.data())
+def test_open_label_set(valid, data):
+    _read(valid.path, data.draw(_binary_file(valid.lbl)), _read_all_records)
 
 
 @FUZZ

@@ -11,6 +11,7 @@ import io
 import os
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,13 +54,13 @@ def _in_memory_pair(argv, prefix):
     )
     traceio.write_trace_set(traces, prefix + ".trc")
     traceio.write_label_set(labels, prefix + ".lbl")
-    return [open(prefix + s, "rb").read() for s in (".trc", ".lbl")]
+    return [Path(prefix + s).read_bytes() for s in (".trc", ".lbl")]
 
 
 def _simulate_pair(argv, prefix, threads):
     rc, _ = _quiet("simulate", *argv, "--threads", str(threads), "--out", prefix)
     assert rc == 0
-    return [open(prefix + s, "rb").read() for s in (".trc", ".lbl")]
+    return [Path(prefix + s).read_bytes() for s in (".trc", ".lbl")]
 
 
 CASES = {
@@ -148,7 +149,10 @@ def test_render_draws_at_most_two_chunks_per_thread_ahead(threads):
             rows = slice(r, r + 1)
             yield traceio.LabelSet(values[rows], inner[rows], neg[rows]), subseeds[rows]
 
-    want = leakage._render_traces(inner[:40], neg[:40], model, layout, subseeds)
+    whole = traceio.LabelSet(values[:40], inner[:40], neg[:40])
+    want = np.concatenate(
+        [samples for _, samples in leakage._render_blocks([(whole, subseeds)], model, layout)]
+    )
     depth = leakage._CHUNKS_PER_THREAD * threads
     for r, (labels, samples) in enumerate(leakage._render_blocks(parts(), model, layout, threads)):
         assert len(drawn) == min(40, r + depth)
@@ -158,6 +162,15 @@ def test_render_draws_at_most_two_chunks_per_thread_ahead(threads):
 
 def _listing(path):
     return sorted(os.listdir(path))
+
+
+def _write_blocks(path, n_traces, n_samples, blocks):
+    """A trace file from row blocks, written the way `simulate` writes its .trc."""
+    with traceio.staged_files(path) as (fh,):
+        writer = traceio.TraceWriter(fh, n_traces, n_samples, {})
+        for block in blocks:
+            writer.write(block)
+        writer.finish()
 
 
 class TestFailureLeavesNothing:
@@ -183,14 +196,14 @@ class TestFailureLeavesNothing:
         blocks = [np.ones((3, 4), np.float32), np.ones((2, 4), np.float32)]
         blocks[-1][-1, -1] = np.nan
         with pytest.raises(NonFiniteSample):
-            traceio.write_trace_blocks(tmp_path / "x.trc", 5, 4, {}, blocks)
+            _write_blocks(tmp_path / "x.trc", 5, 4, blocks)
         assert _listing(tmp_path) == []
 
     @pytest.mark.parametrize("rows", [4, 6])
     def test_row_count_differs_from_header(self, tmp_path, rows):
         blocks = [np.ones((3, 4), np.float32), np.ones((rows - 3, 4), np.float32)]
         with pytest.raises(DimensionError):
-            traceio.write_trace_blocks(tmp_path / "x.trc", 5, 4, {}, blocks)
+            _write_blocks(tmp_path / "x.trc", 5, 4, blocks)
         assert _listing(tmp_path) == []
 
     def test_label_count_differs_from_header(self, tmp_path):
@@ -235,12 +248,12 @@ class TestTraceCountFitsHeader:
 
         for make in (lambda: iter(()), blocks):
             with pytest.raises(DimensionError, match="does not fit"):
-                traceio.write_trace_blocks(tmp_path / "x.trc", 2**32, 4, {}, make())
+                _write_blocks(tmp_path / "x.trc", 2**32, 4, make())
         assert _listing(tmp_path) == []
 
     def test_writer_with_no_blocks_refuses_to_rename(self, tmp_path):
         with pytest.raises(DimensionError, match="0 rows written"):
-            traceio.write_trace_blocks(tmp_path / "x.trc", 2**32 - 1, 4, {}, iter(()))
+            _write_blocks(tmp_path / "x.trc", 2**32 - 1, 4, iter(()))
         assert _listing(tmp_path) == []
 
     def test_label_writer(self, tmp_path):

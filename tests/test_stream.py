@@ -1,11 +1,12 @@
 """The streamed attack: `.trc` row blocks in, the same report out.
 
-`attack` reads the trace file through `traceio.open_trace_set` and
-recovers keys block by block with `recover.recover_blocks`, so neither
-the sample matrix nor the per-site margins are held whole. These tests
-compare it with `recover_key` on the fully read file, check the exact
-streamed sum behind `mean_abs_margin_*`, the rejection of bad payloads,
-and that memory does not grow with the payload.
+`attack` opens the trace file with `traceio.open_trace_set` and the
+label file with `traceio.open_label_set`, and `recover.recover_key`
+reads both block by block, so neither the sample matrix, the labels nor
+the per-site margins are held whole. These tests compare it with
+`recover_key` on the fully read files, check the readers' blocks, the
+exact streamed sum behind `mean_abs_margin_*`, the rejection of bad
+payloads, and that memory does not grow with the payload.
 """
 
 import contextlib
@@ -18,8 +19,15 @@ import pytest
 
 from cdtleak import leakage, recover, traceio
 from cdtleak.cli import main
-from cdtleak.errors import DomainError, LayoutMismatch, MissingTemplate, NonFiniteSample
-from cdtleak.recover import _SUM_LEAF, _PairwiseSum, recover_blocks, recover_key
+from cdtleak.errors import (
+    DomainError,
+    LayoutMismatch,
+    LengthMismatch,
+    MissingTemplate,
+    NonFiniteSample,
+    TraceFormatError,
+)
+from cdtleak.recover import _SUM_LEAF, _PairwiseSum, recover_key
 from cdtleak.template import load_template
 
 LOW_NOISE = "2.284"
@@ -144,6 +152,35 @@ class TestTraceReader:
                 next(blocks)
 
 
+class TestLabelReader:
+    @pytest.mark.parametrize("rows", [1, 7, 1024])
+    def test_blocks_equal_full_read(self, logn7, rows):
+        camp, _ = logn7
+        whole = traceio.read_label_set(camp + ".lbl")
+        with traceio.open_label_set(camp + ".lbl") as reader:
+            counts = (reader.n_records, reader.outer_count, reader.inner_count)
+            assert counts == (whole.n_records, whole.outer_count, whole.inner_count)
+            blocks = list(reader.blocks(rows))
+        sizes = [len(block.values) for block in blocks]
+        assert sizes[:-1] == [rows] * (len(blocks) - 1) and 0 < sizes[-1] <= rows
+        joined = traceio.LabelSet.concatenate(blocks)
+        for name in ("values", "inner_bits", "neg_bits"):
+            got, want = getattr(joined, name), getattr(whole, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    def test_in_memory_sets_yield_views(self, logn7):
+        camp, _ = logn7
+        labels = traceio.read_label_set(camp + ".lbl")
+        trace_set = traceio.read_trace_set(camp + ".trc")
+        label_blocks = list(labels.blocks(1024))
+        trace_blocks = list(trace_set.blocks(1024))
+        assert [len(b.values) for b in label_blocks] == [1024, 256]
+        assert [len(b) for b in trace_blocks] == [1024, 256]
+        assert all(np.shares_memory(b, trace_set.samples) for b in trace_blocks)
+        assert all(np.shares_memory(b.values, labels.values) for b in label_blocks)
+        assert np.array_equal(np.concatenate(trace_blocks), trace_set.samples)
+
+
 @pytest.fixture(scope="module")
 def logn7(tmp_path_factory):
     # 5 keys of 256 coefficients: 1,280 rows, not a multiple of _BLOCK_ROWS.
@@ -191,33 +228,54 @@ class TestAttackMatchesRecoverKey:
 
     def test_bad_input_rejected_before_the_first_block(self, logn7):
         camp, tpl = logn7
-        trace_set = traceio.read_trace_set(camp + ".trc")
-        params, layout, _ = leakage.campaign_from_metadata(trace_set.metadata, "campaign")
         ti = load_template(tpl + ".inner.tpl")
 
-        def untouched():
+        def untouched(rows):
             raise AssertionError("a block was read before the inputs were checked")
             yield
 
-        shape = trace_set.samples.shape
-        with pytest.raises(MissingTemplate):
-            recover_blocks(untouched(), shape, ti, None, layout, params, None)
+        with contextlib.ExitStack() as stack:
+            reader = stack.enter_context(traceio.open_trace_set(camp + ".trc"))
+            labels = stack.enter_context(traceio.open_label_set(camp + ".lbl"))
+            params, layout, _ = leakage.campaign_from_metadata(reader.metadata, "campaign")
+            reader.blocks = labels.blocks = untouched
+            rows, n_samples = reader.n_traces, reader.n_samples
+            with pytest.raises(MissingTemplate):
+                recover_key(reader, ti, None, layout, params, labels)
+            reader.n_samples = n_samples - 1
+            with pytest.raises(LayoutMismatch):
+                recover_key(reader, ti, ti, layout, params, labels)
+            reader.n_traces, reader.n_samples = rows - 1, n_samples
+            with pytest.raises(LayoutMismatch):
+                recover_key(reader, ti, ti, layout, params, labels)
+            reader.n_traces = rows
+            labels.n_records = rows - 1
+            with pytest.raises(LengthMismatch):
+                recover_key(reader, ti, ti, layout, params, labels)
+            labels.n_records, labels.inner_count = rows, labels.inner_count + 1
+            with pytest.raises(LayoutMismatch):
+                recover_key(reader, ti, ti, layout, params, labels)
+
+    def test_trace_set_that_is_not_2d(self, logn7):
+        camp, tpl = logn7
+        trace_set = traceio.read_trace_set(camp + ".trc")
+        params, layout, _ = leakage.campaign_from_metadata(trace_set.metadata, "campaign")
+        ti = load_template(tpl + ".inner.tpl")
+        flat = traceio.TraceSet(trace_set.samples.reshape(-1), trace_set.metadata)
         with pytest.raises(LayoutMismatch):
-            recover_blocks(untouched(), (shape[0], shape[1] - 1), ti, ti, layout, params, None)
-        with pytest.raises(LayoutMismatch):
-            recover_blocks(untouched(), (shape[0] - 1, shape[1]), ti, ti, layout, params, None)
+            recover_key(flat, ti, ti, layout, params)
 
 
 class TestAttackRejectsBadPayloads:
     @staticmethod
-    def _copy(camp, tmp_path, edit):
+    def _copy(camp, tmp_path, edit, edited=".trc"):
+        """A copy of the campaign with `edit` applied to the bytes of one of its files."""
         bad = str(tmp_path / "bad")
-        with open(camp + ".trc", "rb") as fh:
-            blob = bytearray(fh.read())
-        with open(bad + ".trc", "wb") as fh:
-            fh.write(edit(blob))
-        with open(camp + ".lbl", "rb") as src, open(bad + ".lbl", "wb") as dst:
-            dst.write(src.read())
+        for suffix in (".trc", ".lbl"):
+            with open(camp + suffix, "rb") as fh:
+                blob = bytearray(fh.read())
+            with open(bad + suffix, "wb") as fh:
+                fh.write(edit(blob) if suffix == edited else blob)
         return bad
 
     def test_nan_in_last_row(self, capsys, logn7, tmp_path):
@@ -231,6 +289,28 @@ class TestAttackRejectsBadPayloads:
         capsys.readouterr()
         assert main(["attack", "--in", bad, "--templates", tpl]) == 2
         assert "NaN or infinity" in capsys.readouterr().err
+        assert not (tmp_path / "bad.report.txt").exists()
+
+        kept = b"report_version=1\n# an earlier report\n"
+        (tmp_path / "bad.report.txt").write_bytes(kept)
+        assert main(["attack", "--in", bad, "--templates", tpl]) == 2
+        assert (tmp_path / "bad.report.txt").read_bytes() == kept
+
+    def test_wrong_index_in_last_label_record(self, capsys, logn7, tmp_path):
+        camp, tpl = logn7
+
+        def last_index_off(blob):
+            n_records = struct.unpack_from("<I", blob, len(traceio.LABEL_MAGIC) + 4)[0]
+            record = (len(blob) - len(traceio.LABEL_MAGIC) - 16) // n_records
+            struct.pack_into("<I", blob, len(blob) - record, 0)
+            return blob
+
+        bad = self._copy(camp, tmp_path, last_index_off, edited=".lbl")
+        with pytest.raises(TraceFormatError):
+            traceio.read_label_set(bad + ".lbl")
+        capsys.readouterr()
+        assert main(["attack", "--in", bad, "--templates", tpl]) == 2
+        assert "record indices out of order" in capsys.readouterr().err
         assert not (tmp_path / "bad.report.txt").exists()
 
         kept = b"report_version=1\n# an earlier report\n"
@@ -252,25 +332,31 @@ class TestAttackRejectsBadPayloads:
 
 
 def test_memory_does_not_grow_with_the_payload(tmp_path):
-    """The attack's peak grows by far less than the sample matrix does.
+    """The labelled attack's peak grows by far less than the sample matrix does.
 
-    What grows with the rows is the .lbl, still read whole, 4 bytes of
-    recovered value per trace and the report text.
+    The .trc and the .lbl are both read in blocks. What grows with the
+    rows is 4 bytes of recovered value and 1 byte of correctness per
+    trace, and the report: its text, and the Python ints of the values
+    while it is built.
     """
     tpl = str(tmp_path / "tpl")
     assert _quiet("profile", "--seed", "5", "--traces", "2000", "--out", tpl)[0] == 0
-    peaks, payloads = [], []
+    peaks, payloads, rows = [], [], []
     for keys in (2, 8):
         camp = str(tmp_path / f"camp{keys}")
         assert _quiet("simulate", "--seed", "6", "--keys", str(keys), "--out", camp)[0] == 0
         with traceio.open_trace_set(camp + ".trc") as reader:
+            rows.append(reader.n_traces)
             payloads.append(4 * reader.n_traces * reader.n_samples)
         tracemalloc.start()
         try:
-            rc, _ = _quiet("attack", "--in", camp, "--templates", tpl)
+            rc, stdout = _quiet("attack", "--in", camp, "--templates", tpl)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert rc in (0, 1)
+        assert "coefficients correct:" in stdout
         peaks.append(peak)
     assert peaks[1] - peaks[0] < 0.1 * (payloads[1] - payloads[0])
+    # Reading the .lbl whole grew the peak by ~75 bytes per trace.
+    assert peaks[1] - peaks[0] < 40 * (rows[1] - rows[0])
