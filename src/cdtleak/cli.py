@@ -243,33 +243,29 @@ def cmd_attack(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    if args.p_inner is not None:
-        p_inner = args.p_inner
-        area_inner = 2.0 * (1.0 - p_inner)
-    elif path := _template_path(args, "inner"):
-        p_inner, area_inner = recover.site_success(template.load_template(path))
-    else:
-        raise CdtLeakError("need --p-inner or a template for the inner attack point")
-    if args.p_neg is not None:
-        p_neg = args.p_neg
-        area_neg = 2.0 * (1.0 - p_neg)
-    elif path := _template_path(args, "neg"):
-        p_neg, area_neg = recover.site_success(template.load_template(path))
-    else:
-        raise CdtLeakError("need --p-neg or a template for the sign attack point")
+    # (per-site success, overlap area) of each attack point.
+    sites = {}
+    for point, role in (("inner", "inner"), ("neg", "sign")):
+        p = getattr(args, f"p_{point}")
+        if p is not None:
+            sites[point] = (p, 2.0 * (1.0 - p))
+        elif path := _template_path(args, point):
+            sites[point] = recover.site_success(template.load_template(path))
+        else:
+            raise CdtLeakError(f"need --p-{point} or a template for the {role} attack point")
 
     model = template.SuccessModel(
-        p_inner=p_inner, p_neg=p_neg, inner_count=args.inner, outer_count=args.outer
+        p_inner=sites["inner"][0], p_neg=sites["neg"][0],
+        inner_count=args.inner, outer_count=args.outer,
     )
     p_coeff = template.per_coefficient_success(model)
     lines = [
-        f"overlap inner area: {area_inner!r} (fraction of total: {0.5 * area_inner!r})",
-        f"overlap neg area: {area_neg!r} (fraction of total: {0.5 * area_neg!r})",
-        f"per-site success inner: {_fmt_pct(p_inner)}",
-        f"per-site success neg: {_fmt_pct(p_neg)}",
-        f"per-coefficient success: {_fmt_pct(p_coeff)}",
+        f"overlap {point} area: {area!r} (fraction of total: {0.5 * area!r})"
+        for point, (_, area) in sites.items()
     ]
-    dims = [args.n] if args.n else [512, 1024]
+    lines += [f"per-site success {point}: {_fmt_pct(p)}" for point, (p, _) in sites.items()]
+    lines.append(f"per-coefficient success: {_fmt_pct(p_coeff)}")
+    dims = [args.n] if args.n is not None else [512, 1024]
     for n in dims:
         p_key = template.full_key_success(p_coeff, n, args.poly_count)
         lines.append(f"full-key success (n={n}): {_fmt_pct(p_key)}")

@@ -91,20 +91,20 @@ def test_criterion_1_success_rate_arithmetic():
 
 def test_criterion_2_overlap_engine():
     started = time.perf_counter()
-    # Equal-variance numeric overlap against the independent CDF oracle
-    # 2 * Phi(-d / 2), at unit and non-unit sigma.
+    # Overlap against the independent CDF oracle 2 * Phi(-d / 2), at unit
+    # and non-unit sigma, for equal variances and for variances 1e-12
+    # apart, which take the density-crossing path.
     for d in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0):
         expected = 2.0 * _phi(-d / 2.0)
         for mu0, var, mu1 in ((0.0, 1.0, d), (40.0, 16.0, 40.0 + 4.0 * d)):
-            numeric = gaussian_overlap(mu0, var, mu1, var, method="numeric").area
-            assert abs(numeric - expected) <= 1e-9, f"d={d}"
-            closed = gaussian_overlap(mu0, var, mu1, var, method="closed").area
-            assert abs(closed - expected) <= 1e-12, f"d={d}"
+            for var1 in (var, var * (1.0 + 1e-12)):
+                area = gaussian_overlap(mu0, var, mu1, var1).area
+                assert abs(area - expected) <= 1e-12, f"d={d}"
     # Separation solving A/2 = 2.56e-11, found by bisection on erfc.
     d = _separation_for_overlap(5.12e-11)
     assert abs(d - 13.134808) < 1e-4
     result = gaussian_overlap(0.0, 1.0, d, 1.0)
-    assert result.fraction_of_total == pytest.approx(2.56e-11, rel=1e-9)
+    assert result.fraction_of_total == pytest.approx(2.56e-11, rel=1e-9, abs=0.0)
     success = success_from_overlap(result.area)
     assert success == pytest.approx(1.0 - 2.56e-11, abs=1e-13)
     assert success > 1.0 - 1e-10

@@ -269,8 +269,8 @@ GOLDEN = {
 
 
 # SHA-256 of the report of `attack` on the GOLDEN simulate and profile
-# outputs, recorded before the batch margin kernel.
-GOLDEN_REPORT = "524e2886087191ffcf55f910598585e13d07bbe6ed47b128137c00f1f0a81883"
+# outputs, recorded with the exact (erf/erfc) overlap.
+GOLDEN_REPORT = "afb436e8ad09b92675f931c69363589d877bf614900117765caee44c152bebad"
 
 
 @pytest.mark.skipif(
@@ -338,13 +338,14 @@ class TestSiteMargins:
         assert (got > 0).any() and (got < 0).any()
 
 
+# Overlap areas computed once at 400 significant digits.
 @pytest.mark.parametrize(
     "args, area",
     [
-        ((0, 1, 1, 2), "0.6543599148536925"),
-        ((40, 16, 56, 20), "0.05884281210154568"),
-        ((0, 1, 0, 4), "0.6773254311652315"),
+        ((0, 1, 1, 2), 0.654359914853692444901290531925351664304964083405907616209328447122856639652273753162137112119049484485465),
+        ((40, 16, 56, 20), 0.0588428121015456742198393289227500257980913003692585077938054183951915474501623553819051519917984105854101),
+        ((0, 1, 0, 4), 0.677325431165231335247795148704899236917888239285933673833827609771635780884363527626575431187830311303442),
     ],
 )
 def test_numeric_overlap_areas(args, area):
-    assert repr(template.gaussian_overlap(*args, method="numeric").area) == area
+    assert template.gaussian_overlap(*args).area == pytest.approx(area, rel=1e-14, abs=0.0)

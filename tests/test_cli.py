@@ -470,6 +470,18 @@ class TestAnalyze:
         assert rc == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_rejects_non_positive_dimension(self, capsys, tmp_path, n):
+        out = tmp_path / "analysis.txt"
+        rc, stdout, err = _run(
+            capsys,
+            "analyze", "--p-inner", "0.99", "--p-neg", "0.99", "--n", n, "--out", str(out),
+        )
+        assert rc == 2
+        assert "n and poly_count must be positive" in err
+        assert stdout == ""
+        assert not out.exists()
+
 
 # One case per invariant between report fields; the pipeline report
 # has 1 key of n=512, so 2,048 outer iterations and 53,248 inner sites.

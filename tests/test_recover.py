@@ -281,7 +281,7 @@ class TestNoisyCalibration:
         band = 3.0 * math.sqrt(sites * p_err * (1.0 - p_err))
         assert abs(observed - expected) < band
         # The report's own prediction fields must carry the same numbers.
-        assert report.overlap_inner == pytest.approx(2 * p_err, rel=1e-12)
+        assert report.overlap_inner == pytest.approx(2 * p_err, rel=1e-12, abs=0.0)
         assert report.p_site_inner == pytest.approx(1 - p_err, abs=1e-15)
         assert report.p_coefficient == pytest.approx(
             report.p_site_inner**52 * report.p_site_neg**2, rel=1e-12
