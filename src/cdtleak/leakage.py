@@ -29,8 +29,6 @@ from .sampler import (
     MASK64,
     GaussCdtTable,
     SamplerParams,
-    SecretPolynomial,
-    key_pairs,
     sample_keys,
     scan_words,
     word_block,
@@ -216,23 +214,6 @@ def synthesize_trace(leaks, model: LeakModel, layout: TraceLayout, noise_seed: i
             trace[layout.inner_site_index(u, k)] += model.alpha * hamming_weight(mask)
         trace[layout.neg_site_index(u)] += model.alpha * hamming_weight(rec.neg_mask)
     return trace.astype(np.float32)
-
-
-def build_label_set(coefficients) -> traceio.LabelSet:
-    """Ground-truth labels for a flat list of sampled coefficients."""
-    coefficients = list(coefficients)
-    if not coefficients:
-        raise DomainError("no coefficients to label")
-    return traceio.LabelSet(
-        values=np.array([c.value for c in coefficients], dtype=np.int32),
-        inner_bits=np.array(
-            [[[m != 0 for m in rec.inner_masks] for rec in c.leaks] for c in coefficients],
-            dtype=bool,
-        ),
-        neg_bits=np.array(
-            [[rec.neg_mask != 0 for rec in c.leaks] for c in coefficients], dtype=bool
-        ),
-    )
 
 
 # Rows per render chunk come from this many float64 samples (2 MiB), so
@@ -437,20 +418,20 @@ def synthesize_campaign(
     layout: TraceLayout | None = None,
     n_keys: int = 1,
     threads: int = 1,
-) -> tuple[traceio.TraceSet, traceio.LabelSet, list[tuple[SecretPolynomial, SecretPolynomial]]]:
+) -> tuple[traceio.TraceSet, traceio.LabelSet]:
     """Simulate full key generations, one trace per coefficient.
 
     Rows are ordered key by key, f before g, coefficients ascending. The
     sampler stream for key j uses child seed j of `seed`; the noise stream
-    for row r uses child seed n_keys + r. Returns the traces, their
-    labels, and the sampled keys: campaign_blocks gathered into one matrix.
+    for row r uses child seed n_keys + r. Returns the traces and their
+    labels: campaign_blocks gathered into one matrix. Key j's f is
+    labels.values[2n*j : 2n*j + n] and its g the n values after it.
     """
     layout = _campaign_layout(params, table, layout, n_keys)
     samples = np.empty((n_keys * 2 * params.n, layout.trace_length), dtype=np.float32)
     md, blocks = campaign_blocks(seed, params, table, model, layout, n_keys, threads, out=samples)
     labels = traceio.LabelSet.concatenate([part for part, _ in blocks])
-    keys = key_pairs(labels.values, labels.inner_bits, labels.neg_bits, params.n)
-    return traceio.TraceSet(samples=samples, metadata=md), labels, keys
+    return traceio.TraceSet(samples=samples, metadata=md), labels
 
 
 def plant_control_words(

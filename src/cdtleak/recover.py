@@ -11,6 +11,7 @@ summed with 32-bit wrap, mirroring the sampler's own arithmetic.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -38,20 +39,6 @@ from .traceio import CODECS, TraceSet, _atomic_write, parse_key_values, read_tex
 REPORT_VERSION = 1
 
 
-def reconstruct_v(inner_bits) -> int:
-    """Magnitude encoded by the inner mask bits: OR of the set positions.
-
-    Positions are 1-based. A clean record has at most one bit set; if
-    classification errors set several, the OR combines them, exactly as
-    the mask-select accumulation in the sampler would.
-    """
-    v = 0
-    for k, bit in enumerate(inner_bits, start=1):
-        if bit:
-            v |= k
-    return v
-
-
 def apply_neg(v: int, neg_bit: bool) -> int:
     """Conditionally negate a magnitude in 32-bit two's complement."""
     if not 0 <= v <= MASK32:
@@ -59,36 +46,6 @@ def apply_neg(v: int, neg_bit: bool) -> int:
     mask = MASK32 if neg_bit else 0
     out = ((v ^ mask) + (1 if neg_bit else 0)) & MASK32
     return out - (1 << 32) if out >> 31 else out
-
-
-@dataclass(frozen=True)
-class OuterDecision:
-    """Classified bits of one outer iteration, with confidence margins.
-
-    Margins are signed log-likelihood differences (all-ones minus
-    all-zeros); the decision is the margin's sign, ties to all-zeros.
-    """
-
-    inner_bits: tuple[bool, ...]
-    neg_bit: bool
-    inner_margins: tuple[float, ...]
-    neg_margin: float
-
-
-@dataclass(frozen=True)
-class ClassifiedLeaks:
-    """Per-outer-iteration classification results for one trace."""
-
-    outer: tuple[OuterDecision, ...]
-
-
-def reconstruct_coefficient(classified: ClassifiedLeaks) -> int:
-    """Signed coefficient value from classified leak bits (32-bit wrap)."""
-    total = 0
-    for dec in classified.outer:
-        signed = apply_neg(reconstruct_v(dec.inner_bits), dec.neg_bit)
-        total = (total + signed) & MASK32
-    return total - (1 << 32) if total >> 31 else total
 
 
 def _site_pois(template: Template, site_index: int, trace_length: int) -> list[int]:
@@ -106,23 +63,6 @@ def _site_pois(template: Template, site_index: int, trace_length: int) -> list[i
                 f"translated POI {p} falls outside trace of length {trace_length}"
             )
     return shifted
-
-
-def _margin_columns(samples: np.ndarray, template: Template, site_index: int) -> np.ndarray:
-    """Signed log-likelihood margin of every trace at one leak site.
-
-    One column pass per POI. The attack uses _column_margins, which
-    computes the same margins for many sites at once; the tests compare
-    the two.
-    """
-    pois = _site_pois(template, site_index, samples.shape[1])
-    margin = np.zeros(samples.shape[0], dtype=np.float64)
-    for p, s0, s1 in zip(pois, template.class0, template.class1):
-        x = samples[:, p].astype(np.float64)
-        ll0 = -0.5 * (np.log(2.0 * np.pi * s0.var) + (x - s0.mu) ** 2 / s0.var)
-        ll1 = -0.5 * (np.log(2.0 * np.pi * s1.var) + (x - s1.mu) ** 2 / s1.var)
-        margin += ll1 - ll0
-    return margin
 
 
 # Rows per block of the recovery loop: 1,024 rows of a few hundred
@@ -150,9 +90,10 @@ def _site_columns(template: Template, sites, trace_length: int) -> np.ndarray:
 def _column_margins(samples: np.ndarray, template: Template, cols: np.ndarray) -> np.ndarray:
     """Margins of every row at the sites of _site_columns: (rows, sites) float64.
 
-    The arithmetic and its order are _margin_columns': per class, then
-    summed over POIs in POI order. Each POI's columns at every site are
-    gathered with a single index.
+    A margin is the log-likelihood of the all-ones class minus that of
+    the all-zeros class, summed over POIs in POI order; a site decodes
+    as all ones when its margin is positive, so a tie goes to all zeros.
+    Each POI's columns at every site are gathered with a single index.
     """
     out = np.zeros((samples.shape[0], cols.shape[1]), dtype=np.float64)
     for poi_cols, s0, s1 in zip(cols, template.class0, template.class1):
@@ -161,107 +102,6 @@ def _column_margins(samples: np.ndarray, template: Template, cols: np.ndarray) -
         ll1 -= _log_likelihood(x, s0)
         out += ll1
     return out
-
-
-# Most values that _PairwiseSum passes to one np.add.reduce call.
-_SUM_LEAF = 1 << 16
-
-
-def _pairwise_halves(n: int) -> tuple[int, int]:
-    """How numpy's pairwise summation splits a run of more than 128 values."""
-    left = n // 2
-    left -= left % 8
-    return left, n - left
-
-
-def _leaf_sizes(n: int) -> list[int]:
-    """Sizes, in order, of the subtrees of at most _SUM_LEAF values of n's tree."""
-    if n <= _SUM_LEAF:
-        return [n]
-    left, right = _pairwise_halves(n)
-    return _leaf_sizes(left) + _leaf_sizes(right)
-
-
-class _PairwiseSum:
-    """np.add.reduce of n float64 values that arrive in pieces, bit for bit.
-
-    numpy 2.4 sums a contiguous float64 array as one pairwise tree that
-    splits runs by _pairwise_halves. Summing each subtree of at most
-    _SUM_LEAF values with np.add.reduce, then adding the subtree sums up
-    the same tree, gives np.add.reduce of all n values while holding one
-    subtree's values. Fixed-size chunks would not: their bounds are not
-    the tree's.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        sizes = _leaf_sizes(n)
-        self._leaves = iter(sizes)
-        self._want = next(self._leaves)
-        self._buf = np.empty(max(sizes), dtype=np.float64)
-        self._fill = 0
-        self._sums: list[np.float64] = []
-
-    def add(self, values: np.ndarray) -> None:
-        """Append the next values of the run (1-D float64)."""
-        pos = 0
-        while pos < values.size:
-            if self._want == 0:
-                raise DomainError(f"more than the {self.n} values declared")
-            take = min(self._want - self._fill, values.size - pos)
-            self._buf[self._fill : self._fill + take] = values[pos : pos + take]
-            self._fill += take
-            pos += take
-            if self._fill == self._want:
-                self._sums.append(np.add.reduce(self._buf[: self._want]))
-                self._fill = 0
-                self._want = next(self._leaves, 0)
-
-    def total(self) -> np.float64:
-        """The sum; every declared value must have been added."""
-        if self.n == 0:
-            return np.add.reduce(self._buf)
-        if self._want:
-            raise DomainError(f"fewer than the {self.n} values declared")
-        sums = iter(self._sums)
-
-        def up(n: int) -> np.float64:
-            if n <= _SUM_LEAF:
-                return next(sums)
-            left, right = _pairwise_halves(n)
-            return up(left) + up(right)
-
-        return up(self.n)
-
-
-def classify_trace(
-    trace, template_inner: Template, template_neg: Template, layout: TraceLayout
-) -> ClassifiedLeaks:
-    """Classify every leak site of a single trace."""
-    trace = np.asarray(trace)
-    if trace.ndim != 1 or trace.shape[0] != layout.trace_length:
-        raise LayoutMismatch("trace does not match layout length")
-    row = trace[None, :]
-
-    def margins(tpl: Template, sites) -> np.ndarray:
-        return _column_margins(row, tpl, _site_columns(tpl, sites, layout.trace_length))
-
-    inner_margins = margins(template_inner, layout.inner_site_matrix().reshape(-1))
-    neg_margins = margins(template_neg, layout.neg_site_vector())
-    decisions = []
-    for margins, neg_margin in zip(
-        inner_margins.reshape(layout.outer_count, layout.inner_count).tolist(),
-        neg_margins[0].tolist(),
-    ):
-        decisions.append(
-            OuterDecision(
-                inner_bits=tuple(m > 0.0 for m in margins),
-                neg_bit=neg_margin > 0.0,
-                inner_margins=tuple(margins),
-                neg_margin=neg_margin,
-            )
-        )
-    return ClassifiedLeaks(outer=tuple(decisions))
 
 
 def _element(f) -> str:
@@ -439,15 +279,26 @@ def recover_key(
     also carries empirical per-site and per-key accuracy, comparable
     against the predicted rates derived from the templates themselves.
 
-    Every input is checked before the first block is read. Rows and
-    labels are taken _BLOCK_ROWS at a time, and a block's margins and
-    bits are dropped once its counts are added, so only the recovered
-    value and, with labels, whether it is correct are held per row.
+    Every input is checked, and the predicted rates are computed, before
+    the first block is read. Rows and labels are taken _BLOCK_ROWS at a
+    time, and a block's margins and bits are dropped once its counts are
+    added, so only the recovered value and, with labels, whether it is
+    correct are held per row.
     """
     if isinstance(traces, TraceSet) and np.ndim(traces.samples) != 2:
         raise LayoutMismatch("trace set does not match layout length")
     if template_inner is None or template_neg is None:
         raise MissingTemplate("both templates are required")
+    p_site_inner, ov_inner = site_success(template_inner)
+    p_site_neg, ov_neg = site_success(template_neg)
+    p_coeff = per_coefficient_success(
+        SuccessModel(
+            p_inner=p_site_inner,
+            p_neg=p_site_neg,
+            inner_count=layout.inner_count,
+            outer_count=layout.outer_count,
+        )
+    )
     rows, n_samples = traces.n_traces, traces.n_samples
     if n_samples != layout.trace_length:
         raise LayoutMismatch("trace set does not match layout length")
@@ -473,8 +324,9 @@ def recover_key(
 
     slots = np.arange(1, inner + 1, dtype=np.uint32)
     values = np.empty(rows, dtype=np.int32)
-    abs_inner = _PairwiseSum(rows * outer * inner)
-    abs_neg = _PairwiseSum(rows * outer)
+    # Per-block sums of |margin|; fsum adds them exactly, so the means
+    # depend on the rows and _BLOCK_ROWS alone.
+    abs_inner_sums, abs_neg_sums = [], []
     inner_ones = neg_ones = anomalous = inner_errors = neg_errors = 0
     lo = 0
     for block, truth in zip(traces.blocks(_BLOCK_ROWS), truths):
@@ -484,8 +336,8 @@ def recover_key(
         inner_bits = (inner_margins > 0.0).reshape(-1, outer, inner)
         neg_bits = neg_margins > 0.0
         # |margin| in place: the bits are all the rest of the loop needs.
-        abs_inner.add(np.abs(inner_margins, out=inner_margins).reshape(-1))
-        abs_neg.add(np.abs(neg_margins, out=neg_margins).reshape(-1))
+        abs_inner_sums.append(np.add.reduce(np.abs(inner_margins, out=inner_margins).reshape(-1)))
+        abs_neg_sums.append(np.add.reduce(np.abs(neg_margins, out=neg_margins).reshape(-1)))
 
         # Fold bits back into signed coefficients with the sampler's own
         # wrap-around arithmetic (vectorized over rows and outer iterations).
@@ -507,16 +359,7 @@ def recover_key(
         lo = hi
 
     per_poly = values.reshape(n_keys, 2, params.n)
-    p_site_inner, ov_inner = site_success(template_inner)
-    p_site_neg, ov_neg = site_success(template_neg)
-    p_coeff = per_coefficient_success(
-        SuccessModel(
-            p_inner=p_site_inner,
-            p_neg=p_site_neg,
-            inner_count=inner,
-            outer_count=outer,
-        )
-    )
+    inner_sites, neg_sites = rows * outer * inner, rows * outer
     report = RecoveryReport(
         n_keys=n_keys,
         n=params.n,
@@ -525,13 +368,13 @@ def recover_key(
         inner_count=inner,
         keys_f=per_poly[:, 0].tolist(),
         keys_g=per_poly[:, 1].tolist(),
-        inner_sites_total=abs_inner.n,
+        inner_sites_total=inner_sites,
         inner_sites_ones=inner_ones,
-        neg_sites_total=abs_neg.n,
+        neg_sites_total=neg_sites,
         neg_sites_ones=neg_ones,
         anomalous_outer_iterations=anomalous,
-        mean_abs_margin_inner=float(abs_inner.total() / abs_inner.n),
-        mean_abs_margin_neg=float(abs_neg.total() / abs_neg.n),
+        mean_abs_margin_inner=math.fsum(abs_inner_sums) / inner_sites,
+        mean_abs_margin_neg=math.fsum(abs_neg_sums) / neg_sites,
         overlap_inner=ov_inner,
         overlap_neg=ov_neg,
         p_site_inner=p_site_inner,

@@ -15,7 +15,7 @@ explicit wrap masks where Python integers would otherwise grow.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -135,13 +135,6 @@ def derive_subseed(seed: int, index: int) -> int:
     if index < 0:
         raise DomainError("index must be non-negative")
     return int(words([seed & MASK64], index, 1)[0, 0])
-
-
-def msb_mask(x: int) -> int:
-    """Spread bit 63 of x into a full 64-bit word: 0 or 2**64 - 1."""
-    if not 0 <= x <= MASK64:
-        raise DomainError("msb_mask expects a 64-bit value")
-    return (-(x >> 63)) & MASK64
 
 
 @dataclass(frozen=True)
@@ -273,55 +266,6 @@ class SecretCoefficient:
     leaks: tuple[IterationLeakRecord, ...]
 
 
-class SecretPolynomial:
-    """A polynomial of sampled coefficients, viewed over batch scan rows.
-
-    values (n,), inner_bits (n, outer, inner_count) and neg_bits
-    (n, outer) are rows of scan_words' output. The SecretCoefficient
-    records with their leaks are built only when .coefficients is read.
-    """
-
-    def __init__(self, values: np.ndarray, inner_bits: np.ndarray, neg_bits: np.ndarray):
-        self._values = values
-        self.inner_bits = inner_bits
-        self.neg_bits = neg_bits
-
-    @functools.cached_property
-    def coefficients(self) -> tuple[SecretCoefficient, ...]:
-        coeffs = []
-        for value, inner, neg in zip(
-            self._values.tolist(), self.inner_bits.tolist(), self.neg_bits.tolist()
-        ):
-            records = []
-            for fired, sign in zip(inner, neg):
-                v = fired.index(True) + 1 if True in fired else 0
-                records.append(
-                    IterationLeakRecord(
-                        inner_masks=tuple(MASK64 if b else 0 for b in fired),
-                        neg_mask=MASK64 if sign else 0,
-                        v_value=v,
-                        signed_v=-v if sign else v,
-                    )
-                )
-            coeffs.append(SecretCoefficient(value=value, leaks=tuple(records)))
-        return tuple(coeffs)
-
-    def values(self) -> list[int]:
-        return self._values.tolist()
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SecretPolynomial):
-            return NotImplemented
-        return (
-            np.array_equal(self._values, other._values)
-            and np.array_equal(self.inner_bits, other.inner_bits)
-            and np.array_equal(self.neg_bits, other.neg_bits)
-        )
-
-
 def sample_coefficient(table: GaussCdtTable, params: SamplerParams, source) -> SecretCoefficient:
     """Run the branchless table scan and capture its leak records.
 
@@ -410,24 +354,3 @@ def sample_keys(
     per_coefficient = 2 * params.outer_count
     draws = words(seeds, 0, 2 * params.n * per_coefficient)
     return scan_words(table, draws.reshape(-1, params.outer_count, 2))
-
-
-def key_pairs(
-    values: np.ndarray, inner_bits: np.ndarray, neg_bits: np.ndarray, n: int
-) -> list[tuple[SecretPolynomial, SecretPolynomial]]:
-    """Split sample_keys rows into (f, g) polynomial views, key by key."""
-    polys = [
-        SecretPolynomial(values[a : a + n], inner_bits[a : a + n], neg_bits[a : a + n])
-        for a in range(0, len(values), n)
-    ]
-    return list(zip(polys[::2], polys[1::2]))
-
-
-def generate_polynomials(
-    seed: int, params: SamplerParams, table: GaussCdtTable | None = None
-) -> tuple[SecretPolynomial, SecretPolynomial]:
-    """Sample the key pair (f, g): 2n coefficients off one seeded stream."""
-    if table is None:
-        table = default_table()
-    batch = sample_keys([seed & MASK64], params, table)
-    return key_pairs(*batch, params.n)[0]

@@ -8,9 +8,7 @@ recovery odds follow by raising the per-site success to the number of
 independently classified sites.
 
 The overlap is computed exactly, as erf/erfc masses between the density
-crossings, with no quadrature. Moving to it from adaptive Simpson
-quadrature changed the `overlap_inner=`/`overlap_neg=` lines of an
-attack's `.report.txt` once, by up to ~3e-8 relative.
+crossings, with no quadrature.
 """
 
 from __future__ import annotations
@@ -66,10 +64,6 @@ class Template:
             raise DomainError("one ClassStats pair per POI required")
 
 
-def _log_npdf(x: float, mu: float, var: float) -> float:
-    return -0.5 * (math.log(2.0 * math.pi * var) + (x - mu) ** 2 / var)
-
-
 def build_template(traces, labels, pois) -> Template:
     """Estimate a template from labeled traces.
 
@@ -108,28 +102,6 @@ def build_template(traces, labels, pois) -> Template:
             )
         )
     return Template(pois=pois, class0=stats[0], class1=stats[1])
-
-
-def classify(trace, template: Template) -> tuple[int, tuple[float, float]]:
-    """Maximum-likelihood class of one trace at the template's POIs.
-
-    Returns (class, (loglik0, loglik1)); an exact tie goes to class 0.
-    """
-    trace = np.asarray(trace)
-    if trace.ndim != 1:
-        raise DomainError("trace must be 1-D")
-    for p in template.pois:
-        if not 0 <= p < trace.shape[0]:
-            raise DomainError(f"POI {p} outside trace of length {trace.shape[0]}")
-    ll0 = sum(
-        _log_npdf(float(trace[p]), s.mu, s.var)
-        for p, s in zip(template.pois, template.class0)
-    )
-    ll1 = sum(
-        _log_npdf(float(trace[p]), s.mu, s.var)
-        for p, s in zip(template.pois, template.class1)
-    )
-    return (1 if ll1 > ll0 else 0, (ll0, ll1))
 
 
 class OverlapResult(NamedTuple):

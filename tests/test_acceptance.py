@@ -210,7 +210,7 @@ def test_criterion_6_error_rate_calibration():
         d = _separation_for_overlap(2.0 * target)
         sigma = 30.0 / d
         model = LeakModel(noise_sigma=sigma)
-        traces, labels, _ = synthesize_campaign(
+        traces, labels = synthesize_campaign(
             seed=seed, params=params, table=table, model=model, n_keys=3
         )
         stats0 = ClassStats(mu=40.0, var=sigma**2, count=10)

@@ -4,12 +4,15 @@ The campaign and profiling paths run on arrays: one words() call per key
 or trace, one scan_words() over all coefficients, and a chunked in-place
 render, and the attack computes margins with one row-blocked kernel.
 Each test here runs the scalar or per-site path (WordSource,
-sample_coefficient, plant_control_words, synthesize_trace,
-_margin_columns) on the same inputs and requires equal results, bit for
-bit.
+sample_coefficient, plant_control_words, synthesize_trace, and
+_margin_columns below) on the same inputs and requires equal results,
+bit for bit.
 """
 
+import ast
 import hashlib
+import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,8 +39,8 @@ from cdtleak.sampler import (
     WordSource,
     default_table,
     derive_subseed,
-    generate_polynomials,
     sample_coefficient,
+    sample_keys,
     scan_words,
     words,
 )
@@ -131,15 +134,20 @@ class TestScanWords:
         with pytest.raises(DomainError):
             scan_words(default_table(), np.zeros((4, 2), dtype=np.uint64))
 
-    def test_polynomial_view_records(self):
+    def test_sample_keys_equals_scalar_stream(self):
+        # The 2n coefficients of key seed s are the ones WordSource(s) gives, in order.
         params = SamplerParams(logn=7)
-        f, g = generate_polynomials(0x5151, params)
-        source = WordSource(seed=0x5151)
-        want = tuple(sample_coefficient(default_table(), params, source) for _ in range(256))
-        assert f.coefficients + g.coefficients == want
-        assert f.values() + g.values() == [c.value for c in want]
-        assert f == generate_polynomials(0x5151, params)[0]
-        assert f != g
+        table = default_table()
+        want = []
+        for seed in (0x5151, 0x5152):
+            source = WordSource(seed=seed)
+            want += [sample_coefficient(table, params, source) for _ in range(2 * params.n)]
+        values, inner, neg = sample_keys([0x5151, 0x5152], params, table)
+        want_values, want_inner, want_neg = _oracle_arrays(want)
+        assert values.dtype == np.int32
+        assert np.array_equal(values, want_values)
+        assert np.array_equal(inner, want_inner)
+        assert np.array_equal(neg, want_neg)
 
 
 class TestPlantedProfiling:
@@ -246,11 +254,10 @@ def test_batch_paths_build_no_coefficient_records(monkeypatch):
     monkeypatch.setattr(sampler, "SecretCoefficient", refuse)
     params = SamplerParams(logn=9)
     table = default_table()
-    _, labels, keys = synthesize_campaign(
+    _, labels = synthesize_campaign(
         seed=3, params=params, table=table, model=LeakModel(), n_keys=2
     )
-    assert labels.n_records == 2048 and len(keys) == 2
-    assert keys[1][1].values() == labels.values[1536:].tolist()
+    assert labels.n_records == 2048
     synthesize_profiling_set(
         seed=4, params=params, table=table, model=LeakModel(), n_traces=8
     )
@@ -299,8 +306,24 @@ def test_golden_output_bytes(tmp_path, capsys):
             assert hashlib.sha256(fh.read()).hexdigest() == digest, command + suffix
 
 
+def _margin_columns(samples: np.ndarray, tpl: Template, site_index: int) -> np.ndarray:
+    """Signed log-likelihood margin of every trace at one leak site.
+
+    The reference for recover._column_margins: one column pass per POI,
+    per class, summed over POIs in POI order.
+    """
+    pois = recover._site_pois(tpl, site_index, samples.shape[1])
+    margin = np.zeros(samples.shape[0], dtype=np.float64)
+    for p, s0, s1 in zip(pois, tpl.class0, tpl.class1):
+        x = samples[:, p].astype(np.float64)
+        ll0 = -0.5 * (np.log(2.0 * np.pi * s0.var) + (x - s0.mu) ** 2 / s0.var)
+        ll1 = -0.5 * (np.log(2.0 * np.pi * s1.var) + (x - s1.mu) ** 2 / s1.var)
+        margin += ll1 - ll0
+    return margin
+
+
 class TestSiteMargins:
-    """recover._column_margins against the per-site oracle _margin_columns."""
+    """recover._column_margins against the per-site reference _margin_columns."""
 
     @pytest.fixture(scope="class")
     def readme_templates(self, tmp_path_factory):
@@ -332,7 +355,7 @@ class TestSiteMargins:
         samples = samples.astype(np.float32)
         cols = recover._site_columns(tpl, sites, layout.trace_length)
         got = recover._column_margins(samples, tpl, cols)
-        want = np.stack([recover._margin_columns(samples, tpl, s) for s in sites], axis=1)
+        want = np.stack([_margin_columns(samples, tpl, s) for s in sites], axis=1)
         assert got.dtype == np.float64
         assert np.array_equal(got, want)
         assert (got > 0).any() and (got < 0).any()
@@ -349,3 +372,28 @@ class TestSiteMargins:
 )
 def test_numeric_overlap_areas(args, area):
     assert template.gaussian_overlap(*args).area == pytest.approx(area, rel=1e-14, abs=0.0)
+
+
+def test_benchmark_check_names_exist():
+    """Every sampler, leakage, recover and traceio name perfbench/checks.py uses exists.
+
+    The benchmark's output checks call the package as a library; a name
+    removed from the package would only fail there, at benchmark time.
+    """
+    checks = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    tree = ast.parse(checks.read_text(encoding="utf-8"))
+    modules = ("sampler", "leakage", "recover", "traceio")
+    used = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    assert used
+    missing = [
+        f"{module}.{name}"
+        for module, name in sorted(used)
+        if not hasattr(importlib.import_module(f"cdtleak.{module}"), name)
+    ]
+    assert not missing

@@ -84,7 +84,7 @@ def valid(tmp_path_factory):
     """One small valid file of each kind, and a path to write fuzzed ones to."""
     root = tmp_path_factory.mktemp("fuzz")
     params, table = SamplerParams(logn=3), default_table()
-    traces, labels, _ = leakage.synthesize_campaign(3, params, table, leakage.LeakModel())
+    traces, labels = leakage.synthesize_campaign(3, params, table, leakage.LeakModel())
     stats = (ClassStats(mu=40.0, var=16.0, count=50),)
     inner = Template(pois=(3,), class0=stats, class1=(ClassStats(mu=70.0, var=16.0, count=50),))
     neg = Template(pois=(211,), class0=stats, class1=inner.class1)

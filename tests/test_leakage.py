@@ -17,7 +17,6 @@ from cdtleak.leakage import (
     DEFAULT_NOISE_SIGMA,
     LeakModel,
     TraceLayout,
-    build_label_set,
     campaign_from_metadata,
     campaign_metadata,
     gaussian_block,
@@ -218,35 +217,15 @@ class TestSynthesizeTrace:
             )
 
 
-class TestBuildLabelSet:
-    def test_rejects_empty(self):
-        with pytest.raises(DomainError):
-            build_label_set([])
-
-    def test_bits_follow_masks(self):
-        table = default_table()
-        params = SamplerParams(logn=9)
-        coeff = sample_coefficient(table, params, WordSource(seed=77))
-        labels = build_label_set([coeff])
-        for u, rec in enumerate(coeff.leaks):
-            for k, mask in enumerate(rec.inner_masks):
-                assert labels.inner_bits[0, u, k] == (mask != 0)
-            assert labels.neg_bits[0, u] == (rec.neg_mask != 0)
-        assert labels.values[0] == coeff.value
-
-
 class TestCampaign:
     def test_counts_and_metadata(self):
         params = SamplerParams(logn=9)
         table = default_table()
-        traces, labels, keys = synthesize_campaign(
+        traces, labels = synthesize_campaign(
             seed=11, params=params, table=table, model=LeakModel()
         )
         assert traces.samples.shape == (1024, 432)
         assert labels.n_records == 1024
-        assert len(keys) == 1
-        f, g = keys[0]
-        assert len(f) == 512 and len(g) == 512
         assert traces.metadata["kind"] == "campaign"
         assert traces.metadata["n_keys"] == "1"
         assert traces.metadata["logn"] == "9"
@@ -254,22 +233,25 @@ class TestCampaign:
     def test_row_order_is_f_then_g(self):
         params = SamplerParams(logn=8)
         table = default_table()
-        _, labels, keys = synthesize_campaign(
+        _, labels = synthesize_campaign(
             seed=5, params=params, table=table, model=LeakModel(), n_keys=2
         )
+        # Key j samples f, then g, from child seed j's stream.
         expected = []
-        for f, g in keys:
-            expected.extend(f.values())
-            expected.extend(g.values())
+        for j in range(2):
+            source = WordSource(seed=derive_subseed(5, j))
+            expected += [
+                sample_coefficient(table, params, source).value for _ in range(2 * params.n)
+            ]
         assert labels.values.tolist() == expected
 
     def test_deterministic_and_thread_invariant(self):
         params = SamplerParams(logn=8)
         table = default_table()
         kw = dict(seed=21, params=params, table=table, model=LeakModel())
-        a, la, _ = synthesize_campaign(**kw)
-        b, lb, _ = synthesize_campaign(**kw)
-        c, _, _ = synthesize_campaign(**kw, threads=3)
+        a, la = synthesize_campaign(**kw)
+        b, lb = synthesize_campaign(**kw)
+        c, _ = synthesize_campaign(**kw, threads=3)
         assert np.array_equal(a.samples, b.samples)
         assert np.array_equal(a.samples, c.samples)
         assert a.metadata == b.metadata == c.metadata
@@ -281,11 +263,11 @@ class TestCampaign:
         model = LeakModel()
         layout = TraceLayout.for_params(params, table)
         seed = 31337
-        traces, _, keys = synthesize_campaign(
+        traces, _ = synthesize_campaign(
             seed=seed, params=params, table=table, model=model, threads=2
         )
-        f, g = keys[0]
-        coefficients = list(f.coefficients) + list(g.coefficients)
+        source = WordSource(seed=derive_subseed(seed, 0))
+        coefficients = [sample_coefficient(table, params, source) for _ in range(2 * params.n)]
         assert traces.samples.shape[0] == len(coefficients)
         for r in (0, 1, 127, 128, 255):
             expected = synthesize_trace(
@@ -298,7 +280,7 @@ class TestCampaign:
         table = default_table()
         model = LeakModel(noise_sigma=0.0)
         layout = TraceLayout.for_params(params, table)
-        traces, labels, _ = synthesize_campaign(
+        traces, labels = synthesize_campaign(
             seed=99, params=params, table=table, model=model
         )
         threshold = model.beta + 32 * model.alpha

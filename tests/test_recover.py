@@ -2,9 +2,11 @@
 
 The 32-bit negation/accumulation oracle used here reinterprets through
 plain Python modular arithmetic, independently of the implementation's
-XOR-and-carry route. Noiseless campaigns must recover every coefficient
-of every key exactly; the noisy campaign checks that empirical site
-errors match the Gaussian overlap prediction.
+XOR-and-carry route. recover_key's fold runs on crafted noiseless traces
+whose fired slots are chosen by hand, and on traces rendered from the
+scalar sampler's records. Noiseless campaigns must recover every
+coefficient of every key exactly; the noisy campaign checks that
+empirical site errors match the Gaussian overlap prediction.
 """
 
 import math
@@ -26,15 +28,10 @@ from cdtleak.leakage import (
     synthesize_profiling_set,
 )
 from cdtleak.recover import (
-    ClassifiedLeaks,
-    OuterDecision,
     RecoveryReport,
     _site_pois,
     apply_neg,
-    classify_trace,
     load_report,
-    reconstruct_coefficient,
-    reconstruct_v,
     recover_key,
     save_report,
 )
@@ -47,6 +44,7 @@ from cdtleak.sampler import (
     sample_coefficient,
 )
 from cdtleak.template import ClassStats, Template, build_template
+from cdtleak.traceio import TraceSet
 
 SMALL_TABLE = GaussCdtTable(entries=(1 << 61, 3 << 61, 2 << 61, 0))
 
@@ -54,15 +52,6 @@ SMALL_TABLE = GaussCdtTable(entries=(1 << 61, 3 << 61, 2 << 61, 0))
 def _as_i32(x: int) -> int:
     x &= MASK32
     return x - (1 << 32) if x >= (1 << 31) else x
-
-
-def _decision(bits, neg):
-    return OuterDecision(
-        inner_bits=tuple(bits),
-        neg_bit=neg,
-        inner_margins=tuple(1.0 if b else -1.0 for b in bits),
-        neg_margin=1.0 if neg else -1.0,
-    )
 
 
 def _exact_templates(model: LeakModel, poi: int = 0):
@@ -73,14 +62,49 @@ def _exact_templates(model: LeakModel, poi: int = 0):
     return t, t
 
 
+# logn 9: two outer iterations per coefficient, 1,024 rows per key.
+FOLD_PARAMS = SamplerParams(logn=9)
+FOLD_LAYOUT = TraceLayout.for_params(FOLD_PARAMS, default_table())
+
+
+def _fold(rows):
+    """recover_key on one key of noiseless traces with the given fired sites.
+
+    rows[r] lists, per outer iteration, (slots that fire, sign bit); rows
+    not given fire nothing. Returns the report and the 1,024 values.
+    """
+    per_key = 2 * FOLD_PARAMS.n
+    inner = np.zeros((per_key, FOLD_LAYOUT.outer_count, FOLD_LAYOUT.inner_count), dtype=bool)
+    neg = np.zeros((per_key, FOLD_LAYOUT.outer_count), dtype=bool)
+    for r, iterations in enumerate(rows):
+        for u, (slots, sign) in enumerate(iterations):
+            inner[r, u, [k - 1 for k in slots]] = True
+            neg[r, u] = sign
+    return _fold_bits(inner, neg)
+
+
+def _fold_bits(inner, neg):
+    model = LeakModel(noise_sigma=0.0)
+    low, high = model.beta, model.beta + 64 * model.alpha
+    samples = np.full((len(inner), FOLD_LAYOUT.trace_length), low, dtype=np.float32)
+    rows = np.arange(len(inner))[:, None]
+    samples[rows[:, :, None], FOLD_LAYOUT.inner_site_matrix()] = np.where(inner, high, low)
+    samples[rows, FOLD_LAYOUT.neg_site_vector()] = np.where(neg, high, low)
+    ti, tn = _exact_templates(model)
+    report = recover_key(TraceSet(samples), ti, tn, FOLD_LAYOUT, FOLD_PARAMS)
+    return report, report.keys_f[0] + report.keys_g[0]
+
+
 class TestReconstructV:
     def test_trivial_values(self):
-        assert reconstruct_v([False] * 26) == 0
-        bits = [False] * 26
-        bits[6] = True
-        assert reconstruct_v(bits) == 7
-        assert reconstruct_v([True, True, False]) == 3
-        assert reconstruct_v([]) == 0
+        # The magnitude is the OR of the fired slot numbers.
+        _, values = _fold([
+            [((), False), ((), False)],
+            [((7,), False), ((), False)],
+            [((1, 2), False), ((), False)],
+            [(range(1, 27), False), ((), False)],
+        ])
+        assert values[:5] == [0, 7, 3, 31, 0]
 
 
 class TestApplyNeg:
@@ -112,35 +136,51 @@ class TestApplyNeg:
 
 class TestReconstructCoefficient:
     def test_two_outer_iterations(self):
-        bits3 = [True, True, False]
-        bits2 = [False, True, False]
-        classified = ClassifiedLeaks(
-            outer=(_decision(bits3, False), _decision(bits2, True))
-        )
-        assert reconstruct_coefficient(classified) == 1
+        report, values = _fold([
+            # Slots 3 and 5 with the sign set, then nothing: -(3 | 5).
+            [((3, 5), True), ((), False)],
+            # 1 | 2 = 3, then slot 2 negated: 3 - 2.
+            [((1, 2), False), ((2,), True)],
+        ])
+        assert values[:3] == [-7, 1, 0]
+        assert report.inner_sites_ones == 5
+        assert report.neg_sites_ones == 2
+        assert report.anomalous_outer_iterations == 2
+        assert report.inner_sites_total == 1024 * 2 * 26
+        assert report.neg_sites_total == 1024 * 2
 
     def test_wraps_like_int32(self):
-        big = [False] * 31 + [True]  # bit 32 alone encodes v = 32
-        classified = ClassifiedLeaks(
-            outer=tuple(_decision(big, False) for _ in range(4))
-        )
-        assert reconstruct_coefficient(classified) == 128
+        # Negation is (v ^ 0xffffffff) + 1 and the sum wraps at 32 bits;
+        # a sign with no slot fired is -0, which is 0.
+        _, values = _fold([
+            [((26,), True), ((26,), True)],
+            [((), True), ((), True)],
+            [((1,), True), ((26,), False)],
+            [((16, 8), True), ((1,), False)],
+        ])
+        want = [
+            apply_neg(26, True) + apply_neg(26, True),
+            0,
+            25,
+            apply_neg(24, True) + 1,
+        ]
+        assert values[:4] == want == [-52, 0, 25, -23]
 
     def test_matches_sampler_records(self):
+        # Traces rendered from the scalar sampler's mask words fold back
+        # into its values.
         table = default_table()
-        params = SamplerParams(logn=9)
-        for seed in range(500):
-            coeff = sample_coefficient(table, params, WordSource(seed=seed))
-            decisions = []
+        coeffs = [
+            sample_coefficient(table, FOLD_PARAMS, WordSource(seed=seed)) for seed in range(1024)
+        ]
+        for coeff in coeffs:
             for rec in coeff.leaks:
-                bits = [m != 0 for m in rec.inner_masks]
-                assert reconstruct_v(bits) == rec.v_value
                 assert apply_neg(rec.v_value, rec.neg_mask != 0) == rec.signed_v
-                decisions.append(_decision(bits, rec.neg_mask != 0))
-            assert (
-                reconstruct_coefficient(ClassifiedLeaks(outer=tuple(decisions)))
-                == coeff.value
-            )
+        inner = np.array([[[m != 0 for m in rec.inner_masks] for rec in c.leaks] for c in coeffs])
+        neg = np.array([[rec.neg_mask != 0 for rec in c.leaks] for c in coeffs])
+        report, values = _fold_bits(inner, neg)
+        assert values == [c.value for c in coeffs]
+        assert report.anomalous_outer_iterations == 0
 
 
 class TestSitePois:
@@ -170,7 +210,7 @@ class TestNoiselessRecovery:
     def test_small_table_campaign(self, seed):
         params = SamplerParams(logn=9)
         model = LeakModel(noise_sigma=0.0)
-        traces, labels, keys = synthesize_campaign(
+        traces, labels = synthesize_campaign(
             seed=seed, params=params, table=SMALL_TABLE, model=model
         )
         layout = TraceLayout.for_params(params, SMALL_TABLE)
@@ -182,9 +222,8 @@ class TestNoiselessRecovery:
         assert report.inner_site_errors == 0
         assert report.neg_site_errors == 0
         assert report.anomalous_outer_iterations == 0
-        f, g = keys[0]
-        assert report.keys_f[0] == f.values()
-        assert report.keys_g[0] == g.values()
+        assert report.keys_f[0] == labels.values[:512].tolist()
+        assert report.keys_g[0] == labels.values[512:].tolist()
         assert report.correct_flags_f[0] == "1" * 512
         assert report.correct_flags_g[0] == "1" * 512
 
@@ -193,15 +232,15 @@ class TestNoiselessRecovery:
         params = SamplerParams(logn=9)
         table = default_table()
         model = LeakModel(noise_sigma=0.0)
-        traces, labels, keys = synthesize_campaign(
+        traces, labels = synthesize_campaign(
             seed=seed, params=params, table=table, model=model
         )
         layout = TraceLayout.for_params(params, table)
         ti, tn = _exact_templates(model)
         report = recover_key(traces, ti, tn, layout, params, labels=labels)
         assert report.fully_recovered()
-        assert report.keys_f[0] == keys[0][0].values()
-        assert report.keys_g[0] == keys[0][1].values()
+        assert report.keys_f[0] == labels.values[:512].tolist()
+        assert report.keys_g[0] == labels.values[512:].tolist()
 
     def test_with_estimated_templates(self):
         params = SamplerParams(logn=9)
@@ -218,35 +257,16 @@ class TestNoiselessRecovery:
         tn = build_template(
             prof_traces.samples, prof_labels.neg_bits[:, 0], [layout.neg_site_index(0)]
         )
-        traces, labels, keys = synthesize_campaign(
+        traces, labels = synthesize_campaign(
             seed=51, params=params, table=table, model=model
         )
         report = recover_key(traces, ti, tn, layout, params, labels=labels)
         assert report.fully_recovered()
 
-    def test_classify_trace_agrees_with_bulk_recovery(self):
-        params = SamplerParams(logn=9)
-        model = LeakModel(noise_sigma=0.0)
-        traces, labels, _ = synthesize_campaign(
-            seed=8, params=params, table=SMALL_TABLE, model=model
-        )
-        layout = TraceLayout.for_params(params, SMALL_TABLE)
-        ti, tn = _exact_templates(model)
-        report = recover_key(traces, ti, tn, layout, params)
-        for r in (0, 17, 512, 1023):
-            classified = classify_trace(traces.samples[r], ti, tn, layout)
-            value = reconstruct_coefficient(classified)
-            merged = report.keys_f[0] + report.keys_g[0]
-            assert value == merged[r]
-            assert value == labels.values[r]
-            for u, dec in enumerate(classified.outer):
-                assert dec.inner_bits == tuple(labels.inner_bits[r, u])
-                assert dec.neg_bit == labels.neg_bits[r, u]
-
     def test_unlabeled_report_has_no_empirical_fields(self):
         params = SamplerParams(logn=9)
         model = LeakModel(noise_sigma=0.0)
-        traces, _, _ = synthesize_campaign(
+        traces, _ = synthesize_campaign(
             seed=9, params=params, table=SMALL_TABLE, model=model
         )
         layout = TraceLayout.for_params(params, SMALL_TABLE)
@@ -267,7 +287,7 @@ class TestNoisyCalibration:
         params = SamplerParams(logn=9)
         table = default_table()
         model = LeakModel()
-        traces, labels, _ = synthesize_campaign(
+        traces, labels = synthesize_campaign(
             seed=0xCA11B, params=params, table=table, model=model, n_keys=2
         )
         layout = TraceLayout.for_params(params, table)
@@ -295,7 +315,7 @@ class TestRecoverKeyErrors:
     def _campaign(self):
         params = SamplerParams(logn=9)
         model = LeakModel(noise_sigma=0.0)
-        traces, labels, _ = synthesize_campaign(
+        traces, labels = synthesize_campaign(
             seed=2, params=params, table=SMALL_TABLE, model=model
         )
         layout = TraceLayout.for_params(params, SMALL_TABLE)
@@ -344,17 +364,12 @@ class TestRecoverKeyErrors:
         with pytest.raises(LayoutMismatch):
             recover_key(traces, ti, tn, layout, params, labels=narrowed)
 
-    def test_classify_trace_length_check(self):
-        params, traces, _, layout, ti, tn = self._campaign()
-        with pytest.raises(LayoutMismatch):
-            classify_trace(traces.samples[0][:-1], ti, tn, layout)
-
 
 class TestReportSerialization:
     def _labeled_report(self):
         params = SamplerParams(logn=9)
         model = LeakModel(noise_sigma=0.0)
-        traces, labels, _ = synthesize_campaign(
+        traces, labels = synthesize_campaign(
             seed=4, params=params, table=SMALL_TABLE, model=model
         )
         layout = TraceLayout.for_params(params, SMALL_TABLE)
@@ -370,7 +385,7 @@ class TestReportSerialization:
     def test_round_trip_without_labels(self):
         params = SamplerParams(logn=9)
         model = LeakModel(noise_sigma=0.0)
-        traces, _, _ = synthesize_campaign(
+        traces, _ = synthesize_campaign(
             seed=4, params=params, table=SMALL_TABLE, model=model
         )
         layout = TraceLayout.for_params(params, SMALL_TABLE)

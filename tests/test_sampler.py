@@ -15,11 +15,10 @@ from cdtleak.sampler import (
     WordSource,
     default_table,
     derive_subseed,
-    generate_polynomials,
     load_cdt_table,
-    msb_mask,
     parse_cdt_table,
     sample_coefficient,
+    sample_keys,
     sigma_fg,
     splitmix64,
     word_block,
@@ -168,23 +167,25 @@ class TestSampleCoefficient:
 
 
 class TestGeneratePolynomials:
+    """sample_keys: the f and g rows of one key per seed."""
+
     def test_counts_logn9(self):
-        f, g = generate_polynomials(7, SamplerParams(logn=9))
-        assert len(f) == 512 and len(g) == 512
-        for poly in (f, g):
-            for coeff in poly.coefficients:
-                assert len(coeff.leaks) == 2
-                assert all(len(r.inner_masks) == 26 for r in coeff.leaks)
+        values, inner, neg = sample_keys([7], SamplerParams(logn=9), default_table())
+        assert values.shape == (1024,)
+        assert inner.shape == (1024, 2, 26)
+        assert neg.shape == (1024, 2)
 
     def test_determinism(self):
-        a = generate_polynomials(99, SamplerParams(logn=8))
-        b = generate_polynomials(99, SamplerParams(logn=8))
-        assert a == b
+        params, table = SamplerParams(logn=8), default_table()
+        a = sample_keys([99], params, table)
+        b = sample_keys([99], params, table)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_distinct_seeds_differ(self):
-        f1, _ = generate_polynomials(1, SamplerParams(logn=9))
-        f2, _ = generate_polynomials(2, SamplerParams(logn=9))
-        assert f1.values() != f2.values()
+        params, table = SamplerParams(logn=9), default_table()
+        f1 = sample_keys([1], params, table)[0][:512]
+        f2 = sample_keys([2], params, table)[0][:512]
+        assert f1.tolist() != f2.tolist()
 
 
 class TestWordSource:
@@ -254,22 +255,6 @@ class TestWordSource:
     def test_splitmix_is_bijective_on_samples(self):
         words = [splitmix64(x) for x in range(4096)]
         assert len(set(words)) == 4096
-
-
-class TestMsbMask:
-    def test_clear(self):
-        assert msb_mask(0) == 0
-        assert msb_mask(MASK63) == 0
-
-    def test_set(self):
-        assert msb_mask(1 << 63) == MASK64
-        assert msb_mask(MASK64) == MASK64
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            msb_mask(-1)
-        with pytest.raises(DomainError):
-            msb_mask(1 << 64)
 
 
 class TestTable:

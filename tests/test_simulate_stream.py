@@ -49,7 +49,7 @@ def _flag_values(argv):
 def _in_memory_pair(argv, prefix):
     """synthesize_campaign with write_trace_set/write_label_set: the reference bytes."""
     seed, keys, params, model, layout = _flag_values(argv)
-    traces, labels, _ = synthesize_campaign(
+    traces, labels = synthesize_campaign(
         seed=seed, params=params, table=default_table(), model=model, layout=layout, n_keys=keys
     )
     traceio.write_trace_set(traces, prefix + ".trc")
@@ -207,7 +207,7 @@ class TestFailureLeavesNothing:
         assert _listing(tmp_path) == []
 
     def test_label_count_differs_from_header(self, tmp_path):
-        _, labels, _ = synthesize_campaign(
+        _, labels = synthesize_campaign(
             1, SamplerParams(logn=2), default_table(), LeakModel(), n_keys=1
         )
         with pytest.raises(DimensionError):

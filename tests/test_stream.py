@@ -5,12 +5,13 @@ label file with `traceio.open_label_set`, and `recover.recover_key`
 reads both block by block, so neither the sample matrix, the labels nor
 the per-site margins are held whole. These tests compare it with
 `recover_key` on the fully read files, check the readers' blocks, the
-exact streamed sum behind `mean_abs_margin_*`, the rejection of bad
-payloads, and that memory does not grow with the payload.
+rejection of bad inputs before a block is read and of bad payloads,
+and that memory does not grow with the payload.
 """
 
 import contextlib
 import io
+import re
 import struct
 import tracemalloc
 
@@ -20,14 +21,13 @@ import pytest
 from cdtleak import leakage, recover, traceio
 from cdtleak.cli import main
 from cdtleak.errors import (
-    DomainError,
     LayoutMismatch,
     LengthMismatch,
     MissingTemplate,
     NonFiniteSample,
     TraceFormatError,
 )
-from cdtleak.recover import _SUM_LEAF, _PairwiseSum, recover_key
+from cdtleak.recover import recover_key
 from cdtleak.template import load_template
 
 LOW_NOISE = "2.284"
@@ -82,46 +82,6 @@ def _campaign(root, name, simulate, profile):
     assert _quiet("simulate", *simulate, "--out", camp)[0] == 0
     assert _quiet("profile", *profile, "--out", tpl)[0] == 0
     return camp, tpl
-
-
-class TestPairwiseSum:
-    LENGTHS = [0, 1, 7, 8, 9, 127, 128, 129, _SUM_LEAF - 1, _SUM_LEAF, _SUM_LEAF + 1, 1_064_960]
-
-    @staticmethod
-    def _fed(values, block):
-        acc = _PairwiseSum(values.size)
-        for lo in range(0, values.size, block):
-            acc.add(values[lo : lo + block])
-        return acc.total()
-
-    @pytest.mark.parametrize("block", [1, 7, 52, 53_248])
-    def test_equals_add_reduce(self, block):
-        rng = np.random.default_rng(block)
-        lengths = self.LENGTHS + [int(n) for n in rng.integers(130, 3 * _SUM_LEAF, 4)]
-        lengths.append(int(rng.integers(3 * _SUM_LEAF, 40 * _SUM_LEAF)))
-        for n in lengths:
-            if n // block > 150_000:  # one add call per block: keep the run short
-                continue
-            values = np.abs(rng.standard_normal(n)) * 10.0 ** rng.uniform(-6, 6, n)
-            want = np.add.reduce(values)
-            got = self._fed(values, block)
-            assert got.tobytes() == want.tobytes(), (n, block)
-
-    def test_fixed_chunks_would_differ(self):
-        # The reason for the helper: per-chunk sums added in order are not
-        # numpy's result for this input.
-        values = np.abs(np.random.default_rng(5).standard_normal(1_064_960)) * 1e3
-        chunked = sum(np.add.reduce(values[lo : lo + 8192]) for lo in range(0, values.size, 8192))
-        assert chunked != np.add.reduce(values)
-        assert self._fed(values, 8192) == np.add.reduce(values)
-
-    def test_count_is_enforced(self):
-        acc = _PairwiseSum(3)
-        acc.add(np.ones(2))
-        with pytest.raises(DomainError, match="fewer than"):
-            acc.total()
-        with pytest.raises(DomainError, match="more than"):
-            acc.add(np.ones(2))
 
 
 class TestTraceReader:
@@ -255,6 +215,30 @@ class TestAttackMatchesRecoverKey:
             labels.n_records, labels.inner_count = rows, labels.inner_count + 1
             with pytest.raises(LayoutMismatch):
                 recover_key(reader, ti, ti, layout, params, labels)
+
+    def test_degenerate_template_exits_before_the_first_block(
+        self, capsys, monkeypatch, logn7, tmp_path
+    ):
+        # A subnormal variance gives a NaN overlap; the attack must refuse
+        # the templates before it classifies a single row.
+        camp, tpl = logn7
+        bad = str(tmp_path / "bad")
+        with open(tpl + ".inner.tpl", encoding="utf-8") as fh:
+            text = re.sub(r"(?m)^class0\.var\.0=.*$", "class0.var.0=5e-324", fh.read())
+        with open(bad + ".inner.tpl", "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with open(tpl + ".neg.tpl", "rb") as src, open(bad + ".neg.tpl", "wb") as dst:
+            dst.write(src.read())
+
+        def untouched(self, buf):
+            raise AssertionError("a block was read before the templates were checked")
+
+        monkeypatch.setattr(traceio._RowReader, "_fill", untouched)
+        out = str(tmp_path / "out")
+        capsys.readouterr()
+        assert main(["attack", "--in", camp, "--templates", bad, "--out", out]) == 2
+        assert "error: overlap area must lie in [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "out.report.txt").exists()
 
     def test_trace_set_that_is_not_2d(self, logn7):
         camp, tpl = logn7

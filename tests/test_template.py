@@ -8,6 +8,9 @@ Independent oracles used here:
     against frozen 100-digit references at 1e-13 relative;
   * with equal class variances the ML rule must equal a midpoint
     threshold, so a big Monte Carlo run is verified two ways at once.
+
+Classification runs through the attack's own kernel, recover's
+_column_margins and _log_likelihood, on one-row input.
 """
 
 import math
@@ -25,14 +28,15 @@ from cdtleak.errors import (
     InsufficientClassData,
     TemplateFormatError,
 )
-from cdtleak.leakage import gaussian_block
+from cdtleak.leakage import TraceLayout, gaussian_block
+from cdtleak.recover import _column_margins, _log_likelihood, _site_columns, recover_key
+from cdtleak.sampler import SamplerParams, default_table
 from cdtleak.template import (
     VAR_FLOOR,
     ClassStats,
     SuccessModel,
     Template,
     build_template,
-    classify,
     full_key_success,
     gaussian_overlap,
     load_template,
@@ -40,6 +44,7 @@ from cdtleak.template import (
     save_template,
     success_from_overlap,
 )
+from cdtleak.traceio import TraceSet
 
 
 def _two_class_template(mu0=40.0, mu1=70.0, var=16.0, poi=0):
@@ -132,31 +137,53 @@ class TestBuildTemplate:
             build_template(traces, [[0, 0], [1, 1]], pois=[0])
 
 
+def _margins(rows, template):
+    """Attack margins of each row at the template's own POIs: (rows,) float64."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    cols = _site_columns(template, [template.pois[0]], rows.shape[1])
+    return _column_margins(rows, template, cols)[:, 0]
+
+
+def _decision(trace, template):
+    """The attack's decision for one trace: all ones when the margin is positive."""
+    return int(_margins(trace, template)[0] > 0.0)
+
+
 class TestClassify:
     def test_obvious_cases(self):
         t = _two_class_template()
-        assert classify(np.array([10.0]), t)[0] == 0
-        assert classify(np.array([90.0]), t)[0] == 1
-        assert classify(np.array([54.0]), t)[0] == 0
-        assert classify(np.array([56.0]), t)[0] == 1
+        assert _decision([10.0], t) == 0
+        assert _decision([90.0], t) == 1
+        assert _decision([54.0], t) == 0
+        assert _decision([56.0], t) == 1
 
     def test_exact_tie_goes_to_class_zero(self):
         t = _two_class_template(mu0=40.0, mu1=70.0)
-        cls, (ll0, ll1) = classify(np.array([55.0]), t)
-        assert ll0 == ll1
-        assert cls == 0
+        x = np.array([55.0])
+        assert _log_likelihood(x, t.class0[0]) == _log_likelihood(x, t.class1[0])
+        assert _margins([55.0], t)[0] == 0.0
+        assert _decision([55.0], t) == 0
+        # recover_key applies the same rule: every site at the midpoint is a 0.
+        params = SamplerParams(logn=9)
+        layout = TraceLayout.for_params(params, default_table())
+        midpoint = TraceSet(np.full((2 * params.n, layout.trace_length), 55.0, np.float32))
+        report = recover_key(midpoint, t, t, layout, params)
+        assert report.inner_sites_ones == report.neg_sites_ones == 0
 
     def test_variance_scale_does_not_flip_decisions(self):
         base = _two_class_template(var=4.0)
         scaled = _two_class_template(var=400.0)
         for x in (10.0, 54.9, 55.1, 200.0, -30.0):
-            assert classify(np.array([x]), base)[0] == classify(np.array([x]), scaled)[0]
+            assert _decision([x], base) == _decision([x], scaled)
 
     def test_loglikelihood_values(self):
         t = _two_class_template(mu0=0.0, mu1=1.0, var=1.0)
-        _, (ll0, ll1) = classify(np.array([0.0]), t)
+        x = np.array([0.0])
+        ll0 = _log_likelihood(x, t.class0[0])[0]
+        ll1 = _log_likelihood(x, t.class1[0])[0]
         assert ll0 == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
         assert ll1 == pytest.approx(-0.5 * math.log(2 * math.pi) - 0.5, abs=1e-12)
+        assert _margins([0.0], t)[0] == pytest.approx(-0.5, abs=1e-12)
 
     def test_multi_poi_sums_evidence(self):
         t = Template(
@@ -165,14 +192,14 @@ class TestClassify:
             class1=(ClassStats(2.0, 1.0, 5), ClassStats(2.0, 1.0, 5)),
         )
         # One POI says class 1 weakly, the other says class 0 strongly.
-        assert classify(np.array([1.2, 9.0, 0.1]), t)[0] == 0
-
-    def test_error_paths(self):
-        t = _two_class_template(poi=5)
-        with pytest.raises(DomainError):
-            classify(np.zeros(3), t)
-        with pytest.raises(DomainError):
-            classify(np.zeros((2, 8)), t)
+        trace = [1.2, 9.0, 0.1]
+        assert _decision(trace, t) == 0
+        per_poi = [
+            (_log_likelihood(x, s1) - _log_likelihood(x, s0))[0]
+            for x, s0, s1 in zip((np.array([trace[p]]) for p in t.pois), t.class0, t.class1)
+        ]
+        assert per_poi[0] > 0.0 > per_poi[1]
+        assert _margins(trace, t)[0] == pytest.approx(sum(per_poi), rel=1e-15)
 
     def test_ml_rule_equals_midpoint_threshold_in_bulk(self):
         # With equal variances the likelihood decision is a midpoint
@@ -186,10 +213,9 @@ class TestClassify:
         x1 = 70.0 + sigma * gaussian_block(7002, n)
         errors = 0
         for sample, truth in ((x0, 0), (x1, 1)):
-            for value in sample:
-                cls = classify(np.array([value]), t)[0]
-                assert cls == (1 if value > 55.0 else 0)
-                errors += cls != truth
+            decisions = _margins(sample[:, None], t) > 0.0
+            assert np.array_equal(decisions, sample > 55.0)
+            errors += int((decisions != truth).sum())
         expected = 0.05 * 2 * n
         band = 3 * math.sqrt(2 * n * 0.05 * 0.95)
         assert abs(errors - expected) < band
@@ -253,7 +279,7 @@ OVERLAP_REFERENCES = [
 ]
 
 
-def _log_npdf(x, mu, var):
+def _log_density(x, mu, var):
     return -0.5 * (math.log(2.0 * math.pi * var) + (x - mu) ** 2 / var)
 
 
@@ -314,7 +340,7 @@ class TestGaussianOverlap:
                 if math.isfinite(lo) and math.isfinite(hi)
                 else (hi - 1.0 if math.isfinite(hi) else lo + 1.0)
             )
-            lower0 = _log_npdf(mid, mu0, var0) <= _log_npdf(mid, mu1, var1)
+            lower0 = _log_density(mid, mu0, var0) <= _log_density(mid, mu1, var1)
             dist = n0 if lower0 else n1
             area += dist.cdf(hi) - dist.cdf(lo) if math.isfinite(hi) else 1.0 - dist.cdf(lo)
         return area
