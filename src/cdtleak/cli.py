@@ -167,6 +167,10 @@ def _profile_campaign(args):
         fire_slot = leakage.metadata_number(md, "fire_slot")
         if not 1 <= fire_slot <= layout.inner_count:
             raise TraceFormatError(f"fire_slot {fire_slot} outside 1..{layout.inner_count}")
+        counts = (labels.outer_count, labels.inner_count)
+        if counts != (layout.outer_count, layout.inner_count):
+            raise TraceFormatError(f"labels of {counts[0]}x{counts[1]} masks for traces of "
+                                   f"{layout.outer_count}x{layout.inner_count}")
         return trace_set, labels, layout, fire_slot
     tab, params, model, layout = _setup_from(args)
     trace_set, labels = leakage.synthesize_profiling_set(
@@ -184,9 +188,10 @@ def _profile_campaign(args):
 
 def cmd_profile(args) -> int:
     trace_set, labels, layout, fire_slot = _profile_campaign(args)
+    sites = layout.site_matrix()[0]
     points = (
-        ("inner", labels.inner_bits[:, 0, fire_slot - 1], layout.inner_site_index(0, fire_slot)),
-        ("neg", labels.neg_bits[:, 0], layout.neg_site_index(0)),
+        ("inner", labels.bits[:, 0, fire_slot - 1], sites[fire_slot - 1]),
+        ("neg", labels.bits[:, 0, -1], sites[-1]),
     )
     corrs = cpa.correlation_traces(
         trace_set.samples, [64.0 * cls_bits for _, cls_bits, _ in points], args.threads

@@ -123,19 +123,15 @@ class TraceLayout:
             + self.leak_offset_neg
         )
 
-    def inner_site_matrix(self) -> np.ndarray:
-        """All inner leak indices, shape (outer_count, inner_count)."""
-        u = np.arange(self.outer_count)[:, None] * self.outer_block
-        k = np.arange(self.inner_count)[None, :] * self.samples_per_inner
-        return u + k + self.leak_offset_inner
+    def site_matrix(self) -> np.ndarray:
+        """Sample index of every mask write, (outer_count, inner_count + 1).
 
-    def neg_site_vector(self) -> np.ndarray:
-        """All sign leak indices, shape (outer_count,)."""
-        return (
-            np.arange(self.outer_count) * self.outer_block
-            + self.inner_count * self.samples_per_inner
-            + self.leak_offset_neg
-        )
+        The sites are in the order of traceio.LabelSet.bits.
+        """
+        offsets = np.arange(self.inner_count + 1) * self.samples_per_inner
+        offsets += self.leak_offset_inner
+        offsets[-1] += self.leak_offset_neg - self.leak_offset_inner
+        return np.arange(self.outer_count)[:, None] * self.outer_block + offsets
 
 
 def _box_muller(words: np.ndarray) -> np.ndarray:
@@ -245,7 +241,7 @@ def _render_blocks(parts, model: LeakModel, layout: TraceLayout, threads: int = 
     neither changes the output.
     """
     length = layout.trace_length
-    cols = np.concatenate([layout.inner_site_matrix().reshape(-1), layout.neg_site_vector()])
+    cols = layout.site_matrix().reshape(-1)
     gain = model.alpha * 64
     add_zeros = model.beta == 0.0 and math.copysign(1.0, model.beta) < 0
     width = 2 * ((length + 1) // 2)
@@ -271,9 +267,7 @@ def _render_blocks(parts, model: LeakModel, layout: TraceLayout, threads: int = 
         row = 0
         for labels, subseeds in parts:
             n = len(subseeds)
-            bits = np.concatenate(
-                [labels.inner_bits.reshape(n, -1), labels.neg_bits.reshape(n, -1)], axis=1
-            )
+            bits = labels.bits.reshape(n, -1)
             for lo in range(0, n, chunk):
                 hi = min(lo + chunk, n)
                 if out is None:
@@ -381,9 +375,8 @@ def _key_blocks(seed: int, params: SamplerParams, table: GaussCdtTable, n_keys: 
     step = max(1, _KEY_BLOCK_ROWS // per_key)
     for k in range(0, n_keys, step):
         count = min(step, n_keys - k)
-        values, inner_bits, neg_bits = sample_keys(words(root, k, count)[0], params, table)
-        subseeds = words(root, n_keys + k * per_key, count * per_key)[0]
-        yield traceio.LabelSet(values, inner_bits, neg_bits), subseeds
+        labels = traceio.LabelSet(*sample_keys(words(root, k, count)[0], params, table))
+        yield labels, words(root, n_keys + k * per_key, count * per_key)[0]
 
 
 def campaign_blocks(
@@ -514,8 +507,8 @@ def synthesize_profiling_set(
     is a multiple of 4. Remaining outer iterations run unscripted.
 
     Class labels are recoverable from the returned LabelSet: the inner
-    class of trace i is inner_bits[i, 0, fire_slot - 1], the sign class
-    is neg_bits[i, 0].
+    class of trace i is bits[i, 0, fire_slot - 1], the sign class is
+    bits[i, 0, -1].
     """
     if n_traces < 4:
         raise DomainError("n_traces must be at least 4")
@@ -523,10 +516,7 @@ def synthesize_profiling_set(
     plant_seeds = words([seed & MASK64], 0, n_traces)[0]
     stream = words(plant_seeds, 0, 2 * params.outer_count)
     _plant_first_iteration(table, fire_slot, stream)
-    values, inner_bits, neg_bits = scan_words(
-        table, stream.reshape(n_traces, params.outer_count, 2)
-    )
-    labels = traceio.LabelSet(values=values, inner_bits=inner_bits, neg_bits=neg_bits)
+    labels = traceio.LabelSet(*scan_words(table, stream.reshape(n_traces, params.outer_count, 2)))
     subseeds = words([seed & MASK64], n_traces, n_traces)[0]
     samples = np.empty((n_traces, layout.trace_length), dtype=np.float32)
     for _ in _render_blocks([(labels, subseeds)], model, layout, threads, out=samples):

@@ -24,7 +24,7 @@ from .errors import (
     ReportFormatError,
 )
 from .leakage import TraceLayout
-from .sampler import MASK32, SamplerParams
+from .sampler import MASK32, SamplerParams, fold
 from .template import (
     ClassStats,
     SuccessModel,
@@ -48,23 +48,6 @@ def apply_neg(v: int, neg_bit: bool) -> int:
     return out - (1 << 32) if out >> 31 else out
 
 
-def _site_pois(template: Template, site_index: int, trace_length: int) -> list[int]:
-    """Translate a template's POIs from its profiled site to another site.
-
-    POIs are stored as absolute indices at the profiled site; the first
-    POI is the leak sample itself (the strongest-correlation sample), so
-    re-anchoring is a constant shift.
-    """
-    anchor = template.pois[0]
-    shifted = [site_index + (p - anchor) for p in template.pois]
-    for p in shifted:
-        if not 0 <= p < trace_length:
-            raise LayoutMismatch(
-                f"translated POI {p} falls outside trace of length {trace_length}"
-            )
-    return shifted
-
-
 # Rows per block of the recovery loop: 1,024 rows of a few hundred
 # float32 samples keep a block, and its gathered float64 columns, in cache.
 _BLOCK_ROWS = 1024
@@ -81,10 +64,21 @@ def _log_likelihood(x: np.ndarray, stats: ClassStats) -> np.ndarray:
 
 
 def _site_columns(template: Template, sites, trace_length: int) -> np.ndarray:
-    """cols[i, j]: sample index of POI i at site j; POIs off the trace raise."""
-    return np.array(
-        [_site_pois(template, s, trace_length) for s in sites], dtype=np.intp
-    ).reshape(len(sites), len(template.pois)).T
+    """cols[i, j]: sample index of POI i translated to site j, (pois, sites).
+
+    POIs are stored as absolute indices at the profiled site; the first
+    POI is the leak sample itself (the strongest-correlation sample), so
+    re-anchoring is a constant shift. The first POI off the trace, in
+    (site, POI) order, raises.
+    """
+    shifts = np.asarray(template.pois, dtype=np.intp) - template.pois[0]
+    cols = shifts[:, None] + np.asarray(sites, dtype=np.intp)
+    off = cols.T[(cols.T < 0) | (cols.T >= trace_length)]
+    if off.size:
+        raise LayoutMismatch(
+            f"translated POI {off[0]} falls outside trace of length {trace_length}"
+        )
+    return cols
 
 
 def _column_margins(samples: np.ndarray, template: Template, cols: np.ndarray) -> np.ndarray:
@@ -311,8 +305,9 @@ def recover_key(
 
     outer, inner = layout.outer_count, layout.inner_count
     # Inner sites in (u, k) order, so a block's margins reshape to (rows, outer, inner).
-    inner_cols = _site_columns(template_inner, layout.inner_site_matrix().reshape(-1), n_samples)
-    neg_cols = _site_columns(template_neg, layout.neg_site_vector(), n_samples)
+    sites = layout.site_matrix()
+    inner_cols = _site_columns(template_inner, sites[:, :inner].reshape(-1), n_samples)
+    neg_cols = _site_columns(template_neg, sites[:, inner], n_samples)
     truths = itertools.repeat(None)
     if labels is not None:
         if labels.n_records != rows:
@@ -333,28 +328,23 @@ def recover_key(
         hi = lo + block.shape[0]
         inner_margins = _column_margins(block, template_inner, inner_cols)
         neg_margins = _column_margins(block, template_neg, neg_cols)
-        inner_bits = (inner_margins > 0.0).reshape(-1, outer, inner)
-        neg_bits = neg_margins > 0.0
+        # The block's sites decoded, in LabelSet.bits order.
+        bits = np.empty((hi - lo, outer, inner + 1), dtype=bool)
+        inner_bits, neg_bits = bits[:, :, :inner], bits[:, :, inner]
+        np.greater(inner_margins.reshape(-1, outer, inner), 0.0, out=inner_bits)
+        np.greater(neg_margins, 0.0, out=neg_bits)
         # |margin| in place: the bits are all the rest of the loop needs.
         abs_inner_sums.append(np.add.reduce(np.abs(inner_margins, out=inner_margins).reshape(-1)))
         abs_neg_sums.append(np.add.reduce(np.abs(neg_margins, out=neg_margins).reshape(-1)))
+        values[lo:hi] = fold(np.bitwise_or.reduce(inner_bits * slots, axis=2), neg_bits)
 
-        # Fold bits back into signed coefficients with the sampler's own
-        # wrap-around arithmetic (vectorized over rows and outer iterations).
-        v = np.bitwise_or.reduce(inner_bits * slots, axis=2)
-        neg_mask32 = np.where(neg_bits, np.uint32(MASK32), np.uint32(0))
-        signed32 = (v ^ neg_mask32) + neg_bits.astype(np.uint32)
-        totals = np.zeros(hi - lo, dtype=np.uint32)
-        for u in range(outer):
-            totals += signed32[:, u]
-        values[lo:hi] = totals.astype(np.int32)
-
-        inner_ones += int(inner_bits.sum())
-        neg_ones += int(neg_bits.sum())
-        anomalous += int((inner_bits.sum(axis=2) > 1).sum())
+        inner_ones += np.count_nonzero(inner_bits)
+        neg_ones += np.count_nonzero(neg_bits)
+        anomalous += np.count_nonzero(inner_bits.sum(axis=2) > 1)
         if truth is not None:
-            inner_errors += int((inner_bits != np.asarray(truth.inner_bits, dtype=bool)).sum())
-            neg_errors += int((neg_bits != np.asarray(truth.neg_bits, dtype=bool)).sum())
+            wrong = bits != np.asarray(truth.bits, dtype=bool)
+            inner_errors += np.count_nonzero(wrong[:, :, :inner])
+            neg_errors += np.count_nonzero(wrong[:, :, inner])
             correct[lo:hi] = values[lo:hi] == np.asarray(truth.values, dtype=np.int32)
         lo = hi
 

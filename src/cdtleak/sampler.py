@@ -309,16 +309,26 @@ def sample_coefficient(table: GaussCdtTable, params: SamplerParams, source) -> S
     return SecretCoefficient(value=value, leaks=tuple(records))
 
 
-def scan_words(
-    table: GaussCdtTable, draws: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def fold(magnitudes: np.ndarray, neg_bits: np.ndarray) -> np.ndarray:
+    """Signed coefficients (rows,) int32 from per-outer magnitudes and sign bits.
+
+    Both inputs have shape (rows, outer). Each outer iteration adds its
+    magnitude, negated where its sign bit is set; the scan accumulates in
+    32 bits, and the int64 sum wraps the same way when cast down.
+    """
+    m = np.asarray(magnitudes, dtype=np.int64)
+    return np.where(neg_bits, -m, m).sum(axis=1).astype(np.int32)
+
+
+def scan_words(table: GaussCdtTable, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batch sample_coefficient over words drawn in advance.
 
     draws has shape (rows, outer, 2): the two words each outer iteration
     of one coefficient's scan consumes, in stream order. Returns the
-    signed values (rows,) int32, inner_bits (rows, outer, inner_count),
-    true where the inner mask was all ones, and neg_bits (rows, outer),
-    the sign draws; sample_coefficient on the same words gives the same.
+    signed values (rows,) int32 and the mask bits (rows, outer,
+    inner_count + 1) in the order of traceio.LabelSet.bits, true where a
+    mask was all ones; sample_coefficient on the same words gives the
+    same.
 
     Unless the first draw takes the zero branch, the one-shot flag fires
     at the first k with r >= entries[k]. The tail is non-increasing, so
@@ -332,20 +342,18 @@ def scan_words(
     inner_count = table.inner_count
     low63 = np.uint64(MASK63)
     first, second = draws[..., 0], draws[..., 1]
-    neg_bits = (first >> np.uint64(63)).astype(bool)
+    bits = np.empty((*first.shape, inner_count + 1), dtype=bool)
+    bits[..., inner_count] = first >> np.uint64(63)
     zero = (first & low63) < entries[0]
     suffix = np.searchsorted(entries[:0:-1], second & low63, side="right")
     slot = np.where(zero | (suffix == 0), 0, inner_count + 1 - suffix)
-    inner_bits = slot[..., None] == np.arange(1, inner_count + 1)
-    # The scan accumulates in 32 bits; the int64 sum wraps the same way
-    # when cast down.
-    values = np.where(neg_bits, -slot, slot).sum(axis=1).astype(np.int32)
-    return values, inner_bits, neg_bits
+    np.equal(slot[..., None], np.arange(1, inner_count + 1), out=bits[..., :inner_count])
+    return fold(slot, bits[..., inner_count]), bits
 
 
 def sample_keys(
     seeds, params: SamplerParams, table: GaussCdtTable
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """scan_words over the 2n coefficients (f, then g) of each key seed.
 
     Every coefficient consumes exactly 2 * outer_count words, so key i is

@@ -7,8 +7,8 @@ UTF-8 key=value lines, then the sample matrix as raw float32, row major.
 Label files: magic "SSNLABEL", u32 version (1), u32 record count, u32
 outer iteration count, u32 inner iteration count, then one fixed-width
 record per trace: u32 record index, i32 signed coefficient value, and an
-LSB-first packed bitfield of outer_count * (inner_count + 1) mask bits
-(inner positions 1..inner_count, then the sign bit, per outer iteration).
+LSB-first packed bitfield of outer_count * (inner_count + 1) mask bits,
+in the order LabelSet.bits holds them.
 
 Both are written and read a block of rows at a time. Writes go through
 temp files in the target directory that are renamed into place only once
@@ -101,6 +101,10 @@ def _decode_metadata(blob: bytes) -> dict[str, str]:
         if "=" not in line:
             raise TraceFormatError(f"metadata line without '=': {line!r}")
         k, v = line.split("=", 1)
+        if not k:
+            raise TraceFormatError(f"metadata line with an empty key: {line!r}")
+        if k in out:
+            raise TraceFormatError(f"metadata key {k!r} appears more than once")
         out[k] = v
     return out
 
@@ -393,14 +397,24 @@ def read_trace_set(path) -> TraceSet:
 class LabelSet:
     """Ground truth for a trace set, one record per trace.
 
-    values[i] is the signed coefficient; inner_bits[i, u, k-1] says
-    whether inner iteration k of outer iteration u latched (mask all
-    ones); neg_bits[i, u] is the sign draw.
+    values[i] is the signed coefficient. bits[i, u] holds outer iteration
+    u's mask bits in the order of a .lbl record: bits[i, u, k-1] says
+    whether inner iteration k latched (mask all ones), for k in
+    1..inner_count, and bits[i, u, inner_count] is the sign draw.
     """
 
     values: np.ndarray
-    inner_bits: np.ndarray
-    neg_bits: np.ndarray
+    bits: np.ndarray
+
+    @property
+    def inner_bits(self) -> np.ndarray:
+        """bits of the inner iterations, (records, outer, inner_count), as a view."""
+        return self.bits[:, :, :-1]
+
+    @property
+    def neg_bits(self) -> np.ndarray:
+        """The sign draws, (records, outer), as a view."""
+        return self.bits[:, :, -1]
 
     @property
     def n_records(self) -> int:
@@ -408,15 +422,15 @@ class LabelSet:
 
     @property
     def outer_count(self) -> int:
-        return int(self.inner_bits.shape[1])
+        return int(self.bits.shape[1])
 
     @property
     def inner_count(self) -> int:
-        return int(self.inner_bits.shape[2])
+        return int(self.bits.shape[2]) - 1
 
     def rows(self, lo: int, hi: int) -> "LabelSet":
         """Records lo to hi, as views."""
-        return LabelSet(self.values[lo:hi], self.inner_bits[lo:hi], self.neg_bits[lo:hi])
+        return LabelSet(self.values[lo:hi], self.bits[lo:hi])
 
     def blocks(self, rows: int):
         """Yield the records in views of up to `rows` records, in order."""
@@ -426,24 +440,21 @@ class LabelSet:
     @classmethod
     def concatenate(cls, parts) -> "LabelSet":
         """The records of `parts`, in order, as one LabelSet."""
-        fields = zip(*((p.values, p.inner_bits, p.neg_bits) for p in parts))
-        return cls(*(np.concatenate(arrays) for arrays in fields))
+        values, bits = zip(*((p.values, p.bits) for p in parts))
+        return cls(np.concatenate(values), np.concatenate(bits))
 
 
 def _check_label_shapes(labels: LabelSet) -> tuple[int, int, int]:
     values = np.asarray(labels.values)
-    inner = np.asarray(labels.inner_bits)
-    neg = np.asarray(labels.neg_bits)
-    if values.ndim != 1 or inner.ndim != 3 or neg.ndim != 2:
+    bits = np.asarray(labels.bits)
+    if values.ndim != 1 or bits.ndim != 3:
         raise DimensionError("labels have wrong rank")
-    n = values.shape[0]
-    if inner.shape[0] != n or neg.shape[0] != n:
+    n, outer, inner = bits.shape[0], bits.shape[1], bits.shape[2] - 1
+    if values.shape[0] != n:
         raise DimensionError("label arrays disagree on record count")
-    if inner.shape[1] != neg.shape[1]:
-        raise DimensionError("label arrays disagree on outer count")
-    if inner.shape[1] < 1 or inner.shape[2] < 1:
+    if outer < 1 or inner < 1:
         raise DimensionError("outer and inner counts must be positive")
-    return n, inner.shape[1], inner.shape[2]
+    return n, outer, inner
 
 
 def _record_dtype(outer: int, inner: int) -> np.dtype:
@@ -471,13 +482,7 @@ class LabelWriter(_RowWriter):
         if (outer, inner) != self.counts:
             raise DimensionError(f"labels of {outer}x{inner} masks, header declares {self.counts}")
         start = self._take(n)
-        bits = np.concatenate(
-            [
-                np.asarray(labels.inner_bits, dtype=np.uint8),
-                np.asarray(labels.neg_bits, dtype=np.uint8).reshape(n, outer, 1),
-            ],
-            axis=2,
-        ).reshape(n, outer * (inner + 1))
+        bits = np.asarray(labels.bits, dtype=bool).reshape(n, outer * (inner + 1))
         record = np.zeros(n, dtype=_record_dtype(outer, inner))
         record["idx"] = np.arange(start, start + n, dtype="<u4")
         record["val"] = np.asarray(labels.values, dtype="<i4")
@@ -522,7 +527,7 @@ class LabelReader(_RowReader):
         bits = np.unpackbits(records["bits"], axis=1, count=outer * (inner + 1), bitorder="little")
         # Unpacked bits are 0 or 1, so they are valid bools as they are.
         bits = bits.view(bool).reshape(len(records), outer, inner + 1)
-        return LabelSet(records["val"].astype(np.int32), bits[:, :, :inner], bits[:, :, inner])
+        return LabelSet(records["val"].astype(np.int32), bits)
 
 
 def open_label_set(path) -> LabelReader:

@@ -21,7 +21,6 @@ from naive_sampler import interpret_listing, scaled_word_grid
 
 from cdtleak.cli import main
 from cdtleak.cpa import correlation_trace, find_poi, pearson
-from cdtleak.errors import DomainError
 from cdtleak.leakage import (
     LeakModel,
     TraceLayout,

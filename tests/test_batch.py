@@ -12,6 +12,7 @@ bit for bit.
 import ast
 import hashlib
 import importlib
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +66,8 @@ def _oracle_arrays(coeffs):
 
 
 def _assert_scan_matches(table, draws, coeffs):
-    values, inner, neg = scan_words(table, draws)
+    values, bits = scan_words(table, draws)
+    inner, neg = bits[..., :-1], bits[..., -1]
     want_values, want_inner, want_neg = _oracle_arrays(coeffs)
     assert values.dtype == np.int32
     assert np.array_equal(values, want_values)
@@ -142,7 +144,8 @@ class TestScanWords:
         for seed in (0x5151, 0x5152):
             source = WordSource(seed=seed)
             want += [sample_coefficient(table, params, source) for _ in range(2 * params.n)]
-        values, inner, neg = sample_keys([0x5151, 0x5152], params, table)
+        values, bits = sample_keys([0x5151, 0x5152], params, table)
+        inner, neg = bits[..., :-1], bits[..., -1]
         want_values, want_inner, want_neg = _oracle_arrays(want)
         assert values.dtype == np.int32
         assert np.array_equal(values, want_values)
@@ -188,15 +191,15 @@ class TestRender:
         source = WordSource(seed=seed)
         coeffs = [sample_coefficient(table, params, source) for _ in range(rows)]
         draws = words([seed], 0, rows * 2 * params.outer_count)
-        _, inner, neg = scan_words(table, draws.reshape(rows, params.outer_count, 2))
+        _, bits = scan_words(table, draws.reshape(rows, params.outer_count, 2))
         subseeds = words([seed], 1, rows)[0]
-        return coeffs, inner, neg, layout, subseeds
+        return coeffs, bits, layout, subseeds
 
     @staticmethod
-    def _render(inner, neg, model, layout, subseeds, threads):
+    def _render(bits, model, layout, subseeds, threads):
         """Render many rows of leak bits into one matrix, as synthesize_profiling_set does."""
         out = np.empty((len(subseeds), layout.trace_length), dtype=np.float32)
-        labels = traceio.LabelSet(np.zeros(len(subseeds), np.int32), inner, neg)
+        labels = traceio.LabelSet(np.zeros(len(subseeds), np.int32), bits)
         for _ in leakage._render_blocks([(labels, subseeds)], model, layout, threads, out=out):
             pass
         return out
@@ -207,11 +210,11 @@ class TestRender:
     )
     def test_rows_equal_synthesize_trace(self, monkeypatch, threads, layout_kw):
         # Five rows per chunk: 23 rows make four full chunks and a partial one.
-        coeffs, inner, neg, layout, subseeds = self._case(23, layout_kw)
+        coeffs, bits, layout, subseeds = self._case(23, layout_kw)
         width = 2 * ((layout.trace_length + 1) // 2)
         monkeypatch.setattr(leakage, "_CHUNK_SAMPLES", 5 * width)
         model = LeakModel(noise_sigma=2.284, beta=-3.25, alpha=0.7)
-        out = self._render(inner, neg, model, layout, subseeds, threads)
+        out = self._render(bits, model, layout, subseeds, threads)
         assert out.dtype == np.float32
         for r, coeff in enumerate(coeffs):
             want = synthesize_trace(coeff.leaks, model, layout, int(subseeds[r]))
@@ -219,10 +222,10 @@ class TestRender:
 
     def test_default_chunk_boundary(self):
         model = LeakModel()
-        coeffs, inner, neg, layout, subseeds = self._case(700, {})
+        coeffs, bits, layout, subseeds = self._case(700, {})
         chunk = leakage._CHUNK_SAMPLES // layout.trace_length
         assert chunk < 700
-        out = self._render(inner, neg, model, layout, subseeds, threads=2)
+        out = self._render(bits, model, layout, subseeds, threads=2)
         for r in (0, chunk - 1, chunk, 699):
             want = synthesize_trace(coeffs[r].leaks, model, layout, int(subseeds[r]))
             assert np.array_equal(out[r], want)
@@ -312,7 +315,8 @@ def _margin_columns(samples: np.ndarray, tpl: Template, site_index: int) -> np.n
     The reference for recover._column_margins: one column pass per POI,
     per class, summed over POIs in POI order.
     """
-    pois = recover._site_pois(tpl, site_index, samples.shape[1])
+    pois = [site_index + p - tpl.pois[0] for p in tpl.pois]
+    assert all(0 <= p < samples.shape[1] for p in pois)
     margin = np.zeros(samples.shape[0], dtype=np.float64)
     for p, s0, s1 in zip(pois, tpl.class0, tpl.class1):
         x = samples[:, p].astype(np.float64)
@@ -346,7 +350,7 @@ class TestSiteMargins:
     def test_equals_margin_columns(self, readme_templates, name):
         tpl = self._two_poi_template() if name == "two_poi" else readme_templates[name]
         layout = TraceLayout.for_params(SamplerParams(logn=9), default_table())
-        sites = np.concatenate([layout.inner_site_matrix().reshape(-1), layout.neg_site_vector()])
+        sites = layout.site_matrix().reshape(-1)
         rows = 1027  # one full block of 1,024 rows and a partial one
         assert rows % recover._BLOCK_ROWS
         rng = np.random.default_rng(0x51735)
@@ -397,3 +401,48 @@ def test_benchmark_check_names_exist():
         if not hasattr(importlib.import_module(f"cdtleak.{module}"), name)
     ]
     assert not missing
+
+
+def test_benchmark_checks_accept_outputs(tmp_path, capsys, monkeypatch):
+    """perfbench/checks.py passes a one-key simulate, a profile and an attack.
+
+    Its checks read LabelSet.inner_bits and neg_bits and compare rows
+    against the scalar sampler and render, which the name check above
+    does not run. The benchmark modules are imported, not changed.
+    """
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    for name in ("checks", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    checks = importlib.import_module("checks")
+    paths = importlib.import_module("workloads").Paths.under(str(tmp_path))
+    seed = 12
+    rc = main(["simulate", "--seed", str(seed), "--keys", "1", "--out", paths.campaign])
+    checks.check_simulate(rc, seed, paths, keys=1)
+    rc = main(["profile", "--seed", str(seed), "--traces", "2000", "--out", paths.templates])
+    checks.check_profile(rc, capsys.readouterr().out, paths)
+    argv = ["attack", "--in", paths.campaign, "--templates", paths.templates]
+    rc = main(argv + ["--out", paths.campaign])
+    checks.check_attack(rc, capsys.readouterr().out, paths)
+
+
+def test_no_unused_imports():
+    """Every name an import binds in src/cdtleak/*.py and tests/*.py is referenced.
+
+    `from __future__` imports bind no name that code refers to, so they
+    are exempt.
+    """
+    root = Path(__file__).resolve().parents[1]
+    unused = []
+    for path in sorted([*root.glob("src/cdtleak/*.py"), *root.glob("tests/*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        referenced = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in referenced:
+                        unused.append(f"{path.relative_to(root)}: {name}")
+    assert unused == []

@@ -14,7 +14,6 @@ import shutil
 import stat
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from cdtleak import leakage, traceio
@@ -278,6 +277,23 @@ class TestProfile:
         )
         assert rc == 2
         assert "not a profiling campaign" in err
+
+    def test_in_rejects_labels_of_another_layout(self, capsys, tmp_path):
+        # Labels of a two-slot table: with fire_slot 3, the third bit of an
+        # outer iteration is its sign, which must not become a class.
+        traces, labels = leakage.synthesize_profiling_set(
+            seed=43, params=SamplerParams(logn=9), table=default_table(),
+            model=leakage.LeakModel(), n_traces=40, fire_slot=3,
+        )
+        prefix = str(tmp_path / "prof")
+        traceio.write_trace_set(traces, prefix + ".trc")
+        narrow = traceio.LabelSet(labels.values, labels.bits[:, :, [0, 1, -1]])
+        traceio.write_label_set(narrow, prefix + ".lbl")
+        rc, stdout, err = _run(capsys, "profile", "--in", prefix, "--out", str(tmp_path / "t"))
+        assert rc == 2
+        assert stdout == ""
+        assert "labels of 2x2 masks for traces of 2x26" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["prof.lbl", "prof.trc"]
 
     def test_missing_label_file(self, capsys, tmp_path):
         params = SamplerParams(logn=9)
@@ -746,6 +762,36 @@ class TestThreadsAndMetadataErrors:
         assert rc == 2
         assert "not a key-generation campaign" in err
         assert not (tmp_path / "prof.report.txt").exists()
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [(b"logn=3\n", "metadata key 'logn' appears more than once"),
+         (b"=oops\n", "metadata line with an empty key")],
+        ids=["repeated", "empty"],
+    )
+    def test_attack_on_repeated_or_empty_metadata_key(
+        self, capsys, pipeline, tmp_path, extra, message
+    ):
+        camp = tmp_path / "camp"
+        argv = ["--seed", "5", "--logn", "3", "--noise-sigma", LOW_NOISE, "--out", str(camp)]
+        assert _quiet("simulate", *argv)[0] == 0
+        # The campaign attacks as written; the same file with one more
+        # metadata line does not.
+        rc, out, _ = _run(capsys, "attack", "--in", str(camp), "--templates", pipeline["tpl"])
+        assert rc == 0 and "keys recovered: 1/1" in out
+        (tmp_path / "camp.report.txt").unlink()
+        trc = camp.with_suffix(".trc")
+        blob = trc.read_bytes()
+        start = len(traceio.TRACE_MAGIC)
+        version, traces, samples, meta_len = traceio._HEADER.unpack_from(blob, start)
+        meta_end = start + traceio._HEADER.size + meta_len
+        header = traceio._HEADER.pack(version, traces, samples, meta_len + len(extra))
+        trc.write_bytes(blob[:start] + header + blob[start + traceio._HEADER.size : meta_end]
+                        + extra + blob[meta_end:])
+        rc, _, err = _run(capsys, "attack", "--in", str(camp), "--templates", pipeline["tpl"])
+        assert rc == 2
+        assert message in err
+        assert not (tmp_path / "camp.report.txt").exists()
 
     def test_attack_with_oversized_label_header(self, capsys, pipeline, tmp_path):
         prefix = str(tmp_path / "camp")

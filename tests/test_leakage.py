@@ -28,7 +28,6 @@ from cdtleak.leakage import (
 )
 from cdtleak.leakage import _gaussian_matrix
 from cdtleak.sampler import (
-    MASK63,
     MASK64,
     GaussCdtTable,
     IterationLeakRecord,
@@ -102,12 +101,12 @@ class TestTraceLayout:
 
     def test_site_arrays_match_scalar_indices(self):
         layout = TraceLayout(outer_count=2, inner_count=26)
-        matrix = layout.inner_site_matrix()
-        assert matrix.shape == (2, 26)
+        matrix = layout.site_matrix()
+        assert matrix.shape == (2, 27)
         for u in range(2):
             for k in range(1, 27):
                 assert matrix[u, k - 1] == layout.inner_site_index(u, k)
-        vector = layout.neg_site_vector()
+        vector = matrix[:, 26]
         assert vector.shape == (2,)
         for u in range(2):
             assert vector[u] == layout.neg_site_index(u)
@@ -284,8 +283,9 @@ class TestCampaign:
             seed=99, params=params, table=table, model=model
         )
         threshold = model.beta + 32 * model.alpha
-        inner = traces.samples[:, layout.inner_site_matrix()] > threshold
-        neg = traces.samples[:, layout.neg_site_vector()] > threshold
+        bits = traces.samples[:, layout.site_matrix()] > threshold
+        assert np.array_equal(bits, labels.bits)
+        inner, neg = bits[:, :, :-1], bits[:, :, -1]
         assert np.array_equal(inner, labels.inner_bits)
         assert np.array_equal(neg, labels.neg_bits)
         # The bits encode the signed value: at most one latch per outer
@@ -480,8 +480,7 @@ class TestProfilingSet:
         corr = correlation_trace(traces.samples, hypothesis)
         assert find_poi(corr, count=1)[0] == layout.inner_site_index(0, 1)
         assert abs(corr[layout.inner_site_index(0, 1)]) >= 0.95
-        leak_sites = set(layout.inner_site_matrix().reshape(-1).tolist())
-        leak_sites |= set(layout.neg_site_vector().tolist())
+        leak_sites = set(layout.site_matrix().reshape(-1).tolist())
         quiet = np.array(
             [i for i in range(layout.trace_length) if i not in leak_sites]
         )

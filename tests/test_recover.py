@@ -29,7 +29,7 @@ from cdtleak.leakage import (
 )
 from cdtleak.recover import (
     RecoveryReport,
-    _site_pois,
+    _site_columns,
     apply_neg,
     load_report,
     recover_key,
@@ -74,22 +74,21 @@ def _fold(rows):
     not given fire nothing. Returns the report and the 1,024 values.
     """
     per_key = 2 * FOLD_PARAMS.n
-    inner = np.zeros((per_key, FOLD_LAYOUT.outer_count, FOLD_LAYOUT.inner_count), dtype=bool)
-    neg = np.zeros((per_key, FOLD_LAYOUT.outer_count), dtype=bool)
+    bits = np.zeros((per_key, FOLD_LAYOUT.outer_count, FOLD_LAYOUT.inner_count + 1), dtype=bool)
     for r, iterations in enumerate(rows):
         for u, (slots, sign) in enumerate(iterations):
-            inner[r, u, [k - 1 for k in slots]] = True
-            neg[r, u] = sign
-    return _fold_bits(inner, neg)
+            bits[r, u, [k - 1 for k in slots]] = True
+            bits[r, u, -1] = sign
+    return _fold_bits(bits)
 
 
-def _fold_bits(inner, neg):
+def _fold_bits(bits):
+    """recover_key on noiseless traces whose sites carry `bits`, in LabelSet.bits order."""
     model = LeakModel(noise_sigma=0.0)
     low, high = model.beta, model.beta + 64 * model.alpha
-    samples = np.full((len(inner), FOLD_LAYOUT.trace_length), low, dtype=np.float32)
-    rows = np.arange(len(inner))[:, None]
-    samples[rows[:, :, None], FOLD_LAYOUT.inner_site_matrix()] = np.where(inner, high, low)
-    samples[rows, FOLD_LAYOUT.neg_site_vector()] = np.where(neg, high, low)
+    samples = np.full((len(bits), FOLD_LAYOUT.trace_length), low, dtype=np.float32)
+    rows = np.arange(len(bits))[:, None, None]
+    samples[rows, FOLD_LAYOUT.site_matrix()] = np.where(bits, high, low)
     ti, tn = _exact_templates(model)
     report = recover_key(TraceSet(samples), ti, tn, FOLD_LAYOUT, FOLD_PARAMS)
     return report, report.keys_f[0] + report.keys_g[0]
@@ -176,33 +175,39 @@ class TestReconstructCoefficient:
         for coeff in coeffs:
             for rec in coeff.leaks:
                 assert apply_neg(rec.v_value, rec.neg_mask != 0) == rec.signed_v
-        inner = np.array([[[m != 0 for m in rec.inner_masks] for rec in c.leaks] for c in coeffs])
-        neg = np.array([[rec.neg_mask != 0 for rec in c.leaks] for c in coeffs])
-        report, values = _fold_bits(inner, neg)
+        bits = np.array(
+            [[[m != 0 for m in (*r.inner_masks, r.neg_mask)] for r in c.leaks] for c in coeffs]
+        )
+        report, values = _fold_bits(bits)
         assert values == [c.value for c in coeffs]
         assert report.anomalous_outer_iterations == 0
 
 
+def _plain_template(pois):
+    return Template(
+        pois=pois,
+        class0=tuple(ClassStats(0.0, 1.0, 2) for _ in pois),
+        class1=tuple(ClassStats(1.0, 1.0, 2) for _ in pois),
+    )
+
+
 class TestSitePois:
     def test_translation_is_anchor_relative(self):
-        t = Template(
-            pois=(10, 8, 13),
-            class0=tuple(ClassStats(0.0, 1.0, 2) for _ in range(3)),
-            class1=tuple(ClassStats(1.0, 1.0, 2) for _ in range(3)),
-        )
-        assert _site_pois(t, 50, 100) == [50, 48, 53]
-        assert _site_pois(t, 10, 100) == [10, 8, 13]
+        cols = _site_columns(_plain_template((10, 8, 13)), [50, 10], 100)
+        assert cols[:, 0].tolist() == [50, 48, 53]
+        assert cols[:, 1].tolist() == [10, 8, 13]
 
     def test_out_of_range(self):
-        t = Template(
-            pois=(5, 6),
-            class0=tuple(ClassStats(0.0, 1.0, 2) for _ in range(2)),
-            class1=tuple(ClassStats(1.0, 1.0, 2) for _ in range(2)),
-        )
+        t = _plain_template((5, 6))
         with pytest.raises(LayoutMismatch):
-            _site_pois(t, 99, 100)
+            _site_columns(t, [99], 100)
         with pytest.raises(LayoutMismatch):
-            _site_pois(t, -1, 100)
+            _site_columns(t, [-1], 100)
+        # Site 1 puts its third POI at -1 and site 98 its second at 100:
+        # the first off the trace in (site, POI) order is named.
+        message = r"^translated POI -1 falls outside trace of length 100$"
+        with pytest.raises(LayoutMismatch, match=message):
+            _site_columns(_plain_template((5, 7, 3)), [1, 98], 100)
 
 
 class TestNoiselessRecovery:
@@ -349,18 +354,11 @@ class TestRecoverKeyErrors:
         params, traces, labels, layout, ti, tn = self._campaign()
         import cdtleak.traceio as traceio
 
-        trimmed = traceio.LabelSet(
-            values=labels.values[:-1],
-            inner_bits=labels.inner_bits[:-1],
-            neg_bits=labels.neg_bits[:-1],
-        )
+        trimmed = traceio.LabelSet(values=labels.values[:-1], bits=labels.bits[:-1])
         with pytest.raises(LengthMismatch):
             recover_key(traces, ti, tn, layout, params, labels=trimmed)
-        narrowed = traceio.LabelSet(
-            values=labels.values,
-            inner_bits=labels.inner_bits[:, :, :-1],
-            neg_bits=labels.neg_bits,
-        )
+        # One inner slot fewer, the sign still last.
+        narrowed = traceio.LabelSet(values=labels.values, bits=labels.bits[:, :, 1:])
         with pytest.raises(LayoutMismatch):
             recover_key(traces, ti, tn, layout, params, labels=narrowed)
 

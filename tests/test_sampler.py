@@ -170,7 +170,8 @@ class TestGeneratePolynomials:
     """sample_keys: the f and g rows of one key per seed."""
 
     def test_counts_logn9(self):
-        values, inner, neg = sample_keys([7], SamplerParams(logn=9), default_table())
+        values, bits = sample_keys([7], SamplerParams(logn=9), default_table())
+        inner, neg = bits[..., :-1], bits[..., -1]
         assert values.shape == (1024,)
         assert inner.shape == (1024, 2, 26)
         assert neg.shape == (1024, 2)

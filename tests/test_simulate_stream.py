@@ -139,7 +139,7 @@ def test_render_draws_at_most_two_chunks_per_thread_ahead(threads):
     params, table = SamplerParams(logn=9), default_table()
     layout = TraceLayout.for_params(params, table)
     model = LeakModel()
-    values, inner, neg = sampler.sample_keys([7], params, table)
+    values, bits = sampler.sample_keys([7], params, table)
     subseeds = sampler.words([7], 1, 40)[0]
     drawn = []
 
@@ -147,9 +147,9 @@ def test_render_draws_at_most_two_chunks_per_thread_ahead(threads):
         for r in range(40):
             drawn.append(r)
             rows = slice(r, r + 1)
-            yield traceio.LabelSet(values[rows], inner[rows], neg[rows]), subseeds[rows]
+            yield traceio.LabelSet(values[rows], bits[rows]), subseeds[rows]
 
-    whole = traceio.LabelSet(values[:40], inner[:40], neg[:40])
+    whole = traceio.LabelSet(values[:40], bits[:40])
     want = np.concatenate(
         [samples for _, samples in leakage._render_blocks([(whole, subseeds)], model, layout)]
     )

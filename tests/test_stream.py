@@ -124,7 +124,7 @@ class TestLabelReader:
         sizes = [len(block.values) for block in blocks]
         assert sizes[:-1] == [rows] * (len(blocks) - 1) and 0 < sizes[-1] <= rows
         joined = traceio.LabelSet.concatenate(blocks)
-        for name in ("values", "inner_bits", "neg_bits"):
+        for name in ("values", "bits", "inner_bits", "neg_bits"):
             got, want = getattr(joined, name), getattr(whole, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
 

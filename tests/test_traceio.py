@@ -194,6 +194,21 @@ class TestTraceReadRejection:
         with pytest.raises(TraceFormatError):
             read_trace_set(path)
 
+    @pytest.mark.parametrize(
+        "meta, message",
+        [
+            (b"kind=a\nseed=1\nkind=b\n", "metadata key 'kind' appears more than once"),
+            (b"kind=a\n=oops\n", "metadata line with an empty key: '=oops'"),
+        ],
+        ids=["repeated", "empty"],
+    )
+    def test_metadata_key_repeated_or_empty(self, tmp_path, meta, message):
+        header = TRACE_MAGIC + struct.pack("<IIII", 1, 0, 0, len(meta))
+        path = tmp_path / "bad.trc"
+        path.write_bytes(header + meta)
+        with pytest.raises(TraceFormatError, match=f"^{message}$"):
+            read_trace_set(path)
+
     def test_metadata_invalid_utf8(self, tmp_path):
         meta = b"\xff\xfe\n"
         header = TRACE_MAGIC + struct.pack("<IIII", 1, 0, 0, len(meta))
@@ -212,11 +227,10 @@ class TestTraceReadRejection:
 
 def _label_set(n, outer, inner, seed=0):
     rng = np.random.default_rng(seed)
-    return LabelSet(
-        values=rng.integers(-30, 30, size=n).astype(np.int32),
-        inner_bits=rng.random((n, outer, inner)) < 0.1,
-        neg_bits=rng.random((n, outer)) < 0.5,
-    )
+    values = rng.integers(-30, 30, size=n).astype(np.int32)
+    inner_bits = rng.random((n, outer, inner)) < 0.1
+    neg_bits = rng.random((n, outer)) < 0.5
+    return LabelSet(values, np.concatenate([inner_bits, neg_bits[:, :, None]], axis=2))
 
 
 class TestLabelRoundTrip:
@@ -267,13 +281,7 @@ class TestLabelRoundTrip:
 class TestLabelRejection:
     def test_shape_disagreement(self, tmp_path):
         labels = _label_set(4, 2, 5)
-        labels.neg_bits = labels.neg_bits[:3]
-        with pytest.raises(DimensionError):
-            write_label_set(labels, tmp_path / "x")
-
-    def test_outer_count_disagreement(self, tmp_path):
-        labels = _label_set(4, 2, 5)
-        labels.neg_bits = labels.neg_bits[:, :1]
+        labels.values = labels.values[:3]
         with pytest.raises(DimensionError):
             write_label_set(labels, tmp_path / "x")
 
