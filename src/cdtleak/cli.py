@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import os
 import sys
 
@@ -28,17 +29,6 @@ def _read_config(path) -> dict[str, str]:
     """Config entries keyed by flag dest: dashes and underscores name the same flag."""
     text = traceio.read_text(path, CdtLeakError)
     return traceio.parse_key_values(text, CdtLeakError, key=lambda k: k.replace("-", "_"))
-
-
-def _scan_config_path(argv) -> str | None:
-    for i, arg in enumerate(argv):
-        if arg == "--config":
-            if i + 1 >= len(argv):
-                raise CdtLeakError("--config needs a path")
-            return argv[i + 1]
-        if arg.startswith("--config="):
-            return arg.split("=", 1)[1]
-    return None
 
 
 def _apply_config(subparsers, cfg: dict[str, str]) -> None:
@@ -83,17 +73,18 @@ def _add_common(sub) -> None:
     _add_config(sub)
 
 
+def _setup_fields(cls) -> list:
+    """The fields of a setup dataclass that are flags: those with a default."""
+    return [f for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING]
+
+
+_SETUP_FIELDS = _setup_fields(leakage.LeakModel) + _setup_fields(leakage.TraceLayout)
+
+
 def _add_model_flags(sub) -> None:
-    sub.add_argument("--alpha", type=float, default=leakage.DEFAULT_ALPHA,
-                     help="leak per mask bit, mV")
-    sub.add_argument("--beta", type=float, default=leakage.DEFAULT_BETA,
-                     help="baseline level, mV")
-    sub.add_argument("--noise-sigma", type=float, default=leakage.DEFAULT_NOISE_SIGMA,
-                     help="noise standard deviation, mV")
-    sub.add_argument("--samples-per-inner", type=int, default=8)
-    sub.add_argument("--samples-per-outer-tail", type=int, default=8)
-    sub.add_argument("--leak-offset-inner", type=int, default=3)
-    sub.add_argument("--leak-offset-neg", type=int, default=3)
+    for f in _SETUP_FIELDS:
+        sub.add_argument("--" + f.name.replace("_", "-"), type=traceio.CODECS[f.type][1],
+                         default=f.default, help=f.metadata.get("help"))
 
 
 def _table_from(args) -> sampler.GaussCdtTable:
@@ -111,17 +102,12 @@ def _setup_from(args):
     _check_threads(args)
     tab = _table_from(args)
     params = sampler.SamplerParams(logn=args.logn)
-    model = leakage.LeakModel(
-        alpha=args.alpha, beta=args.beta, noise_sigma=args.noise_sigma
+    model_kw, layout_kw = (
+        {f.name: getattr(args, f.name) for f in _setup_fields(cls)}
+        for cls in (leakage.LeakModel, leakage.TraceLayout)
     )
-    layout = leakage.TraceLayout.for_params(
-        params,
-        tab,
-        samples_per_inner=args.samples_per_inner,
-        samples_per_outer_tail=args.samples_per_outer_tail,
-        leak_offset_inner=args.leak_offset_inner,
-        leak_offset_neg=args.leak_offset_neg,
-    )
+    model = leakage.LeakModel(**model_kw)
+    layout = leakage.TraceLayout.for_params(params, tab, **layout_kw)
     return tab, params, model, layout
 
 
@@ -148,8 +134,7 @@ def cmd_simulate(args) -> int:
 
 # profile flags that shape the campaign it generates; --in reads one instead.
 _GENERATION_FLAGS = (
-    "seed", "logn", "table", "alpha", "beta", "noise_sigma", "samples_per_inner",
-    "samples_per_outer_tail", "leak_offset_inner", "leak_offset_neg", "traces", "fire_slot",
+    "seed", "logn", "table", *(f.name for f in _SETUP_FIELDS), "traces", "fire_slot",
 )
 
 
@@ -370,18 +355,14 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
         parser, built = _build_parser()
-        config_path = _scan_config_path(argv)
-        if config_path is not None:
-            _apply_config(built, _read_config(config_path))
         args = parser.parse_args(argv)
+        if getattr(args, "config", None) is not None:
+            _apply_config(built, _read_config(args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
-    except CdtLeakError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CdtLeakError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,7 @@ import math
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -55,9 +55,11 @@ class LeakModel:
     so a full 64-bit mask shifts the leaking sample by 64 * alpha.
     """
 
-    alpha: float = DEFAULT_ALPHA
-    beta: float = DEFAULT_BETA
-    noise_sigma: float = DEFAULT_NOISE_SIGMA
+    alpha: float = field(default=DEFAULT_ALPHA, metadata={"help": "leak per mask bit, mV"})
+    beta: float = field(default=DEFAULT_BETA, metadata={"help": "baseline level, mV"})
+    noise_sigma: float = field(
+        default=DEFAULT_NOISE_SIGMA, metadata={"help": "noise standard deviation, mV"}
+    )
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.alpha) or not np.isfinite(self.beta):
@@ -300,6 +302,8 @@ def campaign_metadata(
 
     Holds kind, seed, every field of params, layout and model by name, and extra.
     """
+    if not 0 <= seed <= MASK64:
+        raise DomainError("seed must be a 64-bit value")
     md = {"kind": kind, "seed": str(seed)}
     for setup in (params, layout, model):
         md.update(
@@ -370,7 +374,7 @@ def _campaign_layout(params: SamplerParams, table: GaussCdtTable, layout, n_keys
 
 def _key_blocks(seed: int, params: SamplerParams, table: GaussCdtTable, n_keys: int):
     """The campaign's labels and noise sub-seeds, a block of whole keys at a time."""
-    root = [seed & MASK64]
+    root = [seed]
     per_key = 2 * params.n
     step = max(1, _KEY_BLOCK_ROWS // per_key)
     for k in range(0, n_keys, step):
@@ -513,15 +517,15 @@ def synthesize_profiling_set(
     if n_traces < 4:
         raise DomainError("n_traces must be at least 4")
     layout = _checked_layout(params, table, layout)
-    plant_seeds = words([seed & MASK64], 0, n_traces)[0]
-    stream = words(plant_seeds, 0, 2 * params.outer_count)
-    _plant_first_iteration(table, fire_slot, stream)
-    labels = traceio.LabelSet(*scan_words(table, stream.reshape(n_traces, params.outer_count, 2)))
-    subseeds = words([seed & MASK64], n_traces, n_traces)[0]
-    samples = np.empty((n_traces, layout.trace_length), dtype=np.float32)
-    for _ in _render_blocks([(labels, subseeds)], model, layout, threads, out=samples):
-        pass
     md = campaign_metadata(
         seed, params, model, layout, kind="profiling", fire_slot=str(fire_slot)
     )
+    plant_seeds = words([seed], 0, n_traces)[0]
+    stream = words(plant_seeds, 0, 2 * params.outer_count)
+    _plant_first_iteration(table, fire_slot, stream)
+    labels = traceio.LabelSet(*scan_words(table, stream.reshape(n_traces, params.outer_count, 2)))
+    subseeds = words([seed], n_traces, n_traces)[0]
+    samples = np.empty((n_traces, layout.trace_length), dtype=np.float32)
+    for _ in _render_blocks([(labels, subseeds)], model, layout, threads, out=samples):
+        pass
     return traceio.TraceSet(samples=samples, metadata=md), labels

@@ -14,7 +14,7 @@ crossings, with no quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -25,14 +25,14 @@ from .errors import (
     InsufficientClassData,
     TemplateFormatError,
 )
-from .traceio import _atomic_write, parse_key_values, read_text
+from .traceio import CODECS, _atomic_write, parse_key_values, read_text
 
 VAR_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
 class ClassStats:
-    """Sample mean and unbiased variance of one class at one POI."""
+    """Sample mean and unbiased variance, at least VAR_FLOOR, of one class at one POI."""
 
     mu: float
     var: float
@@ -41,8 +41,8 @@ class ClassStats:
     def __post_init__(self) -> None:
         if not math.isfinite(self.mu):
             raise DomainError("mu must be finite")
-        if not math.isfinite(self.var) or self.var <= 0.0:
-            raise DomainError("var must be finite and positive")
+        if not math.isfinite(self.var) or self.var < VAR_FLOOR:
+            raise DomainError(f"var must be finite and at least {VAR_FLOOR}")
         if self.count < 0:
             raise DomainError("count must be non-negative")
 
@@ -116,6 +116,37 @@ class OverlapResult(NamedTuple):
     fraction_of_total: float
 
 
+def _crossing_area(d: float, var_n: float, var_w: float, log_w: float, log_n: float):
+    """Unclamped overlap of N(0, var_n) and N(d, var_w), var_n <= var_w.
+
+    log_w - log_n is log(var_w / var_n). None if an intermediate
+    overflows, or underflows to a 0 that a root divides by.
+    """
+    if var_n == var_w:
+        scale = 2.0 * math.sqrt(2.0 * var_n)
+        return math.erfc(abs(d) / scale) if math.isfinite(d) and math.isfinite(scale) else None
+    # Equal log densities at y: a*y^2 + b*y + c = 0 with a > 0 and c < 0,
+    # so there are always two crossings, one on each side of the narrow
+    # mean 0. q takes the sign of b, so neither root cancels.
+    a = (var_w - var_n) / var_w / var_n
+    b = 2.0 * d / var_w
+    c = -(d * d / var_w + log_w - log_n)
+    q = -0.5 * (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
+    scale_n, scale_w = math.sqrt(2.0 * var_n), math.sqrt(2.0 * var_w)
+    y_lo, y_hi = sorted((q / a, c / q)) if a and q else (math.nan, math.nan)
+    if not all(map(math.isfinite, (y_lo, y_hi, scale_w))):
+        return None
+    tails = math.erfc(-y_lo / scale_n) + math.erfc(y_hi / scale_n)
+    z_lo, z_hi = (y_lo - d) / scale_w, (y_hi - d) / scale_w
+    if z_lo >= 0.0:
+        between = math.erfc(z_lo) - math.erfc(z_hi)
+    elif z_hi <= 0.0:
+        between = math.erfc(-z_hi) - math.erfc(-z_lo)
+    else:
+        between = math.erf(z_hi) - math.erf(z_lo)
+    return 0.5 * (tails + between)
+
+
 def gaussian_overlap(mu0: float, var0: float, mu1: float, var1: float) -> OverlapResult:
     """Overlap area A between two Gaussian densities, in closed form.
 
@@ -127,37 +158,25 @@ def gaussian_overlap(mu0: float, var0: float, mu1: float, var1: float) -> Overla
     erfc tail away from its mean, or an erf interval across it, so no
     piece cancels. The classes are ordered by variance first, so
     swapping them gives the same bits.
+
+    A is invariant under x -> x * s. When an intermediate overflows, a
+    power of two s brings the narrow variance near 1; if the variance
+    ratio or the squared separation still overflows, A < 1e-150 is 0.0.
     """
     for name, v in (("var0", var0), ("var1", var1)):
         if not math.isfinite(v) or v <= 0.0:
             raise DomainError(f"{name} must be finite and positive")
     if not math.isfinite(mu0) or not math.isfinite(mu1):
         raise DomainError("means must be finite")
-    if var0 == var1:
-        area = math.erfc(abs(mu1 - mu0) / (2.0 * math.sqrt(2.0 * var0)))
-        return OverlapResult(area=area, fraction_of_total=0.5 * area)
-
     (mu_n, var_n), (mu_w, var_w) = sorted(((mu0, var0), (mu1, var1)), key=lambda c: c[1])
-    # Equal log densities at y = x - mu_n: a*y^2 + b*y + c = 0 with a > 0
-    # and c < 0, so there are always two crossings, one on each side of
-    # mu_n. q takes the sign of b, so neither root cancels.
-    d = mu_w - mu_n
-    a = (var_w - var_n) / var_w / var_n
-    b = 2.0 * d / var_w
-    c = -(d * d / var_w + math.log(var_w) - math.log(var_n))
-    q = -0.5 * (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
-    y_lo, y_hi = sorted((q / a, c / q))
-    scale_n = math.sqrt(2.0 * var_n)
-    scale_w = math.sqrt(2.0 * var_w)
-    tails = math.erfc(-y_lo / scale_n) + math.erfc(y_hi / scale_n)
-    z_lo, z_hi = (y_lo - d) / scale_w, (y_hi - d) / scale_w
-    if z_lo >= 0.0:
-        between = math.erfc(z_lo) - math.erfc(z_hi)
-    elif z_hi <= 0.0:
-        between = math.erfc(-z_hi) - math.erfc(-z_lo)
-    else:
-        between = math.erf(z_hi) - math.erf(z_lo)
-    area = min(max(0.5 * (tails + between), 0.0), 1.0)
+    area = _crossing_area(mu_w - mu_n, var_n, var_w, math.log(var_w), math.log(var_n))
+    if area is None:
+        s = 2.0 ** -(math.frexp(var_n)[1] // 2)
+        d = (0.5 * mu_w - 0.5 * mu_n) * (2.0 * s)
+        var_n, var_w = var_n * s * s, var_w * s * s
+        # Near 1, log1p resolves a ratio that log(var_w) - log(var_n) rounds to 0.
+        area = _crossing_area(d, var_n, var_w, math.log1p((var_w - var_n) / var_n), 0.0)
+    area = min(max(area or 0.0, 0.0), 1.0)
     return OverlapResult(area=area, fraction_of_total=0.5 * area)
 
 
@@ -208,37 +227,32 @@ def full_key_success(p_coefficient: float, n: int, poly_count: int = 2) -> float
 
 def save_template(template: Template, path) -> None:
     """Write a template as key=value text with full float precision."""
-    lines = ["version=1", "pois=" + ",".join(str(p) for p in template.pois)]
+    lines = ["version=1", "pois=" + CODECS["list[int]"][0](template.pois)]
     for cls, stats in (("class0", template.class0), ("class1", template.class1)):
         for i, s in enumerate(stats):
-            lines.append(f"{cls}.mu.{i}={s.mu!r}")
-            lines.append(f"{cls}.var.{i}={s.var!r}")
-            lines.append(f"{cls}.count.{i}={s.count}")
+            for f in fields(ClassStats):
+                lines.append(f"{cls}.{f.name}.{i}={CODECS[f.type][0](getattr(s, f.name))}")
     _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def load_template(path) -> Template:
     """Read a template file back, validating structure and invariants."""
-    fields = parse_key_values(read_text(path, TemplateFormatError), TemplateFormatError)
-    if fields.get("version") != "1":
-        raise TemplateFormatError(f"unsupported version {fields.get('version')!r}")
-    if "pois" not in fields:
+    entries = parse_key_values(read_text(path, TemplateFormatError), TemplateFormatError)
+    if entries.get("version") != "1":
+        raise TemplateFormatError(f"unsupported version {entries.get('version')!r}")
+    if "pois" not in entries:
         raise TemplateFormatError("missing pois field")
     try:
-        pois = tuple(int(p) for p in fields["pois"].split(","))
-        stats = []
-        for cls in ("class0", "class1"):
-            stats.append(
-                tuple(
-                    ClassStats(
-                        mu=float(fields[f"{cls}.mu.{i}"]),
-                        var=float(fields[f"{cls}.var.{i}"]),
-                        count=int(fields[f"{cls}.count.{i}"]),
-                    )
-                    for i in range(len(pois))
-                )
+        pois = tuple(CODECS["list[int]"][1](entries["pois"]))
+        class0, class1 = (
+            tuple(
+                ClassStats(**{f.name: CODECS[f.type][1](entries[f"{cls}.{f.name}.{i}"])
+                              for f in fields(ClassStats)})
+                for i in range(len(pois))
             )
-        return Template(pois=pois, class0=stats[0], class1=stats[1])
+            for cls in ("class0", "class1")
+        )
+        return Template(pois=pois, class0=class0, class1=class1)
     except KeyError as exc:
         raise TemplateFormatError(f"missing field {exc.args[0]!r}") from None
     except (ValueError, DomainError, EmptyPoi) as exc:

@@ -8,6 +8,7 @@ cannot survive, so the attack must report a miss via exit code 1.
 """
 
 import contextlib
+import dataclasses
 import io
 import os
 import shutil
@@ -17,12 +18,138 @@ from pathlib import Path
 import pytest
 
 from cdtleak import leakage, traceio
-from cdtleak.cli import main
+from cdtleak.cli import _build_parser, main
 from cdtleak.recover import load_report
 from cdtleak.sampler import SamplerParams, default_table
 from cdtleak.template import load_template
 
 LOW_NOISE = "2.284"
+
+# The setup fields that are flags of simulate and profile: those with a default.
+SETUP_FIELDS = [
+    f
+    for cls in (leakage.LeakModel, leakage.TraceLayout)
+    for f in dataclasses.fields(cls)
+    if f.default is not dataclasses.MISSING
+]
+
+
+# The --help text of each subcommand, at 80 columns.
+HELP = {
+    "simulate": """\
+usage: cdtleak simulate [-h] [--seed SEED] [--logn LOGN] [--table TABLE]
+                        [--threads THREADS] [--config CONFIG] [--alpha ALPHA]
+                        [--beta BETA] [--noise-sigma NOISE_SIGMA]
+                        [--samples-per-inner SAMPLES_PER_INNER]
+                        [--samples-per-outer-tail SAMPLES_PER_OUTER_TAIL]
+                        [--leak-offset-inner LEAK_OFFSET_INNER]
+                        [--leak-offset-neg LEAK_OFFSET_NEG] [--keys KEYS]
+                        --out OUT
+
+options:
+  -h, --help            show this help message and exit
+  --seed SEED           master 64-bit seed
+  --logn LOGN           ring dimension exponent
+  --table TABLE         CDT table file
+  --threads THREADS     threads that render traces and, in profile, split the
+                        CPA columns (default: usable cores); outputs do not
+                        depend on it
+  --config CONFIG       key=value defaults file
+  --alpha ALPHA         leak per mask bit, mV
+  --beta BETA           baseline level, mV
+  --noise-sigma NOISE_SIGMA
+                        noise standard deviation, mV
+  --samples-per-inner SAMPLES_PER_INNER
+  --samples-per-outer-tail SAMPLES_PER_OUTER_TAIL
+  --leak-offset-inner LEAK_OFFSET_INNER
+  --leak-offset-neg LEAK_OFFSET_NEG
+  --keys KEYS           number of keys to generate
+  --out OUT             output prefix
+""",
+    "profile": """\
+usage: cdtleak profile [-h] [--seed SEED] [--logn LOGN] [--table TABLE]
+                       [--threads THREADS] [--config CONFIG] [--alpha ALPHA]
+                       [--beta BETA] [--noise-sigma NOISE_SIGMA]
+                       [--samples-per-inner SAMPLES_PER_INNER]
+                       [--samples-per-outer-tail SAMPLES_PER_OUTER_TAIL]
+                       [--leak-offset-inner LEAK_OFFSET_INNER]
+                       [--leak-offset-neg LEAK_OFFSET_NEG] [--traces TRACES]
+                       [--fire-slot FIRE_SLOT] [--poi-count POI_COUNT]
+                       [--in INP] --out OUT
+
+options:
+  -h, --help            show this help message and exit
+  --seed SEED           master 64-bit seed
+  --logn LOGN           ring dimension exponent
+  --table TABLE         CDT table file
+  --threads THREADS     threads that render traces and, in profile, split the
+                        CPA columns (default: usable cores); outputs do not
+                        depend on it
+  --config CONFIG       key=value defaults file
+  --alpha ALPHA         leak per mask bit, mV
+  --beta BETA           baseline level, mV
+  --noise-sigma NOISE_SIGMA
+                        noise standard deviation, mV
+  --samples-per-inner SAMPLES_PER_INNER
+  --samples-per-outer-tail SAMPLES_PER_OUTER_TAIL
+  --leak-offset-inner LEAK_OFFSET_INNER
+  --leak-offset-neg LEAK_OFFSET_NEG
+  --traces TRACES       profiling traces
+  --fire-slot FIRE_SLOT
+                        inner slot the planted class-1 traces latch at
+  --poi-count POI_COUNT
+                        POIs per attack point
+  --in INP              read an existing profiling campaign (prefix)
+  --out OUT             template output prefix
+""",
+    "attack": """\
+usage: cdtleak attack [-h] [--config CONFIG] --in INP [--templates TEMPLATES]
+                      [--template-inner TEMPLATE_INNER]
+                      [--template-neg TEMPLATE_NEG] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       key=value defaults file
+  --in INP              campaign prefix (.trc plus optional .lbl)
+  --templates TEMPLATES
+                        template prefix (expects .inner.tpl and .neg.tpl)
+  --template-inner TEMPLATE_INNER
+  --template-neg TEMPLATE_NEG
+  --out OUT             report prefix
+""",
+    "analyze": """\
+usage: cdtleak analyze [-h] [--config CONFIG] [--p-inner P_INNER]
+                       [--p-neg P_NEG] [--templates TEMPLATES]
+                       [--template-inner TEMPLATE_INNER]
+                       [--template-neg TEMPLATE_NEG] [--inner INNER]
+                       [--outer OUTER] [--n N] [--poly-count POLY_COUNT]
+                       [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       key=value defaults file
+  --p-inner P_INNER     per-site success at inner mask sites
+  --p-neg P_NEG         per-site success at sign mask sites
+  --templates TEMPLATES
+                        derive per-site success from template files (prefix)
+  --template-inner TEMPLATE_INNER
+  --template-neg TEMPLATE_NEG
+  --inner INNER         inner iterations
+  --outer OUTER         outer iterations
+  --n N                 coefficients per polynomial
+  --poly-count POLY_COUNT
+  --out OUT             also write the text here
+""",
+    "report": """\
+usage: cdtleak report [-h] path
+
+positional arguments:
+  path        report file
+
+options:
+  -h, --help  show this help message and exit
+""",
+}
 
 
 def _run(capsys, *argv):
@@ -232,6 +359,17 @@ class TestProfile:
         assert stdout == ""
         assert f"{flag} cannot apply" in err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("field", SETUP_FIELDS, ids=lambda f: f.name)
+    def test_in_rejects_every_setup_field(self, capsys, tmp_path, profiling_campaign, field):
+        flag = "--" + field.name.replace("_", "-")
+        value = traceio.CODECS[field.type][0](field.default + 1)
+        rc, _, err = _run(
+            capsys, "profile", "--in", profiling_campaign, flag, value,
+            "--out", str(tmp_path / "t"),
+        )
+        assert rc == 2
+        assert f"{flag} cannot apply" in err
 
     def test_in_names_every_generation_flag(self, capsys, tmp_path, profiling_campaign):
         rc, _, err = _run(
@@ -614,11 +752,29 @@ class TestConfigFile:
         assert "invalid for seed" in err
 
     def test_config_without_path(self, capsys, tmp_path):
-        rc, _, err = _run(
-            capsys, "simulate", "--out", str(tmp_path / "a"), "--config"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--out", str(tmp_path / "a"), "--config"])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
+    def test_abbreviated_flag_applies_the_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 5\nlogn = 10\n")
+        assert _quiet("simulate", "--conf", str(cfg), "--out", str(tmp_path / "a"))[0] == 0
+        assert _quiet("simulate", "--seed", "5", "--logn", "10", "--out", str(tmp_path / "b"))[0] == 0
+        assert (tmp_path / "a.trc").read_bytes() == (tmp_path / "b.trc").read_bytes()
+
+    def test_last_config_wins(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("logn = 10\n")
+        rc, stdout, err = _run(
+            capsys, "simulate", "--config", str(cfg), "--config", str(tmp_path / "absent.cfg"),
+            "--out", str(tmp_path / "a"),
         )
         assert rc == 2
-        assert "--config needs a path" in err
+        assert stdout == ""
+        assert "absent.cfg" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
     def test_missing_config_file(self, capsys, tmp_path):
         rc, _, err = _run(
@@ -637,6 +793,51 @@ class TestConfigFile:
         )
         assert rc == 2
         assert "expected key=value" in err
+
+
+class TestSetupFlags:
+    @pytest.mark.parametrize("command", ["simulate", "profile"])
+    def test_every_setup_field_is_a_flag(self, command):
+        _, built = _build_parser()
+        (sub,) = [p for p in built if p.prog == f"cdtleak {command}"]
+        actions = {a.dest: a for a in sub._actions}
+        for f in SETUP_FIELDS:
+            action = actions[f.name]
+            assert action.option_strings == ["--" + f.name.replace("_", "-")]
+            assert action.default == f.default
+            assert action.type is traceio.CODECS[f.type][1]
+
+    @pytest.mark.parametrize("command", sorted(HELP))
+    def test_help_text(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == HELP[command]
+
+
+class TestSeedRange:
+    EXTRA = {"simulate": ["--logn", "3"], "profile": ["--traces", "8"]}
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    @pytest.mark.parametrize("command", ["simulate", "profile"])
+    def test_rejects_seed_outside_64_bits(self, capsys, tmp_path, command, seed):
+        rc, stdout, err = _run(
+            capsys, command, "--seed", str(seed), *self.EXTRA[command],
+            "--out", str(tmp_path / "a"),
+        )
+        assert rc == 2
+        assert stdout == ""
+        assert "seed must be a 64-bit value" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["simulate", "profile"])
+    def test_top_seed_runs(self, tmp_path, command):
+        rc, _ = _quiet(
+            command, "--seed", str((1 << 64) - 1), *self.EXTRA[command],
+            "--out", str(tmp_path / "a"),
+        )
+        assert rc == 0
 
 
 class TestParserBasics:

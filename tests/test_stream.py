@@ -219,8 +219,8 @@ class TestAttackMatchesRecoverKey:
     def test_degenerate_template_exits_before_the_first_block(
         self, capsys, monkeypatch, logn7, tmp_path
     ):
-        # A subnormal variance gives a NaN overlap; the attack must refuse
-        # the templates before it classifies a single row.
+        # A subnormal variance overflows the classifier's log-likelihoods;
+        # the attack must refuse the templates before it classifies a single row.
         camp, tpl = logn7
         bad = str(tmp_path / "bad")
         with open(tpl + ".inner.tpl", encoding="utf-8") as fh:
@@ -237,7 +237,7 @@ class TestAttackMatchesRecoverKey:
         out = str(tmp_path / "out")
         capsys.readouterr()
         assert main(["attack", "--in", camp, "--templates", bad, "--out", out]) == 2
-        assert "error: overlap area must lie in [0, 1]" in capsys.readouterr().err
+        assert "error: var must be finite and at least 1e-12" in capsys.readouterr().err
         assert not (tmp_path / "out.report.txt").exists()
 
     def test_trace_set_that_is_not_2d(self, logn7):

@@ -63,6 +63,9 @@ class TestClassStats:
             ClassStats(mu=0.0, var=0.0, count=1)
         with pytest.raises(DomainError):
             ClassStats(mu=0.0, var=-1.0, count=1)
+        with pytest.raises(DomainError, match="at least 1e-12"):
+            ClassStats(mu=0.0, var=VAR_FLOOR / 2.0, count=1)
+        assert ClassStats(mu=0.0, var=VAR_FLOOR, count=1).var == VAR_FLOOR
         with pytest.raises(DomainError):
             ClassStats(mu=0.0, var=1.0, count=-1)
 
@@ -370,6 +373,37 @@ class TestGaussianOverlap:
         assert tiny == pytest.approx(1.14595861963327148222475143941758693e-18, rel=1e-9, abs=0.0)
         wide = gaussian_overlap(0.0, 1e-300, 0.0, 1e300).area
         assert math.isfinite(wide) and 0.0 <= wide <= 1.0
+
+    def test_no_nan_on_extreme_grid(self):
+        means = (0.0, 1e8, -1e150, 1e300, 1.7e308)
+        variances = (5e-324, 1e-300, 1e-12, 1.0, 1e12, 1e300, 1.7e308)
+        classes = [(m, v) for m in means for v in variances]
+        for mu0, var0 in classes:
+            for mu1, var1 in classes:
+                area = gaussian_overlap(mu0, var0, mu1, var1).area
+                assert 0.0 <= area <= 1.0, (mu0, var0, mu1, var1)
+                assert gaussian_overlap(mu1, var1, mu0, var0).area == area
+
+    def test_subnormal_variances_rescale_exactly(self):
+        # x -> x * 2**537 maps variances 5e-324 and 1e-323 to 1 and 2.
+        want = gaussian_overlap(0.0, 1.0, 0.0, 2.0).area
+        assert gaussian_overlap(0.0, 5e-324, 0.0, 1e-323).area == pytest.approx(want, abs=1e-15)
+        assert gaussian_overlap(1e300, 5e-324, 1e300, 1e-323).area == pytest.approx(
+            want, abs=1e-15
+        )
+
+    def test_overflowing_intermediates(self):
+        # The separation overflows, but not in units of the common sigma.
+        assert gaussian_overlap(-1e154, 1.7e308, 1e154, 1.7e308).area == pytest.approx(
+            gaussian_overlap(-1.0, 1.7, 1.0, 1.7).area, rel=1e-12
+        )
+        assert gaussian_overlap(-1.7e308, 1.0, 1.7e308, 1.0).area == 0.0
+        # 2 * var_w overflows; the ratio of 17 does not.
+        assert gaussian_overlap(0.0, 1e307, 0.0, 1.7e308).area == pytest.approx(
+            gaussian_overlap(0.0, 1.0, 0.0, 17.0).area, rel=1e-12
+        )
+        # log(var_w) - log(var_n) rounds to 0 for adjacent variances.
+        assert gaussian_overlap(0.0, 1e-300, 0.0, math.nextafter(1e-300, 1.0)).area == 1.0
 
     def test_symmetry(self):
         assert (
