@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import cpa, leakage, recover, sampler, template, traceio
-from .errors import CdtLeakError, TraceFormatError
+from .errors import CdtLeakError
 
 _PCT = "{:.12g}%"
 
@@ -36,7 +36,8 @@ def _apply_config(subparsers, cfg: dict[str, str]) -> None:
     matched = set()
     for sub in subparsers:
         for action in sub._actions:
-            if action.dest in cfg:
+            # --help and --config name no default a file could set.
+            if action.dest in cfg and action.dest not in ("help", "config"):
                 raw = cfg[action.dest]
                 try:
                     value = action.type(raw) if action.type else raw
@@ -93,13 +94,9 @@ def _table_from(args) -> sampler.GaussCdtTable:
     return sampler.load_cdt_table(args.table)
 
 
-def _check_threads(args) -> None:
+def _setup_from(args):
     if args.threads < 1:
         raise CdtLeakError(f"--threads must be at least 1, got {args.threads}")
-
-
-def _setup_from(args):
-    _check_threads(args)
     tab = _table_from(args)
     params = sampler.SamplerParams(logn=args.logn)
     model_kw, layout_kw = (
@@ -132,31 +129,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-# profile flags that shape the campaign it generates; --in reads one instead.
-_GENERATION_FLAGS = (
-    "seed", "logn", "table", *(f.name for f in _SETUP_FIELDS), "traces", "fire_slot",
-)
-
-
-def _profile_campaign(args):
-    if args.inp:
-        _check_threads(args)
-        unused = [d for d in _GENERATION_FLAGS if getattr(args, d) != args.flag_default(d)]
-        if unused:
-            flags = ", ".join("--" + d.replace("_", "-") for d in unused)
-            raise CdtLeakError(f"--in takes the campaign from its files; {flags} cannot apply")
-        trace_set = traceio.read_trace_set(args.inp + ".trc")
-        labels = traceio.read_label_set(args.inp + ".lbl")
-        md = trace_set.metadata
-        _, layout, _ = leakage.campaign_from_metadata(md, "profiling")
-        fire_slot = leakage.metadata_number(md, "fire_slot")
-        if not 1 <= fire_slot <= layout.inner_count:
-            raise TraceFormatError(f"fire_slot {fire_slot} outside 1..{layout.inner_count}")
-        counts = (labels.outer_count, labels.inner_count)
-        if counts != (layout.outer_count, layout.inner_count):
-            raise TraceFormatError(f"labels of {counts[0]}x{counts[1]} masks for traces of "
-                                   f"{layout.outer_count}x{layout.inner_count}")
-        return trace_set, labels, layout, fire_slot
+def cmd_profile(args) -> int:
     tab, params, model, layout = _setup_from(args)
     trace_set, labels = leakage.synthesize_profiling_set(
         seed=args.seed,
@@ -168,14 +141,9 @@ def _profile_campaign(args):
         fire_slot=args.fire_slot,
         threads=args.threads,
     )
-    return trace_set, labels, layout, args.fire_slot
-
-
-def cmd_profile(args) -> int:
-    trace_set, labels, layout, fire_slot = _profile_campaign(args)
     sites = layout.site_matrix()[0]
     points = (
-        ("inner", labels.bits[:, 0, fire_slot - 1], sites[fire_slot - 1]),
+        ("inner", labels.bits[:, 0, args.fire_slot - 1], sites[args.fire_slot - 1]),
         ("neg", labels.bits[:, 0, -1], sites[-1]),
     )
     corrs = cpa.correlation_traces(
@@ -193,25 +161,17 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _template_path(args, point: str) -> str | None:
-    """The template file of one attack point: --templates PREFIX or --template-POINT."""
-    own = getattr(args, f"template_{point}")
-    if args.templates and own:
-        raise CdtLeakError(f"--templates and --template-{point} both name the {point} template")
-    return f"{args.templates}.{point}.tpl" if args.templates else own
-
-
 def cmd_attack(args) -> int:
     with contextlib.ExitStack() as stack:
         reader = stack.enter_context(traceio.open_trace_set(args.inp + ".trc"))
-        params, layout, _ = leakage.campaign_from_metadata(reader.metadata, "campaign")
+        params, layout, _ = leakage.campaign_from_metadata(reader.metadata)
         labels = None
         if os.path.exists(args.inp + ".lbl"):
             labels = stack.enter_context(traceio.open_label_set(args.inp + ".lbl"))
-        paths = [_template_path(args, point) for point in ("inner", "neg")]
-        if not all(paths):
-            raise CdtLeakError("need --templates or both --template-inner and --template-neg")
-        templates = [template.load_template(path) for path in paths]
+        if not args.templates:
+            raise CdtLeakError("need --templates")
+        templates = [template.load_template(f"{args.templates}.{point}.tpl")
+                     for point in ("inner", "neg")]
         report = recover.recover_key(reader, *templates, layout, params, labels)
     out = args.out if args.out else args.inp
     recover.save_report(report, out + ".report.txt")
@@ -227,9 +187,7 @@ def cmd_attack(args) -> int:
     else:
         print("no ground truth labels; empirical accuracy unavailable")
     print(f"wrote {out}.report.txt")
-    if report.has_labels and report.keys_recovered < report.n_keys:
-        return 1
-    return 0
+    return 1 if report.has_labels and not report.fully_recovered() else 0
 
 
 def cmd_analyze(args) -> int:
@@ -239,7 +197,8 @@ def cmd_analyze(args) -> int:
         p = getattr(args, f"p_{point}")
         if p is not None:
             sites[point] = (p, 2.0 * (1.0 - p))
-        elif path := _template_path(args, point):
+        elif args.templates:
+            path = f"{args.templates}.{point}.tpl"
             sites[point] = recover.site_success(template.load_template(path))
         else:
             raise CdtLeakError(f"need --p-{point} or a template for the {role} attack point")
@@ -309,11 +268,8 @@ def _build_parser():
     prof.add_argument("--fire-slot", type=int, default=1,
                       help="inner slot the planted class-1 traces latch at")
     prof.add_argument("--poi-count", type=int, default=1, help="POIs per attack point")
-    prof.add_argument("--in", dest="inp", type=str, default=None,
-                      help="read an existing profiling campaign (prefix)")
     prof.add_argument("--out", type=str, required=True, help="template output prefix")
-    # get_default also returns the defaults that --config sets.
-    prof.set_defaults(func=cmd_profile, flag_default=prof.get_default)
+    prof.set_defaults(func=cmd_profile)
     built.append(prof)
 
     atk = subs.add_parser("attack", help="recover keys from campaign traces")
@@ -322,8 +278,6 @@ def _build_parser():
                      help="campaign prefix (.trc plus optional .lbl)")
     atk.add_argument("--templates", type=str, default=None,
                      help="template prefix (expects .inner.tpl and .neg.tpl)")
-    atk.add_argument("--template-inner", type=str, default=None)
-    atk.add_argument("--template-neg", type=str, default=None)
     atk.add_argument("--out", type=str, default=None, help="report prefix")
     atk.set_defaults(func=cmd_attack)
     built.append(atk)
@@ -336,8 +290,6 @@ def _build_parser():
                      help="per-site success at sign mask sites")
     ana.add_argument("--templates", type=str, default=None,
                      help="derive per-site success from template files (prefix)")
-    ana.add_argument("--template-inner", type=str, default=None)
-    ana.add_argument("--template-neg", type=str, default=None)
     ana.add_argument("--inner", type=int, default=26, help="inner iterations")
     ana.add_argument("--outer", type=int, default=2, help="outer iterations")
     ana.add_argument("--n", type=int, default=None, help="coefficients per polynomial")

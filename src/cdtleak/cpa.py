@@ -15,10 +15,6 @@ import numpy as np
 
 from .errors import DegenerateInput, DomainError, LengthMismatch
 
-# One value per trace: the predicted leak (e.g. Hamming weight) under the
-# label hypothesis being tested. Any 1-D float-convertible sequence works.
-HypothesisVector = np.ndarray
-
 # Columns per float64 block: at 10,000 traces a block is 2.5 MB.
 _COLUMN_BLOCK = 32
 # Columns of the whole-chunk computation whose values the blocks keep.

@@ -29,6 +29,7 @@ from .sampler import (
     MASK64,
     GaussCdtTable,
     SamplerParams,
+    checked_seed,
     sample_keys,
     scan_words,
     word_block,
@@ -302,9 +303,7 @@ def campaign_metadata(
 
     Holds kind, seed, every field of params, layout and model by name, and extra.
     """
-    if not 0 <= seed <= MASK64:
-        raise DomainError("seed must be a 64-bit value")
-    md = {"kind": kind, "seed": str(seed)}
+    md = {"kind": kind, "seed": str(checked_seed(seed))}
     for setup in (params, layout, model):
         md.update(
             (f.name, traceio.CODECS[f.type][0](getattr(setup, f.name))) for f in fields(setup)
@@ -325,20 +324,15 @@ def metadata_number(md: dict[str, str], key: str, decode=int):
         raise TraceFormatError(f"metadata field {key!r} has bad value {raw!r}") from None
 
 
-_KIND_NAMES = {"campaign": "key-generation campaign", "profiling": "profiling campaign"}
-
-
-def campaign_from_metadata(
-    md: dict[str, str], kind: str
-) -> tuple[SamplerParams, TraceLayout, LeakModel]:
-    """The setup campaign_metadata wrote, from a trace file of the given kind.
+def campaign_from_metadata(md: dict[str, str]) -> tuple[SamplerParams, TraceLayout, LeakModel]:
+    """The setup campaign_metadata wrote, from a key-generation campaign's trace file.
 
     Another kind, a missing or malformed field, a value its dataclass
     rejects, or an outer_count that logn does not give raises TraceFormatError.
     """
-    if md.get("kind") != kind:
+    if md.get("kind") != "campaign":
         raise TraceFormatError(
-            f"input traces are not a {_KIND_NAMES[kind]} (metadata kind {md.get('kind')!r})"
+            f"input traces are not a key-generation campaign (metadata kind {md.get('kind')!r})"
         )
     setup = []
     for cls in (SamplerParams, TraceLayout, LeakModel):

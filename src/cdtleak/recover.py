@@ -277,7 +277,8 @@ def recover_key(
     the first block is read. Rows and labels are taken _BLOCK_ROWS at a
     time, and a block's margins and bits are dropped once its counts are
     added, so only the recovered value and, with labels, whether it is
-    correct are held per row.
+    correct are held per row. A template whose margins on a block are
+    not finite, say for means far outside the samples, raises DomainError.
     """
     if isinstance(traces, TraceSet) and np.ndim(traces.samples) != 2:
         raise LayoutMismatch("trace set does not match layout length")
@@ -326,16 +327,22 @@ def recover_key(
     lo = 0
     for block, truth in zip(traces.blocks(_BLOCK_ROWS), truths):
         hi = lo + block.shape[0]
-        inner_margins = _column_margins(block, template_inner, inner_cols)
-        neg_margins = _column_margins(block, template_neg, neg_cols)
-        # The block's sites decoded, in LabelSet.bits order.
-        bits = np.empty((hi - lo, outer, inner + 1), dtype=bool)
-        inner_bits, neg_bits = bits[:, :, :inner], bits[:, :, inner]
-        np.greater(inner_margins.reshape(-1, outer, inner), 0.0, out=inner_bits)
-        np.greater(neg_margins, 0.0, out=neg_bits)
-        # |margin| in place: the bits are all the rest of the loop needs.
-        abs_inner_sums.append(np.add.reduce(np.abs(inner_margins, out=inner_margins).reshape(-1)))
-        abs_neg_sums.append(np.add.reduce(np.abs(neg_margins, out=neg_margins).reshape(-1)))
+        # A template far from the samples overflows its margins; the
+        # |margin| sums, checked below, catch that without warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            inner_margins = _column_margins(block, template_inner, inner_cols)
+            neg_margins = _column_margins(block, template_neg, neg_cols)
+            # The block's sites decoded, in LabelSet.bits order.
+            bits = np.empty((hi - lo, outer, inner + 1), dtype=bool)
+            inner_bits, neg_bits = bits[:, :, :inner], bits[:, :, inner]
+            np.greater(inner_margins.reshape(-1, outer, inner), 0.0, out=inner_bits)
+            np.greater(neg_margins, 0.0, out=neg_bits)
+            # |margin| in place: the bits are all the rest of the loop needs.
+            for sums, margins in ((abs_inner_sums, inner_margins), (abs_neg_sums, neg_margins)):
+                sums.append(np.add.reduce(np.abs(margins, out=margins).reshape(-1)))
+        for name, sums in (("inner", abs_inner_sums), ("sign", abs_neg_sums)):
+            if not math.isfinite(sums[-1]):
+                raise DomainError(f"{name} template gives non-finite site margins")
         values[lo:hi] = fold(np.bitwise_or.reduce(inner_bits * slots, axis=2), neg_bits)
 
         inner_ones += np.count_nonzero(inner_bits)

@@ -46,6 +46,13 @@ def splitmix64(x: int) -> int:
     return x
 
 
+def checked_seed(seed: int) -> int:
+    """seed, if it is a 64-bit value; DomainError otherwise, never a wrap mod 2**64."""
+    if not 0 <= seed <= MASK64:
+        raise DomainError("seed must be a 64-bit value")
+    return seed
+
+
 @dataclass
 class WordSource:
     """Deterministic counter-mode 64-bit word generator.
@@ -60,8 +67,7 @@ class WordSource:
     counter: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.seed <= MASK64:
-            raise DomainError("seed must be a 64-bit value")
+        checked_seed(self.seed)
         if not 0 <= self.counter <= MASK64:
             raise DomainError("counter must be a 64-bit value")
 
@@ -123,7 +129,7 @@ def words(seeds, start: int, count: int) -> np.ndarray:
 
 def word_block(seed: int, counter: int, count: int) -> np.ndarray:
     """The `count` words WordSource(seed, counter) returns next, as uint64."""
-    return words([seed & MASK64], counter, count)[0]
+    return words([checked_seed(seed)], counter, count)[0]
 
 
 def derive_subseed(seed: int, index: int) -> int:
@@ -134,7 +140,7 @@ def derive_subseed(seed: int, index: int) -> int:
     """
     if index < 0:
         raise DomainError("index must be non-negative")
-    return int(words([seed & MASK64], index, 1)[0, 0])
+    return int(words([checked_seed(seed)], index, 1)[0, 0])
 
 
 @dataclass(frozen=True)

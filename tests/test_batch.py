@@ -90,11 +90,13 @@ class TestWords:
             source = WordSource(seed=seed, counter=start)
             assert [int(w) for w in row] == [source.next_u64() for _ in range(count)]
 
-    def test_subseed_of_any_python_int(self):
-        # Seeds outside 64 bits wrap, as the scalar arithmetic does.
+    def test_subseed_of_a_64_bit_seed_only(self):
+        # Seeds outside 64 bits are refused, as WordSource refuses them.
+        for seed in (0, MASK64):
+            assert derive_subseed(seed, 6) == WordSource(seed=seed, counter=6).next_u64()
         for seed in (-1, -5, MASK64 + 3):
-            source = WordSource(seed=seed & MASK64, counter=6)
-            assert derive_subseed(seed, 6) == source.next_u64()
+            with pytest.raises(DomainError, match="seed must be a 64-bit value"):
+                derive_subseed(seed, 6)
 
 
 class TestScanWords:

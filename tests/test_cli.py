@@ -74,8 +74,8 @@ usage: cdtleak profile [-h] [--seed SEED] [--logn LOGN] [--table TABLE]
                        [--samples-per-outer-tail SAMPLES_PER_OUTER_TAIL]
                        [--leak-offset-inner LEAK_OFFSET_INNER]
                        [--leak-offset-neg LEAK_OFFSET_NEG] [--traces TRACES]
-                       [--fire-slot FIRE_SLOT] [--poi-count POI_COUNT]
-                       [--in INP] --out OUT
+                       [--fire-slot FIRE_SLOT] [--poi-count POI_COUNT] --out
+                       OUT
 
 options:
   -h, --help            show this help message and exit
@@ -99,13 +99,11 @@ options:
                         inner slot the planted class-1 traces latch at
   --poi-count POI_COUNT
                         POIs per attack point
-  --in INP              read an existing profiling campaign (prefix)
   --out OUT             template output prefix
 """,
     "attack": """\
 usage: cdtleak attack [-h] [--config CONFIG] --in INP [--templates TEMPLATES]
-                      [--template-inner TEMPLATE_INNER]
-                      [--template-neg TEMPLATE_NEG] [--out OUT]
+                      [--out OUT]
 
 options:
   -h, --help            show this help message and exit
@@ -113,15 +111,11 @@ options:
   --in INP              campaign prefix (.trc plus optional .lbl)
   --templates TEMPLATES
                         template prefix (expects .inner.tpl and .neg.tpl)
-  --template-inner TEMPLATE_INNER
-  --template-neg TEMPLATE_NEG
   --out OUT             report prefix
 """,
     "analyze": """\
 usage: cdtleak analyze [-h] [--config CONFIG] [--p-inner P_INNER]
-                       [--p-neg P_NEG] [--templates TEMPLATES]
-                       [--template-inner TEMPLATE_INNER]
-                       [--template-neg TEMPLATE_NEG] [--inner INNER]
+                       [--p-neg P_NEG] [--templates TEMPLATES] [--inner INNER]
                        [--outer OUTER] [--n N] [--poly-count POLY_COUNT]
                        [--out OUT]
 
@@ -132,8 +126,6 @@ options:
   --p-neg P_NEG         per-site success at sign mask sites
   --templates TEMPLATES
                         derive per-site success from template files (prefix)
-  --template-inner TEMPLATE_INNER
-  --template-neg TEMPLATE_NEG
   --inner INNER         inner iterations
   --outer OUTER         outer iterations
   --n N                 coefficients per polynomial
@@ -308,145 +300,12 @@ class TestProfile:
         assert len(_line(stdout, "inner poi:").split(":")[1].split()) == 3
         assert len(load_template(out + ".inner.tpl").pois) == 3
 
-    def test_reads_existing_profiling_campaign(self, capsys, tmp_path):
-        params = SamplerParams(logn=9)
-        table = default_table()
-        traces, labels = leakage.synthesize_profiling_set(
-            seed=40, params=params, table=table, model=leakage.LeakModel(),
-            n_traces=600,
-        )
-        prefix = str(tmp_path / "prof")
-        traceio.write_trace_set(traces, prefix + ".trc")
-        traceio.write_label_set(labels, prefix + ".lbl")
-        out = str(tmp_path / "t")
-        rc, stdout, _ = _run(capsys, "profile", "--in", prefix, "--out", out)
-        assert rc == 0
-        layout = leakage.TraceLayout.for_params(params, table)
-        assert _line(stdout, "inner poi:") == f"inner poi: {layout.inner_site_index(0, 1)}"
-        assert load_template(out + ".inner.tpl").pois
-
-    @pytest.fixture(scope="class")
-    def profiling_campaign(self, tmp_path_factory):
-        traces, labels = leakage.synthesize_profiling_set(
-            seed=43, params=SamplerParams(logn=9), table=default_table(),
-            model=leakage.LeakModel(), n_traces=600,
-        )
-        prefix = str(tmp_path_factory.mktemp("prof") / "prof")
-        traceio.write_trace_set(traces, prefix + ".trc")
-        traceio.write_label_set(labels, prefix + ".lbl")
-        return prefix
-
-    @staticmethod
-    def _templates(prefix):
-        return [Path(f"{prefix}.{name}.tpl").read_bytes() for name in ("inner", "neg")]
-
-    @pytest.mark.parametrize(
-        "flag, value",
-        [
-            ("--seed", "2"), ("--logn", "3"), ("--table", "no-such-table.txt"),
-            ("--alpha", "9"), ("--beta", "1"), ("--noise-sigma", "100"),
-            ("--samples-per-inner", "9"), ("--samples-per-outer-tail", "7"),
-            ("--leak-offset-inner", "2"), ("--leak-offset-neg", "2"),
-            ("--traces", "7"), ("--fire-slot", "5"),
-        ],
-    )
-    def test_in_rejects_generation_flags(self, capsys, tmp_path, profiling_campaign, flag, value):
-        rc, stdout, err = _run(
-            capsys, "profile", "--in", profiling_campaign, flag, value,
-            "--out", str(tmp_path / "t"),
-        )
-        assert rc == 2
-        assert stdout == ""
-        assert f"{flag} cannot apply" in err
+    def test_in_is_not_a_flag(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--in", str(tmp_path / "prof"), "--out", str(tmp_path / "t")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --in" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
-
-    @pytest.mark.parametrize("field", SETUP_FIELDS, ids=lambda f: f.name)
-    def test_in_rejects_every_setup_field(self, capsys, tmp_path, profiling_campaign, field):
-        flag = "--" + field.name.replace("_", "-")
-        value = traceio.CODECS[field.type][0](field.default + 1)
-        rc, _, err = _run(
-            capsys, "profile", "--in", profiling_campaign, flag, value,
-            "--out", str(tmp_path / "t"),
-        )
-        assert rc == 2
-        assert f"{flag} cannot apply" in err
-
-    def test_in_names_every_generation_flag(self, capsys, tmp_path, profiling_campaign):
-        rc, _, err = _run(
-            capsys, "profile", "--in", profiling_campaign, "--logn", "3", "--alpha", "9",
-            "--noise-sigma", "100", "--fire-slot", "5", "--traces", "7",
-            "--out", str(tmp_path / "t"),
-        )
-        assert rc == 2
-        assert "--logn, --alpha, --noise-sigma, --traces, --fire-slot cannot apply" in err
-
-    def test_in_takes_config_defaults_and_its_own_flags(self, capsys, tmp_path, profiling_campaign):
-        plain = str(tmp_path / "plain")
-        assert _quiet("profile", "--in", profiling_campaign, "--out", plain)[0] == 0
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed = 5\nnoise-sigma = 100\ntraces = 7\ntable = no-such-table.txt\n")
-        configured = str(tmp_path / "configured")
-        rc, _, _ = _run(
-            capsys, "profile", "--config", str(cfg), "--in", profiling_campaign,
-            "--threads", "3", "--seed", "5", "--out", configured,
-        )
-        assert rc == 0
-        assert self._templates(configured) == self._templates(plain)
-        rc, stdout, _ = _run(
-            capsys, "profile", "--in", profiling_campaign, "--poi-count", "2",
-            "--threads", "1", "--out", str(tmp_path / "two"),
-        )
-        assert rc == 0
-        assert len(_line(stdout, "inner poi:").split(":")[1].split()) == 2
-
-    def test_in_rejects_threads_below_one(self, capsys, tmp_path, profiling_campaign):
-        rc, _, err = _run(
-            capsys, "profile", "--in", profiling_campaign, "--threads", "0",
-            "--out", str(tmp_path / "t"),
-        )
-        assert rc == 2
-        assert "--threads must be at least 1" in err
-
-    def test_rejects_campaign_as_profiling_input(self, capsys, tmp_path):
-        camp = str(tmp_path / "camp")
-        _quiet("simulate", "--seed", "5", "--logn", "10", "--out", camp)
-        rc, _, err = _run(
-            capsys, "profile", "--in", camp, "--out", str(tmp_path / "t")
-        )
-        assert rc == 2
-        assert "not a profiling campaign" in err
-
-    def test_in_rejects_labels_of_another_layout(self, capsys, tmp_path):
-        # Labels of a two-slot table: with fire_slot 3, the third bit of an
-        # outer iteration is its sign, which must not become a class.
-        traces, labels = leakage.synthesize_profiling_set(
-            seed=43, params=SamplerParams(logn=9), table=default_table(),
-            model=leakage.LeakModel(), n_traces=40, fire_slot=3,
-        )
-        prefix = str(tmp_path / "prof")
-        traceio.write_trace_set(traces, prefix + ".trc")
-        narrow = traceio.LabelSet(labels.values, labels.bits[:, :, [0, 1, -1]])
-        traceio.write_label_set(narrow, prefix + ".lbl")
-        rc, stdout, err = _run(capsys, "profile", "--in", prefix, "--out", str(tmp_path / "t"))
-        assert rc == 2
-        assert stdout == ""
-        assert "labels of 2x2 masks for traces of 2x26" in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["prof.lbl", "prof.trc"]
-
-    def test_missing_label_file(self, capsys, tmp_path):
-        params = SamplerParams(logn=9)
-        table = default_table()
-        traces, _ = leakage.synthesize_profiling_set(
-            seed=41, params=params, table=table, model=leakage.LeakModel(),
-            n_traces=40,
-        )
-        prefix = str(tmp_path / "prof")
-        traceio.write_trace_set(traces, prefix + ".trc")
-        rc, _, err = _run(
-            capsys, "profile", "--in", prefix, "--out", str(tmp_path / "t")
-        )
-        assert rc == 2
-        assert "error:" in err
 
 
 class TestAttack:
@@ -457,20 +316,6 @@ class TestAttack:
         report = load_report(pipeline["report"])
         assert report.fully_recovered()
         assert report.anomalous_outer_iterations == 0
-
-    def test_explicit_template_paths(self, capsys, pipeline, tmp_path):
-        out = str(tmp_path / "r")
-        rc, stdout, _ = _run(
-            capsys,
-            "attack",
-            "--in", pipeline["camp"],
-            "--template-inner", pipeline["tpl"] + ".inner.tpl",
-            "--template-neg", pipeline["tpl"] + ".neg.tpl",
-            "--out", out,
-        )
-        assert rc == 0
-        assert "keys recovered: 1/1" in stdout
-        assert load_report(out + ".report.txt").fully_recovered()
 
     def test_without_labels_reports_no_ground_truth(self, capsys, pipeline, tmp_path):
         prefix = str(tmp_path / "blind")
@@ -506,16 +351,15 @@ class TestAttack:
         assert "need --templates" in err
 
     @pytest.mark.parametrize("point", ["inner", "neg"])
-    def test_templates_and_a_template_path_conflict(self, capsys, pipeline, tmp_path, point):
+    def test_template_point_is_not_a_flag(self, capsys, pipeline, tmp_path, point):
         out = str(tmp_path / "r")
-        rc, stdout, err = _run(
-            capsys,
-            "attack", "--in", pipeline["camp"], "--templates", pipeline["tpl"],
-            f"--template-{point}", str(tmp_path / "nonexistent.tpl"), "--out", out,
-        )
-        assert rc == 2
-        assert f"--templates and --template-{point}" in err
-        assert stdout == ""
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "attack", "--in", pipeline["camp"], "--templates", pipeline["tpl"],
+                f"--template-{point}", str(tmp_path / "x.tpl"), "--out", out,
+            ])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --template-{point}" in capsys.readouterr().err
         assert not os.path.exists(out + ".report.txt")
 
     def test_rejects_width_metadata_disagreement(self, capsys, pipeline, tmp_path):
@@ -591,22 +435,13 @@ class TestAnalyze:
         assert path.read_text() == stdout
 
     @pytest.mark.parametrize("point", ["inner", "neg"])
-    def test_templates_and_a_template_path_conflict(self, capsys, pipeline, tmp_path, point):
-        rc, stdout, err = _run(
-            capsys,
-            "analyze", "--templates", pipeline["tpl"],
-            f"--template-{point}", str(tmp_path / "nonexistent.tpl"),
-        )
-        assert rc == 2
-        assert f"--templates and --template-{point}" in err
-        assert stdout == ""
-
-    @pytest.mark.parametrize("point", ["inner", "neg"])
     def test_probability_takes_precedence_over_templates(self, capsys, pipeline, tmp_path, point):
+        # The overridden point's template is absent: --p-POINT must not read it.
+        tpl = tmp_path / "tpl"
+        other = "neg" if point == "inner" else "inner"
+        shutil.copy(f"{pipeline['tpl']}.{other}.tpl", f"{tpl}.{other}.tpl")
         rc, stdout, _ = _run(
-            capsys,
-            "analyze", f"--p-{point}", "0.999", "--templates", pipeline["tpl"],
-            f"--template-{point}", str(tmp_path / "nonexistent.tpl"),
+            capsys, "analyze", f"--p-{point}", "0.999", "--templates", str(tpl),
         )
         assert rc == 0
         assert f"per-site success {point}: 99.9%" in stdout
@@ -741,6 +576,18 @@ class TestConfigFile:
         )
         assert rc == 2
         assert "unknown config keys: volume" in err
+
+    @pytest.mark.parametrize("key", ["help", "config"])
+    def test_help_and_config_are_unknown_keys(self, capsys, tmp_path, key):
+        # Both are argparse actions of every subcommand, but no flag default.
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        rc, stdout, err = _run(
+            capsys, "analyze", "--config", str(cfg), "--p-inner", "0.9", "--p-neg", "0.9"
+        )
+        assert rc == 2
+        assert stdout == ""
+        assert f"unknown config keys: {key}" in err
 
     def test_bad_value(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -896,25 +743,6 @@ class TestThreadsAndMetadataErrors:
             blobs = [(tmp_path / f"t{threads}.{name}.tpl").read_bytes() for name in ("inner", "neg")]
             runs.append((stdout.replace(out, "OUT"), blobs))
         assert runs[0] == runs[1] == runs[2]
-
-    @pytest.mark.parametrize("fire_slot", [None, "x", "0", "27"])
-    def test_profiling_input_with_bad_fire_slot(self, capsys, tmp_path, fire_slot):
-        traces, labels = leakage.synthesize_profiling_set(
-            seed=42, params=SamplerParams(logn=9), table=default_table(),
-            model=leakage.LeakModel(), n_traces=40,
-        )
-        if fire_slot is None:
-            del traces.metadata["fire_slot"]
-        else:
-            traces.metadata["fire_slot"] = fire_slot
-        prefix = str(tmp_path / "prof")
-        traceio.write_trace_set(traces, prefix + ".trc")
-        traceio.write_label_set(labels, prefix + ".lbl")
-        rc, _, err = _run(
-            capsys, "profile", "--in", prefix, "--out", str(tmp_path / "t")
-        )
-        assert rc == 2
-        assert "fire_slot" in err
 
     def test_attack_on_non_integer_outer_count(self, capsys, pipeline, tmp_path):
         original = traceio.read_trace_set(pipeline["camp"] + ".trc")

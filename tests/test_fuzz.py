@@ -141,7 +141,7 @@ def test_campaign_from_metadata(valid, data):
         else:
             md[key] = value
     try:
-        leakage.campaign_from_metadata(md, kind)
+        leakage.campaign_from_metadata(md)
     except CdtLeakError:
         pass
 

@@ -6,6 +6,8 @@ comes from the package's own word source, so the "statistical" tests are
 bit-reproducible and their tolerances were verified once at these seeds.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -320,7 +322,7 @@ class TestCampaign:
             params, table, samples_per_inner=6, leak_offset_inner=2
         )
         md = campaign_metadata(7, params, model, layout, kind="campaign")
-        got_params, got_layout, got_model = campaign_from_metadata(md, "campaign")
+        got_params, got_layout, got_model = campaign_from_metadata(md)
         assert got_layout == layout
         assert got_model == model
         assert got_params == params
@@ -333,7 +335,7 @@ class TestCampaign:
         table = default_table()
         layout = TraceLayout.for_params(params, table)
         md = campaign_metadata(0, params, model, layout, kind="campaign")
-        assert campaign_from_metadata(md, "campaign")[2] == model
+        assert campaign_from_metadata(md)[2] == model
 
     def _metadata(self, kind="campaign"):
         params = SamplerParams(logn=9)
@@ -348,10 +350,9 @@ class TestCampaign:
         }
 
     def test_wrong_kind_rejected(self):
-        with pytest.raises(TraceFormatError, match="not a profiling campaign"):
-            campaign_from_metadata(self._metadata("campaign"), "profiling")
-        with pytest.raises(TraceFormatError, match="not a key-generation campaign"):
-            campaign_from_metadata(self._metadata("profiling"), "campaign")
+        message = "input traces are not a key-generation campaign (metadata kind 'profiling')"
+        with pytest.raises(TraceFormatError, match=re.escape(message)):
+            campaign_from_metadata(self._metadata("profiling"))
 
     @pytest.mark.parametrize(
         "key, value",
@@ -361,12 +362,12 @@ class TestCampaign:
     def test_field_its_dataclass_rejects_is_a_format_error(self, key, value):
         md = {**self._metadata(), key: value}
         with pytest.raises(TraceFormatError, match="campaign metadata"):
-            campaign_from_metadata(md, "campaign")
+            campaign_from_metadata(md)
 
     def test_outer_count_must_agree_with_logn(self):
         md = {**self._metadata(), "outer_count": "4"}
         with pytest.raises(TraceFormatError, match="outer_count 4 disagrees with logn 9"):
-            campaign_from_metadata(md, "campaign")
+            campaign_from_metadata(md)
 
 
 class TestPlantControlWords:

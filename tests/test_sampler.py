@@ -225,6 +225,14 @@ class TestWordSource:
         with pytest.raises(DomainError):
             WordSource(seed=1 << 64)
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_block_and_subseed_reject_seeds_outside_64_bits(self, seed):
+        # Masking would alias -1 to 2**64 - 1 and 2**64 to 0.
+        with pytest.raises(DomainError, match="seed must be a 64-bit value"):
+            word_block(seed, 0, 2)
+        with pytest.raises(DomainError, match="seed must be a 64-bit value"):
+            derive_subseed(seed, 0)
+
     def test_sequence_source_exhaustion(self):
         src = SequenceWordSource([1, 2])
         assert src.next_u64() == 1

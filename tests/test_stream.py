@@ -14,6 +14,7 @@ import io
 import re
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ def _expected_stdout(report, out):
 def _in_memory_report(camp, tpl, with_labels=True):
     trace_set = traceio.read_trace_set(camp + ".trc")
     labels = traceio.read_label_set(camp + ".lbl") if with_labels else None
-    params, layout, _ = leakage.campaign_from_metadata(trace_set.metadata, "campaign")
+    params, layout, _ = leakage.campaign_from_metadata(trace_set.metadata)
     return recover_key(
         trace_set,
         load_template(tpl + ".inner.tpl"),
@@ -197,7 +198,7 @@ class TestAttackMatchesRecoverKey:
         with contextlib.ExitStack() as stack:
             reader = stack.enter_context(traceio.open_trace_set(camp + ".trc"))
             labels = stack.enter_context(traceio.open_label_set(camp + ".lbl"))
-            params, layout, _ = leakage.campaign_from_metadata(reader.metadata, "campaign")
+            params, layout, _ = leakage.campaign_from_metadata(reader.metadata)
             reader.blocks = labels.blocks = untouched
             rows, n_samples = reader.n_traces, reader.n_samples
             with pytest.raises(MissingTemplate):
@@ -240,10 +241,33 @@ class TestAttackMatchesRecoverKey:
         assert "error: var must be finite and at least 1e-12" in capsys.readouterr().err
         assert not (tmp_path / "out.report.txt").exists()
 
+    @pytest.mark.parametrize("point, role", [("inner", "inner"), ("neg", "sign")])
+    def test_template_whose_margins_overflow(self, capsys, logn7, tmp_path, point, role):
+        # Class means far from every sample overflow the log-likelihoods:
+        # the attack refuses the template instead of decoding NaN margins.
+        camp, tpl = logn7
+        bad = str(tmp_path / "bad")
+        for name in ("inner", "neg"):
+            with open(f"{tpl}.{name}.tpl", encoding="utf-8") as fh:
+                text = fh.read()
+            if name == point:
+                text = re.sub(r"(?m)^(class[01]\.mu\.0)=.*$", r"\1=1e300", text)
+            with open(f"{bad}.{name}.tpl", "w", encoding="utf-8") as fh:
+                fh.write(text)
+        out = str(tmp_path / "out")
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["attack", "--in", camp, "--templates", bad, "--out", out])
+        assert rc == 2
+        assert not caught
+        assert f"error: {role} template gives non-finite site margins" in capsys.readouterr().err
+        assert not (tmp_path / "out.report.txt").exists()
+
     def test_trace_set_that_is_not_2d(self, logn7):
         camp, tpl = logn7
         trace_set = traceio.read_trace_set(camp + ".trc")
-        params, layout, _ = leakage.campaign_from_metadata(trace_set.metadata, "campaign")
+        params, layout, _ = leakage.campaign_from_metadata(trace_set.metadata)
         ti = load_template(tpl + ".inner.tpl")
         flat = traceio.TraceSet(trace_set.samples.reshape(-1), trace_set.metadata)
         with pytest.raises(LayoutMismatch):
