@@ -1,10 +1,10 @@
 """Command-line front end: simulate, profile, attack, analyze, report.
 
 Every command is deterministic given its flags; all randomness flows from
-the --seed value. Output files are written atomically. Exit codes: 0 on
-success, 1 when an attack ran to completion but ground truth shows at
-least one key was not fully recovered, 2 on usage, configuration, or I/O
-errors.
+the --seed value. Output files are written atomically. Settings come only
+from flags, spelled in full. Exit codes: 0 on success, 1 when an
+attack ran to completion but ground truth shows at least one key was not
+fully recovered, 2 on usage errors, invalid inputs, or I/O errors.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import cpa, leakage, recover, sampler, template, traceio
-from .errors import CdtLeakError
+from .errors import CdtLeakError, LayoutMismatch
 
 _PCT = "{:.12g}%"
 
@@ -25,42 +25,11 @@ def _fmt_pct(p: float) -> str:
     return _PCT.format(100.0 * p)
 
 
-def _read_config(path) -> dict[str, str]:
-    """Config entries keyed by flag dest: dashes and underscores name the same flag."""
-    text = traceio.read_text(path, CdtLeakError)
-    return traceio.parse_key_values(text, CdtLeakError, key=lambda k: k.replace("-", "_"))
-
-
-def _apply_config(subparsers, cfg: dict[str, str]) -> None:
-    """Use config values as flag defaults; explicit flags still win."""
-    matched = set()
-    for sub in subparsers:
-        for action in sub._actions:
-            # --help and --config name no default a file could set.
-            if action.dest in cfg and action.dest not in ("help", "config"):
-                raw = cfg[action.dest]
-                try:
-                    value = action.type(raw) if action.type else raw
-                except ValueError:
-                    raise CdtLeakError(
-                        f"config value {raw!r} invalid for {action.dest}"
-                    ) from None
-                sub.set_defaults(**{action.dest: value})
-                matched.add(action.dest)
-    unknown = set(cfg) - matched
-    if unknown:
-        raise CdtLeakError(f"unknown config keys: {', '.join(sorted(unknown))}")
-
-
 def _usable_cores() -> int:
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
         return os.cpu_count() or 1
-
-
-def _add_config(sub) -> None:
-    sub.add_argument("--config", type=str, default=None, help="key=value defaults file")
 
 
 def _add_common(sub) -> None:
@@ -71,7 +40,6 @@ def _add_common(sub) -> None:
     sub.add_argument("--threads", type=int, default=_usable_cores(),
                      help="threads that render traces and, in profile, split the CPA columns "
                      "(default: usable cores); outputs do not depend on it")
-    _add_config(sub)
 
 
 def _setup_fields(cls) -> list:
@@ -141,22 +109,27 @@ def cmd_profile(args) -> int:
         fire_slot=args.fire_slot,
         threads=args.threads,
     )
-    sites = layout.site_matrix()[0]
-    points = (
-        ("inner", labels.bits[:, 0, args.fire_slot - 1], sites[args.fire_slot - 1]),
-        ("neg", labels.bits[:, 0, -1], sites[-1]),
-    )
+    # Each point: its column of the site matrix and the sites attack reads it at.
+    sites = layout.site_matrix()
+    points = (("inner", args.fire_slot - 1, sites[:, :-1]), ("neg", -1, sites[:, -1]))
     corrs = cpa.correlation_traces(
-        trace_set.samples, [64.0 * cls_bits for _, cls_bits, _ in points], args.threads
+        trace_set.samples, [64.0 * labels.bits[:, 0, col] for _, col, _ in points], args.threads
     )
-    for (name, cls_bits, expected), corr in zip(points, corrs):
+    tpls = []
+    for (name, col, attacked), corr in zip(points, corrs):
         pois = cpa.find_poi(corr, count=args.poi_count)
-        tpl = template.build_template(trace_set.samples, cls_bits, pois)
+        tpls.append(template.build_template(trace_set.samples, labels.bits[:, 0, col], pois))
+        # Refuse, before any file is written, a template attack would refuse.
+        try:
+            recover._site_columns(tpls[-1], attacked.reshape(-1), layout.trace_length)
+        except LayoutMismatch as exc:
+            raise LayoutMismatch(f"{name} template: {exc}") from None
+    for (name, col, _), corr, tpl in zip(points, corrs, tpls):
         path = f"{args.out}.{name}.tpl"
         template.save_template(tpl, path)
-        print(f"{name} poi: {' '.join(str(int(p)) for p in pois)}")
-        print(f"{name} expected leak site: {expected}")
-        print(f"{name} peak corr: {corr[pois[0]]:.6f}")
+        print(f"{name} poi: {' '.join(str(int(p)) for p in tpl.pois)}")
+        print(f"{name} expected leak site: {sites[0, col]}")
+        print(f"{name} peak corr: {corr[tpl.pois[0]]:.6f}")
         print(f"wrote {path}")
     return 0
 
@@ -216,12 +189,9 @@ def cmd_analyze(args) -> int:
     lines.append(f"per-coefficient success: {_fmt_pct(p_coeff)}")
     dims = [args.n] if args.n is not None else [512, 1024]
     for n in dims:
-        p_key = template.full_key_success(p_coeff, n, args.poly_count)
+        p_key = template.full_key_success(p_coeff, n)
         lines.append(f"full-key success (n={n}): {_fmt_pct(p_key)}")
-    text = "\n".join(lines)
-    print(text)
-    if args.out:
-        traceio._atomic_write(args.out, (text + "\n").encode("utf-8"))
+    print("\n".join(lines))
     return 0
 
 
@@ -246,22 +216,26 @@ def cmd_report(args) -> int:
 
 
 def _build_parser():
+    # Flags are spelled in full: an abbreviation could silently name another flag.
     parser = argparse.ArgumentParser(
         prog="cdtleak",
         description="Simulate and attack the mask leakage of a CDT Gaussian sampler.",
+        allow_abbrev=False,
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    built = []
 
-    sim = subs.add_parser("simulate", help="simulate key-generation traces")
+    def command(name, func, summary):
+        sub = subs.add_parser(name, help=summary, allow_abbrev=False)
+        sub.set_defaults(func=func)
+        return sub
+
+    sim = command("simulate", cmd_simulate, "simulate key-generation traces")
     _add_common(sim)
     _add_model_flags(sim)
     sim.add_argument("--keys", type=int, default=1, help="number of keys to generate")
     sim.add_argument("--out", type=str, required=True, help="output prefix")
-    sim.set_defaults(func=cmd_simulate)
-    built.append(sim)
 
-    prof = subs.add_parser("profile", help="build templates from a profiling campaign")
+    prof = command("profile", cmd_profile, "build templates from a profiling campaign")
     _add_common(prof)
     _add_model_flags(prof)
     prof.add_argument("--traces", type=int, default=10000, help="profiling traces")
@@ -269,21 +243,15 @@ def _build_parser():
                       help="inner slot the planted class-1 traces latch at")
     prof.add_argument("--poi-count", type=int, default=1, help="POIs per attack point")
     prof.add_argument("--out", type=str, required=True, help="template output prefix")
-    prof.set_defaults(func=cmd_profile)
-    built.append(prof)
 
-    atk = subs.add_parser("attack", help="recover keys from campaign traces")
-    _add_config(atk)
+    atk = command("attack", cmd_attack, "recover keys from campaign traces")
     atk.add_argument("--in", dest="inp", type=str, required=True,
                      help="campaign prefix (.trc plus optional .lbl)")
     atk.add_argument("--templates", type=str, default=None,
                      help="template prefix (expects .inner.tpl and .neg.tpl)")
     atk.add_argument("--out", type=str, default=None, help="report prefix")
-    atk.set_defaults(func=cmd_attack)
-    built.append(atk)
 
-    ana = subs.add_parser("analyze", help="success rates from the analytic model")
-    _add_config(ana)
+    ana = command("analyze", cmd_analyze, "success rates from the analytic model")
     ana.add_argument("--p-inner", type=float, default=None,
                      help="per-site success at inner mask sites")
     ana.add_argument("--p-neg", type=float, default=None,
@@ -293,26 +261,16 @@ def _build_parser():
     ana.add_argument("--inner", type=int, default=26, help="inner iterations")
     ana.add_argument("--outer", type=int, default=2, help="outer iterations")
     ana.add_argument("--n", type=int, default=None, help="coefficients per polynomial")
-    ana.add_argument("--poly-count", type=int, default=2)
-    ana.add_argument("--out", type=str, default=None, help="also write the text here")
-    ana.set_defaults(func=cmd_analyze)
-    built.append(ana)
 
-    rep = subs.add_parser("report", help="print a recovery report")
+    rep = command("report", cmd_report, "print a recovery report")
     rep.add_argument("path", type=str, help="report file")
-    rep.set_defaults(func=cmd_report)
-    built.append(rep)
 
-    return parser, built
+    return parser
 
 
 def main(argv=None) -> int:
     try:
-        parser, built = _build_parser()
-        args = parser.parse_args(argv)
-        if getattr(args, "config", None) is not None:
-            _apply_config(built, _read_config(args.config))
-            args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (CdtLeakError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -116,7 +116,8 @@ class RecoveryReport:
     scalar fields, then key by key one `key.{j}.{line}` line per field
     whose metadata names a line. Fields marked labeled are written and
     read only when has_labels, declared before them, is set. from_text
-    refuses a report whose fields contradict each other.
+    refuses a report whose fields contradict each other or that has a key
+    naming no field.
     """
 
     n_keys: int
@@ -175,29 +176,31 @@ class RecoveryReport:
     @classmethod
     def from_text(cls, text: str) -> "RecoveryReport":
         values = parse_key_values(text, ReportFormatError)
+        # Each field read is popped, so what is left is unknown.
         kw: dict = {}
         try:
-            if int(values["report_version"]) != REPORT_VERSION:
-                raise ReportFormatError(
-                    f"unsupported report version {values['report_version']}"
-                )
+            version = values.pop("report_version")
+            if int(version) != REPORT_VERSION:
+                raise ReportFormatError(f"unsupported report version {version}")
             for f in fields(cls):
+                line = f.metadata.get("line")
+                # Lazy: a missing line ends the scan of a huge n_keys early.
+                names = (f"key.{j}.{line}" for j in range(kw["n_keys"])) if line else [f.name]
                 if f.metadata.get("labeled") and not kw["has_labels"]:
+                    for name in names:  # known, and ignored without labels
+                        values.pop(name, None)
                     continue
-                if "line" in f.metadata:
-                    decode = CODECS[_element(f)][1]
-                    kw[f.name] = [
-                        decode(values[f"key.{j}.{f.metadata['line']}"])
-                        for j in range(kw["n_keys"])
-                    ]
-                else:
-                    kw[f.name] = CODECS[f.type][1](values[f.name])
+                decode = CODECS[_element(f) if line else f.type][1]
+                decoded = [decode(values.pop(name)) for name in names]
+                kw[f.name] = decoded if line else decoded[0]
         except KeyError as exc:
             raise ReportFormatError(f"missing field {exc.args[0]!r}") from None
         except ValueError as exc:
             raise ReportFormatError(str(exc)) from None
         report = cls(**kw)
         report._check()
+        if values:
+            raise ReportFormatError(f"unknown keys: {', '.join(sorted(values))}")
         return report
 
     def _check(self) -> None:

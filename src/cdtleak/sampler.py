@@ -236,17 +236,6 @@ class SamplerParams:
         return 1 << (10 - self.logn)
 
 
-def sigma_fg(q: int, n: int) -> float:
-    """Per-coefficient standard deviation of the secret polynomials.
-
-    sigma = 1.17 * sqrt(q) / sqrt(2n), so that the expected norm of the
-    concatenated pair (f, g) lands at 1.17 * sqrt(q).
-    """
-    if q <= 0 or n <= 0:
-        raise DomainError("q and n must be positive")
-    return 1.17 * (q ** 0.5) / ((2 * n) ** 0.5)
-
-
 @dataclass(frozen=True)
 class IterationLeakRecord:
     """Everything one outer iteration writes that an attacker can see.

@@ -238,20 +238,24 @@ def save_template(template: Template, path) -> None:
 def load_template(path) -> Template:
     """Read a template file back, validating structure and invariants."""
     entries = parse_key_values(read_text(path, TemplateFormatError), TemplateFormatError)
-    if entries.get("version") != "1":
-        raise TemplateFormatError(f"unsupported version {entries.get('version')!r}")
+    # Each field read is popped, so what is left is unknown.
+    version = entries.pop("version", None)
+    if version != "1":
+        raise TemplateFormatError(f"unsupported version {version!r}")
     if "pois" not in entries:
         raise TemplateFormatError("missing pois field")
     try:
-        pois = tuple(CODECS["list[int]"][1](entries["pois"]))
+        pois = tuple(CODECS["list[int]"][1](entries.pop("pois")))
         class0, class1 = (
             tuple(
-                ClassStats(**{f.name: CODECS[f.type][1](entries[f"{cls}.{f.name}.{i}"])
+                ClassStats(**{f.name: CODECS[f.type][1](entries.pop(f"{cls}.{f.name}.{i}"))
                               for f in fields(ClassStats)})
                 for i in range(len(pois))
             )
             for cls in ("class0", "class1")
         )
+        if entries:
+            raise TemplateFormatError(f"unknown keys: {', '.join(sorted(entries))}")
         return Template(pois=pois, class0=class0, class1=class1)
     except KeyError as exc:
         raise TemplateFormatError(f"missing field {exc.args[0]!r}") from None

@@ -133,13 +133,13 @@ def read_text(path, error) -> str:
         raise error(f"{os.fspath(path)}: not valid UTF-8: {exc}") from None
 
 
-def parse_key_values(text: str, error, key=None) -> dict[str, str]:
-    """Parse the key=value text of templates, reports and config files.
+def parse_key_values(text: str, error) -> dict[str, str]:
+    """Parse the key=value text of templates and reports.
 
     `#` starts a comment anywhere on a line, blank lines are skipped, and
-    keys and values are stripped; `key`, when given, maps each stripped
-    key to the one stored. A line without `=` or a key seen on an earlier
-    line raises `error`.
+    keys and values are stripped. A line without `=` or a key seen on an
+    earlier line raises `error`; each reader refuses the keys it does not
+    know.
     Trace metadata has its own decoder, which keeps every character.
     """
     out: dict[str, str] = {}
@@ -150,8 +150,6 @@ def parse_key_values(text: str, error, key=None) -> dict[str, str]:
         if "=" not in line:
             raise error(f"line {lineno}: expected key=value")
         k, v = (part.strip() for part in line.split("=", 1))
-        if key is not None:
-            k = key(k)
         if k in out:
             raise error(f"line {lineno}: duplicate key {k!r}")
         out[k] = v

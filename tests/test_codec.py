@@ -1,8 +1,9 @@
-"""The shared key=value codec of templates, reports and config files.
+"""The shared key=value codec of templates and reports.
 
-Templates, recovery reports and `--config` files are read by one parser
+Templates and recovery reports are read by one parser
 (`traceio.parse_key_values` over `traceio.read_text`): UTF-8 only, `#`
-comments anywhere on a line, whitespace around `=` ignored. Trace
+comments anywhere on a line, whitespace around `=` ignored, each key
+once. Each reader refuses keys that name none of its fields. Trace
 metadata keeps its own decoder, which preserves every character.
 """
 
@@ -170,15 +171,6 @@ class TestNotUtf8:
         assert main(["analyze", "--templates", str(prefix)]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_cli_simulate_config(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_bytes(NOT_UTF8)
-        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "a")])
-        assert rc == 2
-        assert "error:" in capsys.readouterr().err
-        assert not (tmp_path / "a.trc").exists()
-
-
 class TestCommentsAndSpaces:
     def test_template(self, tmp_path):
         plain = tmp_path / "plain.tpl"
@@ -242,10 +234,35 @@ class TestDuplicateKeys:
         assert main(["report", str(path)]) == 2
         assert "duplicate key 'n_keys'" in capsys.readouterr().err
 
-    def test_cli_simulate_config(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed = 1\nkeys = 1\nseed = 2\n")
-        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "a")])
-        assert rc == 2
-        assert "line 3: duplicate key 'seed'" in capsys.readouterr().err
-        assert not (tmp_path / "a.trc").exists()
+
+class TestUnknownKeys:
+    """A key that names no field is an error, not silently skipped."""
+
+    @pytest.mark.parametrize("extra", ["volume", "class0.mu.2", "class1.count.7"])
+    def test_template(self, tmp_path, extra):
+        path = tmp_path / "t.tpl"
+        save_template(_template(), path)
+        path.write_text(path.read_text() + f"{extra}=11\n")
+        with pytest.raises(TemplateFormatError, match=f"^unknown keys: {extra}$"):
+            load_template(path)
+
+    @pytest.mark.parametrize("report", [UNLABELED, LABELED], ids=["unlabeled", "labeled"])
+    def test_report(self, report):
+        text = report.to_text() + "bogus_field=3\nkey.2.f=1,2\n"
+        with pytest.raises(ReportFormatError, match="^unknown keys: bogus_field, key.2.f$"):
+            RecoveryReport.from_text(text)
+
+    def test_cli_analyze_templates(self, capsys, tmp_path):
+        prefix = tmp_path / "tpl"
+        for name in ("inner", "neg"):
+            save_template(_template(), f"{prefix}.{name}.tpl")
+        path = tmp_path / "tpl.neg.tpl"
+        path.write_text(path.read_text() + "volume=11\n")
+        assert main(["analyze", "--templates", str(prefix)]) == 2
+        assert "unknown keys: volume" in capsys.readouterr().err
+
+    def test_cli_report(self, capsys, tmp_path):
+        path = tmp_path / "r.report.txt"
+        path.write_text(LABELED_TEXT + "bogus_field=3\n")
+        assert main(["report", str(path)]) == 2
+        assert "unknown keys: bogus_field" in capsys.readouterr().err

@@ -281,15 +281,6 @@ class TestTraceCountFitsHeader:
         assert _listing(tmp_path) == []
 
 
-def test_config_duplicate_after_dash_mapping(capsys, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("noise-sigma = 3\nnoise_sigma = 9\n")
-    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "camp")])
-    assert rc == 2
-    assert "line 2: duplicate key 'noise_sigma'" in capsys.readouterr().err
-    assert _listing(tmp_path) == ["run.cfg"]
-
-
 def test_memory_does_not_grow_with_keys(tmp_path):
     """simulate's peak grows by far less than the .trc payload does.
 
