@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import cpa, leakage, recover, sampler, template, traceio
-from .errors import CdtLeakError, LayoutMismatch
+from .errors import CdtLeakError
 
 _PCT = "{:.12g}%"
 
@@ -109,22 +109,18 @@ def cmd_profile(args) -> int:
         fire_slot=args.fire_slot,
         threads=args.threads,
     )
-    # Each point: its column of the site matrix and the sites attack reads it at.
+    # Each point and its column of the site matrix.
+    points = (("inner", args.fire_slot - 1), ("neg", -1))
+    classes = [labels.bits[:, 0, col] for _, col in points]
+    corrs = cpa.correlation_traces(trace_set.samples, [64.0 * c for c in classes], args.threads)
+    tpls = [
+        template.build_template(trace_set.samples, c, cpa.find_poi(corr, count=args.poi_count))
+        for c, corr in zip(classes, corrs)
+    ]
+    # Refuse, before any file is written, templates attack would refuse.
+    recover.site_map(*tpls, layout)
     sites = layout.site_matrix()
-    points = (("inner", args.fire_slot - 1, sites[:, :-1]), ("neg", -1, sites[:, -1]))
-    corrs = cpa.correlation_traces(
-        trace_set.samples, [64.0 * labels.bits[:, 0, col] for _, col, _ in points], args.threads
-    )
-    tpls = []
-    for (name, col, attacked), corr in zip(points, corrs):
-        pois = cpa.find_poi(corr, count=args.poi_count)
-        tpls.append(template.build_template(trace_set.samples, labels.bits[:, 0, col], pois))
-        # Refuse, before any file is written, a template attack would refuse.
-        try:
-            recover._site_columns(tpls[-1], attacked.reshape(-1), layout.trace_length)
-        except LayoutMismatch as exc:
-            raise LayoutMismatch(f"{name} template: {exc}") from None
-    for (name, col, _), corr, tpl in zip(points, corrs, tpls):
+    for (name, col), corr, tpl in zip(points, corrs, tpls):
         path = f"{args.out}.{name}.tpl"
         template.save_template(tpl, path)
         print(f"{name} poi: {' '.join(str(int(p)) for p in tpl.pois)}")
@@ -176,21 +172,17 @@ def cmd_analyze(args) -> int:
         else:
             raise CdtLeakError(f"need --p-{point} or a template for the {role} attack point")
 
-    model = template.SuccessModel(
-        p_inner=sites["inner"][0], p_neg=sites["neg"][0],
-        inner_count=args.inner, outer_count=args.outer,
+    p_coeff = template.per_coefficient_success(
+        sites["inner"][0], sites["neg"][0], args.inner, args.outer
     )
-    p_coeff = template.per_coefficient_success(model)
     lines = [
         f"overlap {point} area: {area!r} (fraction of total: {0.5 * area!r})"
         for point, (_, area) in sites.items()
     ]
     lines += [f"per-site success {point}: {_fmt_pct(p)}" for point, (p, _) in sites.items()]
     lines.append(f"per-coefficient success: {_fmt_pct(p_coeff)}")
-    dims = [args.n] if args.n is not None else [512, 1024]
-    for n in dims:
-        p_key = template.full_key_success(p_coeff, n)
-        lines.append(f"full-key success (n={n}): {_fmt_pct(p_key)}")
+    for n in [args.n] if args.n is not None else [512, 1024]:
+        lines.append(f"full-key success (n={n}): {_fmt_pct(template.full_key_success(p_coeff, n))}")
     print("\n".join(lines))
     return 0
 

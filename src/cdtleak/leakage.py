@@ -296,19 +296,18 @@ def campaign_metadata(
     params: SamplerParams,
     model: LeakModel,
     layout: TraceLayout,
-    kind: str,
-    **extra: str,
+    n_keys: int,
 ) -> dict[str, str]:
-    """Self-describing metadata so a trace file can be attacked standalone.
+    """Self-describing metadata so a campaign's trace file can be attacked standalone.
 
-    Holds kind, seed, every field of params, layout and model by name, and extra.
+    Holds kind=campaign, seed, every field of params, layout and model by name, and n_keys.
     """
-    md = {"kind": kind, "seed": str(checked_seed(seed))}
+    md = {"kind": "campaign", "seed": str(checked_seed(seed))}
     for setup in (params, layout, model):
         md.update(
             (f.name, traceio.CODECS[f.type][0](getattr(setup, f.name))) for f in fields(setup)
         )
-    md.update(extra)
+    md["n_keys"] = str(n_keys)
     return md
 
 
@@ -396,7 +395,7 @@ def campaign_blocks(
     new arrays, or rows of `out` when that matrix is given.
     """
     layout = _campaign_layout(params, table, layout, n_keys)
-    md = campaign_metadata(seed, params, model, layout, kind="campaign", n_keys=str(n_keys))
+    md = campaign_metadata(seed, params, model, layout, n_keys)
     parts = _key_blocks(seed, params, table, n_keys)
     return md, _render_blocks(parts, model, layout, threads, out=out)
 
@@ -506,15 +505,12 @@ def synthesize_profiling_set(
 
     Class labels are recoverable from the returned LabelSet: the inner
     class of trace i is bits[i, 0, fire_slot - 1], the sign class is
-    bits[i, 0, -1].
+    bits[i, 0, -1]. The returned TraceSet carries no metadata.
     """
     if n_traces < 4:
         raise DomainError("n_traces must be at least 4")
     layout = _checked_layout(params, table, layout)
-    md = campaign_metadata(
-        seed, params, model, layout, kind="profiling", fire_slot=str(fire_slot)
-    )
-    plant_seeds = words([seed], 0, n_traces)[0]
+    plant_seeds = words([checked_seed(seed)], 0, n_traces)[0]
     stream = words(plant_seeds, 0, 2 * params.outer_count)
     _plant_first_iteration(table, fire_slot, stream)
     labels = traceio.LabelSet(*scan_words(table, stream.reshape(n_traces, params.outer_count, 2)))
@@ -522,4 +518,4 @@ def synthesize_profiling_set(
     samples = np.empty((n_traces, layout.trace_length), dtype=np.float32)
     for _ in _render_blocks([(labels, subseeds)], model, layout, threads, out=samples):
         pass
-    return traceio.TraceSet(samples=samples, metadata=md), labels
+    return traceio.TraceSet(samples), labels

@@ -27,7 +27,6 @@ from .leakage import TraceLayout
 from .sampler import MASK32, SamplerParams, fold
 from .template import (
     ClassStats,
-    SuccessModel,
     Template,
     full_key_success,
     gaussian_overlap,
@@ -81,6 +80,18 @@ def _site_columns(template: Template, sites, trace_length: int) -> np.ndarray:
     return cols
 
 
+def site_map(inner: Template, neg: Template, layout: TraceLayout) -> list[np.ndarray]:
+    """_site_columns of each template at its point's sites; LayoutMismatch names the point."""
+    sites = layout.site_matrix()
+    cols = []
+    for name, tpl, at in (("inner", inner, sites[:, :-1]), ("neg", neg, sites[:, -1])):
+        try:
+            cols.append(_site_columns(tpl, at.reshape(-1), layout.trace_length))
+        except LayoutMismatch as exc:
+            raise LayoutMismatch(f"{name} template: {exc}") from None
+    return cols
+
+
 def _column_margins(samples: np.ndarray, template: Template, cols: np.ndarray) -> np.ndarray:
     """Margins of every row at the sites of _site_columns: (rows, sites) float64.
 
@@ -117,7 +128,7 @@ class RecoveryReport:
     whose metadata names a line. Fields marked labeled are written and
     read only when has_labels, declared before them, is set. from_text
     refuses a report whose fields contradict each other or that has a key
-    naming no field.
+    it does not read.
     """
 
     n_keys: int
@@ -183,13 +194,11 @@ class RecoveryReport:
             if int(version) != REPORT_VERSION:
                 raise ReportFormatError(f"unsupported report version {version}")
             for f in fields(cls):
+                if f.metadata.get("labeled") and not kw["has_labels"]:
+                    continue  # not read, so refused as unknown if present
                 line = f.metadata.get("line")
                 # Lazy: a missing line ends the scan of a huge n_keys early.
                 names = (f"key.{j}.{line}" for j in range(kw["n_keys"])) if line else [f.name]
-                if f.metadata.get("labeled") and not kw["has_labels"]:
-                    for name in names:  # known, and ignored without labels
-                        values.pop(name, None)
-                    continue
                 decode = CODECS[_element(f) if line else f.type][1]
                 decoded = [decode(values.pop(name)) for name in names]
                 kw[f.name] = decoded if line else decoded[0]
@@ -255,7 +264,7 @@ def load_report(path) -> RecoveryReport:
 def site_success(tpl: Template) -> tuple[float, float]:
     """Per-site success and overlap area of a template's first POI."""
     s0, s1 = tpl.class0[0], tpl.class1[0]
-    area = gaussian_overlap(s0.mu, s0.var, s1.mu, s1.var).area
+    area = gaussian_overlap(s0.mu, s0.var, s1.mu, s1.var)
     return success_from_overlap(area), area
 
 
@@ -287,16 +296,10 @@ def recover_key(
         raise LayoutMismatch("trace set does not match layout length")
     if template_inner is None or template_neg is None:
         raise MissingTemplate("both templates are required")
+    outer, inner = layout.outer_count, layout.inner_count
     p_site_inner, ov_inner = site_success(template_inner)
     p_site_neg, ov_neg = site_success(template_neg)
-    p_coeff = per_coefficient_success(
-        SuccessModel(
-            p_inner=p_site_inner,
-            p_neg=p_site_neg,
-            inner_count=layout.inner_count,
-            outer_count=layout.outer_count,
-        )
-    )
+    p_coeff = per_coefficient_success(p_site_inner, p_site_neg, inner, outer)
     rows, n_samples = traces.n_traces, traces.n_samples
     if n_samples != layout.trace_length:
         raise LayoutMismatch("trace set does not match layout length")
@@ -307,11 +310,8 @@ def recover_key(
         raise LayoutMismatch(f"{rows} traces do not divide into keys of {per_key} coefficients")
     n_keys = rows // per_key
 
-    outer, inner = layout.outer_count, layout.inner_count
     # Inner sites in (u, k) order, so a block's margins reshape to (rows, outer, inner).
-    sites = layout.site_matrix()
-    inner_cols = _site_columns(template_inner, sites[:, :inner].reshape(-1), n_samples)
-    neg_cols = _site_columns(template_neg, sites[:, inner], n_samples)
+    inner_cols, neg_cols = site_map(template_inner, template_neg, layout)
     truths = itertools.repeat(None)
     if labels is not None:
         if labels.n_records != rows:
@@ -380,7 +380,7 @@ def recover_key(
         p_site_inner=p_site_inner,
         p_site_neg=p_site_neg,
         p_coefficient=p_coeff,
-        p_full_key=full_key_success(p_coeff, params.n, 2),
+        p_full_key=full_key_success(p_coeff, params.n),
     )
     if labels is None:
         return report

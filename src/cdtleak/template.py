@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 import numpy as np
 
@@ -104,18 +103,6 @@ def build_template(traces, labels, pois) -> Template:
     return Template(pois=pois, class0=stats[0], class1=stats[1])
 
 
-class OverlapResult(NamedTuple):
-    """Overlap area A of two densities, and A/2.
-
-    area integrates min(p0, p1), so it lies in [0, 1]; fraction_of_total
-    expresses the same quantity relative to the combined area under both
-    curves, which is 2.
-    """
-
-    area: float
-    fraction_of_total: float
-
-
 def _crossing_area(d: float, var_n: float, var_w: float, log_w: float, log_n: float):
     """Unclamped overlap of N(0, var_n) and N(d, var_w), var_n <= var_w.
 
@@ -147,17 +134,17 @@ def _crossing_area(d: float, var_n: float, var_w: float, log_w: float, log_n: fl
     return 0.5 * (tails + between)
 
 
-def gaussian_overlap(mu0: float, var0: float, mu1: float, var1: float) -> OverlapResult:
+def gaussian_overlap(mu0: float, var0: float, mu1: float, var1: float) -> float:
     """Overlap area A between two Gaussian densities, in closed form.
 
-    A integrates min(p0, p1) over the real line. With equal variances it
-    is erfc(|mu1 - mu0| / (2 * sqrt(2) * sigma)). Otherwise the narrower
-    class wins between the two density crossings and the wider one
-    outside them, so A is the narrow class's two tails outside the
-    crossings plus the wide class's mass between them. Each piece is an
-    erfc tail away from its mean, or an erf interval across it, so no
-    piece cancels. The classes are ordered by variance first, so
-    swapping them gives the same bits.
+    A integrates min(p0, p1) over the real line, so it lies in [0, 1].
+    With equal variances it is erfc(|mu1 - mu0| / (2 * sqrt(2) * sigma)).
+    Otherwise the narrower class wins between the two density crossings
+    and the wider one outside them, so A is the narrow class's two tails
+    outside the crossings plus the wide class's mass between them. Each
+    piece is an erfc tail away from its mean, or an erf interval across
+    it, so no piece cancels. The classes are ordered by variance first,
+    so swapping them gives the same bits.
 
     A is invariant under x -> x * s. When an intermediate overflows, a
     power of two s brings the narrow variance near 1; if the variance
@@ -176,8 +163,7 @@ def gaussian_overlap(mu0: float, var0: float, mu1: float, var1: float) -> Overla
         var_n, var_w = var_n * s * s, var_w * s * s
         # Near 1, log1p resolves a ratio that log(var_w) - log(var_n) rounds to 0.
         area = _crossing_area(d, var_n, var_w, math.log1p((var_w - var_n) / var_n), 0.0)
-    area = min(max(area or 0.0, 0.0), 1.0)
-    return OverlapResult(area=area, fraction_of_total=0.5 * area)
+    return min(max(area or 0.0, 0.0), 1.0)
 
 
 def success_from_overlap(area: float) -> float:
@@ -191,38 +177,26 @@ def success_from_overlap(area: float) -> float:
     return 1.0 - 0.5 * area
 
 
-@dataclass(frozen=True)
-class SuccessModel:
-    """Per-site success rates and how many sites one coefficient has."""
-
-    p_inner: float
-    p_neg: float
-    inner_count: int
-    outer_count: int
-
-    def __post_init__(self) -> None:
-        for name, p in (("p_inner", self.p_inner), ("p_neg", self.p_neg)):
-            if not 0.0 <= p <= 1.0:
-                raise DomainError(f"{name} must lie in [0, 1]")
-        if self.inner_count < 1 or self.outer_count < 1:
-            raise DomainError("iteration counts must be positive")
+def per_coefficient_success(
+    p_inner: float, p_neg: float, inner_count: int, outer_count: int
+) -> float:
+    """All sites of one coefficient classified correctly: per outer iteration,
+    inner_count inner sites each right with p_inner and one sign site with p_neg."""
+    for name, p in (("p_inner", p_inner), ("p_neg", p_neg)):
+        if not 0.0 <= p <= 1.0:
+            raise DomainError(f"{name} must lie in [0, 1]")
+    if inner_count < 1 or outer_count < 1:
+        raise DomainError("iteration counts must be positive")
+    return p_inner ** (inner_count * outer_count) * p_neg ** outer_count
 
 
-def per_coefficient_success(model: SuccessModel) -> float:
-    """All sites of one coefficient classified correctly."""
-    return (
-        model.p_inner ** (model.inner_count * model.outer_count)
-        * model.p_neg ** model.outer_count
-    )
-
-
-def full_key_success(p_coefficient: float, n: int, poly_count: int = 2) -> float:
-    """All coefficients of all polynomials of one key recovered."""
+def full_key_success(p_coefficient: float, n: int) -> float:
+    """All 2 * n coefficients of one key, f and g, recovered."""
     if not 0.0 <= p_coefficient <= 1.0:
         raise DomainError("p_coefficient must lie in [0, 1]")
-    if n < 1 or poly_count < 1:
-        raise DomainError("n and poly_count must be positive")
-    return p_coefficient ** (n * poly_count)
+    if n < 1:
+        raise DomainError("n must be positive")
+    return p_coefficient ** (2 * n)
 
 
 def save_template(template: Template, path) -> None:

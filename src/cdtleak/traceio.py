@@ -109,12 +109,18 @@ def _decode_metadata(blob: bytes) -> dict[str, str]:
     return out
 
 
+def _decode_bool(s: str) -> bool:
+    if s not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {s!r}")
+    return s == "1"
+
+
 # Text form of each dataclass field type, by its annotation: (encode, decode).
 # Recovery reports and trace metadata are written and read through it.
 CODECS = {
     "int": (str, int),
     "float": (repr, float),
-    "bool": (lambda b: str(int(b)), lambda s: bool(int(s))),
+    "bool": (lambda b: str(int(b)), _decode_bool),
     "str": (str, str),
     "list[int]": (
         lambda xs: ",".join(str(v) for v in xs),

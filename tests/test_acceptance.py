@@ -97,14 +97,14 @@ def test_criterion_2_overlap_engine():
         expected = 2.0 * _phi(-d / 2.0)
         for mu0, var, mu1 in ((0.0, 1.0, d), (40.0, 16.0, 40.0 + 4.0 * d)):
             for var1 in (var, var * (1.0 + 1e-12)):
-                area = gaussian_overlap(mu0, var, mu1, var1).area
+                area = gaussian_overlap(mu0, var, mu1, var1)
                 assert abs(area - expected) <= 1e-12, f"d={d}"
     # Separation solving A/2 = 2.56e-11, found by bisection on erfc.
     d = _separation_for_overlap(5.12e-11)
     assert abs(d - 13.134808) < 1e-4
-    result = gaussian_overlap(0.0, 1.0, d, 1.0)
-    assert result.fraction_of_total == pytest.approx(2.56e-11, rel=1e-9, abs=0.0)
-    success = success_from_overlap(result.area)
+    area = gaussian_overlap(0.0, 1.0, d, 1.0)
+    assert 0.5 * area == pytest.approx(2.56e-11, rel=1e-9, abs=0.0)
+    success = success_from_overlap(area)
     assert success == pytest.approx(1.0 - 2.56e-11, abs=1e-13)
     assert success > 1.0 - 1e-10
     assert time.perf_counter() - started < 1.0
@@ -221,7 +221,7 @@ def test_criterion_6_error_rate_calibration():
         assert sites >= 100_000
         observed = report.inner_site_errors + report.neg_site_errors
         predicted = 1.0 - success_from_overlap(
-            gaussian_overlap(40.0, sigma**2, 70.0, sigma**2).area
+            gaussian_overlap(40.0, sigma**2, 70.0, sigma**2)
         )
         band = 3.0 * math.sqrt(sites * predicted * (1.0 - predicted))
         assert abs(observed - sites * predicted) < band, (

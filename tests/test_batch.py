@@ -377,7 +377,7 @@ class TestSiteMargins:
     ],
 )
 def test_numeric_overlap_areas(args, area):
-    assert template.gaussian_overlap(*args).area == pytest.approx(area, rel=1e-14, abs=0.0)
+    assert template.gaussian_overlap(*args) == pytest.approx(area, rel=1e-14, abs=0.0)
 
 
 def test_benchmark_check_names_exist():

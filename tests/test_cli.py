@@ -22,7 +22,7 @@ from cdtleak import leakage, traceio
 from cdtleak.cli import _build_parser, main
 from cdtleak.recover import load_report
 from cdtleak.sampler import SamplerParams, default_table
-from cdtleak.template import load_template
+from cdtleak.template import Template, load_template, save_template
 
 LOW_NOISE = "2.284"
 
@@ -382,6 +382,29 @@ class TestAttack:
         assert rc == 2
         assert "need --templates" in err
 
+    @pytest.mark.parametrize("point, off", [("inner", 435), ("neg", 611)], ids=["inner", "neg"])
+    def test_names_the_template_whose_poi_cannot_translate(
+        self, capsys, pipeline, tmp_path, point, off
+    ):
+        prefix = str(tmp_path / "tpl")
+        for name in ("inner", "neg"):
+            shutil.copy(f"{pipeline['tpl']}.{name}.tpl", f"{prefix}.{name}.tpl")
+        # A second POI 400 samples after the first runs off the 432-sample
+        # trace; the first site where it does is named.
+        one = load_template(f"{prefix}.{point}.tpl")
+        two = Template(pois=(one.pois[0], one.pois[0] + 400),
+                       class0=one.class0 * 2, class1=one.class1 * 2)
+        save_template(two, f"{prefix}.{point}.tpl")
+        out = str(tmp_path / "r")
+        rc, stdout, err = _run(
+            capsys, "attack", "--in", pipeline["camp"], "--templates", prefix, "--out", out
+        )
+        assert rc == 2
+        assert stdout == ""
+        message = f"error: {point} template: translated POI {off} falls outside trace of length 432"
+        assert message in err
+        assert not os.path.exists(out + ".report.txt")
+
     @pytest.mark.parametrize("point", ["inner", "neg"])
     def test_template_point_is_not_a_flag(self, capsys, pipeline, tmp_path, point):
         out = str(tmp_path / "r")
@@ -487,7 +510,7 @@ class TestAnalyze:
             capsys, "analyze", "--p-inner", "0.99", "--p-neg", "0.99", "--n", n,
         )
         assert rc == 2
-        assert "n and poly_count must be positive" in err
+        assert "error: n must be positive" in err
         assert stdout == ""
 
 
@@ -698,13 +721,16 @@ class TestThreadsAndMetadataErrors:
             seed=42, params=SamplerParams(logn=9), table=default_table(),
             model=leakage.LeakModel(), n_traces=1024,
         )
+        # The profiling set carries no metadata; a file that names
+        # another kind is refused for its kind, not for a missing one.
+        traces.metadata = {"kind": "profiling"}
         prefix = str(tmp_path / "prof")
         traceio.write_trace_set(traces, prefix + ".trc")
         rc, _, err = _run(
             capsys, "attack", "--in", prefix, "--templates", pipeline["tpl"]
         )
         assert rc == 2
-        assert "not a key-generation campaign" in err
+        assert "not a key-generation campaign (metadata kind 'profiling')" in err
         assert not (tmp_path / "prof.report.txt").exists()
 
     @pytest.mark.parametrize(

@@ -202,9 +202,18 @@ class TestReportText:
         assert path.read_bytes() == text.encode("utf-8")
         assert load_report(path) == report
 
-    def test_labeled_fields_ignored_without_labels(self):
+    def test_labeled_fields_refused_without_labels(self):
+        # A ground-truth claim that `report` would never show is refused.
         text = UNLABELED_TEXT + "keys_recovered=2\nkey.0.f_correct=11\n"
-        assert RecoveryReport.from_text(text) == UNLABELED
+        message = "^unknown keys: key.0.f_correct, keys_recovered$"
+        with pytest.raises(ReportFormatError, match=message):
+            RecoveryReport.from_text(text)
+
+    @pytest.mark.parametrize("value", ["2", "-1", "true"])
+    def test_has_labels_is_0_or_1(self, value):
+        text = LABELED_TEXT.replace("has_labels=1\n", f"has_labels={value}\n")
+        with pytest.raises(ReportFormatError, match=f"^expected 0 or 1, got '{value}'$"):
+            RecoveryReport.from_text(text)
 
     def test_missing_labeled_field(self):
         text = LABELED_TEXT.replace("keys_recovered=1\n", "")

@@ -321,7 +321,7 @@ class TestCampaign:
         layout = TraceLayout.for_params(
             params, table, samples_per_inner=6, leak_offset_inner=2
         )
-        md = campaign_metadata(7, params, model, layout, kind="campaign")
+        md = campaign_metadata(7, params, model, layout, n_keys=1)
         got_params, got_layout, got_model = campaign_from_metadata(md)
         assert got_layout == layout
         assert got_model == model
@@ -334,25 +334,26 @@ class TestCampaign:
         params = SamplerParams(logn=9)
         table = default_table()
         layout = TraceLayout.for_params(params, table)
-        md = campaign_metadata(0, params, model, layout, kind="campaign")
+        md = campaign_metadata(0, params, model, layout, n_keys=1)
         assert campaign_from_metadata(md)[2] == model
 
-    def _metadata(self, kind="campaign"):
+    def _metadata(self):
         params = SamplerParams(logn=9)
         layout = TraceLayout.for_params(params, default_table())
-        return campaign_metadata(3, params, LeakModel(), layout, kind=kind)
+        return campaign_metadata(3, params, LeakModel(), layout, n_keys=2)
 
     def test_metadata_keys_are_the_setup_fields(self):
         assert set(self._metadata()) == {
             "kind", "seed", "logn", "q", "outer_count", "inner_count",
             "samples_per_inner", "samples_per_outer_tail", "leak_offset_inner",
-            "leak_offset_neg", "alpha", "beta", "noise_sigma",
+            "leak_offset_neg", "alpha", "beta", "noise_sigma", "n_keys",
         }
+        assert self._metadata()["kind"] == "campaign"
 
     def test_wrong_kind_rejected(self):
         message = "input traces are not a key-generation campaign (metadata kind 'profiling')"
         with pytest.raises(TraceFormatError, match=re.escape(message)):
-            campaign_from_metadata(self._metadata("profiling"))
+            campaign_from_metadata({**self._metadata(), "kind": "profiling"})
 
     @pytest.mark.parametrize(
         "key, value",
@@ -454,8 +455,7 @@ class TestProfilingSet:
         assert not second[:, 0, :].any()
         # Sign alternates trace by trace.
         assert np.array_equal(labels.neg_bits[:, 0], np.arange(n) % 2 == 1)
-        assert traces.metadata["kind"] == "profiling"
-        assert traces.metadata["fire_slot"] == "1"
+        assert traces.metadata == {}
 
     def test_class_means_at_low_voltage_scale(self, profiling_10k):
         traces, labels, layout, model = profiling_10k

@@ -1,0 +1,80 @@
+"""The README walkthrough, run as written.
+
+Every `cdtleak ...` line of the README's `sh` blocks runs through
+`cli.main`, in order, in one temporary directory. Its stdout must equal
+the `# ` lines that follow it; a command without such lines must still
+exit 0.
+"""
+
+import contextlib
+import io
+import os
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from cdtleak.cli import _fmt_pct, main
+from cdtleak.recover import load_report
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _steps():
+    """(argv, expected stdout lines) of each README command, in order."""
+    steps = []
+    for block in re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.M | re.S):
+        expected = None
+        for line in block.splitlines():
+            if line.startswith("cdtleak "):
+                expected = []
+                steps.append((shlex.split(line)[1:], expected))
+            elif line.startswith("# ") and expected is not None:
+                expected.append(line[2:])
+            else:
+                expected = None
+    return steps
+
+
+@pytest.fixture(scope="module")
+def walkthrough(tmp_path_factory):
+    """Each README command's argv, expected lines, exit code and stdout."""
+    root = tmp_path_factory.mktemp("readme")
+    before = os.getcwd()
+    os.chdir(root)
+    try:
+        runs = []
+        for argv, expected in _steps():
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                rc = main(argv)
+            runs.append((argv, expected, rc, buf.getvalue()))
+    finally:
+        os.chdir(before)
+    return root, runs
+
+
+def test_commands_print_what_the_readme_shows(walkthrough):
+    _, runs = walkthrough
+    commands = [argv[0] for argv, *_ in runs]
+    assert commands == ["simulate", "profile", "attack", "report", "analyze", "analyze"]
+    for argv, expected, rc, out in runs:
+        assert rc == 0, argv
+        if expected:
+            assert out.splitlines() == expected, argv
+
+
+def test_analyze_agrees_with_the_attack_report(walkthrough):
+    # analyze and attack compute the success model apart; both must
+    # give the same rates for the same templates.
+    root, runs = walkthrough
+    out = next(out for argv, *_, out in runs if argv == ["analyze", "--templates", "tpl"])
+    report = load_report(root / "camp.report.txt")
+    lines = out.splitlines()
+    for point, area in (("inner", report.overlap_inner), ("neg", report.overlap_neg)):
+        assert f"overlap {point} area: {area!r} (fraction of total: {0.5 * area!r})" in lines
+    assert f"per-site success inner: {_fmt_pct(report.p_site_inner)}" in lines
+    assert f"per-site success neg: {_fmt_pct(report.p_site_neg)}" in lines
+    assert f"per-coefficient success: {_fmt_pct(report.p_coefficient)}" in lines
+    assert f"full-key success (n=512): {_fmt_pct(report.p_full_key)}" in lines

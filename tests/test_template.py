@@ -34,7 +34,6 @@ from cdtleak.sampler import SamplerParams, default_table
 from cdtleak.template import (
     VAR_FLOOR,
     ClassStats,
-    SuccessModel,
     Template,
     build_template,
     full_key_success,
@@ -292,29 +291,29 @@ variances = st.floats(-12.0, 12.0).map(lambda e: 10.0**e)
 
 class TestGaussianOverlap:
     def test_identical_densities(self):
-        assert gaussian_overlap(3.0, 2.0, 3.0, 2.0).area == 1.0
+        assert gaussian_overlap(3.0, 2.0, 3.0, 2.0) == 1.0
         nearly = gaussian_overlap(3.0, 2.0, 3.0, 2.0 * (1.0 + 1e-12))
-        assert nearly.area == pytest.approx(1.0, abs=1e-9)
+        assert nearly == pytest.approx(1.0, abs=1e-9)
 
     def test_four_sigma_frozen_value(self):
-        res = gaussian_overlap(0.0, 1.0, 4.0, 1.0)
-        assert res.area == pytest.approx(0.04550026389635842, abs=1e-15)
-        assert res.fraction_of_total == pytest.approx(res.area / 2, abs=1e-18)
+        area = gaussian_overlap(0.0, 1.0, 4.0, 1.0)
+        assert type(area) is float
+        assert area == pytest.approx(0.04550026389635842, abs=1e-15)
         scaled = gaussian_overlap(40.0, 16.0, 56.0, 16.0)
-        assert scaled.area == pytest.approx(res.area, abs=1e-15)
+        assert scaled == pytest.approx(area, abs=1e-15)
 
     def test_extreme_separation_underflows_to_zero(self):
-        assert gaussian_overlap(0.0, 1.0, 100.0, 1.0).area == 0.0
-        assert gaussian_overlap(0.0, 1.0, 100.0, 1.0 + 1e-12).area == 0.0
+        assert gaussian_overlap(0.0, 1.0, 100.0, 1.0) == 0.0
+        assert gaussian_overlap(0.0, 1.0, 100.0, 1.0 + 1e-12) == 0.0
 
     def test_numeric_matches_closed_form(self):
         # Nearly equal variances take the crossing path; equal ones the
         # erfc expression.
         for d in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0):
-            closed = gaussian_overlap(0.0, 1.0, d, 1.0).area
-            numeric = gaussian_overlap(0.0, 1.0, d, 1.0 + 1e-12).area
+            closed = gaussian_overlap(0.0, 1.0, d, 1.0)
+            numeric = gaussian_overlap(0.0, 1.0, d, 1.0 + 1e-12)
             assert abs(numeric - closed) <= 1e-12
-        wide = gaussian_overlap(40.0, 16.0, 70.0, 16.0).area
+        wide = gaussian_overlap(40.0, 16.0, 70.0, 16.0)
         assert wide == pytest.approx(
             math.erfc(30.0 / (2.0 * math.sqrt(2.0) * 4.0)), abs=1e-9
         )
@@ -359,19 +358,19 @@ class TestGaussianOverlap:
         ],
     )
     def test_unequal_variances_match_cdf_oracle(self, mu0, var0, mu1, var1):
-        got = gaussian_overlap(mu0, var0, mu1, var1).area
+        got = gaussian_overlap(mu0, var0, mu1, var1)
         want = self._cdf_oracle(mu0, var0, mu1, var1)
         assert got == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("args, reference", OVERLAP_REFERENCES)
     def test_matches_high_precision_reference(self, args, reference):
-        assert gaussian_overlap(*args).area == pytest.approx(float(reference), rel=1e-13, abs=0.0)
+        assert gaussian_overlap(*args) == pytest.approx(float(reference), rel=1e-13, abs=0.0)
 
     def test_extreme_variance_ratios(self):
         # Reference at 400 digits, as for OVERLAP_REFERENCES.
-        tiny = gaussian_overlap(40.0, 1e-12, 70.0, 16.0).area
+        tiny = gaussian_overlap(40.0, 1e-12, 70.0, 16.0)
         assert tiny == pytest.approx(1.14595861963327148222475143941758693e-18, rel=1e-9, abs=0.0)
-        wide = gaussian_overlap(0.0, 1e-300, 0.0, 1e300).area
+        wide = gaussian_overlap(0.0, 1e-300, 0.0, 1e300)
         assert math.isfinite(wide) and 0.0 <= wide <= 1.0
 
     def test_no_nan_on_extreme_grid(self):
@@ -380,61 +379,61 @@ class TestGaussianOverlap:
         classes = [(m, v) for m in means for v in variances]
         for mu0, var0 in classes:
             for mu1, var1 in classes:
-                area = gaussian_overlap(mu0, var0, mu1, var1).area
+                area = gaussian_overlap(mu0, var0, mu1, var1)
                 assert 0.0 <= area <= 1.0, (mu0, var0, mu1, var1)
-                assert gaussian_overlap(mu1, var1, mu0, var0).area == area
+                assert gaussian_overlap(mu1, var1, mu0, var0) == area
 
     def test_subnormal_variances_rescale_exactly(self):
         # x -> x * 2**537 maps variances 5e-324 and 1e-323 to 1 and 2.
-        want = gaussian_overlap(0.0, 1.0, 0.0, 2.0).area
-        assert gaussian_overlap(0.0, 5e-324, 0.0, 1e-323).area == pytest.approx(want, abs=1e-15)
-        assert gaussian_overlap(1e300, 5e-324, 1e300, 1e-323).area == pytest.approx(
+        want = gaussian_overlap(0.0, 1.0, 0.0, 2.0)
+        assert gaussian_overlap(0.0, 5e-324, 0.0, 1e-323) == pytest.approx(want, abs=1e-15)
+        assert gaussian_overlap(1e300, 5e-324, 1e300, 1e-323) == pytest.approx(
             want, abs=1e-15
         )
 
     def test_overflowing_intermediates(self):
         # The separation overflows, but not in units of the common sigma.
-        assert gaussian_overlap(-1e154, 1.7e308, 1e154, 1.7e308).area == pytest.approx(
-            gaussian_overlap(-1.0, 1.7, 1.0, 1.7).area, rel=1e-12
+        assert gaussian_overlap(-1e154, 1.7e308, 1e154, 1.7e308) == pytest.approx(
+            gaussian_overlap(-1.0, 1.7, 1.0, 1.7), rel=1e-12
         )
-        assert gaussian_overlap(-1.7e308, 1.0, 1.7e308, 1.0).area == 0.0
+        assert gaussian_overlap(-1.7e308, 1.0, 1.7e308, 1.0) == 0.0
         # 2 * var_w overflows; the ratio of 17 does not.
-        assert gaussian_overlap(0.0, 1e307, 0.0, 1.7e308).area == pytest.approx(
-            gaussian_overlap(0.0, 1.0, 0.0, 17.0).area, rel=1e-12
+        assert gaussian_overlap(0.0, 1e307, 0.0, 1.7e308) == pytest.approx(
+            gaussian_overlap(0.0, 1.0, 0.0, 17.0), rel=1e-12
         )
         # log(var_w) - log(var_n) rounds to 0 for adjacent variances.
-        assert gaussian_overlap(0.0, 1e-300, 0.0, math.nextafter(1e-300, 1.0)).area == 1.0
+        assert gaussian_overlap(0.0, 1e-300, 0.0, math.nextafter(1e-300, 1.0)) == 1.0
 
     def test_symmetry(self):
         assert (
-            gaussian_overlap(1.0, 2.0, 5.0, 2.0).area
-            == gaussian_overlap(5.0, 2.0, 1.0, 2.0).area
+            gaussian_overlap(1.0, 2.0, 5.0, 2.0)
+            == gaussian_overlap(5.0, 2.0, 1.0, 2.0)
         )
         assert (
-            gaussian_overlap(1.0, 2.0, 5.0, 3.0).area
-            == gaussian_overlap(5.0, 3.0, 1.0, 2.0).area
+            gaussian_overlap(1.0, 2.0, 5.0, 3.0)
+            == gaussian_overlap(5.0, 3.0, 1.0, 2.0)
         )
 
     @settings(max_examples=300, deadline=None)
     @given(mu0=means, var0=variances, mu1=means, var1=variances)
     def test_property_bounded_and_swap_exact(self, mu0, var0, mu1, var1):
-        area = gaussian_overlap(mu0, var0, mu1, var1).area
+        area = gaussian_overlap(mu0, var0, mu1, var1)
         assert math.isfinite(area) and 0.0 <= area <= 1.0
-        assert gaussian_overlap(mu1, var1, mu0, var0).area == area
+        assert gaussian_overlap(mu1, var1, mu0, var0) == area
 
     @settings(max_examples=300, deadline=None)
     @given(mu0=means, var=variances, mu1=means)
     def test_property_equal_and_nearly_equal_variances(self, mu0, var, mu1):
-        equal = gaussian_overlap(mu0, var, mu1, var).area
+        equal = gaussian_overlap(mu0, var, mu1, var)
         assert equal == math.erfc(abs(mu1 - mu0) / (2.0 * math.sqrt(2.0 * var)))
-        nearly = gaussian_overlap(mu0, var, mu1, var * (1.0 + 1e-12)).area
+        nearly = gaussian_overlap(mu0, var, mu1, var * (1.0 + 1e-12))
         # Subnormal areas cannot carry 1e-9 relative precision.
         assert math.isclose(
             nearly, equal, rel_tol=1e-9, abs_tol=1e-9 * sys.float_info.min
         )
 
     def test_monotone_in_separation(self):
-        areas = [gaussian_overlap(0.0, 1.0, d, 1.0).area for d in (0.0, 1.0, 2.0, 3.0)]
+        areas = [gaussian_overlap(0.0, 1.0, d, 1.0) for d in (0.0, 1.0, 2.0, 3.0)]
         assert areas == sorted(areas, reverse=True)
         assert len(set(areas)) == 4
 
@@ -458,28 +457,15 @@ class TestSuccessModel:
             success_from_overlap(1.1)
 
     def test_per_coefficient_product(self):
-        model = SuccessModel(
-            p_inner=0.99999999999, p_neg=0.999999999999, inner_count=26, outer_count=2
-        )
-        p = per_coefficient_success(model)
+        p = per_coefficient_success(0.99999999999, 0.999999999999, 26, 2)
         assert p == pytest.approx(0.999999999478, abs=1e-15)
         # Same product through log1p, a different numeric route.
         log_route = math.exp(52 * math.log1p(-1e-11) + 2 * math.log1p(-1e-12))
         assert p == pytest.approx(log_route, abs=1e-15)
 
     def test_per_coefficient_trivials(self):
-        assert (
-            per_coefficient_success(
-                SuccessModel(p_inner=0.5, p_neg=1.0, inner_count=1, outer_count=1)
-            )
-            == 0.5
-        )
-        assert (
-            per_coefficient_success(
-                SuccessModel(p_inner=1.0, p_neg=1.0, inner_count=26, outer_count=2)
-            )
-            == 1.0
-        )
+        assert per_coefficient_success(0.5, 1.0, 1, 1) == 0.5
+        assert per_coefficient_success(1.0, 1.0, 26, 2) == 1.0
 
     def test_full_key_frozen_values(self):
         p = 0.99999999999**52 * 0.999999999999**2
@@ -489,17 +475,17 @@ class TestSuccessModel:
         assert full_key_success(p, 1024) < full_key_success(p, 512)
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            SuccessModel(p_inner=1.1, p_neg=1.0, inner_count=26, outer_count=2)
-        with pytest.raises(DomainError):
-            SuccessModel(p_inner=1.0, p_neg=-0.1, inner_count=26, outer_count=2)
-        with pytest.raises(DomainError):
-            SuccessModel(p_inner=1.0, p_neg=1.0, inner_count=0, outer_count=2)
-        with pytest.raises(DomainError):
-            full_key_success(0.5, 0)
-        with pytest.raises(DomainError):
-            full_key_success(0.5, 512, poly_count=0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^p_inner must lie in \[0, 1\]$"):
+            per_coefficient_success(1.1, 1.0, 26, 2)
+        with pytest.raises(DomainError, match=r"^p_neg must lie in \[0, 1\]$"):
+            per_coefficient_success(1.0, -0.1, 26, 2)
+        for counts in ((0, 2), (26, 0)):
+            with pytest.raises(DomainError, match="^iteration counts must be positive$"):
+                per_coefficient_success(1.0, 1.0, *counts)
+        for n in (0, -1):
+            with pytest.raises(DomainError, match="^n must be positive$"):
+                full_key_success(0.5, n)
+        with pytest.raises(DomainError, match=r"^p_coefficient must lie in \[0, 1\]$"):
             full_key_success(1.5, 512)
 
 
