@@ -215,9 +215,13 @@ def synthesize_trace(leaks, model: LeakModel, layout: TraceLayout, noise_seed: i
     return trace.astype(np.float32)
 
 
-# Rows per render chunk come from this many float64 samples (2 MiB), so
-# a chunk's working set stays in cache whatever the trace length.
+# Rows per render chunk, the unit of pool work and of yielded blocks, come
+# from this many samples (1 MiB as float32), whatever the trace length.
 _CHUNK_SAMPLES = 1 << 18
+# Rows per render tile, the unit of noise generation inside a chunk, come
+# from this many float64 samples (512 KiB), so that a tile's buffer and
+# its uint64 words fit in a core's L2.
+_TILE_SAMPLES = 1 << 16
 # Chunks rendering or waiting per render thread, each with its block.
 _CHUNKS_PER_THREAD = 2
 # Rows per key block of a campaign, rounded down to whole keys (at least one).
@@ -229,10 +233,15 @@ def _render_blocks(parts, model: LeakModel, layout: TraceLayout, threads: int = 
 
     `parts` is an iterable of (LabelSet, noise sub-seeds) pairs of
     consecutive rows, drawn as the render needs them. Each part is cut
-    into chunks that are rendered on one pool of `threads` threads, each
-    thread with its own float64 buffer, with at most _CHUNKS_PER_THREAD
-    chunks per thread pending. A chunk's samples are a new float32 block,
-    or rows of `out` when that (rows, trace_length) array is given.
+    into chunks of _CHUNK_SAMPLES samples that are rendered on one pool
+    of `threads` threads, with at most _CHUNKS_PER_THREAD chunks per
+    thread pending. A chunk's samples are a new float32 block (1 MiB), or
+    rows of `out` when that (rows, trace_length) array is given. A thread
+    renders its chunk in row tiles of _TILE_SAMPLES samples through its
+    own float64 buffer; the tile's uint64 noise words and their shift
+    temp are as big, so a thread holds 3 * 512 KiB of scratch. At the
+    README geometry (432 samples, 2 threads) that is 3 MiB of scratch
+    and at most 4 pending chunks of 606 rows, 4 MiB of float32.
 
     Bit-identical to calling synthesize_trace per coefficient with the
     matching sub-seed: the noise is scaled and shifted in the same order,
@@ -240,8 +249,8 @@ def _render_blocks(parts, model: LeakModel, layout: TraceLayout, threads: int = 
     same. synthesize_trace also adds alpha * 0 at the other leak sites.
     That changes a sample only if it is -0.0, which takes beta = -0.0, so
     only then are those zeros added here too (at every leak site, before
-    the gain). Chunks only bound memory, and threads only split chunks, so
-    neither changes the output.
+    the gain). Chunks and tiles only bound memory, and threads only split
+    chunks, so none of them changes the output.
     """
     length = layout.trace_length
     cols = layout.site_matrix().reshape(-1)
@@ -249,21 +258,24 @@ def _render_blocks(parts, model: LeakModel, layout: TraceLayout, threads: int = 
     add_zeros = model.beta == 0.0 and math.copysign(1.0, model.beta) < 0
     width = 2 * ((length + 1) // 2)
     chunk = max(1, _CHUNK_SAMPLES // width)
+    tile = min(chunk, max(1, _TILE_SAMPLES // width))
     local = threading.local()
 
     def render(bits, subseeds, samples):
         if not hasattr(local, "buf"):
-            local.buf = np.empty((chunk, width))
-        z = _gaussian_matrix(subseeds, length, out=local.buf)
-        z *= model.noise_sigma
-        z += model.beta
-        if add_zeros:
-            z[:, cols] += model.alpha * 0
-        rows, sites = np.nonzero(bits)
-        z[rows, cols[sites]] += gain
-        # Past float32's range the cast gives inf, which the trace writer rejects.
-        with np.errstate(over="ignore"):
-            samples[...] = z
+            local.buf = np.empty((tile, width))
+        for lo in range(0, len(subseeds), tile):
+            hi = lo + tile
+            z = _gaussian_matrix(subseeds[lo:hi], length, out=local.buf)
+            z *= model.noise_sigma
+            z += model.beta
+            if add_zeros:
+                z[:, cols] += model.alpha * 0
+            rows, sites = np.nonzero(bits[lo:hi])
+            z[rows, cols[sites]] += gain
+            # Past float32's range the cast gives inf, which the trace writer rejects.
+            with np.errstate(over="ignore"):
+                samples[lo:hi] = z
         return samples
 
     def chunks():

@@ -33,7 +33,7 @@ from .template import (
     per_coefficient_success,
     success_from_overlap,
 )
-from .traceio import CODECS, TraceSet, _atomic_write, parse_key_values, read_text
+from .traceio import CODECS, TraceSet, _atomic_write, parse_key_values, pop_field, read_text
 
 REPORT_VERSION = 1
 
@@ -188,24 +188,19 @@ class RecoveryReport:
     def from_text(cls, text: str) -> "RecoveryReport":
         values = parse_key_values(text, ReportFormatError)
         # Each field read is popped, so what is left is unknown.
+        version = pop_field(values, "report_version", int, ReportFormatError)
+        if version != REPORT_VERSION:
+            raise ReportFormatError(f"unsupported report version {version}")
         kw: dict = {}
-        try:
-            version = values.pop("report_version")
-            if int(version) != REPORT_VERSION:
-                raise ReportFormatError(f"unsupported report version {version}")
-            for f in fields(cls):
-                if f.metadata.get("labeled") and not kw["has_labels"]:
-                    continue  # not read, so refused as unknown if present
-                line = f.metadata.get("line")
-                # Lazy: a missing line ends the scan of a huge n_keys early.
-                names = (f"key.{j}.{line}" for j in range(kw["n_keys"])) if line else [f.name]
-                decode = CODECS[_element(f) if line else f.type][1]
-                decoded = [decode(values.pop(name)) for name in names]
-                kw[f.name] = decoded if line else decoded[0]
-        except KeyError as exc:
-            raise ReportFormatError(f"missing field {exc.args[0]!r}") from None
-        except ValueError as exc:
-            raise ReportFormatError(str(exc)) from None
+        for f in fields(cls):
+            if f.metadata.get("labeled") and not kw["has_labels"]:
+                continue  # not read, so refused as unknown if present
+            line = f.metadata.get("line")
+            # Lazy: a missing line ends the scan of a huge n_keys early.
+            names = (f"key.{j}.{line}" for j in range(kw["n_keys"])) if line else [f.name]
+            decode = CODECS[_element(f) if line else f.type][1]
+            decoded = [pop_field(values, name, decode, ReportFormatError) for name in names]
+            kw[f.name] = decoded if line else decoded[0]
         report = cls(**kw)
         report._check()
         if values:

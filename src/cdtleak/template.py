@@ -24,7 +24,7 @@ from .errors import (
     InsufficientClassData,
     TemplateFormatError,
 )
-from .traceio import CODECS, _atomic_write, parse_key_values, read_text
+from .traceio import CODECS, _atomic_write, parse_key_values, pop_field, read_text
 
 VAR_FLOOR = 1e-12
 
@@ -216,13 +216,15 @@ def load_template(path) -> Template:
     version = entries.pop("version", None)
     if version != "1":
         raise TemplateFormatError(f"unsupported version {version!r}")
-    if "pois" not in entries:
-        raise TemplateFormatError("missing pois field")
+
+    def take(name: str, kind: str):
+        return pop_field(entries, name, CODECS[kind][1], TemplateFormatError)
+
+    pois = tuple(take("pois", "list[int]"))
     try:
-        pois = tuple(CODECS["list[int]"][1](entries.pop("pois")))
         class0, class1 = (
             tuple(
-                ClassStats(**{f.name: CODECS[f.type][1](entries.pop(f"{cls}.{f.name}.{i}"))
+                ClassStats(**{f.name: take(f"{cls}.{f.name}.{i}", f.type)
                               for f in fields(ClassStats)})
                 for i in range(len(pois))
             )
@@ -231,7 +233,5 @@ def load_template(path) -> Template:
         if entries:
             raise TemplateFormatError(f"unknown keys: {', '.join(sorted(entries))}")
         return Template(pois=pois, class0=class0, class1=class1)
-    except KeyError as exc:
-        raise TemplateFormatError(f"missing field {exc.args[0]!r}") from None
-    except (ValueError, DomainError, EmptyPoi) as exc:
+    except (DomainError, EmptyPoi) as exc:
         raise TemplateFormatError(str(exc)) from None

@@ -162,6 +162,22 @@ def parse_key_values(text: str, error) -> dict[str, str]:
     return out
 
 
+def pop_field(values: dict[str, str], name: str, decode, error):
+    """Pop `name` from parse_key_values' dict and decode its value.
+
+    A missing key, or a value that `decode` rejects with ValueError,
+    raises `error` with a message that names the key.
+    """
+    try:
+        raw = values.pop(name)
+    except KeyError:
+        raise error(f"missing field {name!r}") from None
+    try:
+        return decode(raw)
+    except ValueError as exc:
+        raise error(f"field {name!r}: {exc}") from None
+
+
 def check_count(count: int, what: str) -> None:
     """Raise DimensionError unless `count` fits a header's u32 field."""
     if not 0 <= count <= _U32_MAX:

@@ -212,7 +212,8 @@ class TestReportText:
     @pytest.mark.parametrize("value", ["2", "-1", "true"])
     def test_has_labels_is_0_or_1(self, value):
         text = LABELED_TEXT.replace("has_labels=1\n", f"has_labels={value}\n")
-        with pytest.raises(ReportFormatError, match=f"^expected 0 or 1, got '{value}'$"):
+        message = f"^field 'has_labels': expected 0 or 1, got '{value}'$"
+        with pytest.raises(ReportFormatError, match=message):
             RecoveryReport.from_text(text)
 
     def test_missing_labeled_field(self):
@@ -275,3 +276,51 @@ class TestUnknownKeys:
         path.write_text(LABELED_TEXT + "bogus_field=3\n")
         assert main(["report", str(path)]) == 2
         assert "unknown keys: bogus_field" in capsys.readouterr().err
+
+
+def _with_value(text: str, key: str, value: str) -> str:
+    """The key=value text with `key`'s value replaced."""
+    assert f"\n{key}=" in "\n" + text
+    lines = [f"{key}={value}" if line.startswith(f"{key}=") else line
+             for line in text.splitlines()]
+    return "\n".join(lines) + "\n"
+
+
+class TestBadValueNamesItsField:
+    """A value its codec rejects is an error that names the key it sits under."""
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("n_keys", "x", "invalid literal for int() with base 10: 'x'"),
+            ("key.1.g", "2,y", "invalid literal for int() with base 10: 'y'"),
+            ("overlap_neg", "abc", "could not convert string to float: 'abc'"),
+            ("report_version", "v1", "invalid literal for int() with base 10: 'v1'"),
+        ],
+    )
+    def test_report(self, key, value, message):
+        with pytest.raises(ReportFormatError) as info:
+            RecoveryReport.from_text(_with_value(LABELED_TEXT, key, value))
+        assert str(info.value) == f"field {key!r}: {message}"
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("class0.mu.0", "abc", "could not convert string to float: 'abc'"),
+            ("class1.count.1", "9.5", "invalid literal for int() with base 10: '9.5'"),
+            ("pois", "3,x", "invalid literal for int() with base 10: 'x'"),
+        ],
+    )
+    def test_template(self, tmp_path, key, value, message):
+        path = tmp_path / "t.tpl"
+        save_template(_template(), path)
+        path.write_text(_with_value(path.read_text(), key, value))
+        with pytest.raises(TemplateFormatError) as info:
+            load_template(path)
+        assert str(info.value) == f"field {key!r}: {message}"
+
+    def test_cli_report(self, capsys, tmp_path):
+        path = tmp_path / "r.report.txt"
+        path.write_text(_with_value(LABELED_TEXT, "n_keys", "x"))
+        assert main(["report", str(path)]) == 2
+        assert "field 'n_keys': invalid literal" in capsys.readouterr().err

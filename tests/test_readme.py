@@ -1,9 +1,8 @@
 """The README walkthrough, run as written.
 
 Every `cdtleak ...` line of the README's `sh` blocks runs through
-`cli.main`, in order, in one temporary directory. Its stdout must equal
-the `# ` lines that follow it; a command without such lines must still
-exit 0.
+`cli.main`, in order, in one temporary directory. It must exit 0, and
+its stdout must equal the `# ` lines that follow it, byte for byte.
 """
 
 import contextlib
@@ -61,8 +60,7 @@ def test_commands_print_what_the_readme_shows(walkthrough):
     assert commands == ["simulate", "profile", "attack", "report", "analyze", "analyze"]
     for argv, expected, rc, out in runs:
         assert rc == 0, argv
-        if expected:
-            assert out.splitlines() == expected, argv
+        assert out == "".join(line + "\n" for line in expected), argv
 
 
 def test_analyze_agrees_with_the_attack_report(walkthrough):

@@ -113,24 +113,96 @@ class TestBytesEqualInMemoryCampaign:
 
     def test_rows_equal_scalar_sampler(self, tmp_path):
         """First, last and key-block boundary rows against the scalar oracle."""
-        seed, keys, params, model, layout = _flag_values(CASES["three_keys"])
+        argv = CASES["three_keys"]
         prefix = str(tmp_path / "camp")
-        _simulate_pair(CASES["three_keys"], prefix, 2)
-        samples = traceio.read_trace_set(prefix + ".trc").samples
-        values = traceio.read_label_set(prefix + ".lbl").values
-        per_key = 2 * params.n
-        table = default_table()
-        for row in (0, 2 * per_key - 1, 2 * per_key, keys * per_key - 1):
-            key, c = divmod(row, per_key)
-            source = sampler.WordSource(
-                seed=sampler.derive_subseed(seed, key), counter=2 * params.outer_count * c
+        _simulate_pair(argv, prefix, 2)
+        per_key = 2 * _flag_values(argv)[2].n
+        _assert_rows_equal_oracle(argv, prefix, (0, 2 * per_key - 1, 2 * per_key, 3 * per_key - 1))
+
+
+def _assert_rows_equal_oracle(argv, prefix, rows):
+    """Rows of the simulate output at `prefix` equal sample_coefficient + synthesize_trace."""
+    seed, keys, params, model, layout = _flag_values(argv)
+    samples = traceio.read_trace_set(prefix + ".trc").samples
+    values = traceio.read_label_set(prefix + ".lbl").values
+    per_key = 2 * params.n
+    table = default_table()
+    for row in rows:
+        key, c = divmod(row, per_key)
+        source = sampler.WordSource(
+            seed=sampler.derive_subseed(seed, key), counter=2 * params.outer_count * c
+        )
+        coeff = sampler.sample_coefficient(table, params, source)
+        want = leakage.synthesize_trace(
+            coeff.leaks, model, layout, sampler.derive_subseed(seed, keys + row)
+        )
+        assert samples[row].tobytes() == want.tobytes(), row
+        assert values[row] == coeff.value, row
+
+
+class TestTilesOnlySplitRows:
+    """Row tiles inside a chunk change no byte of simulate or profile.
+
+    Tiles of 5 rows divide neither the 23-row chunks nor the 512-row key
+    blocks, so tiles end inside chunks, and chunks inside key blocks.
+    """
+
+    TILE, CHUNK = 5, 23
+
+    @staticmethod
+    def _split(monkeypatch, width, tile, chunk):
+        monkeypatch.setattr(leakage, "_TILE_SAMPLES", tile * width)
+        monkeypatch.setattr(leakage, "_CHUNK_SAMPLES", chunk * width)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_simulate(self, monkeypatch, tmp_path, threads):
+        argv = ["--seed", "22", "--logn", "7", "--keys", "5"]
+        width = _flag_values(argv)[4].trace_length
+        assert width % 2 == 0
+        monkeypatch.setattr(leakage, "_KEY_BLOCK_ROWS", 600)
+        # One tile per chunk: the untiled render.
+        self._split(monkeypatch, width, self.CHUNK, self.CHUNK)
+        want = _in_memory_pair(argv, str(tmp_path / "ref"))
+        self._split(monkeypatch, width, self.TILE, self.CHUNK)
+        prefix = str(tmp_path / "camp")
+        assert _simulate_pair(argv, prefix, threads) == want
+        # Tile ends at 4|5 and 19|20, chunk ends at 22|23, a key block's at 511|512.
+        _assert_rows_equal_oracle(argv, prefix, (0, 4, 5, 19, 20, 22, 23, 511, 512, 1279))
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_profiling_set(self, monkeypatch, threads):
+        seed, n_traces, fire_slot = 0x7113, 52, 2
+        params, table = SamplerParams(logn=9), default_table()
+        model = LeakModel(noise_sigma=2.284)
+        layout = TraceLayout.for_params(params, table)
+        width = layout.trace_length
+
+        def profile(workers):
+            return leakage.synthesize_profiling_set(
+                seed, params, table, model, n_traces=n_traces, fire_slot=fire_slot,
+                threads=workers,
             )
+
+        self._split(monkeypatch, width, self.CHUNK, self.CHUNK)
+        want, want_labels = profile(1)
+        self._split(monkeypatch, width, self.TILE, self.CHUNK)
+        traces, labels = profile(threads)
+        assert traces.samples.tobytes() == want.samples.tobytes()
+        assert labels.values.tobytes() == want_labels.values.tobytes()
+        assert labels.bits.tobytes() == want_labels.bits.tobytes()
+        # Tile ends at 4|5 and 27|28, chunk ends at 22|23 and 45|46; the
+        # planted halves meet at 25|26.
+        for row in (0, 4, 5, 22, 23, 25, 26, 27, 28, 45, 46, 51):
+            plant = sampler.WordSource(seed=sampler.derive_subseed(seed, row))
+            slot = fire_slot if row < n_traces // 2 else None
+            first = leakage.plant_control_words(table, row & 1, slot, plant)
+            source = sampler.SequenceWordSource(list(first), fallback=plant)
             coeff = sampler.sample_coefficient(table, params, source)
-            want = leakage.synthesize_trace(
-                coeff.leaks, model, layout, sampler.derive_subseed(seed, keys + row)
+            trace = leakage.synthesize_trace(
+                coeff.leaks, model, layout, sampler.derive_subseed(seed, n_traces + row)
             )
-            assert samples[row].tobytes() == want.tobytes(), row
-            assert values[row] == coeff.value, row
+            assert traces.samples[row].tobytes() == trace.tobytes(), row
+            assert labels.values[row] == coeff.value, row
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -302,3 +374,34 @@ def test_memory_does_not_grow_with_keys(tmp_path):
             payloads.append(4 * reader.n_traces * reader.n_samples)
         peaks.append(peak)
     assert peaks[1] - peaks[0] < 0.1 * (payloads[1] - payloads[0])
+
+
+def test_render_scratch_is_tile_sized():
+    """Draining two threads' campaign over 4 keys stays under a bound set by the constants.
+
+    The bound is each thread's tile scratch (a float64 buffer, uint64
+    words and their shift temp), the float32 chunks pending on the pool
+    plus the one the caller holds, one key block, and 1 MiB of slack.
+    Scratch as big as a chunk would exceed it by more than 6 MiB.
+    """
+    params, table, threads = SamplerParams(logn=9), default_table(), 2
+    layout = TraceLayout.for_params(params, table)
+    width = layout.trace_length
+    assert width % 2 == 0
+    chunk_rows = leakage._CHUNK_SAMPLES // width
+    tile_rows = leakage._TILE_SAMPLES // width
+    scratch = threads * 3 * tile_rows * width * 8
+    chunks = (leakage._CHUNKS_PER_THREAD * threads + 1) * chunk_rows * width * 4
+    # Per row: the value (int32), the mask bits, the noise sub-seed and the sampler's draws.
+    sites = layout.outer_count * (layout.inner_count + 1)
+    key_block = leakage._KEY_BLOCK_ROWS * (4 + sites + 8 + 2 * layout.outer_count * 8)
+    bound = scratch + chunks + key_block + (1 << 20)
+    tracemalloc.start()
+    try:
+        _, blocks = campaign_blocks(5, params, table, LeakModel(), n_keys=4, threads=threads)
+        rows = sum(len(samples) for _, samples in blocks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows == 4 * 2 * params.n
+    assert peak < bound, (peak, bound)
