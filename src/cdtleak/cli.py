@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import cpa, leakage, recover, sampler, template, traceio
-from .errors import CdtLeakError
+from .errors import CdtLeakError, TraceFormatError
 
 _PCT = "{:.12g}%"
 
@@ -133,7 +133,11 @@ def cmd_profile(args) -> int:
 def cmd_attack(args) -> int:
     with contextlib.ExitStack() as stack:
         reader = stack.enter_context(traceio.open_trace_set(args.inp + ".trc"))
-        params, layout, _ = leakage.campaign_from_metadata(reader.metadata)
+        params, layout, _, n_keys = leakage.campaign_from_metadata(reader.metadata)
+        needed = n_keys * 2 * params.n
+        if needed != reader.n_traces:
+            raise TraceFormatError(f"campaign metadata: n_keys={n_keys} needs {needed} traces, "
+                                   f"the file has {reader.n_traces}")
         labels = None
         if os.path.exists(args.inp + ".lbl"):
             labels = stack.enter_context(traceio.open_label_set(args.inp + ".lbl"))

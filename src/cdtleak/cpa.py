@@ -1,10 +1,10 @@
-"""Correlation power analysis: Pearson correlation per sample column.
+"""Correlation power analysis: column correlation, leak-site localization.
 
-Used here for leakage localization: correlate every trace column against
-a per-trace hypothesis (predicted Hamming weight of a targeted value) and
-take the strongest columns as points of interest. Accumulation is done in
-float64 over two passes, which keeps column statistics exact enough for
-trace counts far beyond anything this package simulates.
+correlation_traces correlates every trace column against per-trace
+hypotheses (the predicted Hamming weight of a targeted value), and
+find_poi takes the strongest columns as points of interest. Accumulation
+is done in float64 over two passes, which keeps column statistics exact
+enough for trace counts far beyond anything this package simulates.
 """
 
 from __future__ import annotations
@@ -19,37 +19,6 @@ from .errors import DegenerateInput, DomainError, LengthMismatch
 _COLUMN_BLOCK = 32
 # Columns of the whole-chunk computation whose values the blocks keep.
 _COLUMN_CHUNK = 4096
-
-
-def pearson(x, y) -> float:
-    """Pearson correlation of two equal-length 1-D sequences."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 1 or y.ndim != 1:
-        raise DegenerateInput("pearson expects 1-D inputs")
-    if x.shape[0] != y.shape[0]:
-        raise LengthMismatch(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
-    if x.shape[0] < 2:
-        raise DegenerateInput("need at least two points")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    ssx = float(xc @ xc)
-    ssy = float(yc @ yc)
-    if ssx == 0.0 or ssy == 0.0:
-        raise DegenerateInput("zero variance input")
-    return float(xc @ yc) / (ssx * ssy) ** 0.5
-
-
-def correlation_trace(traces, hypothesis) -> np.ndarray:
-    """Correlate every sample column of `traces` against `hypothesis`.
-
-    Returns one float64 correlation per column: correlation_traces with a
-    single hypothesis, which must be 1-D.
-    """
-    h = np.asarray(hypothesis, dtype=np.float64)
-    if h.ndim != 1:
-        raise DegenerateInput("hypothesis must be 1-D")
-    return correlation_traces(traces, h[None, :])[0]
 
 
 def correlation_traces(traces, hypotheses, threads: int = 1) -> np.ndarray:

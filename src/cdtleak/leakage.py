@@ -10,6 +10,10 @@ weight (0 or 64). Everything else is baseline plus Gaussian noise.
 Noise is generated from the same deterministic word-source family as the
 sampler input, one derived sub-seed per trace, so whole campaigns are
 reproducible from a single 64-bit seed.
+
+simulate and profile run campaign_blocks and synthesize_profiling_set,
+which render on arrays; synthesize_trace renders one coefficient's leak
+records and is their scalar reference.
 """
 
 from __future__ import annotations
@@ -323,43 +327,41 @@ def campaign_metadata(
     return md
 
 
-def metadata_number(md: dict[str, str], key: str, decode=int):
-    """Parse one metadata field; a missing or malformed one is a format error."""
-    try:
-        raw = md[key]
-    except KeyError:
-        raise TraceFormatError(f"trace file lacks campaign metadata field {key!r}") from None
-    try:
-        return decode(raw)
-    except ValueError:
-        raise TraceFormatError(f"metadata field {key!r} has bad value {raw!r}") from None
-
-
-def campaign_from_metadata(md: dict[str, str]) -> tuple[SamplerParams, TraceLayout, LeakModel]:
-    """The setup campaign_metadata wrote, from a key-generation campaign's trace file.
+def campaign_from_metadata(
+    md: dict[str, str],
+) -> tuple[SamplerParams, TraceLayout, LeakModel, int]:
+    """The setup and n_keys campaign_metadata wrote, from a campaign's trace file.
 
     Another kind, a missing or malformed field, a value its dataclass
-    rejects, or an outer_count that logn does not give raises TraceFormatError.
+    rejects, an outer_count that logn does not give, or an n_keys below 1
+    raises TraceFormatError.
     """
     if md.get("kind") != "campaign":
         raise TraceFormatError(
             f"input traces are not a key-generation campaign (metadata kind {md.get('kind')!r})"
         )
+
+    def error(message: str) -> TraceFormatError:
+        return TraceFormatError(f"campaign metadata: {message}")
+
+    values = dict(md)
     setup = []
     for cls in (SamplerParams, TraceLayout, LeakModel):
         decoded = {
-            f.name: metadata_number(md, f.name, traceio.CODECS[f.type][1]) for f in fields(cls)
+            f.name: traceio.pop_field(values, f.name, traceio.CODECS[f.type][1], error)
+            for f in fields(cls)
         }
         try:
             setup.append(cls(**decoded))
         except DomainError as exc:
-            raise TraceFormatError(f"campaign metadata: {exc}") from None
+            raise error(str(exc)) from None
     params, layout, model = setup
     if layout.outer_count != params.outer_count:
-        raise TraceFormatError(
-            f"campaign metadata: outer_count {layout.outer_count} disagrees with logn {params.logn}"
-        )
-    return params, layout, model
+        raise error(f"outer_count {layout.outer_count} disagrees with logn {params.logn}")
+    n_keys = traceio.pop_field(values, "n_keys", int, error)
+    if n_keys < 1:
+        raise error(f"n_keys={n_keys} is not positive")
+    return params, layout, model, n_keys
 
 
 def _checked_layout(params: SamplerParams, table: GaussCdtTable, layout) -> TraceLayout:
@@ -436,46 +438,16 @@ def synthesize_campaign(
     return traceio.TraceSet(samples=samples, metadata=md), labels
 
 
-def plant_control_words(
-    table: GaussCdtTable, neg_bit: int, fire_slot: int | None, source
-) -> tuple[int, int]:
-    """Craft the two input words of one outer iteration.
-
-    The returned pair makes the scan take a chosen path: sign bit equal to
-    neg_bit, and the inner latch firing exactly at fire_slot, or nowhere
-    (magnitude zero) when fire_slot is None. Residual randomness inside
-    the chosen ranges comes from `source`.
-    """
-    entries = table.entries
-    if neg_bit not in (0, 1):
-        raise DomainError("neg_bit must be 0 or 1")
-    if fire_slot is None:
-        if entries[0] == 0:
-            raise DomainError("table gives zero probability to magnitude 0")
-        low = source.next_u64() % entries[0]
-        return (neg_bit << 63) | low, source.next_u64() & MASK63
-    if not 1 <= fire_slot <= table.inner_count:
-        raise DomainError("fire_slot out of range")
-    span0 = MASK63 + 1 - entries[0]
-    if span0 == 0:
-        raise DomainError("table never leaves the zero branch")
-    w1 = (neg_bit << 63) | (entries[0] + source.next_u64() % span0)
-    hi = MASK63 + 1 if fire_slot == 1 else entries[fire_slot - 1]
-    lo = entries[fire_slot]
-    if hi <= lo:
-        raise DomainError(f"slot {fire_slot} cannot fire: empty threshold range")
-    w2 = lo + source.next_u64() % (hi - lo)
-    return w1, w2
-
-
 def _plant_first_iteration(table: GaussCdtTable, fire_slot: int, stream: np.ndarray) -> None:
-    """plant_control_words for every trace at once, in place.
+    """Plant the first outer iteration of every trace, in place.
 
     Row i of `stream` is trace i's plant stream. Its columns 0 and 1 are
-    the words plant_control_words draws; they are replaced by the planted
-    first-iteration words: the first half of the rows latch at
-    fire_slot, the rest take the zero branch, and the sign bit is i & 1.
-    The columns after them feed the unscripted iterations unchanged.
+    replaced by the planted first-iteration words: the first half of the
+    rows latch at fire_slot, the rest take the zero branch, and the sign
+    bit is i & 1: each drawn word is reduced into the range that takes
+    that path. The columns after them feed the unscripted iterations
+    unchanged. Its scalar oracle is in tests/scripted.py: it crafts one
+    trace's pair from the same two words.
     """
     entries = table.entries
     if not 1 <= fire_slot <= table.inner_count:

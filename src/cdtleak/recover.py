@@ -24,7 +24,7 @@ from .errors import (
     ReportFormatError,
 )
 from .leakage import TraceLayout
-from .sampler import MASK32, SamplerParams, fold
+from .sampler import SamplerParams, fold
 from .template import (
     ClassStats,
     Template,
@@ -36,16 +36,6 @@ from .template import (
 from .traceio import CODECS, TraceSet, _atomic_write, parse_key_values, pop_field, read_text
 
 REPORT_VERSION = 1
-
-
-def apply_neg(v: int, neg_bit: bool) -> int:
-    """Conditionally negate a magnitude in 32-bit two's complement."""
-    if not 0 <= v <= MASK32:
-        raise DomainError("v must be a 32-bit value")
-    mask = MASK32 if neg_bit else 0
-    out = ((v ^ mask) + (1 if neg_bit else 0)) & MASK32
-    return out - (1 << 32) if out >> 31 else out
-
 
 # Rows per block of the recovery loop: 1,024 rows of a few hundred
 # float32 samples keep a block, and its gathered float64 columns, in cache.
@@ -214,8 +204,10 @@ class RecoveryReport:
             if not ok:
                 raise ReportFormatError(f"inconsistent report: {what}")
 
-        for name in ("n_keys", "n", "poly_count"):
+        for name in ("n_keys", "n"):
             need(getattr(self, name) > 0, f"{name}={getattr(self, name)} is not positive")
+        # Every report holds exactly the f and g lines of each key.
+        need(self.poly_count == 2, f"poly_count={self.poly_count} is not 2")
         for f in self._written_fields():
             value = getattr(self, f.name)
             if f.type == "int":
@@ -224,9 +216,11 @@ class RecoveryReport:
                 need(0.0 <= value <= 1.0, f"{f.name}={value!r} is outside [0, 1]")
             elif "line" in f.metadata:
                 for j, entry in enumerate(value):
-                    need(len(entry) == self.n, f"key.{j}.{f.metadata['line']} has "
-                         f"{len(entry)} entries, not n={self.n}")
-        coefficients = self.n_keys * self.poly_count * self.n
+                    line = f"key.{j}.{f.metadata['line']}"
+                    need(len(entry) == self.n, f"{line} has {len(entry)} entries, not n={self.n}")
+                    need(_element(f) != "str" or set(entry) <= {"0", "1"},
+                         f"{line} has a flag other than 0 or 1")
+        coefficients = self.n_keys * 2 * self.n
         outer = coefficients * self.outer_count
         totals = {"inner_sites_total": outer * self.inner_count, "neg_sites_total": outer}
         bounded = [
@@ -235,10 +229,12 @@ class RecoveryReport:
             ("anomalous_outer_iterations", "neg_sites_total"),
         ]
         if self.has_labels:
+            # The counts are the ones the flag lines give.
+            flags = [f + g for f, g in zip(self.correct_flags_f, self.correct_flags_g)]
             totals["coefficients_total"] = coefficients
+            totals["coefficients_correct"] = sum(key.count("1") for key in flags)
+            totals["keys_recovered"] = sum("0" not in key for key in flags)
             bounded += [
-                ("coefficients_correct", "coefficients_total"),
-                ("keys_recovered", "n_keys"),
                 ("inner_site_errors", "inner_sites_total"),
                 ("neg_site_errors", "neg_sites_total"),
             ]

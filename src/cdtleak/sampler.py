@@ -8,6 +8,10 @@ either all zeros or all ones, so a power trace of the store instruction
 separates the two cases by 64 bits of Hamming weight. The rest of the
 package simulates, profiles, and exploits exactly that.
 
+WordSource and sample_coefficient are the scalar reference of one
+coefficient's scan and its leak records; words, scan_words and
+sample_keys compute the same on arrays and are what the commands run.
+
 All arithmetic is unsigned two's-complement, 64-bit unless noted, with
 explicit wrap masks where Python integers would otherwise grow.
 """
@@ -74,29 +78,6 @@ class WordSource:
     def next_u64(self) -> int:
         self.counter = (self.counter + 1) & MASK64
         return splitmix64((self.seed + self.counter * _GOLDEN) & MASK64)
-
-
-class SequenceWordSource:
-    """Word source that replays a scripted list, then an optional fallback.
-
-    Used to drive the sampler through chosen control-flow corners: the
-    scripted words stand in for the first random draws, and any further
-    draws come from `fallback` (or fail loudly if none was given).
-    """
-
-    def __init__(self, words, fallback: WordSource | None = None):
-        self._words = [int(w) & MASK64 for w in words]
-        self._pos = 0
-        self._fallback = fallback
-
-    def next_u64(self) -> int:
-        if self._pos < len(self._words):
-            w = self._words[self._pos]
-            self._pos += 1
-            return w
-        if self._fallback is None:
-            raise DomainError("scripted word source exhausted")
-        return self._fallback.next_u64()
 
 
 def words(seeds, start: int, count: int) -> np.ndarray:
@@ -243,14 +224,11 @@ class IterationLeakRecord:
     inner_masks[k-1] is the 64-bit mask computed at inner iteration k: all
     ones exactly when the scan latched at position k, else zero. At most
     one mask per record is all ones. neg_mask spreads the sign draw the
-    same way. v_value is the magnitude the masks encode and signed_v the
-    32-bit signed result after conditional negation.
+    same way.
     """
 
     inner_masks: tuple[int, ...]
     neg_mask: int
-    v_value: int
-    signed_v: int
 
 
 @dataclass(frozen=True)
@@ -288,18 +266,8 @@ def sample_coefficient(table: GaussCdtTable, params: SamplerParams, source) -> S
             inner_masks.append(mask)
             v |= k & mask
             f |= t
-        neg_mask = (-neg) & MASK64
-        signed32 = ((v ^ ((-neg) & MASK32)) + neg) & MASK32
-        signed_v = signed32 - (1 << 32) if signed32 >> 31 else signed32
-        records.append(
-            IterationLeakRecord(
-                inner_masks=tuple(inner_masks),
-                neg_mask=neg_mask,
-                v_value=v,
-                signed_v=signed_v,
-            )
-        )
-        val = (val + signed32) & MASK32
+        records.append(IterationLeakRecord(tuple(inner_masks), (-neg) & MASK64))
+        val = (val + (v ^ ((-neg) & MASK32)) + neg) & MASK32
     value = val - (1 << 32) if val >> 31 else val
     return SecretCoefficient(value=value, leaks=tuple(records))
 

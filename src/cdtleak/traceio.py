@@ -163,10 +163,11 @@ def parse_key_values(text: str, error) -> dict[str, str]:
 
 
 def pop_field(values: dict[str, str], name: str, decode, error):
-    """Pop `name` from parse_key_values' dict and decode its value.
+    """Pop `name` from a dict of text fields and decode its value.
 
     A missing key, or a value that `decode` rejects with ValueError,
-    raises `error` with a message that names the key.
+    raises `error` with a message that names the key. Reports,
+    templates and campaign metadata are all read through it.
     """
     try:
         raw = values.pop(name)

@@ -18,24 +18,25 @@ import numpy as np
 import pytest
 
 from naive_sampler import interpret_listing, scaled_word_grid
+from scripted import SequenceWordSource
 
 from cdtleak.cli import main
-from cdtleak.cpa import correlation_trace, find_poi, pearson
+from cdtleak.cpa import correlation_traces, find_poi
 from cdtleak.leakage import (
     LeakModel,
     TraceLayout,
     synthesize_campaign,
     synthesize_profiling_set,
 )
-from cdtleak.recover import apply_neg, recover_key
+from cdtleak.recover import recover_key
 from cdtleak.sampler import (
     MASK32,
     MASK64,
     GaussCdtTable,
     SamplerParams,
-    SequenceWordSource,
     WordSource,
     default_table,
+    fold,
     sample_coefficient,
     word_block,
 )
@@ -118,6 +119,9 @@ def test_criterion_3_sampler_oracle_equivalence():
     rng = np.random.default_rng(0xACCE551)
     words_needed = 2 * params.outer_count
     mismatches = 0
+    # Each iteration's magnitude and sign bit, and the interpreter's
+    # signed value of it, which the attack's fold must reproduce.
+    magnitudes, signs, signed = [], [], []
     for _ in range(10_000):
         words = [int(w) for w in rng.integers(0, 1 << 64, size=words_needed, dtype=np.uint64)]
         expected_value, expected_iters = interpret_listing(
@@ -128,10 +132,16 @@ def test_criterion_3_sampler_oracle_equivalence():
         for rec, it in zip(coeff.leaks, expected_iters):
             ok &= [m == MASK64 for m in rec.inner_masks] == it.fired
             ok &= (rec.neg_mask == MASK64) == bool(it.neg)
-            ok &= rec.v_value == it.v_before_sign
-            ok &= rec.signed_v == it.v_signed
+            v = 0
+            for k, m in enumerate(rec.inner_masks, start=1):
+                v |= k & m
+            ok &= v == it.v_before_sign
+            magnitudes.append(v)
+            signs.append(rec.neg_mask == MASK64)
+            signed.append(it.v_signed)
         mismatches += not ok
     assert mismatches == 0
+    assert fold(np.array(magnitudes)[:, None], np.array(signs)[:, None]).tolist() == signed
 
     # Exhaustive coarse grid with a 2-entry table: every pair of 8-bit
     # scaled words for the two draws of a single outer iteration.
@@ -194,7 +204,7 @@ def test_criterion_5_cpa_localization():
         (64.0 * labels.inner_bits[:, 0, 0], layout.inner_site_index(0, 1)),
         (64.0 * labels.neg_bits[:, 0], layout.neg_site_index(0)),
     ):
-        corr = correlation_trace(traces.samples, hypothesis)
+        corr = correlation_traces(traces.samples, hypothesis[None])[0]
         assert find_poi(corr, count=1)[0] == site
         assert abs(corr[site]) >= 0.95
     assert time.perf_counter() - started < 60.0
@@ -256,14 +266,17 @@ def test_criterion_7_property_suites(tmp_path):
             records += 1
     assert masks_seen >= cases
 
-    # Conditional negation: matches modular arithmetic and undoes itself.
+    # Conditional negation, as the attack's fold applies a sign bit:
+    # matches modular arithmetic and undoes itself.
     rng = np.random.default_rng(0x7E58)
-    for v in (int(x) for x in rng.integers(0, 1 << 32, size=cases)):
-        negated = (-v) & MASK32
-        expected = negated - (1 << 32) if negated >> 31 else negated
-        signed = apply_neg(v, True)
-        assert signed == expected
-        assert apply_neg(signed & MASK32, True) == apply_neg(v, False)
+    v = rng.integers(0, 1 << 32, size=(cases, 1))
+    ones, zeros = np.ones(v.shape, dtype=bool), np.zeros(v.shape, dtype=bool)
+    negated = (-v) & MASK32
+    expected = np.where(negated >> 31, negated - (1 << 32), negated)[:, 0]
+    signed = fold(v, ones)
+    assert np.array_equal(signed, expected)
+    again = signed.astype(np.int64)[:, None] & MASK32
+    assert np.array_equal(fold(again, ones), fold(v, zeros))
 
     # Pearson affine invariance: transformed columns against the raw
     # hypothesis, each column its own case with a fresh scale and shift.
@@ -271,16 +284,16 @@ def test_criterion_7_property_suites(tmp_path):
     m = word_block(0x7E59, 0, 64 * cols).reshape(64, cols)
     m = (m >> np.uint64(40)).astype(np.float64)
     h = m[:, 0].copy()
-    direct = correlation_trace(m, h)
+    direct = correlation_traces(m, h[None])[0]
     rng = np.random.default_rng(0x7E5A)
     for _ in range(2):
         scales = rng.uniform(0.5, 10.0, size=cols)
         shifts = rng.uniform(-50.0, 50.0, size=cols)
-        transformed = correlation_trace(m * scales + shifts, h)
+        transformed = correlation_traces(m * scales + shifts, h[None])[0]
         assert np.abs(transformed - direct).max() <= 1e-9
-    # Spot-check the scalar routine on a spread of the same columns.
+    # Spot-check against numpy's corrcoef on a spread of the same columns.
     for j in range(0, cols, cols // 200):
-        assert abs(pearson(2.5 * m[:, j] + 7.0, h) - direct[j]) <= 1e-9
+        assert abs(np.corrcoef(2.5 * m[:, j] + 7.0, h)[0, 1] - direct[j]) <= 1e-9
 
     # Trace-format round trip: every write/read pair returns the bytes
     # it was given, across randomized shapes, values, and metadata.

@@ -4,7 +4,7 @@ The campaign and profiling paths run on arrays: one words() call per key
 or trace, one scan_words() over all coefficients, and a chunked in-place
 render, and the attack computes margins with one row-blocked kernel.
 Each test here runs the scalar or per-site path (WordSource,
-sample_coefficient, plant_control_words, synthesize_trace, and
+sample_coefficient, scripted.plant_control_words, synthesize_trace, and
 _margin_columns below) on the same inputs and requires equal results,
 bit for bit.
 """
@@ -12,6 +12,7 @@ bit for bit.
 import ast
 import hashlib
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -26,7 +27,6 @@ from cdtleak.errors import DomainError
 from cdtleak.leakage import (
     LeakModel,
     TraceLayout,
-    plant_control_words,
     synthesize_campaign,
     synthesize_profiling_set,
     synthesize_trace,
@@ -36,7 +36,6 @@ from cdtleak.sampler import (
     MASK64,
     GaussCdtTable,
     SamplerParams,
-    SequenceWordSource,
     WordSource,
     default_table,
     derive_subseed,
@@ -46,6 +45,8 @@ from cdtleak.sampler import (
     words,
 )
 from cdtleak.template import ClassStats, Template
+
+from scripted import SequenceWordSource, plant_control_words
 
 # Tied tail entries, a zero tail entry, and entries[0] == 0 (the zero
 # branch can never be taken).
@@ -448,3 +449,40 @@ def test_no_unused_imports():
                     if name not in referenced:
                         unused.append(f"{path.relative_to(root)}: {name}")
     assert unused == []
+
+
+def test_no_unreferenced_public_names():
+    """Every public module-level function and class in src/cdtleak/*.py is reached.
+
+    A name counts as reached when some src module refers to it, as a name
+    or an attribute, outside its own definition, or when
+    perfbench/checks.py or README.md names it. Whatever else is public
+    is code that no command, no benchmark check and no documented library
+    use runs.
+    """
+    root = Path(__file__).resolve().parents[1]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(root.glob("src/cdtleak/*.py"))}
+    named = "".join((root / p).read_text(encoding="utf-8")
+                    for p in ("perfbench/checks.py", "README.md"))
+
+    def references(node, skip):
+        if node is skip:
+            return
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        for child in ast.iter_child_nodes(node):
+            yield from references(child, skip)
+
+    unreached = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+                continue
+            if any(node.name in references(other, node) for other in trees.values()):
+                continue
+            if not re.search(rf"\b{node.name}\b", named):
+                unreached.append(f"{path.relative_to(root)}: {node.name}")
+    assert unreached == []

@@ -521,15 +521,21 @@ INCONSISTENT_REPORTS = [
     ({"anomalous_outer_iterations": "-1"}, "anomalous_outer_iterations=-1 is negative"),
     ({"n_keys": "-3"}, "n_keys=-3 is not positive"),
     ({"n": "0"}, "n=0 is not positive"),
-    ({"poly_count": "0"}, "poly_count=0 is not positive"),
+    ({"poly_count": "0"}, "poly_count=0 is not 2"),
+    # One polynomial per key with every total halved to match still
+    # contradicts the f and g lines the report holds.
+    ({"poly_count": "1", "inner_sites_total": "26624", "neg_sites_total": "1024",
+      "coefficients_total": "512"}, "poly_count=1 is not 2"),
     ({"inner_sites_ones": "53249"}, "inner_sites_ones exceeds inner_sites_total"),
     ({"neg_sites_ones": "2049"}, "neg_sites_ones exceeds neg_sites_total"),
     ({"inner_sites_total": "53247"}, "inner_sites_total=53247 is not 53248"),
     ({"neg_sites_total": "4096"}, "neg_sites_total=4096 is not 2048"),
     ({"outer_count": "3"}, "inner_sites_total=53248 is not 79872"),
     ({"coefficients_total": "1023"}, "coefficients_total=1023 is not 1024"),
-    ({"coefficients_correct": "999999"}, "coefficients_correct exceeds coefficients_total"),
-    ({"keys_recovered": "2"}, "keys_recovered exceeds n_keys"),
+    ({"coefficients_correct": "999999"}, "coefficients_correct=999999 is not 1024"),
+    ({"keys_recovered": "2"}, "keys_recovered=2 is not 1"),
+    # The flag lines are all 1, so they give 1,024 correct and 1 key.
+    ({"keys_recovered": "0", "coefficients_correct": "3"}, "coefficients_correct=3 is not 1024"),
     ({"inner_site_errors": "53249"}, "inner_site_errors exceeds inner_sites_total"),
     ({"neg_site_errors": "2049"}, "neg_site_errors exceeds neg_sites_total"),
     ({"anomalous_outer_iterations": "2049"}, "anomalous_outer_iterations exceeds"),
@@ -538,6 +544,7 @@ INCONSISTENT_REPORTS = [
     ({"overlap_neg": "-1e-300"}, "overlap_neg=-1e-300 is outside [0, 1]"),
     ({"key.0.f": "1,2,3"}, "key.0.f has 3 entries, not n=512"),
     ({"key.0.g_correct": "1"}, "key.0.g_correct has 1 entries, not n=512"),
+    ({"key.0.f_correct": "2" + "1" * 511}, "key.0.f_correct has a flag other than 0 or 1"),
 ]
 
 
@@ -715,6 +722,29 @@ class TestThreadsAndMetadataErrors:
         )
         assert rc == 2
         assert "metadata: outer_count 1 disagrees with logn 9" in err
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("7", "n_keys=7 needs 7168 traces, the file has 1024"),
+         ("banana", "field 'n_keys': invalid literal for int() with base 10: 'banana'"),
+         ("0", "n_keys=0 is not positive")],
+        ids=["mismatch", "not-a-number", "zero"],
+    )
+    def test_attack_on_bad_n_keys(self, capsys, pipeline, tmp_path, value, message):
+        # A 1-key campaign, labels and all, whose metadata gives another n_keys.
+        original = traceio.read_trace_set(pipeline["camp"] + ".trc")
+        doctored = traceio.TraceSet(
+            samples=original.samples, metadata={**original.metadata, "n_keys": value}
+        )
+        prefix = str(tmp_path / "bad")
+        traceio.write_trace_set(doctored, prefix + ".trc")
+        shutil.copyfile(pipeline["camp"] + ".lbl", prefix + ".lbl")
+        rc, stdout, err = _run(
+            capsys, "attack", "--in", prefix, "--templates", pipeline["tpl"]
+        )
+        assert (rc, stdout) == (2, "")
+        assert err == f"error: campaign metadata: {message}\n"
+        assert not os.path.exists(prefix + ".report.txt")
 
     def test_attack_on_profiling_traces(self, capsys, pipeline, tmp_path):
         traces, _ = leakage.synthesize_profiling_set(

@@ -3,6 +3,7 @@
 The frozen scalar oracle: for x = [1,2,3,4], y = [2,4,5,9] the centered
 vectors are [-1.5,-0.5,0.5,1.5] and [-3,-1,0,4], giving covariance sum
 11, sum of squares 5 and 26, so r = 11 / sqrt(130) = 0.9647638212377322.
+Per-column values are otherwise checked against np.corrcoef.
 """
 
 import tracemalloc
@@ -12,43 +13,52 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdtleak.cpa import correlation_trace, correlation_traces, find_poi, pearson
+from cdtleak.cpa import correlation_traces, find_poi
 from cdtleak.errors import DegenerateInput, DomainError, LengthMismatch
 from cdtleak.leakage import LeakModel, TraceLayout, synthesize_profiling_set
 from cdtleak.sampler import SamplerParams, default_table
 
 
+def _one(traces, hypothesis):
+    """correlation_traces of a single hypothesis: one value per column."""
+    return correlation_traces(traces, np.asarray(hypothesis, dtype=np.float64)[None])[0]
+
+
+def _corrcoef(x, y) -> float:
+    return float(np.corrcoef(x, y)[0, 1])
+
+
 class TestPearson:
+    """The correlation of one column with one hypothesis."""
+
     def test_frozen_hand_computed_value(self):
-        assert pearson([1, 2, 3, 4], [2, 4, 5, 9]) == pytest.approx(
-            0.9647638212377322, abs=1e-12
-        )
+        r = _one(np.array([[1.0], [2.0], [3.0], [4.0]]), [2, 4, 5, 9])
+        assert r.shape == (1,)
+        assert r[0] == pytest.approx(11.0 / 130.0**0.5, abs=1e-12)
+        assert r[0] == pytest.approx(0.9647638212377322, abs=1e-12)
 
     def test_perfect_correlation(self):
         x = np.array([3.0, -1.0, 4.0, 1.5, 9.0])
-        assert pearson(x, x) == pytest.approx(1.0, abs=1e-12)
-        assert pearson(x, -x) == pytest.approx(-1.0, abs=1e-12)
-        assert pearson(x, 2.0 * x + 7.0) == pytest.approx(1.0, abs=1e-12)
+        r = correlation_traces(x[:, None], [x, -x, 2.0 * x + 7.0])[:, 0]
+        assert r == pytest.approx([1.0, -1.0, 1.0], abs=1e-12)
 
     def test_error_paths(self):
-        with pytest.raises(DegenerateInput):
-            pearson([1.0], [2.0])
-        with pytest.raises(DegenerateInput):
-            pearson([1.0, 1.0], [2.0, 3.0])
-        with pytest.raises(DegenerateInput):
-            pearson([1.0, 2.0], [3.0, 3.0])
-        with pytest.raises(DegenerateInput):
-            pearson(np.ones((2, 2)), np.ones(2))
+        # Too few traces, a hypothesis with zero variance, and a length
+        # mismatch. A zero-variance column is no error: it correlates 0.
+        with pytest.raises(DegenerateInput, match="at least two traces"):
+            _one([[1.0]], [2.0])
+        with pytest.raises(DegenerateInput, match="zero variance"):
+            _one([[1.0], [2.0]], [3.0, 3.0])
         with pytest.raises(LengthMismatch):
-            pearson([1.0, 2.0], [1.0, 2.0, 3.0])
+            _one([[1.0], [2.0]], [1.0, 2.0, 3.0])
+        assert _one([[1.0], [1.0]], [2.0, 3.0]).tolist() == [0.0]
 
     def test_bounded_on_random_inputs(self):
         rng = np.random.default_rng(51)
         for _ in range(200):
             n = int(rng.integers(2, 40))
-            x = rng.normal(size=n)
-            y = rng.normal(size=n)
-            assert abs(pearson(x, y)) <= 1.0 + 1e-9
+            r = _one(rng.normal(size=(n, 3)), rng.normal(size=n))
+            assert np.abs(r).max() <= 1.0 + 1e-9
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -62,18 +72,21 @@ class TestPearson:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=16)
         y = rng.normal(size=16)
-        r = pearson(x, y)
-        assert pearson(scale * x + shift, y) == pytest.approx(r, abs=1e-9)
-        assert pearson(-scale * x + shift, y) == pytest.approx(-r, abs=1e-9)
+        r = _one(x[:, None], y)[0]
+        assert r == pytest.approx(_corrcoef(x, y), abs=1e-12)
+        transformed = np.stack([scale * x + shift, -scale * x + shift], axis=1)
+        assert _one(transformed, y) == pytest.approx([r, -r], abs=1e-9)
 
 
 class TestCorrelationTrace:
+    """correlation_traces with one hypothesis: a correlation per column."""
+
     def test_planted_column_matches_hypothesis(self):
         rng = np.random.default_rng(7)
         h = rng.normal(size=500)
         traces = rng.normal(size=(500, 12))
         traces[:, 5] = h
-        corr = correlation_trace(traces, h)
+        corr = _one(traces, h)
         assert corr.shape == (12,)
         assert corr[5] == pytest.approx(1.0, abs=1e-12)
         assert np.abs(np.delete(corr, 5)).max() < 0.2
@@ -82,9 +95,9 @@ class TestCorrelationTrace:
         rng = np.random.default_rng(8)
         traces = rng.normal(size=(50, 300))
         h = rng.normal(size=50)
-        corr = correlation_trace(traces, h)
+        corr = _one(traces, h)
         for j in range(300):
-            assert corr[j] == pytest.approx(pearson(traces[:, j], h), abs=1e-12)
+            assert corr[j] == pytest.approx(_corrcoef(traces[:, j], h), abs=1e-12)
 
     def test_chunk_seams(self):
         # Columns on both sides of the 4096-column processing boundary
@@ -92,15 +105,15 @@ class TestCorrelationTrace:
         rng = np.random.default_rng(9)
         traces = rng.normal(size=(10, 8193))
         h = rng.normal(size=10)
-        corr = correlation_trace(traces, h)
+        corr = _one(traces, h)
         for j in (0, 4094, 4095, 4096, 4097, 8191, 8192):
-            assert corr[j] == pytest.approx(pearson(traces[:, j], h), abs=1e-12)
+            assert corr[j] == pytest.approx(_corrcoef(traces[:, j], h), abs=1e-12)
 
     def test_zero_variance_column_is_zero(self):
         rng = np.random.default_rng(10)
         traces = rng.normal(size=(30, 4))
         traces[:, 2] = 41.0
-        corr = correlation_trace(traces, rng.normal(size=30))
+        corr = _one(traces, rng.normal(size=30))
         assert corr[2] == 0.0
 
     def test_column_permutation_equivariance(self):
@@ -108,8 +121,8 @@ class TestCorrelationTrace:
         traces = rng.normal(size=(20, 5000))
         h = rng.normal(size=20)
         perm = rng.permutation(5000)
-        direct = correlation_trace(traces, h)
-        permuted = correlation_trace(traces[:, perm], h)
+        direct = _one(traces, h)
+        permuted = _one(traces[:, perm], h)
         # Not bit-identical: a column that moves into a different chunk
         # is summed by a different BLAS blocking. The values still agree
         # far below any POI-ranking margin.
@@ -119,22 +132,22 @@ class TestCorrelationTrace:
         rng = np.random.default_rng(12)
         traces = rng.normal(size=(40, 6)).astype(np.float32)
         h = traces[:, 3].astype(np.float64)
-        corr = correlation_trace(traces, h)
+        corr = _one(traces, h)
         assert corr[3] == pytest.approx(1.0, abs=1e-6)
 
     def test_error_paths(self):
         rng = np.random.default_rng(13)
         traces = rng.normal(size=(10, 4))
         with pytest.raises(DegenerateInput):
-            correlation_trace(traces[0], rng.normal(size=4))
+            _one(traces[0], rng.normal(size=4))
         with pytest.raises(DegenerateInput):
-            correlation_trace(traces, np.ones((10, 1)))
+            correlation_traces(traces, np.ones((1, 10, 1)))
         with pytest.raises(LengthMismatch):
-            correlation_trace(traces, rng.normal(size=9))
+            _one(traces, rng.normal(size=9))
         with pytest.raises(DegenerateInput):
-            correlation_trace(traces[:1], rng.normal(size=1))
+            _one(traces[:1], rng.normal(size=1))
         with pytest.raises(DegenerateInput):
-            correlation_trace(traces, np.full(10, 3.0))
+            _one(traces, np.full(10, 3.0))
 
     def test_noiseless_campaign_peak_is_exact(self):
         params = SamplerParams(logn=10)
@@ -147,7 +160,7 @@ class TestCorrelationTrace:
             n_traces=400,
         )
         layout = TraceLayout.for_params(params, table)
-        corr = correlation_trace(traces.samples, 64.0 * labels.inner_bits[:, 0, 0])
+        corr = _one(traces.samples, 64.0 * labels.inner_bits[:, 0, 0])
         site = layout.inner_site_index(0, 1)
         assert find_poi(corr, count=1)[0] == site
         assert corr[site] == pytest.approx(1.0, abs=1e-9)
@@ -210,7 +223,7 @@ class TestCorrelationTraces:
         traces, hyps = self._campaign(self.ROWS, columns, np.float32, 5)
         got = correlation_traces(traces, list(hyps), threads=2)
         for row, h in zip(got, hyps):
-            assert np.array_equal(row, correlation_trace(traces, h))
+            assert np.array_equal(row, _one(traces, h))
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_peak_memory_is_a_few_column_blocks(self, threads):

@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from cdtleak.cpa import correlation_trace, find_poi
+from cdtleak.cpa import correlation_traces, find_poi
 from cdtleak.errors import DomainError, LayoutMismatch, TraceFormatError
 from cdtleak.leakage import (
     DEFAULT_ALPHA,
@@ -23,7 +23,6 @@ from cdtleak.leakage import (
     campaign_metadata,
     gaussian_block,
     hamming_weight,
-    plant_control_words,
     synthesize_campaign,
     synthesize_profiling_set,
     synthesize_trace,
@@ -34,21 +33,20 @@ from cdtleak.sampler import (
     GaussCdtTable,
     IterationLeakRecord,
     SamplerParams,
-    SequenceWordSource,
     WordSource,
     default_table,
     derive_subseed,
     sample_coefficient,
 )
 
+from scripted import SequenceWordSource, plant_control_words
+
 
 def _blank_record(inner_count, inner_masks=None, neg_mask=0):
     masks = [0] * inner_count
     for k, m in (inner_masks or {}).items():
         masks[k - 1] = m
-    return IterationLeakRecord(
-        inner_masks=tuple(masks), neg_mask=neg_mask, v_value=0, signed_v=0
-    )
+    return IterationLeakRecord(inner_masks=tuple(masks), neg_mask=neg_mask)
 
 
 class TestHammingWeight:
@@ -322,10 +320,11 @@ class TestCampaign:
             params, table, samples_per_inner=6, leak_offset_inner=2
         )
         md = campaign_metadata(7, params, model, layout, n_keys=1)
-        got_params, got_layout, got_model = campaign_from_metadata(md)
+        got_params, got_layout, got_model, n_keys = campaign_from_metadata(md)
         assert got_layout == layout
         assert got_model == model
         assert got_params == params
+        assert n_keys == 1
 
     def test_metadata_float_round_trip_is_exact(self):
         # repr round-trips any float, including ones that are not short
@@ -370,6 +369,34 @@ class TestCampaign:
         with pytest.raises(TraceFormatError, match="outer_count 4 disagrees with logn 9"):
             campaign_from_metadata(md)
 
+    def test_n_keys_is_read(self):
+        assert campaign_from_metadata(self._metadata())[3] == 2
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("banana", "field 'n_keys': invalid literal for int() with base 10: 'banana'"),
+         ("0", "n_keys=0 is not positive"), ("-3", "n_keys=-3 is not positive")],
+    )
+    def test_bad_n_keys_is_a_format_error(self, value, message):
+        md = {**self._metadata(), "n_keys": value}
+        with pytest.raises(TraceFormatError, match=f"^campaign metadata: {re.escape(message)}$"):
+            campaign_from_metadata(md)
+
+    @pytest.mark.parametrize("key", ["logn", "noise_sigma", "n_keys"])
+    def test_missing_field_is_named(self, key):
+        md = self._metadata()
+        del md[key]
+        with pytest.raises(TraceFormatError, match=f"^campaign metadata: missing field '{key}'$"):
+            campaign_from_metadata(md)
+
+    def test_bad_value_names_its_field(self):
+        md = {**self._metadata(), "beta": "forty"}
+        message = "campaign metadata: field 'beta': could not convert string to float: 'forty'"
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
+            campaign_from_metadata(md)
+        # The caller's dict is read, not consumed.
+        assert md["beta"] == "forty" and len(md) == 14
+
 
 class TestPlantControlWords:
     @pytest.mark.parametrize("neg_bit", [0, 1])
@@ -386,7 +413,7 @@ class TestPlantControlWords:
             assert rec.inner_masks[slot - 1] == MASK64
             assert sum(m != 0 for m in rec.inner_masks) == 1
             assert rec.neg_mask == (MASK64 if neg_bit else 0)
-            assert rec.v_value == slot
+            assert coeff.value == (-slot if neg_bit else slot)
 
     @pytest.mark.parametrize("neg_bit", [0, 1])
     def test_zero_branch_plant(self, neg_bit):
@@ -400,7 +427,6 @@ class TestPlantControlWords:
             )
             rec = coeff.leaks[0]
             assert all(m == 0 for m in rec.inner_masks)
-            assert rec.v_value == 0
             assert coeff.value == 0
             assert rec.neg_mask == (MASK64 if neg_bit else 0)
 
@@ -478,7 +504,7 @@ class TestProfilingSet:
     def test_poi_is_planted_site_and_baseline_is_quiet(self, profiling_10k):
         traces, labels, layout, _ = profiling_10k
         hypothesis = 64.0 * labels.inner_bits[:, 0, 0]
-        corr = correlation_trace(traces.samples, hypothesis)
+        corr = correlation_traces(traces.samples, hypothesis[None])[0]
         assert find_poi(corr, count=1)[0] == layout.inner_site_index(0, 1)
         assert abs(corr[layout.inner_site_index(0, 1)]) >= 0.95
         leak_sites = set(layout.site_matrix().reshape(-1).tolist())
@@ -499,7 +525,7 @@ class TestProfilingSet:
         assert labels.inner_bits[:1000, 0, 1].all()
         assert not labels.inner_bits[:, 0, 0].any()
         hypothesis = 64.0 * labels.inner_bits[:, 0, 1]
-        corr = correlation_trace(traces.samples, hypothesis)
+        corr = correlation_traces(traces.samples, hypothesis[None])[0]
         assert find_poi(corr, count=1)[0] == layout.inner_site_index(0, 2)
 
     def test_rejects_tiny_and_mismatched(self):

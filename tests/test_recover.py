@@ -1,8 +1,8 @@
 """Bit folding, single-trace classification, and full key recovery.
 
 The 32-bit negation/accumulation oracle used here reinterprets through
-plain Python modular arithmetic, independently of the implementation's
-XOR-and-carry route. recover_key's fold runs on crafted noiseless traces
+plain Python modular arithmetic, independently of fold's int64 negation
+and int32 cast. recover_key's fold runs on crafted noiseless traces
 whose fired slots are chosen by hand, and on traces rendered from the
 scalar sampler's records. Noiseless campaigns must recover every
 coefficient of every key exactly; the noisy campaign checks that
@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from cdtleak.errors import (
-    DomainError,
     LayoutMismatch,
     LengthMismatch,
     MissingTemplate,
@@ -30,7 +29,6 @@ from cdtleak.leakage import (
 from cdtleak.recover import (
     RecoveryReport,
     _site_columns,
-    apply_neg,
     load_report,
     recover_key,
     save_report,
@@ -41,6 +39,7 @@ from cdtleak.sampler import (
     SamplerParams,
     WordSource,
     default_table,
+    fold,
     sample_coefficient,
 )
 from cdtleak.template import ClassStats, Template, build_template
@@ -107,30 +106,25 @@ class TestReconstructV:
 
 
 class TestApplyNeg:
+    """The sign bit's conditional negation, as the attack's fold applies it."""
+
+    @staticmethod
+    def _negate(v, neg_bit):
+        v = np.asarray(v, dtype=np.int64).reshape(-1, 1)
+        return fold(v, np.full(v.shape, neg_bit)).tolist()
+
     def test_trivial_values(self):
-        assert apply_neg(5, False) == 5
-        assert apply_neg(5, True) == -5
-        assert apply_neg(0, True) == 0
-        assert apply_neg(0, False) == 0
-        assert apply_neg(1 << 31, False) == -(1 << 31)
-        assert apply_neg(1 << 31, True) == -(1 << 31)
-        assert apply_neg(MASK32, False) == -1
-        assert apply_neg(MASK32, True) == 1
+        vs = [5, 0, 1 << 31, MASK32]
+        assert self._negate(vs, False) == [5, 0, -(1 << 31), -1]
+        assert self._negate(vs, True) == [-5, 0, -(1 << 31), 1]
 
     def test_matches_modular_oracle(self):
         ranges = list(range(1 << 16))
         ranges += list(range((1 << 32) - (1 << 16), 1 << 32))
         rng = np.random.default_rng(77)
         ranges += [int(x) for x in rng.integers(0, 1 << 32, size=100_000)]
-        for v in ranges:
-            assert apply_neg(v, False) == _as_i32(v)
-            assert apply_neg(v, True) == _as_i32((1 << 32) - v)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            apply_neg(-1, False)
-        with pytest.raises(DomainError):
-            apply_neg(1 << 32, True)
+        assert self._negate(ranges, False) == [_as_i32(v) for v in ranges]
+        assert self._negate(ranges, True) == [_as_i32((1 << 32) - v) for v in ranges]
 
 
 class TestReconstructCoefficient:
@@ -158,10 +152,10 @@ class TestReconstructCoefficient:
             [((16, 8), True), ((1,), False)],
         ])
         want = [
-            apply_neg(26, True) + apply_neg(26, True),
+            _as_i32(-26 - 26),
             0,
-            25,
-            apply_neg(24, True) + 1,
+            _as_i32(-1 + 26),
+            _as_i32(-(16 | 8) + 1),
         ]
         assert values[:4] == want == [-52, 0, 25, -23]
 
@@ -172,9 +166,6 @@ class TestReconstructCoefficient:
         coeffs = [
             sample_coefficient(table, FOLD_PARAMS, WordSource(seed=seed)) for seed in range(1024)
         ]
-        for coeff in coeffs:
-            for rec in coeff.leaks:
-                assert apply_neg(rec.v_value, rec.neg_mask != 0) == rec.signed_v
         bits = np.array(
             [[[m != 0 for m in (*r.inner_masks, r.neg_mask)] for r in c.leaks] for c in coeffs]
         )

@@ -9,10 +9,10 @@ from cdtleak.sampler import (
     MASK64,
     GaussCdtTable,
     SamplerParams,
-    SequenceWordSource,
     WordSource,
     default_table,
     derive_subseed,
+    fold,
     load_cdt_table,
     parse_cdt_table,
     sample_coefficient,
@@ -22,11 +22,20 @@ from cdtleak.sampler import (
 )
 
 from naive_sampler import branchy_model, interpret_listing, scaled_word_grid
+from scripted import SequenceWordSource
 
 # FALCON-512's per-coefficient deviation of f and g, 1.17 * sqrt(12289) /
 # sqrt(1024), evaluated with a 60-digit calculator and rounded to double
 # precision.
 SIGMA_FG_512 = 4.053163803303075
+
+
+def _magnitude(rec):
+    """The magnitude a leak record's masks encode: the OR of the fired slots."""
+    v = 0
+    for k, m in enumerate(rec.inner_masks, start=1):
+        v |= k & m
+    return v
 
 
 def _run_both(words, table, params):
@@ -43,8 +52,12 @@ def _assert_equivalent(words, table, params):
     for rec, ref in zip(coeff.leaks, iterations):
         assert [m != 0 for m in rec.inner_masks] == ref.fired
         assert (rec.neg_mask != 0) == bool(ref.neg)
-        assert rec.v_value == ref.v_before_sign
-        assert rec.signed_v == ref.v_signed
+        assert _magnitude(rec) == ref.v_before_sign
+    # The attack's fold of each iteration's magnitude and sign bit gives
+    # the interpreter's signed iteration value.
+    magnitudes = [[_magnitude(rec)] for rec in coeff.leaks]
+    signs = [[rec.neg_mask != 0] for rec in coeff.leaks]
+    assert fold(magnitudes, signs).tolist() == [ref.v_signed for ref in iterations]
 
 
 class TestOracleEquivalence:
@@ -101,7 +114,7 @@ class TestSampleCoefficient:
         coeff = sample_coefficient(table, params, SequenceWordSource([0, 0]))
         rec = coeff.leaks[0]
         assert coeff.value == 0
-        assert rec.v_value == 0
+        assert _magnitude(rec) == 0
         assert rec.neg_mask == 0
         assert all(m == 0 for m in rec.inner_masks)
 
@@ -124,7 +137,7 @@ class TestSampleCoefficient:
         coeff = sample_coefficient(table, params, SequenceWordSource(words))
         assert coeff.value == -3
         assert coeff.leaks[0].neg_mask == MASK64
-        assert coeff.leaks[0].v_value == 3
+        assert _magnitude(coeff.leaks[0]) == 3
 
     def test_leak_record_invariants_bulk(self):
         """Mask domain, latch, and reconstruction over random seeds."""
@@ -138,14 +151,9 @@ class TestSampleCoefficient:
                 assert all(m in (0, MASK64) for m in rec.inner_masks)
                 assert rec.neg_mask in (0, MASK64)
                 assert sum(m != 0 for m in rec.inner_masks) <= 1
-                v = 0
-                for k, m in enumerate(rec.inner_masks, start=1):
-                    v |= k & m
-                assert v == rec.v_value
-                assert 0 <= rec.v_value <= table.inner_count
-                expected = -rec.v_value if rec.neg_mask else rec.v_value
-                assert rec.signed_v == expected
-                total += rec.signed_v
+                v = _magnitude(rec)
+                assert 0 <= v <= table.inner_count
+                total += -v if rec.neg_mask else v
             assert coeff.value == total
             assert abs(coeff.value) <= params.outer_count * table.inner_count
 

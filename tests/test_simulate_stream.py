@@ -22,6 +22,8 @@ from cdtleak.errors import DimensionError, NonFiniteSample
 from cdtleak.leakage import LeakModel, TraceLayout, campaign_blocks, synthesize_campaign
 from cdtleak.sampler import SamplerParams, default_table
 
+from scripted import SequenceWordSource, plant_control_words
+
 
 def _quiet(*argv):
     buf = io.StringIO()
@@ -195,8 +197,8 @@ class TestTilesOnlySplitRows:
         for row in (0, 4, 5, 22, 23, 25, 26, 27, 28, 45, 46, 51):
             plant = sampler.WordSource(seed=sampler.derive_subseed(seed, row))
             slot = fire_slot if row < n_traces // 2 else None
-            first = leakage.plant_control_words(table, row & 1, slot, plant)
-            source = sampler.SequenceWordSource(list(first), fallback=plant)
+            first = plant_control_words(table, row & 1, slot, plant)
+            source = SequenceWordSource(list(first), fallback=plant)
             coeff = sampler.sample_coefficient(table, params, source)
             trace = leakage.synthesize_trace(
                 coeff.leaks, model, layout, sampler.derive_subseed(seed, n_traces + row)

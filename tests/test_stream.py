@@ -67,7 +67,7 @@ def _expected_stdout(report, out):
 def _in_memory_report(camp, tpl, with_labels=True):
     trace_set = traceio.read_trace_set(camp + ".trc")
     labels = traceio.read_label_set(camp + ".lbl") if with_labels else None
-    params, layout, _ = leakage.campaign_from_metadata(trace_set.metadata)
+    params, layout, *_ = leakage.campaign_from_metadata(trace_set.metadata)
     return recover_key(
         trace_set,
         load_template(tpl + ".inner.tpl"),
@@ -198,7 +198,7 @@ class TestAttackMatchesRecoverKey:
         with contextlib.ExitStack() as stack:
             reader = stack.enter_context(traceio.open_trace_set(camp + ".trc"))
             labels = stack.enter_context(traceio.open_label_set(camp + ".lbl"))
-            params, layout, _ = leakage.campaign_from_metadata(reader.metadata)
+            params, layout, *_ = leakage.campaign_from_metadata(reader.metadata)
             reader.blocks = labels.blocks = untouched
             rows, n_samples = reader.n_traces, reader.n_samples
             with pytest.raises(MissingTemplate):
@@ -267,7 +267,7 @@ class TestAttackMatchesRecoverKey:
     def test_trace_set_that_is_not_2d(self, logn7):
         camp, tpl = logn7
         trace_set = traceio.read_trace_set(camp + ".trc")
-        params, layout, _ = leakage.campaign_from_metadata(trace_set.metadata)
+        params, layout, *_ = leakage.campaign_from_metadata(trace_set.metadata)
         ti = load_template(tpl + ".inner.tpl")
         flat = traceio.TraceSet(trace_set.samples.reshape(-1), trace_set.metadata)
         with pytest.raises(LayoutMismatch):
