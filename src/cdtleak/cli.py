@@ -38,8 +38,8 @@ def _add_common(sub) -> None:
     sub.add_argument("--logn", type=int, default=9, help="ring dimension exponent")
     sub.add_argument("--table", type=str, default=None, help="CDT table file")
     sub.add_argument("--threads", type=int, default=_usable_cores(),
-                     help="threads that render traces and, in profile, split the CPA columns "
-                     "(default: usable cores); outputs do not depend on it")
+                     help="threads that render traces (default: usable cores); "
+                     "outputs do not depend on it")
 
 
 def _setup_fields(cls) -> list:
@@ -97,25 +97,38 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _finite_samples(blocks):
+    """The sample blocks of (labels, samples) pairs, each checked as simulate checks it."""
+    for _, samples in blocks:
+        traceio.check_finite(samples)
+        yield samples
+
+
 def cmd_profile(args) -> int:
     tab, params, model, layout = _setup_from(args)
-    trace_set, labels = leakage.synthesize_profiling_set(
-        seed=args.seed,
-        params=params,
-        table=tab,
-        model=model,
-        layout=layout,
-        n_traces=args.traces,
-        fire_slot=args.fire_slot,
-        threads=args.threads,
+    blocks = leakage.profiling_blocks(
+        args.seed, params, tab, model, layout, args.traces, args.fire_slot, args.threads
     )
-    # Each point and its column of the site matrix.
+    # Each point and its column of the site matrix, in the order of the
+    # planted classes. The class bits are the hypotheses: a correlation
+    # does not change with the scale of one, so they stand for the
+    # weights 0 and 64.
     points = (("inner", args.fire_slot - 1), ("neg", -1))
-    classes = [labels.bits[:, 0, col] for _, col in points]
-    corrs = cpa.correlation_traces(trace_set.samples, [64.0 * c for c in classes], args.threads)
+    classes = leakage.profiling_classes(args.traces)
+    corrs = cpa.correlation_traces(_finite_samples(blocks), classes)
+    k = args.poi_count
+    pois = [cpa.find_poi(corr, count=k) for corr in corrs]
+    # Only the POI columns are rendered again, from labels drawn afresh:
+    # point i's are columns i*k to i*k + k - 1, and its template is fitted
+    # on them and then keeps their sample indices.
+    parts = leakage.profiling_parts(args.seed, params, tab, args.traces, args.fire_slot)
+    columns = leakage.render_columns(parts, model, layout, [int(p) for ps in pois for p in ps])
     tpls = [
-        template.build_template(trace_set.samples, c, cpa.find_poi(corr, count=args.poi_count))
-        for c, corr in zip(classes, corrs)
+        dataclasses.replace(
+            template.build_template(columns[:, i * k : (i + 1) * k], c, range(k)),
+            pois=tuple(int(p) for p in ps),
+        )
+        for i, (c, ps) in enumerate(zip(classes, pois))
     ]
     # Refuse, before any file is written, templates attack would refuse.
     recover.site_map(*tpls, layout)

@@ -11,9 +11,10 @@ Noise is generated from the same deterministic word-source family as the
 sampler input, one derived sub-seed per trace, so whole campaigns are
 reproducible from a single 64-bit seed.
 
-simulate and profile run campaign_blocks and synthesize_profiling_set,
-which render on arrays; synthesize_trace renders one coefficient's leak
-records and is their scalar reference.
+simulate and profile stream campaign_blocks and profiling_blocks, which
+render on arrays, and profile re-renders its points of interest with
+render_columns; synthesize_trace renders one coefficient's leak records
+and is their scalar reference.
 """
 
 from __future__ import annotations
@@ -161,20 +162,16 @@ def gaussian_block(seed: int, count: int) -> np.ndarray:
     return _box_muller(word_block(seed, 0, 2 * pairs))[:count]
 
 
-def _gaussian_matrix(subseeds: np.ndarray, count: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Row i holds gaussian_block(subseeds[i], count), computed in place.
+def _box_muller_words(w: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Standard normals from uint64 words, in place: the render's one Box–Muller step.
 
-    `out` is a float64 buffer of at least (rows, 2 * pairs) that the
-    result is a view of; one is allocated when it is None. Each step is
-    the one _box_muller takes, on the same values, so rows match it bit
-    for bit.
+    w is (rows, 2m): m radius words, then m angle words. z is a float64
+    (rows, 2m) array; it receives radius * cos(angle) in its first half
+    and radius * sin(angle) in its second. Each step is the one
+    _box_muller takes, on the same values, so the result matches it bit
+    for bit. The words are spent: their memory holds the sines.
     """
-    pairs = (count + 1) // 2
-    rows = len(subseeds)
-    if out is None:
-        out = np.empty((rows, 2 * pairs))
-    z = out[:rows, : 2 * pairs]
-    w = words(subseeds, 0, 2 * pairs)
+    pairs = w.shape[1] // 2
     w >>= np.uint64(11)
     # The angle goes in the first half and the radius in the second, so
     # that cos and sin each land in their output half without a copy.
@@ -187,12 +184,25 @@ def _gaussian_matrix(subseeds: np.ndarray, count: int, out: np.ndarray | None = 
     radius *= -2.0
     np.sqrt(radius, out=radius)
     angle *= 2.0 * np.pi
-    # The words are spent; their memory holds the sines.
     sine = w[:, :pairs].view(np.float64)
     np.sin(angle, out=sine)
     np.cos(angle, out=angle)
     angle *= radius
     radius *= sine
+    return z
+
+
+def _gaussian_matrix(subseeds: np.ndarray, count: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Row i holds gaussian_block(subseeds[i], count), computed in place.
+
+    `out` is a float64 buffer of at least (rows, 2 * pairs) that the
+    result is a view of; one is allocated when it is None.
+    """
+    pairs = (count + 1) // 2
+    rows = len(subseeds)
+    if out is None:
+        out = np.empty((rows, 2 * pairs))
+    z = _box_muller_words(words(subseeds, 0, 2 * pairs), out[:rows, : 2 * pairs])
     return z[:, :count]
 
 
@@ -305,6 +315,51 @@ def _render_blocks(parts, model: LeakModel, layout: TraceLayout, threads: int = 
                 yield part, done.result()
         for part, done in pending:
             yield part, done.result()
+
+
+def render_columns(parts, model: LeakModel, layout: TraceLayout, columns) -> np.ndarray:
+    """Columns `columns` of the rows _render_blocks renders from `parts`, (rows, k) float32.
+
+    `parts` is an iterable of (LabelSet, noise sub-seeds) pairs, as
+    _render_blocks takes it. Sample j of a row is the cos half (j < pairs)
+    or the sin half of Box–Muller pair j mod pairs, where
+    pairs = ceil(trace_length / 2). So it takes only words j mod pairs
+    (the radius) and pairs + j mod pairs (the angle) of the row's
+    sub-seed, through the render's own Box–Muller step. The result is
+    scaled and shifted as the render does it, and a leak-site column gets
+    the beta = -0.0 zeros and the gain as the render adds them, so every
+    column is bit-identical to the full render's. Each part takes
+    32 bytes of scratch per row and column.
+    """
+    length = layout.trace_length
+    columns = np.asarray(columns, dtype=np.int64)
+    if columns.ndim != 1 or not ((0 <= columns) & (columns < length)).all():
+        raise DomainError(f"columns must be sample indices below {length}")
+    k = len(columns)
+    pairs = (length + 1) // 2
+    counters = np.concatenate([columns % pairs, columns % pairs + pairs])
+    cos_half = columns < pairs
+    site_of = {int(c): s for s, c in enumerate(layout.site_matrix().reshape(-1))}
+    sites = [(i, site_of[int(c)]) for i, c in enumerate(columns) if int(c) in site_of]
+    gain = model.alpha * 64
+    add_zeros = model.beta == 0.0 and math.copysign(1.0, model.beta) < 0
+    out = []
+    for labels, subseeds in parts:
+        # One row per word, so that each step runs along the traces.
+        w = np.stack([words(subseeds, int(c), 1)[:, 0] for c in counters])
+        z = _box_muller_words(w.T, np.empty(w.shape).T)
+        x = np.where(cos_half, z[:, :k], z[:, k:])
+        x *= model.noise_sigma
+        x += model.beta
+        bits = labels.bits.reshape(len(subseeds), -1)
+        for i, site in sites:
+            if add_zeros:
+                x[:, i] += model.alpha * 0
+            x[bits[:, site], i] += gain
+        # Past float32's range the cast gives inf, as in the render.
+        with np.errstate(over="ignore"):
+            out.append(x.astype(np.float32))
+    return np.concatenate(out) if out else np.empty((0, k), dtype=np.float32)
 
 
 def campaign_metadata(
@@ -438,17 +493,8 @@ def synthesize_campaign(
     return traceio.TraceSet(samples=samples, metadata=md), labels
 
 
-def _plant_first_iteration(table: GaussCdtTable, fire_slot: int, stream: np.ndarray) -> None:
-    """Plant the first outer iteration of every trace, in place.
-
-    Row i of `stream` is trace i's plant stream. Its columns 0 and 1 are
-    replaced by the planted first-iteration words: the first half of the
-    rows latch at fire_slot, the rest take the zero branch, and the sign
-    bit is i & 1: each drawn word is reduced into the range that takes
-    that path. The columns after them feed the unscripted iterations
-    unchanged. Its scalar oracle is in tests/scripted.py: it crafts one
-    trace's pair from the same two words.
-    """
+def _fire_range(table: GaussCdtTable, fire_slot: int) -> tuple[int, int]:
+    """The second draws [lo, hi) that latch at fire_slot; checks that both planted paths exist."""
     entries = table.entries
     if not 1 <= fire_slot <= table.inner_count:
         raise DomainError("fire_slot out of range")
@@ -458,14 +504,104 @@ def _plant_first_iteration(table: GaussCdtTable, fire_slot: int, stream: np.ndar
         raise DomainError(f"slot {fire_slot} cannot fire: empty threshold range")
     if entries[0] == 0:
         raise DomainError("table gives zero probability to magnitude 0")
-    n = len(stream)
-    sign = (np.arange(n, dtype=np.uint64) & np.uint64(1)) << np.uint64(63)
-    fire, zero = stream[: n // 2], stream[n // 2 :]
-    fire[:, 0] = np.uint64(entries[0]) + fire[:, 0] % np.uint64(MASK63 + 1 - entries[0])
-    fire[:, 1] = np.uint64(lo) + fire[:, 1] % np.uint64(hi - lo)
-    zero[:, 0] %= np.uint64(entries[0])
-    zero[:, 1] &= np.uint64(MASK63)
-    stream[:, 0] |= sign
+    return lo, hi
+
+
+def profiling_classes(n_traces: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """The classes a profiling campaign plants, (2, rows) bool, for traces start to stop - 1.
+
+    Row 0 is the inner class: trace i latches at the fire slot in its
+    first outer iteration when i < n_traces // 2, and takes the zero
+    branch otherwise. Row 1 is the sign class, i & 1. The labels of the
+    planted traces hold the same bits: bits[:, 0, fire_slot - 1] and
+    bits[:, 0, -1]. By default the rows cover all n_traces traces.
+    """
+    index = np.arange(start, n_traces if stop is None else stop)
+    return np.stack([index < n_traces // 2, index % 2 == 1])
+
+
+def _plant_first_iteration(
+    table: GaussCdtTable, fire: tuple[int, int], stream: np.ndarray, classes: np.ndarray
+) -> None:
+    """Plant the first outer iteration of each trace, in place.
+
+    Row i of `stream` is the plant stream of the trace whose classes are
+    column i of `classes`, as profiling_classes gives them. Its columns 0
+    and 1 are replaced by the planted first-iteration words: a class-1
+    trace latches at the slot whose second draws _fire_range gives as
+    `fire`, a class-0 trace takes the zero branch, and the sign bit is
+    the sign class: each drawn word is reduced into the range that takes
+    that path. The columns after them feed the unscripted iterations
+    unchanged. Its scalar oracle is in tests/scripted.py: it crafts one
+    trace's pair from the same two words.
+    """
+    zero_top = np.uint64(table.entries[0])
+    lo, hi = (np.uint64(v) for v in fire)
+    latch, sign = classes
+    first, second = stream[:, 0], stream[:, 1]
+    first[...] = np.where(latch, zero_top + first % (np.uint64(MASK63 + 1) - zero_top),
+                          first % zero_top)
+    first |= sign.astype(np.uint64) << np.uint64(63)
+    second[...] = np.where(latch, lo + second % (hi - lo), second & np.uint64(MASK63))
+
+
+def _profiling_layout(params: SamplerParams, table: GaussCdtTable, layout, n_traces: int):
+    if n_traces < 4:
+        raise DomainError("n_traces must be at least 4")
+    return _checked_layout(params, table, layout)
+
+
+def profiling_parts(
+    seed: int, params: SamplerParams, table: GaussCdtTable, n_traces: int = 10000, fire_slot: int = 1
+):
+    """synthesize_profiling_set's labels and noise sub-seeds, as (labels, subseeds) blocks.
+
+    Every argument is checked here. The returned iterator draws the rows
+    from the seed _KEY_BLOCK_ROWS at a time, so each call yields the same
+    blocks, and a caller that drops each block holds about 135 KB of them
+    at the README geometry, whatever n_traces is. Trace i's plant stream
+    is child seed i of `seed`, and its noise sub-seed is child seed
+    n_traces + i.
+    """
+    if n_traces < 4:
+        raise DomainError("n_traces must be at least 4")
+    seed = checked_seed(seed)
+    fire = _fire_range(table, fire_slot)
+
+    def parts():
+        for lo in range(0, n_traces, _KEY_BLOCK_ROWS):
+            count = min(_KEY_BLOCK_ROWS, n_traces - lo)
+            stream = words(words([seed], lo, count)[0], 0, 2 * params.outer_count)
+            classes = profiling_classes(n_traces, lo, lo + count)
+            _plant_first_iteration(table, fire, stream, classes)
+            draws = stream.reshape(count, params.outer_count, 2)
+            yield traceio.LabelSet(*scan_words(table, draws)), words([seed], n_traces + lo, count)[0]
+
+    return parts()
+
+
+def profiling_blocks(
+    seed: int,
+    params: SamplerParams,
+    table: GaussCdtTable,
+    model: LeakModel,
+    layout: TraceLayout | None = None,
+    n_traces: int = 10000,
+    fire_slot: int = 1,
+    threads: int = 1,
+    out: np.ndarray | None = None,
+):
+    """synthesize_profiling_set's rows as (labels, samples) blocks, rendered as they are drawn.
+
+    Every argument is checked here, before a trace is planted. Like
+    campaign_blocks, the iterator renders profiling_parts chunk by chunk,
+    so a caller that consumes and drops each block never holds the
+    sample matrix. Blocks are new arrays, or rows of `out` when that
+    matrix is given.
+    """
+    layout = _profiling_layout(params, table, layout, n_traces)
+    parts = profiling_parts(seed, params, table, n_traces, fire_slot)
+    return _render_blocks(parts, model, layout, threads, out=out)
 
 
 def synthesize_profiling_set(
@@ -489,17 +625,13 @@ def synthesize_profiling_set(
 
     Class labels are recoverable from the returned LabelSet: the inner
     class of trace i is bits[i, 0, fire_slot - 1], the sign class is
-    bits[i, 0, -1]. The returned TraceSet carries no metadata.
+    bits[i, 0, -1]. The returned TraceSet carries no metadata. It is
+    profiling_blocks gathered into one matrix.
     """
-    if n_traces < 4:
-        raise DomainError("n_traces must be at least 4")
-    layout = _checked_layout(params, table, layout)
-    plant_seeds = words([checked_seed(seed)], 0, n_traces)[0]
-    stream = words(plant_seeds, 0, 2 * params.outer_count)
-    _plant_first_iteration(table, fire_slot, stream)
-    labels = traceio.LabelSet(*scan_words(table, stream.reshape(n_traces, params.outer_count, 2)))
-    subseeds = words([seed], n_traces, n_traces)[0]
+    layout = _profiling_layout(params, table, layout, n_traces)
     samples = np.empty((n_traces, layout.trace_length), dtype=np.float32)
-    for _ in _render_blocks([(labels, subseeds)], model, layout, threads, out=samples):
-        pass
+    blocks = profiling_blocks(
+        seed, params, table, model, layout, n_traces, fire_slot, threads, out=samples
+    )
+    labels = traceio.LabelSet.concatenate([part for part, _ in blocks])
     return traceio.TraceSet(samples), labels

@@ -245,7 +245,7 @@ class _RowWriter:
             raise DimensionError(f"{self.rows} rows written, header declares {self.n_rows}")
 
 
-def _check_finite(samples: np.ndarray) -> None:
+def check_finite(samples: np.ndarray) -> None:
     """Raise NonFiniteSample for any NaN or infinity, in blocks of samples."""
     flat = samples.reshape(-1)
     for lo in range(0, flat.size, _CHECK_SAMPLES):
@@ -276,7 +276,7 @@ class TraceWriter(_RowWriter):
         if block.ndim != 2 or block.shape[1] != self.n_samples:
             raise DimensionError(f"block of shape {block.shape}, want (rows, {self.n_samples})")
         block = np.ascontiguousarray(block, dtype="<f4")
-        _check_finite(block)
+        check_finite(block)
         self._take(len(block))
         self._fh.write(memoryview(block))
 
@@ -399,7 +399,7 @@ class TraceReader(_RowReader):
         return cls(fh, n_traces, n_samples, _decode_metadata(fh.read(meta_len)))
 
     def _decode(self, samples: np.ndarray, lo: int) -> np.ndarray:
-        _check_finite(samples)
+        check_finite(samples)
         return samples
 
 

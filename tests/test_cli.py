@@ -14,6 +14,8 @@ import io
 import os
 import shutil
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,9 +54,8 @@ options:
   --seed SEED           master 64-bit seed
   --logn LOGN           ring dimension exponent
   --table TABLE         CDT table file
-  --threads THREADS     threads that render traces and, in profile, split the
-                        CPA columns (default: usable cores); outputs do not
-                        depend on it
+  --threads THREADS     threads that render traces (default: usable cores);
+                        outputs do not depend on it
   --alpha ALPHA         leak per mask bit, mV
   --beta BETA           baseline level, mV
   --noise-sigma NOISE_SIGMA
@@ -82,9 +83,8 @@ options:
   --seed SEED           master 64-bit seed
   --logn LOGN           ring dimension exponent
   --table TABLE         CDT table file
-  --threads THREADS     threads that render traces and, in profile, split the
-                        CPA columns (default: usable cores); outputs do not
-                        depend on it
+  --threads THREADS     threads that render traces (default: usable cores);
+                        outputs do not depend on it
   --alpha ALPHA         leak per mask bit, mV
   --beta BETA           baseline level, mV
   --noise-sigma NOISE_SIGMA
@@ -331,6 +331,20 @@ class TestProfile:
         assert rc == 0
         assert len(_line(stdout, "inner poi:").split(":")[1].split()) == 3
         assert len(load_template(out + ".inner.tpl").pois) == 3
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_non_finite_samples_exit_2_before_any_statistics(self, capsys, tmp_path, threads):
+        # 1e39 overflows float32. Each chunk is checked as simulate checks
+        # it, before the correlation sees it, so no numpy warning comes
+        # first (warnings are errors in this suite).
+        rc, stdout, err = _run(
+            capsys, "profile", "--beta", "1e39", "--traces", "2000", "--threads", threads,
+            "--out", str(tmp_path / "t"),
+        )
+        assert rc == 2
+        assert stdout == ""
+        assert err == "error: trace payload contains NaN or infinity\n"
+        assert not list(tmp_path.iterdir())
 
     def test_in_is_not_a_flag(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -688,6 +702,54 @@ class TestThreadsAndMetadataErrors:
             blobs = [(tmp_path / f"t{threads}.{name}.tpl").read_bytes() for name in ("inner", "neg")]
             runs.append((stdout.replace(out, "OUT"), blobs))
         assert runs[0] == runs[1] == runs[2]
+
+    def test_profile_beyond_a_blas_split_does_not_depend_on_threads(self, tmp_path):
+        # At 20,000 traces the correlation products were once big enough
+        # for OpenBLAS to split them over its own threads, which moved
+        # their last bits with the core count. Now no product is, so the
+        # render threads and a process held to one BLAS thread agree, on
+        # the outputs and on every bit of the correlations. The digest
+        # takes 430-sample traces: a split of a transposed product rounds
+        # the last (width mod 4) columns of each thread's share apart.
+        def outputs(out, stdout):
+            blobs = [Path(f"{out}.{name}.tpl").read_bytes() for name in ("inner", "neg")]
+            return stdout.replace(out, "OUT"), blobs
+
+        runs = []
+        for threads in ("1", "2", "3"):
+            out = str(tmp_path / f"t{threads}")
+            rc, stdout = _quiet("profile", "--traces", "20000", "--threads", threads,
+                                "--out", out)
+            assert rc == 0
+            runs.append(outputs(out, stdout))
+        # The correlations' digest, in this process and in the other.
+        digest = (
+            "import hashlib\n"
+            "from cdtleak import cpa, leakage, sampler\n"
+            "params, table = sampler.SamplerParams(logn=9), sampler.default_table()\n"
+            "layout = leakage.TraceLayout.for_params(params, table, samples_per_outer_tail=7)\n"
+            "blocks = leakage.profiling_blocks(1, params, table, leakage.LeakModel(), layout,\n"
+            "                                  n_traces=20000, threads=2)\n"
+            "corr = cpa.correlation_traces((s for _, s in blocks),\n"
+            "                              leakage.profiling_classes(20000))\n"
+            "print(hashlib.sha256(corr.tobytes()).hexdigest())\n"
+        )
+        with contextlib.redirect_stdout(io.StringIO()) as here:
+            exec(digest, {})
+        code = digest + "import sys\nfrom cdtleak import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+        out = str(tmp_path / "blas1")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "profile", "--traces", "20000", "--out", out],
+            env=env, capture_output=True, text=True, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        first, rest = proc.stdout.split("\n", 1)
+        assert first + "\n" == here.getvalue()
+        runs.append(outputs(out, rest))
+        assert runs[0] == runs[1] == runs[2] == runs[3]
 
     def test_attack_on_non_integer_outer_count(self, capsys, pipeline, tmp_path):
         original = traceio.read_trace_set(pipeline["camp"] + ".trc")

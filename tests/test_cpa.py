@@ -6,6 +6,8 @@ vectors are [-1.5,-0.5,0.5,1.5] and [-3,-1,0,4], giving covariance sum
 Per-column values are otherwise checked against np.corrcoef.
 """
 
+import contextlib
+import io
 import tracemalloc
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdtleak.cli import main
 from cdtleak.cpa import correlation_traces, find_poi
 from cdtleak.errors import DegenerateInput, DomainError, LengthMismatch
 from cdtleak.leakage import LeakModel, TraceLayout, synthesize_profiling_set
@@ -100,8 +103,8 @@ class TestCorrelationTrace:
             assert corr[j] == pytest.approx(_corrcoef(traces[:, j], h), abs=1e-12)
 
     def test_chunk_seams(self):
-        # Columns on both sides of the 4096-column processing boundary
-        # must agree with the scalar computation.
+        # 8,193 columns make tiles of 7 rows, so the 10 rows take two;
+        # columns across the whole width agree with the scalar value.
         rng = np.random.default_rng(9)
         traces = rng.normal(size=(10, 8193))
         h = rng.normal(size=10)
@@ -123,9 +126,9 @@ class TestCorrelationTrace:
         perm = rng.permutation(5000)
         direct = _one(traces, h)
         permuted = _one(traces[:, perm], h)
-        # Not bit-identical: a column that moves into a different chunk
-        # is summed by a different BLAS blocking. The values still agree
-        # far below any POI-ranking margin.
+        # A BLAS may sum a column in another order once it moves, so
+        # the values need not keep their bits; they agree far below any
+        # POI-ranking margin.
         assert np.abs(permuted - direct[perm]).max() < 1e-12
 
     def test_float32_input_accepted(self):
@@ -166,33 +169,26 @@ class TestCorrelationTrace:
         assert corr[site] == pytest.approx(1.0, abs=1e-9)
 
 
-def _whole_chunk_correlation(traces, hypothesis):
-    """The whole-matrix kernel correlation_traces keeps the values of.
+def _cuts(rows, seed):
+    """Row blocks of a matrix: the render's chunks and tiles, single rows, and random cuts."""
+    rng = np.random.default_rng(seed)
+    yield [606] * (rows // 606) + [rows % 606]
+    yield [1] * min(rows, 40) + [max(0, rows - 40)]
+    for _ in range(3):
+        sizes = []
+        while sum(sizes) < rows:
+            sizes.append(int(rng.integers(0, 400)))
+        yield sizes
 
-    It casts, centres and squares every column of a 4,096-column chunk at
-    once and holds that float64 chunk, 8 bytes per cell.
-    """
-    h = np.asarray(hypothesis, dtype=np.float64)
-    hc = h - h.mean()
-    ssh = float(hc @ hc)
-    out = np.empty(traces.shape[1], dtype=np.float64)
-    for lo in range(0, traces.shape[1], 4096):
-        cols = traces[:, lo : lo + 4096].astype(np.float64)
-        cols -= cols.mean(axis=0)
-        cov = hc @ cols
-        ssc = np.einsum("ij,ij->j", cols, cols)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            r = cov / np.sqrt(ssc * ssh)
-        r[ssc == 0.0] = 0.0
-        out[lo : lo + cols.shape[1]] = r
-    return out
+
+def _blocks(traces, sizes):
+    """An iterator over the row blocks of `traces` with the given sizes, in order."""
+    starts = np.cumsum([0, *sizes])
+    return iter([traces[lo:hi] for lo, hi in zip(starts[:-1], starts[1:]) if lo < len(traces)])
 
 
 class TestCorrelationTraces:
-    # 100 rows keep every whole-chunk product below the size at which BLAS
-    # splits one product over its own threads, which moves the rounding of
-    # some columns with the machine's core count.
-    ROWS = 100
+    ROWS = 1000
 
     @staticmethod
     def _campaign(rows, columns, dtype, seed):
@@ -207,36 +203,43 @@ class TestCorrelationTraces:
     @pytest.mark.parametrize("columns", [1, 3, 31, 32, 33, 215, 432, 4097])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
     def test_bit_identical_to_whole_chunks(self, columns, dtype):
+        """The whole matrix in one chunk and any cut of its rows into blocks give the
+        same bits; every value is Pearson's r to 1e-12, and a flat column gives 0.0."""
         traces, hyps = self._campaign(self.ROWS, columns, dtype, columns)
-        want = np.stack([_whole_chunk_correlation(traces, h) for h in hyps])
-        for k in (1, 2, 3):
-            for threads in (1, 2, 3):
-                got = correlation_traces(traces, hyps[:k], threads=threads)
-                assert got.shape == (k, columns) and got.dtype == np.float64
-                assert np.array_equal(got, want[:k]), (k, threads)
+        want = correlation_traces(traces, hyps)
+        assert want.shape == (3, columns) and want.dtype == np.float64
+        for sizes in _cuts(self.ROWS, columns):
+            got = correlation_traces(_blocks(traces, sizes), hyps)
+            assert np.array_equal(got, want), sizes
+        for j in range(1 if columns >= 3 else 0, columns, max(1, columns // 40)):
+            for h, r in zip(hyps, want[:, j]):
+                assert r == pytest.approx(_corrcoef(traces[:, j], h), abs=1e-12)
         if columns >= 3:
             assert (want[:, 0] == 0.0).all()
         assert abs(want[0, columns // 2]) > 0.5
 
+    def test_tiles_span_blocks_and_rows_beyond_one_tile(self):
+        # 100 columns make tiles of 655 rows, so 3,000 rows take five tiles
+        # and the odd cuts below end blocks inside tiles.
+        traces, hyps = self._campaign(3000, 100, np.float32, 7)
+        want = correlation_traces(traces, hyps)
+        for sizes in ([1000, 1000, 1000], [654, 2, 999, 1345], [3000]):
+            assert np.array_equal(correlation_traces(_blocks(traces, sizes), hyps), want)
+        for j in range(1, 100, 7):
+            assert want[0, j] == pytest.approx(_corrcoef(traces[:, j], hyps[0]), abs=1e-12)
+
     @pytest.mark.parametrize("columns", [33, 432])
     def test_rows_equal_correlation_trace(self, columns):
         traces, hyps = self._campaign(self.ROWS, columns, np.float32, 5)
-        got = correlation_traces(traces, list(hyps), threads=2)
+        got = correlation_traces(traces, list(hyps))
         for row, h in zip(got, hyps):
             assert np.array_equal(row, _one(traces, h))
 
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_peak_memory_is_a_few_column_blocks(self, threads):
-        rows = 256
-        traces, hyps = self._campaign(rows, 4096, np.float32, 6)
-        float64_copy = rows * 4096 * 8
-        tracemalloc.start()
-        try:
-            correlation_traces(traces, hyps[:2], threads=threads)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.1 * float64_copy, peak
+    def test_hypothesis_scale_changes_no_bit(self):
+        # profile correlates against the class bits, not 64 times them.
+        traces, hyps = self._campaign(self.ROWS, 432, np.float32, 8)
+        bits = (hyps > 0).astype(bool)
+        assert np.array_equal(correlation_traces(traces, bits), correlation_traces(traces, hyps))
 
     def test_error_paths(self):
         rng = np.random.default_rng(16)
@@ -256,14 +259,45 @@ class TestCorrelationTraces:
             correlation_traces(traces[:1], hyps[:, :1])
         with pytest.raises(DegenerateInput):
             correlation_traces(traces, np.stack([hyps[0], np.full(10, 3.0)]))
-        for threads in (0, -1):
-            with pytest.raises(DomainError):
-                correlation_traces(traces, hyps, threads=threads)
+        # A stream with too few or too many rows, or a block that does
+        # not continue the rows before it.
+        with pytest.raises(LengthMismatch):
+            correlation_traces(iter([traces[:9]]), hyps)
+        with pytest.raises(LengthMismatch):
+            correlation_traces(iter([traces, traces[:1]]), hyps)
+        with pytest.raises(LengthMismatch):
+            correlation_traces(iter([]), hyps)
+        with pytest.raises(DegenerateInput):
+            correlation_traces(iter([traces[:5], traces[5:, :3]]), hyps)
+        with pytest.raises(DegenerateInput):
+            correlation_traces(iter([traces[0]]), hyps)
 
     def test_no_columns(self):
         rng = np.random.default_rng(17)
-        got = correlation_traces(np.empty((5, 0)), rng.normal(size=(2, 5)), threads=2)
+        got = correlation_traces(np.empty((5, 0)), rng.normal(size=(2, 5)))
         assert got.shape == (2, 0)
+        got = correlation_traces(iter([np.empty((2, 0)), np.empty((3, 0))]),
+                                 rng.normal(size=(2, 5)))
+        assert got.shape == (2, 0)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_profile_peak_memory_does_not_grow_with_traces(self, tmp_path, threads):
+        # The samples stream through the correlation and only the POI
+        # columns are rendered again, so 30,000 more traces add only
+        # their planted classes, 2 bytes each, to the peak.
+        def peak(traces):
+            argv = ["profile", "--traces", str(traces), "--threads", str(threads),
+                    "--out", str(tmp_path / "p")]
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(10_000), peak(40_000)
+        assert large - small < 2 * 2**20, (small, large)
 
 
 class TestFindPoi:

@@ -6,6 +6,7 @@ comes from the package's own word source, so the "statistical" tests are
 bit-reproducible and their tolerances were verified once at these seeds.
 """
 
+import math
 import re
 
 import numpy as np
@@ -23,6 +24,10 @@ from cdtleak.leakage import (
     campaign_metadata,
     gaussian_block,
     hamming_weight,
+    profiling_blocks,
+    profiling_classes,
+    profiling_parts,
+    render_columns,
     synthesize_campaign,
     synthesize_profiling_set,
     synthesize_trace,
@@ -553,3 +558,87 @@ class TestProfilingSet:
         a, _ = synthesize_profiling_set(**kw)
         b, _ = synthesize_profiling_set(**kw)
         assert np.array_equal(a.samples, b.samples)
+
+
+class TestProfilingStream:
+    """profiling_parts and profiling_blocks against the gathered set."""
+
+    @pytest.mark.parametrize("n_traces", [4, 7, 2048, 5000])
+    def test_blocks_gather_to_the_set_and_classes_match_labels(self, n_traces):
+        params, table = SamplerParams(logn=9), default_table()
+        model = LeakModel()
+        traces, labels = synthesize_profiling_set(
+            seed=5, params=params, table=table, model=model, n_traces=n_traces, threads=2
+        )
+        blocks = list(profiling_blocks(5, params, table, model, n_traces=n_traces))
+        assert np.array_equal(np.concatenate([b for _, b in blocks]), traces.samples)
+        parts = list(profiling_parts(5, params, table, n_traces))
+        assert [len(p.values) for p, _ in parts] == [len(s) for _, s in parts]
+        assert np.array_equal(np.concatenate([p.bits for p, _ in parts]), labels.bits)
+        classes = profiling_classes(n_traces)
+        assert np.array_equal(classes, labels.bits[:, 0, [0, -1]].T)
+        lo, hi = n_traces // 3, n_traces - 1
+        assert np.array_equal(profiling_classes(n_traces, lo, hi), classes[:, lo:hi])
+
+    def test_arguments_checked_before_a_trace_is_planted(self):
+        params, table = SamplerParams(logn=9), default_table()
+        with pytest.raises(DomainError):
+            profiling_parts(1, params, table, n_traces=3)
+        with pytest.raises(DomainError):
+            profiling_parts(1, params, table, fire_slot=0)
+        with pytest.raises(DomainError):
+            profiling_parts(2**64, params, table)
+        with pytest.raises(LayoutMismatch):
+            profiling_blocks(1, params, table, LeakModel(),
+                             layout=TraceLayout(outer_count=1, inner_count=26))
+
+
+class TestRenderColumns:
+    """render_columns against the columns of the full render."""
+
+    @pytest.mark.parametrize(
+        "logn, tail", [(9, 8), (9, 7), (10, 9)], ids=["len432", "len430", "len217"]
+    )
+    @pytest.mark.parametrize("model", [LeakModel(), LeakModel(beta=-0.0, noise_sigma=0.0),
+                                       LeakModel(alpha=-1.0, beta=-0.0, noise_sigma=1e-30)],
+                             ids=["default", "beta_minus_zero", "minus_zero_gain"])
+    def test_every_column_equals_the_full_render(self, logn, tail, model):
+        params, table = SamplerParams(logn=logn), default_table()
+        layout = TraceLayout.for_params(params, table, samples_per_outer_tail=tail)
+        kw = dict(n_traces=300, fire_slot=2)
+        traces, _ = synthesize_profiling_set(7, params, table, model, layout, **kw)
+        length = layout.trace_length
+        pairs = (length + 1) // 2
+        columns = np.arange(length)
+        got = render_columns(profiling_parts(7, params, table, **kw), model, layout, columns)
+        assert got.dtype == np.float32 and got.shape == traces.samples.shape
+        # Bytes, so that -0.0 and 0.0 differ.
+        assert got.tobytes() == traces.samples.tobytes()
+        # Each column on its own, in any order, with repeats: the cos half,
+        # the sin half and both kinds of leak site.
+        sites = layout.site_matrix()
+        picks = [sites[0, 1], sites[0, -1], sites[-1, 0], 0, pairs - 1, pairs, length - 1,
+                 sites[0, 1], 5]
+        got = render_columns(profiling_parts(7, params, table, **kw), model, layout, picks)
+        assert got.tobytes() == np.ascontiguousarray(traces.samples[:, picks]).tobytes()
+        if math.copysign(1.0, model.beta) < 0 and model.noise_sigma == 0.0:
+            # The render turns -0.0 into 0.0 at leak sites only.
+            signs = np.signbit(traces.samples)
+            assert not signs[:, sites.reshape(-1)].any() and signs.any()
+
+    def test_rows_follow_the_parts(self):
+        params, table = SamplerParams(logn=9), default_table()
+        layout, model = TraceLayout.for_params(params, table), LeakModel()
+        parts = list(profiling_parts(3, params, table, n_traces=5000))
+        whole = render_columns(parts, model, layout, [3, 211])
+        assert whole.shape == (5000, 2)
+        assert np.array_equal(render_columns(parts[1:2], model, layout, [3, 211]),
+                              whole[2048:4096])
+
+    def test_rejects_columns_outside_the_trace(self):
+        params, table = SamplerParams(logn=9), default_table()
+        layout = TraceLayout.for_params(params, table)
+        parts = profiling_parts(3, params, table, n_traces=8)
+        for bad in ([432], [-1], [[3]]):
+            with pytest.raises(DomainError):
+                render_columns(parts, LeakModel(), layout, bad)
