@@ -106,6 +106,9 @@ def _finite_samples(blocks):
 
 def cmd_profile(args) -> int:
     tab, params, model, layout = _setup_from(args)
+    k = args.poi_count
+    if not 1 <= k <= layout.trace_length:
+        raise CdtLeakError(f"--poi-count must be in [1, {layout.trace_length}], got {k}")
     blocks = leakage.profiling_blocks(
         args.seed, params, tab, model, layout, args.traces, args.fire_slot, args.threads
     )
@@ -116,7 +119,6 @@ def cmd_profile(args) -> int:
     points = (("inner", args.fire_slot - 1), ("neg", -1))
     classes = leakage.profiling_classes(args.traces)
     corrs = cpa.correlation_traces(_finite_samples(blocks), classes)
-    k = args.poi_count
     pois = [cpa.find_poi(corr, count=k) for corr in corrs]
     # Only the POI columns are rendered again, from labels drawn afresh:
     # point i's are columns i*k to i*k + k - 1, and its template is fitted

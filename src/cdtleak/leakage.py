@@ -11,10 +11,11 @@ Noise is generated from the same deterministic word-source family as the
 sampler input, one derived sub-seed per trace, so whole campaigns are
 reproducible from a single 64-bit seed.
 
-simulate and profile stream campaign_blocks and profiling_blocks, which
-render on arrays, and profile re-renders its points of interest with
-render_columns; synthesize_trace renders one coefficient's leak records
-and is their scalar reference.
+One renderer, _render_blocks, makes every sample the commands use:
+simulate and profile stream its whole traces through campaign_blocks and
+profiling_blocks, and profile fits its templates on the few columns that
+render_columns gathers from it. synthesize_trace renders one
+coefficient's leak records and is its scalar reference.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .sampler import (
     scan_words,
     word_block,
     words,
+    words_at,
 )
 
 DEFAULT_ALPHA = 30.0 / 64.0
@@ -156,8 +158,6 @@ def gaussian_block(seed: int, count: int) -> np.ndarray:
     """`count` standard normal deviates, fully determined by `seed`."""
     if count < 0:
         raise DomainError("count must be non-negative")
-    if count == 0:
-        return np.zeros(0)
     pairs = (count + 1) // 2
     return _box_muller(word_block(seed, 0, 2 * pairs))[:count]
 
@@ -190,20 +190,6 @@ def _box_muller_words(w: np.ndarray, z: np.ndarray) -> np.ndarray:
     angle *= radius
     radius *= sine
     return z
-
-
-def _gaussian_matrix(subseeds: np.ndarray, count: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Row i holds gaussian_block(subseeds[i], count), computed in place.
-
-    `out` is a float64 buffer of at least (rows, 2 * pairs) that the
-    result is a view of; one is allocated when it is None.
-    """
-    pairs = (count + 1) // 2
-    rows = len(subseeds)
-    if out is None:
-        out = np.empty((rows, 2 * pairs))
-    z = _box_muller_words(words(subseeds, 0, 2 * pairs), out[:rows, : 2 * pairs])
-    return z[:, :count]
 
 
 def _check_leaks(leaks, layout: TraceLayout) -> None:
@@ -242,20 +228,25 @@ _CHUNKS_PER_THREAD = 2
 _KEY_BLOCK_ROWS = 1 << 11
 
 
-def _render_blocks(parts, model: LeakModel, layout: TraceLayout, threads: int = 1, out=None):
+def _render_blocks(parts, model: LeakModel, layout: TraceLayout, threads: int = 1, out=None,
+                   columns=None):
     """Render traces chunk by chunk; yield (labels, samples) per chunk, in row order.
 
     `parts` is an iterable of (LabelSet, noise sub-seeds) pairs of
-    consecutive rows, drawn as the render needs them. Each part is cut
-    into chunks of _CHUNK_SAMPLES samples that are rendered on one pool
-    of `threads` threads, with at most _CHUNKS_PER_THREAD chunks per
-    thread pending. A chunk's samples are a new float32 block (1 MiB), or
-    rows of `out` when that (rows, trace_length) array is given. A thread
-    renders its chunk in row tiles of _TILE_SAMPLES samples through its
-    own float64 buffer; the tile's uint64 noise words and their shift
-    temp are as big, so a thread holds 3 * 512 KiB of scratch. At the
-    README geometry (432 samples, 2 threads) that is 3 MiB of scratch
-    and at most 4 pending chunks of 606 rows, 4 MiB of float32.
+    consecutive rows, drawn as the render needs them. A row's samples are
+    its trace, or only its samples `columns` (a 1-D index array), in that
+    order. Sample j is the cos (j < pairs) or sin half of Box–Muller pair
+    j mod pairs, pairs = ceil(trace_length / 2), and pair p takes words p
+    and pairs + p of the row's sub-seed, so only the used pairs are drawn.
+    Each part is cut into chunks of _CHUNK_SAMPLES drawn words, rendered
+    on one pool of `threads` threads with at most _CHUNKS_PER_THREAD
+    chunks per thread pending. A chunk's samples are a new float32 block,
+    or rows of `out` when that (rows, trace_length) array is given. A
+    thread renders its chunk in row tiles of _TILE_SAMPLES words through
+    its own float64 buffer; the tile's uint64 words and their shift temp
+    are as big, so a thread holds 3 * 512 KiB of scratch. At the README
+    geometry (432 samples, 2 threads) a whole-trace render holds 3 MiB of
+    scratch and at most 4 pending chunks of 606 rows, 4 MiB of float32.
 
     Bit-identical to calling synthesize_trace per coefficient with the
     matching sub-seed: the noise is scaled and shifted in the same order,
@@ -267,26 +258,38 @@ def _render_blocks(parts, model: LeakModel, layout: TraceLayout, threads: int = 
     chunks, so none of them changes the output.
     """
     length = layout.trace_length
-    cols = layout.site_matrix().reshape(-1)
-    gain = model.alpha * 64
+    pairs = (length + 1) // 2
+    # Whole rows: every pair, kept as a view; cols[i] is the sample of leak site sites[i].
+    drawn, gather, n_out = np.arange(pairs), slice(length), length
+    cols, sites = layout.site_matrix().reshape(-1), slice(None)
+    if columns is not None:
+        drawn = np.flatnonzero(np.bincount(columns % pairs, minlength=pairs))
+        # Column i of a tile's normals is the cos of drawn pair i, column len(drawn) + i its sin.
+        gather = np.searchsorted(drawn, columns % pairs) + len(drawn) * (columns >= pairs)
+        site_at = np.full(length, -1)
+        site_at[cols] = np.arange(len(cols))
+        at, n_out = site_at[columns], len(columns)
+        cols, sites = np.flatnonzero(at >= 0), at[at >= 0]
+    counters = np.concatenate([drawn, drawn + pairs])
     add_zeros = model.beta == 0.0 and math.copysign(1.0, model.beta) < 0
-    width = 2 * ((length + 1) // 2)
+    width = max(1, len(counters), n_out)
     chunk = max(1, _CHUNK_SAMPLES // width)
     tile = min(chunk, max(1, _TILE_SAMPLES // width))
     local = threading.local()
 
     def render(bits, subseeds, samples):
         if not hasattr(local, "buf"):
-            local.buf = np.empty((tile, width))
+            local.buf = np.empty((tile, len(counters)))
         for lo in range(0, len(subseeds), tile):
             hi = lo + tile
-            z = _gaussian_matrix(subseeds[lo:hi], length, out=local.buf)
+            seeds = subseeds[lo:hi]
+            z = _box_muller_words(words_at(seeds, counters), local.buf[: len(seeds)])[:, gather]
             z *= model.noise_sigma
             z += model.beta
             if add_zeros:
                 z[:, cols] += model.alpha * 0
-            rows, sites = np.nonzero(bits[lo:hi])
-            z[rows, cols[sites]] += gain
+            rows, fired = np.nonzero(bits[lo:hi, sites])
+            z[rows, cols[fired]] += model.alpha * 64
             # Past float32's range the cast gives inf, which the trace writer rejects.
             with np.errstate(over="ignore"):
                 samples[lo:hi] = z
@@ -299,10 +302,8 @@ def _render_blocks(parts, model: LeakModel, layout: TraceLayout, threads: int = 
             bits = labels.bits.reshape(n, -1)
             for lo in range(0, n, chunk):
                 hi = min(lo + chunk, n)
-                if out is None:
-                    samples = np.empty((hi - lo, length), dtype=np.float32)
-                else:
-                    samples = out[row + lo : row + hi]
+                samples = (np.empty((hi - lo, n_out), dtype=np.float32) if out is None
+                           else out[row + lo : row + hi])
                 yield labels.rows(lo, hi), (bits[lo:hi], subseeds[lo:hi], samples)
             row += n
 
@@ -321,45 +322,14 @@ def render_columns(parts, model: LeakModel, layout: TraceLayout, columns) -> np.
     """Columns `columns` of the rows _render_blocks renders from `parts`, (rows, k) float32.
 
     `parts` is an iterable of (LabelSet, noise sub-seeds) pairs, as
-    _render_blocks takes it. Sample j of a row is the cos half (j < pairs)
-    or the sin half of Box–Muller pair j mod pairs, where
-    pairs = ceil(trace_length / 2). So it takes only words j mod pairs
-    (the radius) and pairs + j mod pairs (the angle) of the row's
-    sub-seed, through the render's own Box–Muller step. The result is
-    scaled and shifted as the render does it, and a leak-site column gets
-    the beta = -0.0 zeros and the gain as the render adds them, so every
-    column is bit-identical to the full render's. Each part takes
-    32 bytes of scratch per row and column.
+    _render_blocks takes it; the result is its blocks of those columns
+    gathered, so every column is bit-identical to the full render's.
     """
-    length = layout.trace_length
     columns = np.asarray(columns, dtype=np.int64)
-    if columns.ndim != 1 or not ((0 <= columns) & (columns < length)).all():
-        raise DomainError(f"columns must be sample indices below {length}")
-    k = len(columns)
-    pairs = (length + 1) // 2
-    counters = np.concatenate([columns % pairs, columns % pairs + pairs])
-    cos_half = columns < pairs
-    site_of = {int(c): s for s, c in enumerate(layout.site_matrix().reshape(-1))}
-    sites = [(i, site_of[int(c)]) for i, c in enumerate(columns) if int(c) in site_of]
-    gain = model.alpha * 64
-    add_zeros = model.beta == 0.0 and math.copysign(1.0, model.beta) < 0
-    out = []
-    for labels, subseeds in parts:
-        # One row per word, so that each step runs along the traces.
-        w = np.stack([words(subseeds, int(c), 1)[:, 0] for c in counters])
-        z = _box_muller_words(w.T, np.empty(w.shape).T)
-        x = np.where(cos_half, z[:, :k], z[:, k:])
-        x *= model.noise_sigma
-        x += model.beta
-        bits = labels.bits.reshape(len(subseeds), -1)
-        for i, site in sites:
-            if add_zeros:
-                x[:, i] += model.alpha * 0
-            x[bits[:, site], i] += gain
-        # Past float32's range the cast gives inf, as in the render.
-        with np.errstate(over="ignore"):
-            out.append(x.astype(np.float32))
-    return np.concatenate(out) if out else np.empty((0, k), dtype=np.float32)
+    if columns.ndim != 1 or not ((0 <= columns) & (columns < layout.trace_length)).all():
+        raise DomainError(f"columns must be sample indices below {layout.trace_length}")
+    blocks = [samples for _, samples in _render_blocks(parts, model, layout, 1, columns=columns)]
+    return np.concatenate(blocks) if blocks else np.empty((0, len(columns)), dtype=np.float32)
 
 
 def campaign_metadata(
@@ -545,12 +515,6 @@ def _plant_first_iteration(
     second[...] = np.where(latch, lo + second % (hi - lo), second & np.uint64(MASK63))
 
 
-def _profiling_layout(params: SamplerParams, table: GaussCdtTable, layout, n_traces: int):
-    if n_traces < 4:
-        raise DomainError("n_traces must be at least 4")
-    return _checked_layout(params, table, layout)
-
-
 def profiling_parts(
     seed: int, params: SamplerParams, table: GaussCdtTable, n_traces: int = 10000, fire_slot: int = 1
 ):
@@ -599,7 +563,7 @@ def profiling_blocks(
     sample matrix. Blocks are new arrays, or rows of `out` when that
     matrix is given.
     """
-    layout = _profiling_layout(params, table, layout, n_traces)
+    layout = _checked_layout(params, table, layout)
     parts = profiling_parts(seed, params, table, n_traces, fire_slot)
     return _render_blocks(parts, model, layout, threads, out=out)
 
@@ -628,10 +592,9 @@ def synthesize_profiling_set(
     bits[i, 0, -1]. The returned TraceSet carries no metadata. It is
     profiling_blocks gathered into one matrix.
     """
-    layout = _profiling_layout(params, table, layout, n_traces)
+    layout = _checked_layout(params, table, layout)
+    parts = profiling_parts(seed, params, table, n_traces, fire_slot)
     samples = np.empty((n_traces, layout.trace_length), dtype=np.float32)
-    blocks = profiling_blocks(
-        seed, params, table, model, layout, n_traces, fire_slot, threads, out=samples
-    )
+    blocks = _render_blocks(parts, model, layout, threads, out=samples)
     labels = traceio.LabelSet.concatenate([part for part, _ in blocks])
     return traceio.TraceSet(samples), labels

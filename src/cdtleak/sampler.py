@@ -89,11 +89,21 @@ def words(seeds, start: int, count: int) -> np.ndarray:
     """
     if count < 0:
         raise DomainError("count must be non-negative")
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    if seeds.ndim != 1:
-        raise DomainError("seeds must be one-dimensional")
     steps = np.arange(1, count + 1, dtype=np.uint64)
     steps += np.uint64(start & MASK64)
+    return _splitmix_rows(seeds, steps)
+
+
+def words_at(seeds, counters) -> np.ndarray:
+    """[i, j] is WordSource(seeds[i], counters[j]).next_u64(), for 64-bit counters."""
+    return _splitmix_rows(seeds, np.array(counters, dtype=np.uint64) + np.uint64(1))
+
+
+def _splitmix_rows(seeds, steps: np.ndarray) -> np.ndarray:
+    """splitmix64(seeds[i] + steps[j] * GOLDEN) at [i, j]; steps is multiplied in place."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    if seeds.ndim != 1 or steps.ndim != 1:
+        raise DomainError("seeds and counters must be one-dimensional")
     steps *= np.uint64(_GOLDEN)
     x = seeds[:, None] + steps[None, :]
     t = np.empty_like(x)
@@ -305,12 +315,13 @@ def scan_words(table: GaussCdtTable, draws: np.ndarray) -> tuple[np.ndarray, np.
     inner_count = table.inner_count
     low63 = np.uint64(MASK63)
     first, second = draws[..., 0], draws[..., 1]
-    bits = np.empty((*first.shape, inner_count + 1), dtype=bool)
+    bits = np.zeros((*first.shape, inner_count + 1), dtype=bool)
     bits[..., inner_count] = first >> np.uint64(63)
     zero = (first & low63) < entries[0]
     suffix = np.searchsorted(entries[:0:-1], second & low63, side="right")
     slot = np.where(zero | (suffix == 0), 0, inner_count + 1 - suffix)
-    np.equal(slot[..., None], np.arange(1, inner_count + 1), out=bits[..., :inner_count])
+    fired = np.nonzero(slot)
+    bits[(*fired, slot[fired] - 1)] = True
     return fold(slot, bits[..., inner_count]), bits
 
 

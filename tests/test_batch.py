@@ -42,7 +42,9 @@ from cdtleak.sampler import (
     sample_coefficient,
     sample_keys,
     scan_words,
+    splitmix64,
     words,
+    words_at,
 )
 from cdtleak.template import ClassStats, Template
 
@@ -82,14 +84,26 @@ class TestWords:
         seeds=st.lists(seeds64, min_size=1, max_size=4),
         start=st.integers(min_value=0, max_value=MASK64),
         count=st.integers(min_value=0, max_value=9),
+        counters=st.lists(st.one_of(st.just(MASK64), seeds64), max_size=6),
     )
-    def test_rows_equal_word_source(self, seeds, start, count):
+    def test_rows_equal_word_source(self, seeds, start, count, counters):
         block = words(seeds, start, count)
         assert block.shape == (len(seeds), count)
         assert block.dtype == np.uint64
         for row, seed in zip(block, seeds):
             source = WordSource(seed=seed, counter=start)
             assert [int(w) for w in row] == [source.next_u64() for _ in range(count)]
+        # A counter list, in any order and with repeats: column j is the
+        # word at counters[j]. The last counter, 2**64 - 1, wraps to 0, so
+        # its word mixes the seed itself.
+        counters = [*counters, MASK64]
+        block = words_at(seeds, counters)
+        assert block.shape == (len(seeds), len(counters))
+        assert block.dtype == np.uint64
+        for row, seed in zip(block, seeds):
+            want = [WordSource(seed=seed, counter=c).next_u64() for c in counters]
+            assert [int(w) for w in row] == want
+            assert int(row[-1]) == splitmix64(seed)
 
     def test_subseed_of_a_64_bit_seed_only(self):
         # Seeds outside 64 bits are refused, as WordSource refuses them.

@@ -346,6 +346,22 @@ class TestProfile:
         assert err == "error: trace payload contains NaN or infinity\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("count", ["0", "433", "-2"])
+    def test_poi_count_outside_the_trace_exits_2_before_rendering(
+        self, capsys, monkeypatch, tmp_path, count
+    ):
+        def no_render(*args, **kwargs):
+            raise AssertionError("a trace was rendered")
+
+        monkeypatch.setattr(leakage, "profiling_blocks", no_render)
+        rc, stdout, err = _run(
+            capsys, "profile", "--poi-count", count, "--out", str(tmp_path / "t")
+        )
+        assert rc == 2
+        assert stdout == ""
+        assert err == f"error: --poi-count must be in [1, 432], got {count}\n"
+        assert not list(tmp_path.iterdir())
+
     def test_in_is_not_a_flag(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["profile", "--in", str(tmp_path / "prof"), "--out", str(tmp_path / "t")])

@@ -8,10 +8,12 @@ bit-reproducible and their tolerances were verified once at these seeds.
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cdtleak import leakage
 from cdtleak.cpa import correlation_traces, find_poi
 from cdtleak.errors import DomainError, LayoutMismatch, TraceFormatError
 from cdtleak.leakage import (
@@ -32,7 +34,7 @@ from cdtleak.leakage import (
     synthesize_profiling_set,
     synthesize_trace,
 )
-from cdtleak.leakage import _gaussian_matrix
+from cdtleak.leakage import _box_muller_words, _render_blocks
 from cdtleak.sampler import (
     MASK64,
     GaussCdtTable,
@@ -42,7 +44,10 @@ from cdtleak.sampler import (
     default_table,
     derive_subseed,
     sample_coefficient,
+    words,
+    words_at,
 )
+from cdtleak.traceio import LabelSet
 
 from scripted import SequenceWordSource, plant_control_words
 
@@ -171,8 +176,9 @@ class TestGaussianBlock:
         assert abs(np.mean(x**4) - 3.0) < 0.05
 
     def test_matrix_rows_equal_scalar_blocks(self):
+        # The render's in-place Box–Muller step on a row's first 34 words.
         seeds = np.array([3, 99, 2**63, MASK64], dtype=np.uint64)
-        matrix = _gaussian_matrix(seeds, 33)
+        matrix = _box_muller_words(words(seeds, 0, 34), np.empty((4, 34)))[:, :33]
         for i, s in enumerate(seeds):
             assert np.array_equal(matrix[i], gaussian_block(int(s), 33))
 
@@ -625,6 +631,55 @@ class TestRenderColumns:
             # The render turns -0.0 into 0.0 at leak sites only.
             signs = np.signbit(traces.samples)
             assert not signs[:, sites.reshape(-1)].any() and signs.any()
+
+    @pytest.mark.parametrize("model", [LeakModel(), LeakModel(beta=-0.0, noise_sigma=0.0)],
+                             ids=["default", "beta_minus_zero"])
+    def test_tiles_and_chunks_change_no_byte(self, monkeypatch, model):
+        params, table = SamplerParams(logn=9), default_table()
+        layout = TraceLayout.for_params(params, table)
+        kw = dict(n_traces=300, fire_slot=2)
+        traces, _ = synthesize_profiling_set(7, params, table, model, layout, **kw)
+        labels, subseeds = zip(*profiling_parts(7, params, table, **kw))
+        labels, subseeds = LabelSet.concatenate(labels), np.concatenate(subseeds)
+        # Parts of 1, 137 and 162 rows.
+        cuts = [0, 1, 138, 300]
+        parts = [(labels.rows(lo, hi), subseeds[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+        sites = layout.site_matrix()
+        picks = [sites[0, 1], sites[0, -1], 0, 215, 216, 431, 7, sites[0, 1]]
+        # Pairs 0, 7, 11, 211 and 215 are drawn: 10 words a row. Tiles of
+        # 3 rows end inside chunks of 7, and chunks inside the parts.
+        monkeypatch.setattr(leakage, "_TILE_SAMPLES", 3 * 10)
+        monkeypatch.setattr(leakage, "_CHUNK_SAMPLES", 7 * 10)
+        tiles = []
+
+        def counted(seeds, counters):
+            tiles.append(len(seeds))
+            return words_at(seeds, counters)
+
+        monkeypatch.setattr(leakage, "words_at", counted)
+        got = render_columns(parts, model, layout, picks)
+        assert got.tobytes() == np.ascontiguousarray(traces.samples[:, picks]).tobytes()
+        assert max(tiles) == 3 and sum(tiles) == 300
+        # Part 2's 137 rows: 19 chunks of 7 (tiles 3, 3, 1), then 4 (3, 1).
+        assert tiles[1:58] == [3, 3, 1] * 19 and tiles[58:60] == [3, 1]
+
+    def test_scratch_stays_small_on_long_traces(self):
+        # logn 1: 110,592 samples and 13,824 leak sites a trace, so a
+        # samples-by-sites table would take 1.5 GB.
+        params, table = SamplerParams(logn=1), default_table()
+        layout, model = TraceLayout.for_params(params, table), LeakModel(beta=-0.0)
+        sites = layout.site_matrix()
+        parts = list(profiling_parts(3, params, table, n_traces=4))
+        tracemalloc.start()
+        try:
+            for _, samples in _render_blocks(parts, model, layout):
+                del samples
+            got = render_columns(parts, model, layout, [sites[5, 1], 3, sites[-1, -1]])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (4, 3)
+        assert peak < 16 << 20
 
     def test_rows_follow_the_parts(self):
         params, table = SamplerParams(logn=9), default_table()
