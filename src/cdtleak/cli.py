@@ -4,7 +4,8 @@ Every command is deterministic given its flags; all randomness flows from
 the --seed value. Output files are written atomically. Settings come only
 from flags, spelled in full. Exit codes: 0 on success, 1 when an
 attack ran to completion but ground truth shows at least one key was not
-fully recovered, 2 on usage errors, invalid inputs, or I/O errors.
+fully recovered, 2 on usage errors, invalid inputs, I/O errors, or an
+input too large for the memory at hand.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import contextlib
 import dataclasses
 import os
 import sys
+
+import numpy as np
 
 from . import cpa, leakage, recover, sampler, template, traceio
 from .errors import CdtLeakError, TraceFormatError
@@ -78,14 +81,13 @@ def _setup_from(args):
 
 def cmd_simulate(args) -> int:
     tab, params, model, layout = _setup_from(args)
-    md, blocks = leakage.campaign_blocks(
-        args.seed, params, tab, model, layout, args.keys, args.threads
-    )
+    parts = leakage.campaign_parts(args.seed, params, tab, args.keys)
+    md = leakage.campaign_metadata(args.seed, params, model, layout, args.keys)
     n_traces = args.keys * 2 * params.n
     with traceio.staged_files(args.out + ".trc", args.out + ".lbl") as (trc, lbl):
         traces = traceio.TraceWriter(trc, n_traces, layout.trace_length, md)
         labels = traceio.LabelWriter(lbl, n_traces, layout.outer_count, layout.inner_count)
-        for part, samples in blocks:
+        for part, samples in leakage.render_blocks(parts, model, layout, args.threads):
             traces.write(samples)
             labels.write(part)
         traces.finish()
@@ -109,9 +111,8 @@ def cmd_profile(args) -> int:
     k = args.poi_count
     if not 1 <= k <= layout.trace_length:
         raise CdtLeakError(f"--poi-count must be in [1, {layout.trace_length}], got {k}")
-    blocks = leakage.profiling_blocks(
-        args.seed, params, tab, model, layout, args.traces, args.fire_slot, args.threads
-    )
+    parts = leakage.profiling_parts(args.seed, params, tab, args.traces, args.fire_slot)
+    blocks = leakage.render_blocks(parts, model, layout, args.threads)
     # Each point and its column of the site matrix, in the order of the
     # planted classes. The class bits are the hypotheses: a correlation
     # does not change with the scale of one, so they stand for the
@@ -124,7 +125,8 @@ def cmd_profile(args) -> int:
     # point i's are columns i*k to i*k + k - 1, and its template is fitted
     # on them and then keeps their sample indices.
     parts = leakage.profiling_parts(args.seed, params, tab, args.traces, args.fire_slot)
-    columns = leakage.render_columns(parts, model, layout, [int(p) for ps in pois for p in ps])
+    blocks = leakage.render_blocks(parts, model, layout, args.threads, np.concatenate(pois))
+    columns = np.concatenate([samples for _, samples in blocks])
     tpls = [
         dataclasses.replace(
             template.build_template(columns[:, i * k : (i + 1) * k], c, range(k)),
@@ -156,8 +158,6 @@ def cmd_attack(args) -> int:
         labels = None
         if os.path.exists(args.inp + ".lbl"):
             labels = stack.enter_context(traceio.open_label_set(args.inp + ".lbl"))
-        if not args.templates:
-            raise CdtLeakError("need --templates")
         templates = [template.load_template(f"{args.templates}.{point}.tpl")
                      for point in ("inner", "neg")]
         report = recover.recover_key(reader, *templates, layout, params, labels)
@@ -258,7 +258,7 @@ def _build_parser():
     atk = command("attack", cmd_attack, "recover keys from campaign traces")
     atk.add_argument("--in", dest="inp", type=str, required=True,
                      help="campaign prefix (.trc plus optional .lbl)")
-    atk.add_argument("--templates", type=str, default=None,
+    atk.add_argument("--templates", type=str, required=True,
                      help="template prefix (expects .inner.tpl and .neg.tpl)")
     atk.add_argument("--out", type=str, default=None, help="report prefix")
 
@@ -285,6 +285,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CdtLeakError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

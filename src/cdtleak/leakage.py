@@ -11,11 +11,13 @@ Noise is generated from the same deterministic word-source family as the
 sampler input, one derived sub-seed per trace, so whole campaigns are
 reproducible from a single 64-bit seed.
 
-One renderer, _render_blocks, makes every sample the commands use:
-simulate and profile stream its whole traces through campaign_blocks and
-profiling_blocks, and profile fits its templates on the few columns that
-render_columns gathers from it. synthesize_trace renders one
-coefficient's leak records and is its scalar reference.
+One renderer, render_blocks, makes every sample: it renders the
+(labels, noise sub-seeds) parts that campaign_parts or profiling_parts
+draw into blocks of whole traces, or of chosen sample columns such as
+the leak sites. simulate and profile stream its blocks, and
+synthesize_campaign and synthesize_profiling_set gather them into one
+matrix. synthesize_trace renders one coefficient's leak records and is
+its scalar reference.
 """
 
 from __future__ import annotations
@@ -228,25 +230,27 @@ _CHUNKS_PER_THREAD = 2
 _KEY_BLOCK_ROWS = 1 << 11
 
 
-def _render_blocks(parts, model: LeakModel, layout: TraceLayout, threads: int = 1, out=None,
-                   columns=None):
+def render_blocks(parts, model: LeakModel, layout: TraceLayout, threads: int = 1, columns=None):
     """Render traces chunk by chunk; yield (labels, samples) per chunk, in row order.
 
     `parts` is an iterable of (LabelSet, noise sub-seeds) pairs of
-    consecutive rows, drawn as the render needs them. A row's samples are
-    its trace, or only its samples `columns` (a 1-D index array), in that
-    order. Sample j is the cos (j < pairs) or sin half of Box–Muller pair
-    j mod pairs, pairs = ceil(trace_length / 2), and pair p takes words p
-    and pairs + p of the row's sub-seed, so only the used pairs are drawn.
-    Each part is cut into chunks of _CHUNK_SAMPLES drawn words, rendered
-    on one pool of `threads` threads with at most _CHUNKS_PER_THREAD
-    chunks per thread pending. A chunk's samples are a new float32 block,
-    or rows of `out` when that (rows, trace_length) array is given. A
-    thread renders its chunk in row tiles of _TILE_SAMPLES words through
-    its own float64 buffer; the tile's uint64 words and their shift temp
-    are as big, so a thread holds 3 * 512 KiB of scratch. At the README
-    geometry (432 samples, 2 threads) a whole-trace render holds 3 MiB of
-    scratch and at most 4 pending chunks of 606 rows, 4 MiB of float32.
+    consecutive rows, as campaign_parts and profiling_parts give them,
+    drawn as the render needs them. A row's samples are its trace, or
+    only its samples `columns` (a 1-D index array), in that order; a
+    column outside the trace raises DomainError here, and a part whose
+    label records do not fit `layout` raises LayoutMismatch when it is
+    drawn, before any of its chunks is rendered. Sample j is the cos (j <
+    pairs) or sin half of Box–Muller pair j mod pairs, pairs =
+    ceil(trace_length / 2), and pair p takes words p and pairs + p of the
+    row's sub-seed, so only the used pairs are drawn. Each part is cut
+    into chunks of _CHUNK_SAMPLES drawn words, rendered on one pool of
+    `threads` threads with at most _CHUNKS_PER_THREAD chunks per thread
+    pending; a chunk's samples are a new float32 block. A thread renders
+    its chunk in row tiles of _TILE_SAMPLES words through its own float64
+    buffer; the tile's uint64 words and their shift temp are as big, so a
+    thread holds 3 * 512 KiB of scratch. At the README geometry (432
+    samples, 2 threads) a whole-trace render holds 3 MiB of scratch and
+    at most 4 pending chunks of 606 rows, 4 MiB of float32.
 
     Bit-identical to calling synthesize_trace per coefficient with the
     matching sub-seed: the noise is scaled and shifted in the same order,
@@ -263,6 +267,9 @@ def _render_blocks(parts, model: LeakModel, layout: TraceLayout, threads: int = 
     drawn, gather, n_out = np.arange(pairs), slice(length), length
     cols, sites = layout.site_matrix().reshape(-1), slice(None)
     if columns is not None:
+        columns = np.asarray(columns, dtype=np.int64)
+        if columns.ndim != 1 or not ((0 <= columns) & (columns < length)).all():
+            raise DomainError(f"columns must be sample indices below {length}")
         drawn = np.flatnonzero(np.bincount(columns % pairs, minlength=pairs))
         # Column i of a tile's normals is the cos of drawn pair i, column len(drawn) + i its sin.
         gather = np.searchsorted(drawn, columns % pairs) + len(drawn) * (columns >= pairs)
@@ -295,41 +302,40 @@ def _render_blocks(parts, model: LeakModel, layout: TraceLayout, threads: int = 
                 samples[lo:hi] = z
         return samples
 
-    def chunks():
-        row = 0
-        for labels, subseeds in parts:
-            n = len(subseeds)
-            bits = labels.bits.reshape(n, -1)
-            for lo in range(0, n, chunk):
-                hi = min(lo + chunk, n)
-                samples = (np.empty((hi - lo, n_out), dtype=np.float32) if out is None
-                           else out[row + lo : row + hi])
-                yield labels.rows(lo, hi), (bits[lo:hi], subseeds[lo:hi], samples)
-            row += n
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending: deque = deque()
-        for part, job in chunks():
-            pending.append((part, pool.submit(render, *job)))
-            if len(pending) == _CHUNKS_PER_THREAD * threads:
-                part, done = pending.popleft()
+    def blocks():
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            pending: deque = deque()
+            for labels, subseeds in parts:
+                if labels.bits.shape[1:] != (layout.outer_count, layout.inner_count + 1):
+                    raise LayoutMismatch("layout disagrees with sampler parameters or table")
+                bits = labels.bits.reshape(len(subseeds), -1)
+                for lo in range(0, len(subseeds), chunk):
+                    hi = min(lo + chunk, len(subseeds))
+                    # Blocks are allocated on the thread that frees them, so
+                    # malloc reuses their memory: allocated by the render
+                    # threads, they raised the peak RSS of repeated
+                    # simulate runs by 7 MB.
+                    samples = np.empty((hi - lo, n_out), dtype=np.float32)
+                    done = pool.submit(render, bits[lo:hi], subseeds[lo:hi], samples)
+                    pending.append((labels.rows(lo, hi), done))
+                    if len(pending) == _CHUNKS_PER_THREAD * threads:
+                        part, done = pending.popleft()
+                        yield part, done.result()
+            for part, done in pending:
                 yield part, done.result()
-        for part, done in pending:
-            yield part, done.result()
+
+    return blocks()
 
 
-def render_columns(parts, model: LeakModel, layout: TraceLayout, columns) -> np.ndarray:
-    """Columns `columns` of the rows _render_blocks renders from `parts`, (rows, k) float32.
-
-    `parts` is an iterable of (LabelSet, noise sub-seeds) pairs, as
-    _render_blocks takes it; the result is its blocks of those columns
-    gathered, so every column is bit-identical to the full render's.
-    """
-    columns = np.asarray(columns, dtype=np.int64)
-    if columns.ndim != 1 or not ((0 <= columns) & (columns < layout.trace_length)).all():
-        raise DomainError(f"columns must be sample indices below {layout.trace_length}")
-    blocks = [samples for _, samples in _render_blocks(parts, model, layout, 1, columns=columns)]
-    return np.concatenate(blocks) if blocks else np.empty((0, len(columns)), dtype=np.float32)
+def _gathered(parts, model: LeakModel, layout: TraceLayout, threads: int, n_rows: int):
+    """render_blocks' rows of `parts` in one (n_rows, trace_length) matrix, and their labels."""
+    samples = np.empty((n_rows, layout.trace_length), dtype=np.float32)
+    labels, row = [], 0
+    for part, block in render_blocks(parts, model, layout, threads):
+        samples[row : row + len(block)] = block
+        labels.append(part)
+        row += len(block)
+    return samples, traceio.LabelSet.concatenate(labels)
 
 
 def campaign_metadata(
@@ -389,54 +395,30 @@ def campaign_from_metadata(
     return params, layout, model, n_keys
 
 
-def _checked_layout(params: SamplerParams, table: GaussCdtTable, layout) -> TraceLayout:
-    if layout is None:
-        return TraceLayout.for_params(params, table)
-    if (layout.outer_count, layout.inner_count) != (params.outer_count, table.inner_count):
-        raise LayoutMismatch("layout disagrees with sampler parameters or table")
-    return layout
-
-
-def _campaign_layout(params: SamplerParams, table: GaussCdtTable, layout, n_keys: int):
-    if n_keys < 1:
-        raise DomainError("n_keys must be positive")
-    traceio.check_count(n_keys * 2 * params.n, "trace count")
-    return _checked_layout(params, table, layout)
-
-
-def _key_blocks(seed: int, params: SamplerParams, table: GaussCdtTable, n_keys: int):
-    """The campaign's labels and noise sub-seeds, a block of whole keys at a time."""
-    root = [seed]
-    per_key = 2 * params.n
-    step = max(1, _KEY_BLOCK_ROWS // per_key)
-    for k in range(0, n_keys, step):
-        count = min(step, n_keys - k)
-        labels = traceio.LabelSet(*sample_keys(words(root, k, count)[0], params, table))
-        yield labels, words(root, n_keys + k * per_key, count * per_key)[0]
-
-
-def campaign_blocks(
-    seed: int,
-    params: SamplerParams,
-    table: GaussCdtTable,
-    model: LeakModel,
-    layout: TraceLayout | None = None,
-    n_keys: int = 1,
-    threads: int = 1,
-    out: np.ndarray | None = None,
-):
-    """synthesize_campaign's metadata, and its rows as (labels, samples) blocks.
+def campaign_parts(seed: int, params: SamplerParams, table: GaussCdtTable, n_keys: int):
+    """synthesize_campaign's labels and noise sub-seeds, as (labels, subseeds) blocks.
 
     Every argument is checked here, before a key is sampled; the rows of
-    n_keys * 2n must fit a trace file. The returned iterator samples keys
-    a block at a time as the render needs them, so a caller that writes
-    and drops each block holds a few MB whatever n_keys is. Blocks are
-    new arrays, or rows of `out` when that matrix is given.
+    n_keys * 2n must fit a trace file. The returned iterator samples
+    whole keys, about _KEY_BLOCK_ROWS rows at a time, as it is drawn, so
+    a caller that renders and drops each block holds a few MB whatever
+    n_keys is. The sampler stream of key j is child seed j of `seed`, and
+    the noise sub-seed of row r is child seed n_keys + r.
     """
-    layout = _campaign_layout(params, table, layout, n_keys)
-    md = campaign_metadata(seed, params, model, layout, n_keys)
-    parts = _key_blocks(seed, params, table, n_keys)
-    return md, _render_blocks(parts, model, layout, threads, out=out)
+    if n_keys < 1:
+        raise DomainError("n_keys must be positive")
+    per_key = 2 * params.n
+    traceio.check_count(n_keys * per_key, "trace count")
+    root = [checked_seed(seed)]
+    step = max(1, _KEY_BLOCK_ROWS // per_key)
+
+    def parts():
+        for k in range(0, n_keys, step):
+            count = min(step, n_keys - k)
+            labels = traceio.LabelSet(*sample_keys(words(root, k, count)[0], params, table))
+            yield labels, words(root, n_keys + k * per_key, count * per_key)[0]
+
+    return parts()
 
 
 def synthesize_campaign(
@@ -450,16 +432,16 @@ def synthesize_campaign(
 ) -> tuple[traceio.TraceSet, traceio.LabelSet]:
     """Simulate full key generations, one trace per coefficient.
 
-    Rows are ordered key by key, f before g, coefficients ascending. The
-    sampler stream for key j uses child seed j of `seed`; the noise stream
-    for row r uses child seed n_keys + r. Returns the traces and their
-    labels: campaign_blocks gathered into one matrix. Key j's f is
-    labels.values[2n*j : 2n*j + n] and its g the n values after it.
+    Rows are ordered key by key, f before g, coefficients ascending.
+    Returns the traces and their labels: render_blocks over
+    campaign_parts, gathered into one matrix, with campaign_metadata.
+    Key j's f is labels.values[2n*j : 2n*j + n] and its g the n values
+    after it.
     """
-    layout = _campaign_layout(params, table, layout, n_keys)
-    samples = np.empty((n_keys * 2 * params.n, layout.trace_length), dtype=np.float32)
-    md, blocks = campaign_blocks(seed, params, table, model, layout, n_keys, threads, out=samples)
-    labels = traceio.LabelSet.concatenate([part for part, _ in blocks])
+    parts = campaign_parts(seed, params, table, n_keys)
+    layout = TraceLayout.for_params(params, table) if layout is None else layout
+    md = campaign_metadata(seed, params, model, layout, n_keys)
+    samples, labels = _gathered(parts, model, layout, threads, n_keys * 2 * params.n)
     return traceio.TraceSet(samples=samples, metadata=md), labels
 
 
@@ -484,10 +466,13 @@ def profiling_classes(n_traces: int, start: int = 0, stop: int | None = None) ->
     first outer iteration when i < n_traces // 2, and takes the zero
     branch otherwise. Row 1 is the sign class, i & 1. The labels of the
     planted traces hold the same bits: bits[:, 0, fire_slot - 1] and
-    bits[:, 0, -1]. By default the rows cover all n_traces traces.
+    bits[:, 0, -1]. By default the rows cover all n_traces traces. Both
+    rows are set by slices, so the result is all that is allocated.
     """
-    index = np.arange(start, n_traces if stop is None else stop)
-    return np.stack([index < n_traces // 2, index % 2 == 1])
+    classes = np.zeros((2, max(0, (n_traces if stop is None else stop) - start)), dtype=bool)
+    classes[0, : max(0, n_traces // 2 - start)] = True
+    classes[1, (start + 1) % 2 :: 2] = True
+    return classes
 
 
 def _plant_first_iteration(
@@ -544,30 +529,6 @@ def profiling_parts(
     return parts()
 
 
-def profiling_blocks(
-    seed: int,
-    params: SamplerParams,
-    table: GaussCdtTable,
-    model: LeakModel,
-    layout: TraceLayout | None = None,
-    n_traces: int = 10000,
-    fire_slot: int = 1,
-    threads: int = 1,
-    out: np.ndarray | None = None,
-):
-    """synthesize_profiling_set's rows as (labels, samples) blocks, rendered as they are drawn.
-
-    Every argument is checked here, before a trace is planted. Like
-    campaign_blocks, the iterator renders profiling_parts chunk by chunk,
-    so a caller that consumes and drops each block never holds the
-    sample matrix. Blocks are new arrays, or rows of `out` when that
-    matrix is given.
-    """
-    layout = _checked_layout(params, table, layout)
-    parts = profiling_parts(seed, params, table, n_traces, fire_slot)
-    return _render_blocks(parts, model, layout, threads, out=out)
-
-
 def synthesize_profiling_set(
     seed: int,
     params: SamplerParams,
@@ -590,11 +551,9 @@ def synthesize_profiling_set(
     Class labels are recoverable from the returned LabelSet: the inner
     class of trace i is bits[i, 0, fire_slot - 1], the sign class is
     bits[i, 0, -1]. The returned TraceSet carries no metadata. It is
-    profiling_blocks gathered into one matrix.
+    render_blocks over profiling_parts, gathered into one matrix.
     """
-    layout = _checked_layout(params, table, layout)
     parts = profiling_parts(seed, params, table, n_traces, fire_slot)
-    samples = np.empty((n_traces, layout.trace_length), dtype=np.float32)
-    blocks = _render_blocks(parts, model, layout, threads, out=samples)
-    labels = traceio.LabelSet.concatenate([part for part, _ in blocks])
+    layout = TraceLayout.for_params(params, table) if layout is None else layout
+    samples, labels = _gathered(parts, model, layout, threads, n_traces)
     return traceio.TraceSet(samples), labels

@@ -215,11 +215,9 @@ class TestRender:
     @staticmethod
     def _render(bits, model, layout, subseeds, threads):
         """Render many rows of leak bits into one matrix, as synthesize_profiling_set does."""
-        out = np.empty((len(subseeds), layout.trace_length), dtype=np.float32)
         labels = traceio.LabelSet(np.zeros(len(subseeds), np.int32), bits)
-        for _ in leakage._render_blocks([(labels, subseeds)], model, layout, threads, out=out):
-            pass
-        return out
+        blocks = leakage.render_blocks([(labels, subseeds)], model, layout, threads)
+        return np.concatenate([samples for _, samples in blocks])
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize(

@@ -101,7 +101,7 @@ options:
   --out OUT             template output prefix
 """,
     "attack": """\
-usage: cdtleak attack [-h] --in INP [--templates TEMPLATES] [--out OUT]
+usage: cdtleak attack [-h] --in INP --templates TEMPLATES [--out OUT]
 
 options:
   -h, --help            show this help message and exit
@@ -147,7 +147,7 @@ def _subparsers():
 REQUIRED = {
     "simulate": ["--out", "x"],
     "profile": ["--out", "x"],
-    "attack": ["--in", "x"],
+    "attack": ["--in", "x", "--templates", "x"],
     "analyze": [],
     "report": ["x"],
 }
@@ -346,6 +346,23 @@ class TestProfile:
         assert err == "error: trace payload contains NaN or infinity\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("name", ["profiling_classes", "_box_muller_words"])
+    def test_out_of_memory_exits_2_and_writes_nothing(self, capsys, monkeypatch, tmp_path, name):
+        # A stand-in for an allocation too large for the machine, such as
+        # --traces 10000000000000, raised on the calling thread or in a
+        # render thread.
+        def too_large(*args):
+            raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+        monkeypatch.setattr(leakage, name, too_large)
+        rc, stdout, err = _run(
+            capsys, "profile", "--traces", "40", "--threads", "2", "--out", str(tmp_path / "t")
+        )
+        assert rc == 2
+        assert stdout == ""
+        assert err == "error: out of memory: Unable to allocate 72.8 TiB for an array\n"
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("count", ["0", "433", "-2"])
     def test_poi_count_outside_the_trace_exits_2_before_rendering(
         self, capsys, monkeypatch, tmp_path, count
@@ -353,7 +370,7 @@ class TestProfile:
         def no_render(*args, **kwargs):
             raise AssertionError("a trace was rendered")
 
-        monkeypatch.setattr(leakage, "profiling_blocks", no_render)
+        monkeypatch.setattr(leakage, "render_blocks", no_render)
         rc, stdout, err = _run(
             capsys, "profile", "--poi-count", count, "--out", str(tmp_path / "t")
         )
@@ -408,9 +425,10 @@ class TestAttack:
         assert "keys recovered: 0/1" in stdout
 
     def test_needs_template_arguments(self, capsys, pipeline):
-        rc, _, err = _run(capsys, "attack", "--in", pipeline["camp"])
-        assert rc == 2
-        assert "need --templates" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["attack", "--in", pipeline["camp"]])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --templates" in capsys.readouterr().err
 
     @pytest.mark.parametrize("point, off", [("inner", 435), ("neg", 611)], ids=["inner", "neg"])
     def test_names_the_template_whose_poi_cannot_translate(
@@ -744,8 +762,8 @@ class TestThreadsAndMetadataErrors:
             "from cdtleak import cpa, leakage, sampler\n"
             "params, table = sampler.SamplerParams(logn=9), sampler.default_table()\n"
             "layout = leakage.TraceLayout.for_params(params, table, samples_per_outer_tail=7)\n"
-            "blocks = leakage.profiling_blocks(1, params, table, leakage.LeakModel(), layout,\n"
-            "                                  n_traces=20000, threads=2)\n"
+            "parts = leakage.profiling_parts(1, params, table, n_traces=20000)\n"
+            "blocks = leakage.render_blocks(parts, leakage.LeakModel(), layout, threads=2)\n"
             "corr = cpa.correlation_traces((s for _, s in blocks),\n"
             "                              leakage.profiling_classes(20000))\n"
             "print(hashlib.sha256(corr.tobytes()).hexdigest())\n"
@@ -909,7 +927,8 @@ class TestAttackAndAnalyzeFlags:
     @pytest.mark.parametrize("flag", ["--seed", "--logn", "--table", "--threads"])
     @pytest.mark.parametrize(
         "argv",
-        [["attack", "--in", "camp"], ["analyze", "--p-inner", "0.9", "--p-neg", "0.9"]],
+        [["attack", "--in", "camp", "--templates", "tpl"],
+         ["analyze", "--p-inner", "0.9", "--p-neg", "0.9"]],
         ids=["attack", "analyze"],
     )
     def test_sampling_flags_rejected(self, capsys, argv, flag):

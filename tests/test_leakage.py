@@ -24,17 +24,17 @@ from cdtleak.leakage import (
     TraceLayout,
     campaign_from_metadata,
     campaign_metadata,
+    campaign_parts,
     gaussian_block,
     hamming_weight,
-    profiling_blocks,
     profiling_classes,
     profiling_parts,
-    render_columns,
+    render_blocks,
     synthesize_campaign,
     synthesize_profiling_set,
     synthesize_trace,
 )
-from cdtleak.leakage import _box_muller_words, _render_blocks
+from cdtleak.leakage import _box_muller_words
 from cdtleak.sampler import (
     MASK64,
     GaussCdtTable,
@@ -567,7 +567,7 @@ class TestProfilingSet:
 
 
 class TestProfilingStream:
-    """profiling_parts and profiling_blocks against the gathered set."""
+    """profiling_parts, rendered by render_blocks, against the gathered set."""
 
     @pytest.mark.parametrize("n_traces", [4, 7, 2048, 5000])
     def test_blocks_gather_to_the_set_and_classes_match_labels(self, n_traces):
@@ -576,7 +576,8 @@ class TestProfilingStream:
         traces, labels = synthesize_profiling_set(
             seed=5, params=params, table=table, model=model, n_traces=n_traces, threads=2
         )
-        blocks = list(profiling_blocks(5, params, table, model, n_traces=n_traces))
+        layout = TraceLayout.for_params(params, table)
+        blocks = list(render_blocks(profiling_parts(5, params, table, n_traces), model, layout))
         assert np.array_equal(np.concatenate([b for _, b in blocks]), traces.samples)
         parts = list(profiling_parts(5, params, table, n_traces))
         assert [len(p.values) for p, _ in parts] == [len(s) for _, s in parts]
@@ -586,7 +587,20 @@ class TestProfilingStream:
         lo, hi = n_traces // 3, n_traces - 1
         assert np.array_equal(profiling_classes(n_traces, lo, hi), classes[:, lo:hi])
 
-    def test_arguments_checked_before_a_trace_is_planted(self):
+    def test_classes_equal_the_index_formula(self):
+        rng = np.random.default_rng(23)
+        cases = [(4, 0, None), (7, 0, 7), (7, 3, 4), (8, 4, 4), (9, 5, 9), (5, 2, 1)]
+        for _ in range(200):
+            n_traces = int(rng.integers(4, 300))
+            start, stop = sorted(int(v) for v in rng.integers(0, n_traces + 1, size=2))
+            cases.append((n_traces, start, stop))
+        for n_traces, start, stop in cases:
+            index = np.arange(start, n_traces if stop is None else stop)
+            want = np.stack([index < n_traces // 2, index % 2 == 1])
+            got = profiling_classes(n_traces, start, stop)
+            assert got.dtype == bool and np.array_equal(got, want), (n_traces, start, stop)
+
+    def test_arguments_checked_before_a_trace_is_planted(self, monkeypatch):
         params, table = SamplerParams(logn=9), default_table()
         with pytest.raises(DomainError):
             profiling_parts(1, params, table, n_traces=3)
@@ -594,13 +608,24 @@ class TestProfilingStream:
             profiling_parts(1, params, table, fire_slot=0)
         with pytest.raises(DomainError):
             profiling_parts(2**64, params, table)
-        with pytest.raises(LayoutMismatch):
-            profiling_blocks(1, params, table, LeakModel(),
-                             layout=TraceLayout(outer_count=1, inner_count=26))
+
+        def no_render(*args):
+            raise AssertionError("a chunk was rendered")
+
+        monkeypatch.setattr(leakage, "words_at", no_render)
+        blocks = render_blocks(profiling_parts(1, params, table), LeakModel(),
+                               TraceLayout(outer_count=1, inner_count=26))
+        with pytest.raises(LayoutMismatch, match="layout disagrees with sampler parameters"):
+            next(blocks)
+
+
+def _gather_columns(parts, model, layout, columns):
+    """render_blocks' blocks of `columns` from `parts`, gathered into one matrix."""
+    return np.concatenate([s for _, s in render_blocks(parts, model, layout, columns=columns)])
 
 
 class TestRenderColumns:
-    """render_columns against the columns of the full render."""
+    """render_blocks' blocks of chosen columns against the columns of the full render."""
 
     @pytest.mark.parametrize(
         "logn, tail", [(9, 8), (9, 7), (10, 9)], ids=["len432", "len430", "len217"]
@@ -616,7 +641,7 @@ class TestRenderColumns:
         length = layout.trace_length
         pairs = (length + 1) // 2
         columns = np.arange(length)
-        got = render_columns(profiling_parts(7, params, table, **kw), model, layout, columns)
+        got = _gather_columns(profiling_parts(7, params, table, **kw), model, layout, columns)
         assert got.dtype == np.float32 and got.shape == traces.samples.shape
         # Bytes, so that -0.0 and 0.0 differ.
         assert got.tobytes() == traces.samples.tobytes()
@@ -625,7 +650,7 @@ class TestRenderColumns:
         sites = layout.site_matrix()
         picks = [sites[0, 1], sites[0, -1], sites[-1, 0], 0, pairs - 1, pairs, length - 1,
                  sites[0, 1], 5]
-        got = render_columns(profiling_parts(7, params, table, **kw), model, layout, picks)
+        got = _gather_columns(profiling_parts(7, params, table, **kw), model, layout, picks)
         assert got.tobytes() == np.ascontiguousarray(traces.samples[:, picks]).tobytes()
         if math.copysign(1.0, model.beta) < 0 and model.noise_sigma == 0.0:
             # The render turns -0.0 into 0.0 at leak sites only.
@@ -657,7 +682,7 @@ class TestRenderColumns:
             return words_at(seeds, counters)
 
         monkeypatch.setattr(leakage, "words_at", counted)
-        got = render_columns(parts, model, layout, picks)
+        got = _gather_columns(parts, model, layout, picks)
         assert got.tobytes() == np.ascontiguousarray(traces.samples[:, picks]).tobytes()
         assert max(tiles) == 3 and sum(tiles) == 300
         # Part 2's 137 rows: 19 chunks of 7 (tiles 3, 3, 1), then 4 (3, 1).
@@ -672,9 +697,9 @@ class TestRenderColumns:
         parts = list(profiling_parts(3, params, table, n_traces=4))
         tracemalloc.start()
         try:
-            for _, samples in _render_blocks(parts, model, layout):
+            for _, samples in render_blocks(parts, model, layout):
                 del samples
-            got = render_columns(parts, model, layout, [sites[5, 1], 3, sites[-1, -1]])
+            got = _gather_columns(parts, model, layout, [sites[5, 1], 3, sites[-1, -1]])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -685,9 +710,9 @@ class TestRenderColumns:
         params, table = SamplerParams(logn=9), default_table()
         layout, model = TraceLayout.for_params(params, table), LeakModel()
         parts = list(profiling_parts(3, params, table, n_traces=5000))
-        whole = render_columns(parts, model, layout, [3, 211])
+        whole = _gather_columns(parts, model, layout, [3, 211])
         assert whole.shape == (5000, 2)
-        assert np.array_equal(render_columns(parts[1:2], model, layout, [3, 211]),
+        assert np.array_equal(_gather_columns(parts[1:2], model, layout, [3, 211]),
                               whole[2048:4096])
 
     def test_rejects_columns_outside_the_trace(self):
@@ -695,5 +720,44 @@ class TestRenderColumns:
         layout = TraceLayout.for_params(params, table)
         parts = profiling_parts(3, params, table, n_traces=8)
         for bad in ([432], [-1], [[3]]):
-            with pytest.raises(DomainError):
-                render_columns(parts, LeakModel(), layout, bad)
+            with pytest.raises(DomainError, match="columns must be sample indices below 432"):
+                render_blocks(parts, LeakModel(), layout, columns=bad)
+
+
+class TestCampaignSiteColumns:
+    """A campaign streams as its leak-site columns, block by block."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("model", [LeakModel(), LeakModel(beta=-0.0, noise_sigma=0.0)],
+                             ids=["default", "beta_minus_zero"])
+    def test_site_blocks_equal_the_whole_render(self, monkeypatch, threads, model):
+        params, table = SamplerParams(logn=9), default_table()
+        layout = TraceLayout.for_params(params, table)
+        traces, labels = synthesize_campaign(9, params, table, model, layout, n_keys=2)
+        sites = layout.site_matrix().reshape(-1)
+        # Two key blocks of 1,024 rows. The 54 sites use 27 pairs (outer
+        # iteration 1's are the sin halves of outer 0's), 54 words a row, so
+        # chunks of 18 rows end inside each block and tiles of 4 inside each chunk.
+        monkeypatch.setattr(leakage, "_KEY_BLOCK_ROWS", 1024)
+        monkeypatch.setattr(leakage, "_CHUNK_SAMPLES", 1000)
+        monkeypatch.setattr(leakage, "_TILE_SAMPLES", 250)
+        tiles = []
+
+        def counted(seeds, counters):
+            tiles.append(len(seeds))
+            return words_at(seeds, counters)
+
+        monkeypatch.setattr(leakage, "words_at", counted)
+        row, sizes = 0, []
+        parts = campaign_parts(9, params, table, n_keys=2)
+        for part, block in render_blocks(parts, model, layout, threads, columns=sites):
+            n = len(block)
+            want = np.ascontiguousarray(traces.samples[row : row + n, sites])
+            assert block.dtype == np.float32 and block.tobytes() == want.tobytes(), row
+            assert part.values.tobytes() == labels.values[row : row + n].tobytes(), row
+            assert part.bits.tobytes() == labels.bits[row : row + n].tobytes(), row
+            row += n
+            sizes.append(n)
+        assert row == labels.n_records == 2048
+        assert max(sizes) == 18 and 1024 % 18 != 0
+        assert max(tiles) == 4 and sum(tiles) == 2048

@@ -18,8 +18,14 @@ import pytest
 
 from cdtleak import leakage, sampler, traceio
 from cdtleak.cli import main
-from cdtleak.errors import DimensionError, NonFiniteSample
-from cdtleak.leakage import LeakModel, TraceLayout, campaign_blocks, synthesize_campaign
+from cdtleak.errors import DimensionError, DomainError, NonFiniteSample
+from cdtleak.leakage import (
+    LeakModel,
+    TraceLayout,
+    campaign_parts,
+    render_blocks,
+    synthesize_campaign,
+)
 from cdtleak.sampler import SamplerParams, default_table
 
 from scripted import SequenceWordSource, plant_control_words
@@ -225,10 +231,10 @@ def test_render_draws_at_most_two_chunks_per_thread_ahead(threads):
 
     whole = traceio.LabelSet(values[:40], bits[:40])
     want = np.concatenate(
-        [samples for _, samples in leakage._render_blocks([(whole, subseeds)], model, layout)]
+        [samples for _, samples in leakage.render_blocks([(whole, subseeds)], model, layout)]
     )
     depth = leakage._CHUNKS_PER_THREAD * threads
-    for r, (labels, samples) in enumerate(leakage._render_blocks(parts(), model, layout, threads)):
+    for r, (labels, samples) in enumerate(leakage.render_blocks(parts(), model, layout, threads)):
         assert len(drawn) == min(40, r + depth)
         assert labels.values.tolist() == [values[r]]
         assert samples.tobytes() == want[r : r + 1].tobytes()
@@ -340,12 +346,17 @@ class TestTraceCountFitsHeader:
         monkeypatch.setattr(leakage, "sample_keys", _refuse)
         params, table, model = SamplerParams(logn=1), default_table(), LeakModel()
         with pytest.raises(DimensionError, match="does not fit"):
-            campaign_blocks(1, params, table, model, n_keys=2**30)
+            campaign_parts(1, params, table, n_keys=2**30)
         with pytest.raises(DimensionError, match="does not fit"):
             synthesize_campaign(1, params, table, model, n_keys=2**30)
+        for seed, n_keys in ((1, 0), (2**64, 1), (-1, 1)):
+            with pytest.raises(DomainError):
+                campaign_parts(seed, params, table, n_keys)
         # 2**32 - 4 rows fit; nothing is sampled until a block is drawn.
-        _, blocks = campaign_blocks(1, params, table, model, n_keys=2**30 - 1)
+        parts = campaign_parts(1, params, table, n_keys=2**30 - 1)
+        blocks = render_blocks(parts, model, TraceLayout.for_params(params, table))
         blocks.close()
+        parts.close()
 
     def test_simulate_keys(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(leakage, "sample_keys", _refuse)
@@ -400,7 +411,8 @@ def test_render_scratch_is_tile_sized():
     bound = scratch + chunks + key_block + (1 << 20)
     tracemalloc.start()
     try:
-        _, blocks = campaign_blocks(5, params, table, LeakModel(), n_keys=4, threads=threads)
+        parts = campaign_parts(5, params, table, n_keys=4)
+        blocks = render_blocks(parts, LeakModel(), layout, threads)
         rows = sum(len(samples) for _, samples in blocks)
         _, peak = tracemalloc.get_traced_memory()
     finally:
