@@ -46,23 +46,7 @@ class ReportFormatError(CdtLeakError, ValueError):
 
 
 class TraceFormatError(CdtLeakError, ValueError):
-    """Base class for trace/label file format errors."""
-
-
-class BadMagic(TraceFormatError):
-    """File does not start with the expected magic bytes."""
-
-
-class UnsupportedVersion(TraceFormatError):
-    """File declares a format version this reader does not understand."""
-
-
-class TruncatedFile(TraceFormatError):
-    """File ends before the declared payload does."""
-
-
-class NonFiniteSample(TraceFormatError):
-    """A trace contains NaN or infinity."""
+    """A trace or label file is malformed."""
 
 
 class DimensionError(CdtLeakError, ValueError):

@@ -26,7 +26,7 @@ import math
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -104,6 +104,8 @@ class TraceLayout:
             raise DomainError("leak_offset_inner outside its block")
         if not 0 <= self.leak_offset_neg < self.samples_per_outer_tail:
             raise DomainError("leak_offset_neg outside its block")
+        if (length := self.trace_length) > 0xFFFFFFFF:
+            raise DomainError(f"trace length {length} does not fit the 32-bit header field")
 
     @classmethod
     def for_params(cls, params: SamplerParams, table: GaussCdtTable, **kwargs) -> "TraceLayout":
@@ -351,9 +353,7 @@ def campaign_metadata(
     """
     md = {"kind": "campaign", "seed": str(checked_seed(seed))}
     for setup in (params, layout, model):
-        md.update(
-            (f.name, traceio.CODECS[f.type][0](getattr(setup, f.name))) for f in fields(setup)
-        )
+        md.update(traceio.encode_fields(setup))
     md["n_keys"] = str(n_keys)
     return md
 
@@ -376,17 +376,9 @@ def campaign_from_metadata(
         return TraceFormatError(f"campaign metadata: {message}")
 
     values = dict(md)
-    setup = []
-    for cls in (SamplerParams, TraceLayout, LeakModel):
-        decoded = {
-            f.name: traceio.pop_field(values, f.name, traceio.CODECS[f.type][1], error)
-            for f in fields(cls)
-        }
-        try:
-            setup.append(cls(**decoded))
-        except DomainError as exc:
-            raise error(str(exc)) from None
-    params, layout, model = setup
+    params, layout, model = (
+        traceio.decode_fields(cls, values, error) for cls in (SamplerParams, TraceLayout, LeakModel)
+    )
     if layout.outer_count != params.outer_count:
         raise error(f"outer_count {layout.outer_count} disagrees with logn {params.logn}")
     n_keys = traceio.pop_field(values, "n_keys", int, error)

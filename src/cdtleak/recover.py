@@ -33,7 +33,7 @@ from .template import (
     per_coefficient_success,
     success_from_overlap,
 )
-from .traceio import CODECS, TraceSet, _atomic_write, parse_key_values, pop_field, read_text
+from .traceio import CODECS, TraceSet, pop_field, read_key_values, write_key_values
 
 REPORT_VERSION = 1
 
@@ -113,12 +113,13 @@ class RecoveryReport:
     labels were supplied. Recovered coefficient values are kept per key,
     f and g separately, in sampling order.
 
-    The text form follows the declaration order: report_version, the
-    scalar fields, then key by key one `key.{j}.{line}` line per field
-    whose metadata names a line. Fields marked labeled are written and
-    read only when has_labels, declared before them, is set. from_text
-    refuses a report whose fields contradict each other or that has a key
-    it does not read.
+    to_pairs gives the key=value fields of its file in declaration order:
+    report_version, the scalar fields, then key by key one
+    `key.{j}.{line}` field per field whose metadata names a line. Fields
+    marked labeled are written and read only when has_labels, declared
+    before them, is set. from_values pops the fields it reads and refuses
+    a report whose fields contradict each other or that has a key it does
+    not read.
     """
 
     n_keys: int
@@ -160,23 +161,19 @@ class RecoveryReport:
     def _written_fields(self) -> list:
         return [f for f in fields(self) if self.has_labels or not f.metadata.get("labeled")]
 
-    def to_text(self) -> str:
+    def to_pairs(self) -> list[tuple[str, str]]:
         written = self._written_fields()
         per_key = [(f, CODECS[_element(f)][0]) for f in written if "line" in f.metadata]
-        lines = [f"report_version={REPORT_VERSION}"]
-        lines += [
-            f"{f.name}={CODECS[f.type][0](getattr(self, f.name))}"
-            for f in written
-            if "line" not in f.metadata
-        ]
+        pairs = [("report_version", str(REPORT_VERSION))]
+        pairs += [(f.name, CODECS[f.type][0](getattr(self, f.name)))
+                  for f in written if "line" not in f.metadata]
         for j in range(self.n_keys):
             for f, encode in per_key:
-                lines.append(f"key.{j}.{f.metadata['line']}={encode(getattr(self, f.name)[j])}")
-        return "\n".join(lines) + "\n"
+                pairs.append((f"key.{j}.{f.metadata['line']}", encode(getattr(self, f.name)[j])))
+        return pairs
 
     @classmethod
-    def from_text(cls, text: str) -> "RecoveryReport":
-        values = parse_key_values(text, ReportFormatError)
+    def from_values(cls, values: dict[str, str]) -> "RecoveryReport":
         # Each field read is popped, so what is left is unknown.
         version = pop_field(values, "report_version", int, ReportFormatError)
         if version != REPORT_VERSION:
@@ -245,11 +242,11 @@ class RecoveryReport:
 
 
 def save_report(report: RecoveryReport, path) -> None:
-    _atomic_write(path, report.to_text().encode("utf-8"))
+    write_key_values(path, report.to_pairs())
 
 
 def load_report(path) -> RecoveryReport:
-    return RecoveryReport.from_text(read_text(path, ReportFormatError))
+    return RecoveryReport.from_values(read_key_values(path, ReportFormatError))
 
 
 def site_success(tpl: Template) -> tuple[float, float]:

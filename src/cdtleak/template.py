@@ -14,7 +14,7 @@ crossings, with no quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,8 @@ from .errors import (
     InsufficientClassData,
     TemplateFormatError,
 )
-from .traceio import CODECS, _atomic_write, parse_key_values, pop_field, read_text
+from .traceio import (CODECS, decode_fields, encode_fields, pop_field, read_key_values,
+                      write_key_values)
 
 VAR_FLOOR = 1e-12
 
@@ -187,7 +188,10 @@ def per_coefficient_success(
             raise DomainError(f"{name} must lie in [0, 1]")
     if inner_count < 1 or outer_count < 1:
         raise DomainError("iteration counts must be positive")
-    return p_inner ** (inner_count * outer_count) * p_neg ** outer_count
+    try:
+        return p_inner ** (inner_count * outer_count) * p_neg ** outer_count
+    except OverflowError:
+        raise DomainError("iteration counts too large for a float exponent") from None
 
 
 def full_key_success(p_coefficient: float, n: int) -> float:
@@ -196,42 +200,37 @@ def full_key_success(p_coefficient: float, n: int) -> float:
         raise DomainError("p_coefficient must lie in [0, 1]")
     if n < 1:
         raise DomainError("n must be positive")
-    return p_coefficient ** (2 * n)
+    try:
+        return p_coefficient ** (2 * n)
+    except OverflowError:
+        raise DomainError("n too large for a float exponent") from None
 
 
 def save_template(template: Template, path) -> None:
     """Write a template as key=value text with full float precision."""
-    lines = ["version=1", "pois=" + CODECS["list[int]"][0](template.pois)]
-    for cls, stats in (("class0", template.class0), ("class1", template.class1)):
+    pairs = [("version", "1"), ("pois", CODECS["list[int]"][0](template.pois))]
+    for c, stats in enumerate((template.class0, template.class1)):
         for i, s in enumerate(stats):
-            for f in fields(ClassStats):
-                lines.append(f"{cls}.{f.name}.{i}={CODECS[f.type][0](getattr(s, f.name))}")
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+            pairs += encode_fields(s, f"class{c}.{{}}.{i}")
+    write_key_values(path, pairs)
 
 
 def load_template(path) -> Template:
     """Read a template file back, validating structure and invariants."""
-    entries = parse_key_values(read_text(path, TemplateFormatError), TemplateFormatError)
+    entries = read_key_values(path, TemplateFormatError)
     # Each field read is popped, so what is left is unknown.
     version = entries.pop("version", None)
     if version != "1":
         raise TemplateFormatError(f"unsupported version {version!r}")
-
-    def take(name: str, kind: str):
-        return pop_field(entries, name, CODECS[kind][1], TemplateFormatError)
-
-    pois = tuple(take("pois", "list[int]"))
+    pois = tuple(pop_field(entries, "pois", CODECS["list[int]"][1], TemplateFormatError))
+    class0, class1 = (
+        tuple(decode_fields(ClassStats, entries, TemplateFormatError, f"class{c}.{{}}.{i}")
+              for i in range(len(pois)))
+        for c in (0, 1)
+    )
+    if entries:
+        raise TemplateFormatError(f"unknown keys: {', '.join(sorted(entries))}")
     try:
-        class0, class1 = (
-            tuple(
-                ClassStats(**{f.name: take(f"{cls}.{f.name}.{i}", f.type)
-                              for f in fields(ClassStats)})
-                for i in range(len(pois))
-            )
-            for cls in ("class0", "class1")
-        )
-        if entries:
-            raise TemplateFormatError(f"unknown keys: {', '.join(sorted(entries))}")
         return Template(pois=pois, class0=class0, class1=class1)
     except (DomainError, EmptyPoi) as exc:
         raise TemplateFormatError(str(exc)) from None

@@ -1,8 +1,8 @@
 """Binary containers for simulated power traces and their ground truth.
 
 Trace files: magic "SSNTRACE", little-endian u32 version (1), u32 trace
-count, u32 samples per trace, u32 metadata byte length, the metadata as
-UTF-8 key=value lines, then the sample matrix as raw float32, row major.
+count, u32 samples per trace, u32 metadata byte length, the metadata in
+the key=value codec below, then the sample matrix as raw float32, row major.
 
 Label files: magic "SSNLABEL", u32 version (1), u32 record count, u32
 outer iteration count, u32 inner iteration count, then one fixed-width
@@ -14,7 +14,12 @@ Both are written and read a block of rows at a time. Writes go through
 temp files in the target directory that are renamed into place only once
 every file of a write is complete, and are byte-deterministic for
 identical input; metadata keys are sorted on write. Readers are strict:
-anything structurally off raises instead of guessing.
+anything structurally off raises TraceFormatError instead of guessing.
+
+Trace metadata, templates and reports share one codec: UTF-8 `key=value`
+lines, each key once, read back keeping every character, so the writer
+refuses what the reader would. encode_fields and decode_fields map a
+dataclass to such fields and back through CODECS.
 """
 
 from __future__ import annotations
@@ -23,19 +28,11 @@ import contextlib
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    DimensionError,
-    DomainError,
-    NonFiniteSample,
-    TraceFormatError,
-    TruncatedFile,
-    UnsupportedVersion,
-)
+from .errors import DimensionError, DomainError, TraceFormatError
 
 TRACE_MAGIC = b"SSNTRACE"
 LABEL_MAGIC = b"SSNLABEL"
@@ -72,43 +69,6 @@ class TraceSet:
             yield self.samples[lo : lo + rows]
 
 
-def _check_metadata(metadata: dict[str, str]) -> None:
-    for k, v in metadata.items():
-        if not isinstance(k, str) or not isinstance(v, str):
-            raise DomainError("metadata keys and values must be strings")
-        if not k or "=" in k or "\n" in k:
-            raise DomainError(f"bad metadata key {k!r}")
-        if "\n" in v:
-            raise DomainError(f"metadata value for {k!r} contains newline")
-
-
-def _encode_metadata(metadata: dict[str, str]) -> bytes:
-    lines = [f"{k}={metadata[k]}" for k in sorted(metadata)]
-    if not lines:
-        return b""
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def _decode_metadata(blob: bytes) -> dict[str, str]:
-    try:
-        text = blob.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise TraceFormatError(f"metadata is not valid UTF-8: {exc}") from None
-    out: dict[str, str] = {}
-    for line in text.split("\n"):
-        if not line:
-            continue
-        if "=" not in line:
-            raise TraceFormatError(f"metadata line without '=': {line!r}")
-        k, v = line.split("=", 1)
-        if not k:
-            raise TraceFormatError(f"metadata line with an empty key: {line!r}")
-        if k in out:
-            raise TraceFormatError(f"metadata key {k!r} appears more than once")
-        out[k] = v
-    return out
-
-
 def _decode_bool(s: str) -> bool:
     if s not in ("0", "1"):
         raise ValueError(f"expected 0 or 1, got {s!r}")
@@ -116,7 +76,7 @@ def _decode_bool(s: str) -> bool:
 
 
 # Text form of each dataclass field type, by its annotation: (encode, decode).
-# Recovery reports and trace metadata are written and read through it.
+# Trace metadata, templates and reports are written and read through it.
 CODECS = {
     "int": (str, int),
     "float": (repr, float),
@@ -139,35 +99,67 @@ def read_text(path, error) -> str:
         raise error(f"{os.fspath(path)}: not valid UTF-8: {exc}") from None
 
 
-def parse_key_values(text: str, error) -> dict[str, str]:
-    """Parse the key=value text of templates and reports.
+def encode_key_values(pairs) -> bytes:
+    """One `key=value` line per (key, value) pair, in order, as UTF-8.
 
-    `#` starts a comment anywhere on a line, blank lines are skipped, and
-    keys and values are stripped. A line without `=` or a key seen on an
-    earlier line raises `error`; each reader refuses the keys it does not
-    know.
-    Trace metadata has its own decoder, which keeps every character.
+    Raises DomainError for what parse_key_values would refuse or read back otherwise: a
+    non-string key or value, an empty or repeated key, `=` or a newline in a key, or a
+    newline in a value.
     """
+    lines: dict[str, str] = {}
+    for k, v in pairs:
+        if not isinstance(k, str) or not isinstance(v, str):
+            raise DomainError("keys and values must be strings")
+        if not k or "=" in k or "\n" in k or k in lines:
+            raise DomainError(f"bad key {k!r}")
+        if "\n" in v:
+            raise DomainError(f"value for {k!r} contains a newline")
+        lines[k] = f"{k}={v}\n"
+    return "".join(lines.values()).encode("utf-8")
+
+
+def parse_key_values(blob: bytes, error) -> dict[str, str]:
+    """The pairs of encode_key_values' lines, in order, every character kept.
+
+    Empty lines are skipped. Bytes that are not UTF-8, or a line with no `=`, an empty key or
+    a key seen before raise `error`, naming the line.
+    """
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"not valid UTF-8: {exc}") from None
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line:
             continue
-        if "=" not in line:
+        k, eq, v = line.partition("=")
+        if not eq:
             raise error(f"line {lineno}: expected key=value")
-        k, v = (part.strip() for part in line.split("=", 1))
+        if not k:
+            raise error(f"line {lineno}: empty key")
         if k in out:
             raise error(f"line {lineno}: duplicate key {k!r}")
         out[k] = v
     return out
 
 
+def write_key_values(path, pairs) -> None:
+    """encode_key_values(pairs) as the whole file at path, atomically."""
+    with staged_files(path) as (fh,):
+        fh.write(encode_key_values(pairs))
+
+
+def read_key_values(path, error) -> dict[str, str]:
+    """parse_key_values of the file at path; its errors name the path."""
+    with open(path, "rb") as fh:
+        return parse_key_values(fh.read(), lambda message: error(f"{os.fspath(path)}: {message}"))
+
+
 def pop_field(values: dict[str, str], name: str, decode, error):
     """Pop `name` from a dict of text fields and decode its value.
 
     A missing key, or a value that `decode` rejects with ValueError,
-    raises `error` with a message that names the key. Reports,
-    templates and campaign metadata are all read through it.
+    raises `error` with a message that names the key.
     """
     try:
         raw = values.pop(name)
@@ -177,6 +169,24 @@ def pop_field(values: dict[str, str], name: str, decode, error):
         return decode(raw)
     except ValueError as exc:
         raise error(f"field {name!r}: {exc}") from None
+
+
+def encode_fields(obj, key: str = "{}") -> list[tuple[str, str]]:
+    """(key.format(name), text) of each field of dataclass `obj`, in declaration order."""
+    return [(key.format(f.name), CODECS[f.type][0](getattr(obj, f.name))) for f in fields(obj)]
+
+
+def decode_fields(cls, values: dict[str, str], error, key: str = "{}"):
+    """The `cls` that encode_fields wrote under `key`, its fields popped from `values`.
+
+    A missing or malformed field, or a value `cls` refuses with DomainError, raises `error`.
+    """
+    kw = {f.name: pop_field(values, key.format(f.name), CODECS[f.type][1], error)
+          for f in fields(cls)}
+    try:
+        return cls(**kw)
+    except DomainError as exc:
+        raise error(str(exc)) from None
 
 
 def check_count(count: int, what: str) -> None:
@@ -216,12 +226,6 @@ def staged_files(*paths):
         raise
 
 
-def _atomic_write(path, data: bytes) -> None:
-    """Write data as the whole file at path, atomically."""
-    with staged_files(path) as (fh,):
-        fh.write(data)
-
-
 class _RowWriter:
     """Rows written to an open file, against the count its header declares."""
 
@@ -246,11 +250,11 @@ class _RowWriter:
 
 
 def check_finite(samples: np.ndarray) -> None:
-    """Raise NonFiniteSample for any NaN or infinity, in blocks of samples."""
+    """Raise TraceFormatError for any NaN or infinity, in blocks of samples."""
     flat = samples.reshape(-1)
     for lo in range(0, flat.size, _CHECK_SAMPLES):
         if not np.isfinite(flat[lo : lo + _CHECK_SAMPLES]).all():
-            raise NonFiniteSample("trace payload contains NaN or infinity")
+            raise TraceFormatError("trace payload contains NaN or infinity")
 
 
 class TraceWriter(_RowWriter):
@@ -265,8 +269,8 @@ class TraceWriter(_RowWriter):
     def __init__(self, fh, n_traces: int, n_samples: int, metadata: dict[str, str]):
         check_count(n_traces, "trace count")
         check_count(n_samples, "trace length")
-        _check_metadata(metadata)
-        meta = _encode_metadata(metadata)
+        # Keys sorted as text, so a key that is not a string reaches the codec's check.
+        meta = encode_key_values((k, metadata[k]) for k in sorted(metadata, key=str))
         header = TRACE_MAGIC + _HEADER.pack(FORMAT_VERSION, n_traces, n_samples, len(meta))
         super().__init__(fh, n_traces, header + meta)
         self.n_samples = n_samples
@@ -321,7 +325,7 @@ class _RowReader:
         if buf.size:
             got = self._fh.readinto(memoryview(buf).cast("B"))
             if got < buf.nbytes:
-                raise TruncatedFile(f"payload ended {buf.nbytes - got} bytes early")
+                raise TraceFormatError(f"payload ended {buf.nbytes - got} bytes early")
         lo = self._next_row
         self._next_row += len(buf)
         return self._decode(buf, lo)
@@ -356,18 +360,18 @@ def _open_rows(path, cls):
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(len(cls.MAGIC) + cls.HEADER.size)
         if len(head) < len(cls.MAGIC):
-            raise TruncatedFile("file too short for magic")
+            raise TraceFormatError("file too short for magic")
         if head[: len(cls.MAGIC)] != cls.MAGIC:
-            raise BadMagic(f"expected {cls.MAGIC!r}")
+            raise TraceFormatError(f"expected {cls.MAGIC!r}")
         if len(head) < len(cls.MAGIC) + cls.HEADER.size:
-            raise TruncatedFile("file too short for header")
+            raise TraceFormatError("file too short for header")
         version, *fields = cls.HEADER.unpack_from(head, len(cls.MAGIC))
         if version != FORMAT_VERSION:
-            raise UnsupportedVersion(f"version {version} not supported")
+            raise TraceFormatError(f"version {version} not supported")
         reader = cls.from_header(fh, size, *fields)
         need, left = reader._n_rows * reader._row_bytes, size - fh.tell()
         if left < need:
-            raise TruncatedFile(f"payload needs {need} bytes, file has {left}")
+            raise TraceFormatError(f"payload needs {need} bytes, file has {left}")
         if left > need:
             raise TraceFormatError("trailing bytes after payload")
     except BaseException:
@@ -395,8 +399,9 @@ class TraceReader(_RowReader):
     @classmethod
     def from_header(cls, fh, size: int, n_traces: int, n_samples: int, meta_len: int):
         if size < fh.tell() + meta_len:
-            raise TruncatedFile("metadata extends past end of file")
-        return cls(fh, n_traces, n_samples, _decode_metadata(fh.read(meta_len)))
+            raise TraceFormatError("metadata extends past end of file")
+        metadata = parse_key_values(fh.read(meta_len), lambda m: TraceFormatError(f"metadata: {m}"))
+        return cls(fh, n_traces, n_samples, metadata)
 
     def _decode(self, samples: np.ndarray, lo: int) -> np.ndarray:
         check_finite(samples)

@@ -274,6 +274,22 @@ class TestSimulate:
         assert not (tmp_path / "c.trc").exists()
 
 
+OVERSIZED = "error: trace length 5200000000000000000016 does not fit the 32-bit header field\n"
+
+
+class TestOversizedLayout:
+    """A layout past the .trc header's 32-bit trace length exits 2 before a key is sampled."""
+
+    @pytest.mark.parametrize(
+        "argv", [["simulate"], ["profile", "--traces", "4"]], ids=["simulate", "profile"]
+    )
+    def test_exits_2_and_writes_nothing(self, capsys, tmp_path, argv):
+        rc, stdout, err = _run(capsys, *argv, "--samples-per-inner", "100000000000000000000",
+                               "--out", str(tmp_path / "x"))
+        assert (rc, stdout, err) == (2, "", OVERSIZED)
+        assert not list(tmp_path.iterdir())
+
+
 class TestProfile:
     def test_refuses_templates_attack_would_refuse(self, capsys, tmp_path):
         # Inner POIs 3 and 230: at the last inner site, 230 moves to 446.
@@ -551,6 +567,15 @@ class TestAnalyze:
         rc, _, err = _run(capsys, "analyze", "--p-inner", "1.5", "--p-neg", "1")
         assert rc == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "flag, what", [("--n", "n"), ("--inner", "iteration counts"), ("--outer", "iteration counts")]
+    )
+    def test_count_too_large_for_a_float(self, capsys, flag, what):
+        rc, stdout, err = _run(
+            capsys, "analyze", "--p-inner", "0.99", "--p-neg", "0.99", flag, "1" + "0" * 400,
+        )
+        assert (rc, stdout, err) == (2, "", f"error: {what} too large for a float exponent\n")
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_rejects_non_positive_dimension(self, capsys, n):
@@ -861,8 +886,8 @@ class TestThreadsAndMetadataErrors:
 
     @pytest.mark.parametrize(
         "extra, message",
-        [(b"logn=3\n", "metadata key 'logn' appears more than once"),
-         (b"=oops\n", "metadata line with an empty key")],
+        [(b"logn=3\n", "metadata: line 15: duplicate key 'logn'"),
+         (b"=oops\n", "metadata: line 15: empty key")],
         ids=["repeated", "empty"],
     )
     def test_attack_on_repeated_or_empty_metadata_key(

@@ -1,24 +1,40 @@
-"""The shared key=value codec of templates and reports.
+"""The one key=value codec of trace metadata, templates and reports.
 
-Templates and recovery reports are read by one parser
-(`traceio.parse_key_values` over `traceio.read_text`): UTF-8 only, `#`
-comments anywhere on a line, whitespace around `=` ignored, each key
-once. Each reader refuses keys that name none of its fields. Trace
-metadata keeps its own decoder, which preserves every character.
+`traceio.encode_key_values` writes and `traceio.parse_key_values` reads
+every one of them: UTF-8 only, one `key=value` line per field, each key
+once, empty lines skipped and every other character kept, so a `#` or a
+space is part of its key or value. The writer refuses what the reader
+would refuse, and whatever it writes reads back unchanged. Each reader
+refuses keys that name none of its fields.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdtleak import traceio
 from cdtleak.cli import main
-from cdtleak.errors import CdtLeakError, ReportFormatError, TemplateFormatError
+from cdtleak.errors import CdtLeakError, DomainError, ReportFormatError, TemplateFormatError
 from cdtleak.recover import RecoveryReport, load_report, save_report
 from cdtleak.template import ClassStats, Template, load_template, save_template
 
 NOT_UTF8 = b"\xff\xfe=1\n"
+
+
+def _text(report: RecoveryReport) -> str:
+    """The report file's text."""
+    return traceio.encode_key_values(report.to_pairs()).decode("utf-8")
+
+
+def _report(text: str) -> RecoveryReport:
+    """The report a file of this text holds."""
+    values = traceio.parse_key_values(text.encode("utf-8"), ReportFormatError)
+    return RecoveryReport.from_values(values)
+
 
 UNLABELED = RecoveryReport(
     n_keys=2,
@@ -119,16 +135,23 @@ def _commented(text: str) -> str:
 
 class TestParseKeyValues:
     def test_rules(self):
-        text = "a=1\n\n  # whole-line comment\nb = x y # trailing\nc==2\n"
-        assert traceio.parse_key_values(text, CdtLeakError) == {
+        blob = b"a=1\n\n #k = v # c\nc==2\n"
+        assert traceio.parse_key_values(blob, CdtLeakError) == {
             "a": "1",
-            "b": "x y",
+            " #k ": " v # c",
             "c": "=2",
         }
+        with pytest.raises(CdtLeakError, match="^line 1: expected key=value$"):
+            traceio.parse_key_values(b"# comment\na=1\n", CdtLeakError)
 
     def test_line_number_in_error(self):
-        with pytest.raises(ReportFormatError, match="line 3: expected key=value"):
-            traceio.parse_key_values("a=1\n# c\nno equals\n", ReportFormatError)
+        # Skipped empty lines still count.
+        with pytest.raises(ReportFormatError, match="^line 3: expected key=value$"):
+            traceio.parse_key_values(b"a=1\n\nno equals\n", ReportFormatError)
+
+    def test_empty_key(self):
+        with pytest.raises(ReportFormatError, match="^line 2: empty key$"):
+            traceio.parse_key_values(b"a=1\n=2\n", ReportFormatError)
 
     def test_read_text_names_the_path(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -143,6 +166,65 @@ class TestParseKeyValues:
             traceio.TraceSet(np.zeros((1, 2), dtype=np.float32), metadata), path
         )
         assert traceio.read_trace_set(path).metadata == metadata
+
+
+_PAIRS = st.lists(st.tuples(st.text(max_size=6), st.text(max_size=6)), max_size=6)
+
+
+class TestOneCodec:
+    """What the writer accepts reads back unchanged; the rest it refuses with DomainError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_PAIRS)
+    def test_round_trip(self, pairs):
+        try:
+            blob = traceio.encode_key_values(pairs)
+        except DomainError:
+            return
+        assert list(traceio.parse_key_values(blob, CdtLeakError).items()) == pairs
+
+    @settings(max_examples=100, deadline=None)
+    @given(_PAIRS)
+    def test_trace_metadata_round_trip(self, tmp_path_factory, pairs):
+        metadata = dict(pairs)
+        path = tmp_path_factory.getbasetemp() / "meta.trc"
+        trace_set = traceio.TraceSet(np.zeros((1, 2), dtype=np.float32), metadata)
+        try:
+            traceio.write_trace_set(trace_set, path)
+        except DomainError:
+            with pytest.raises(DomainError):
+                traceio.encode_key_values(pairs)
+            return
+        assert traceio.read_trace_set(path).metadata == metadata
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([(1, "a")], "keys and values must be strings"),
+            ([("a", 1.5)], "keys and values must be strings"),
+            ([("", "v")], "bad key ''"),
+            ([("a=b", "v")], "bad key 'a=b'"),
+            ([("a\nb", "v")], "bad key 'a\\nb'"),
+            ([("k", "1"), ("k", "2")], "bad key 'k'"),
+            ([("k", "a\nb")], "value for 'k' contains a newline"),
+        ],
+    )
+    def test_writer_refuses(self, pairs, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            traceio.encode_key_values(pairs)
+
+    def test_field_codec(self):
+        stats = ClassStats(40.5, 1.0 / 3.0, 7)
+        pairs = traceio.encode_fields(stats, "class1.{}.4")
+        assert pairs == [("class1.mu.4", "40.5"), ("class1.var.4", "0.3333333333333333"),
+                         ("class1.count.4", "7")]
+        values = dict(pairs, other="x")
+        assert traceio.decode_fields(ClassStats, values, CdtLeakError, "class1.{}.4") == stats
+        assert values == {"other": "x"}
+        values = dict(pairs)
+        values["class1.var.4"] = "0.0"
+        with pytest.raises(TemplateFormatError, match="^var must be finite and at least"):
+            traceio.decode_fields(ClassStats, values, TemplateFormatError, "class1.{}.4")
 
 
 class TestNotUtf8:
@@ -172,18 +254,53 @@ class TestNotUtf8:
         assert "error:" in capsys.readouterr().err
 
 class TestCommentsAndSpaces:
+    """A `#` line or spaces around `=`, which no writer emits, are refused."""
+
     def test_template(self, tmp_path):
         plain = tmp_path / "plain.tpl"
         save_template(_template(), plain)
         commented = tmp_path / "commented.tpl"
         commented.write_text(_commented(plain.read_text()))
-        assert load_template(commented) == load_template(plain) == _template()
+        with pytest.raises(TemplateFormatError, match="commented.tpl: line 1: expected key=value$"):
+            load_template(commented)
 
     @pytest.mark.parametrize("report", [UNLABELED, LABELED], ids=["unlabeled", "labeled"])
     def test_report(self, tmp_path, report):
         path = tmp_path / "r.report.txt"
-        path.write_text(_commented(report.to_text()))
-        assert load_report(path) == report
+        path.write_text(_commented(_text(report)))
+        with pytest.raises(ReportFormatError, match="r.report.txt: line 1: expected key=value$"):
+            load_report(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda text: "# by hand\n" + text, "line 1: expected key=value"),
+         (lambda text: text.replace("=", " = ", 1), "unsupported version None")],
+        ids=["comment", "spaces"],
+    )
+    def test_cli_analyze_templates(self, capsys, tmp_path, edit, message):
+        prefix = tmp_path / "tpl"
+        for name in ("inner", "neg"):
+            save_template(_template(), f"{prefix}.{name}.tpl")
+        path = tmp_path / "tpl.inner.tpl"
+        path.write_text(edit(path.read_text()))
+        assert main(["analyze", "--templates", str(prefix)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda text: "# by hand\n" + text, "line 1: expected key=value"),
+         (lambda text: text.replace("n_keys=", "n_keys = "), "missing field 'n_keys'")],
+        ids=["comment", "spaces"],
+    )
+    def test_cli_report(self, capsys, tmp_path, edit, message):
+        path = tmp_path / "r.report.txt"
+        path.write_text(edit(LABELED_TEXT))
+        assert main(["report", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
 class TestReportText:
@@ -195,8 +312,8 @@ class TestReportText:
         ids=["unlabeled", "labeled"],
     )
     def test_literal_and_round_trip(self, tmp_path, report, text):
-        assert report.to_text() == text
-        assert RecoveryReport.from_text(text) == report
+        assert _text(report) == text
+        assert _report(text) == report
         path = tmp_path / "r.report.txt"
         save_report(report, path)
         assert path.read_bytes() == text.encode("utf-8")
@@ -207,27 +324,30 @@ class TestReportText:
         text = UNLABELED_TEXT + "keys_recovered=2\nkey.0.f_correct=11\n"
         message = "^unknown keys: key.0.f_correct, keys_recovered$"
         with pytest.raises(ReportFormatError, match=message):
-            RecoveryReport.from_text(text)
+            _report(text)
 
     @pytest.mark.parametrize("value", ["2", "-1", "true"])
     def test_has_labels_is_0_or_1(self, value):
         text = LABELED_TEXT.replace("has_labels=1\n", f"has_labels={value}\n")
         message = f"^field 'has_labels': expected 0 or 1, got '{value}'$"
         with pytest.raises(ReportFormatError, match=message):
-            RecoveryReport.from_text(text)
+            _report(text)
 
     def test_missing_labeled_field(self):
         text = LABELED_TEXT.replace("keys_recovered=1\n", "")
         with pytest.raises(ReportFormatError, match="keys_recovered"):
-            RecoveryReport.from_text(text)
+            _report(text)
 
 
 class TestDuplicateKeys:
     """A key given twice is an error, not a silent last-one-wins."""
 
     def test_parse_key_values(self):
-        with pytest.raises(ReportFormatError, match="line 3: duplicate key 'n_keys'"):
-            traceio.parse_key_values("n_keys=1\n# c\n n_keys = 5\n", ReportFormatError)
+        with pytest.raises(ReportFormatError, match="^line 3: duplicate key 'n_keys'$"):
+            traceio.parse_key_values(b"n_keys=1\n\nn_keys=5\n", ReportFormatError)
+        # A space is part of the key, so " n_keys" is another key.
+        values = traceio.parse_key_values(b"n_keys=1\n n_keys=5\n", ReportFormatError)
+        assert values == {"n_keys": "1", " n_keys": "5"}
 
     def test_cli_analyze_templates(self, capsys, tmp_path):
         prefix = tmp_path / "tpl"
@@ -258,9 +378,9 @@ class TestUnknownKeys:
 
     @pytest.mark.parametrize("report", [UNLABELED, LABELED], ids=["unlabeled", "labeled"])
     def test_report(self, report):
-        text = report.to_text() + "bogus_field=3\nkey.2.f=1,2\n"
+        text = _text(report) + "bogus_field=3\nkey.2.f=1,2\n"
         with pytest.raises(ReportFormatError, match="^unknown keys: bogus_field, key.2.f$"):
-            RecoveryReport.from_text(text)
+            _report(text)
 
     def test_cli_analyze_templates(self, capsys, tmp_path):
         prefix = tmp_path / "tpl"
@@ -300,7 +420,7 @@ class TestBadValueNamesItsField:
     )
     def test_report(self, key, value, message):
         with pytest.raises(ReportFormatError) as info:
-            RecoveryReport.from_text(_with_value(LABELED_TEXT, key, value))
+            _report(_with_value(LABELED_TEXT, key, value))
         assert str(info.value) == f"field {key!r}: {message}"
 
     @pytest.mark.parametrize(

@@ -127,6 +127,13 @@ class TestTraceLayout:
         assert layout.inner_count == 26
         assert layout.trace_length == 432
 
+    def test_trace_length_fits_the_header_field(self):
+        widest = TraceLayout(outer_count=1, inner_count=1, samples_per_outer_tail=2**32 - 9)
+        assert widest.trace_length == 2**32 - 1
+        message = "^trace length 4294967296 does not fit the 32-bit header field$"
+        with pytest.raises(DomainError, match=message):
+            TraceLayout(outer_count=1, inner_count=1, samples_per_outer_tail=2**32 - 8)
+
     def test_index_range_checks(self):
         layout = TraceLayout(outer_count=2, inner_count=3)
         with pytest.raises(DomainError):
@@ -373,6 +380,13 @@ class TestCampaign:
     def test_field_its_dataclass_rejects_is_a_format_error(self, key, value):
         md = {**self._metadata(), key: value}
         with pytest.raises(TraceFormatError, match="campaign metadata"):
+            campaign_from_metadata(md)
+
+    def test_trace_length_beyond_32_bits_is_a_format_error(self):
+        md = {**self._metadata(), "samples_per_inner": str(10**20)}
+        length = 2 * (26 * 10**20 + 8)
+        message = f"^campaign metadata: trace length {length} does not fit the 32-bit header field$"
+        with pytest.raises(TraceFormatError, match=message):
             campaign_from_metadata(md)
 
     def test_outer_count_must_agree_with_logn(self):

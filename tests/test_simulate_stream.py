@@ -18,7 +18,7 @@ import pytest
 
 from cdtleak import leakage, sampler, traceio
 from cdtleak.cli import main
-from cdtleak.errors import DimensionError, DomainError, NonFiniteSample
+from cdtleak.errors import DimensionError, DomainError, TraceFormatError
 from cdtleak.leakage import (
     LeakModel,
     TraceLayout,
@@ -275,7 +275,7 @@ class TestFailureLeavesNothing:
     def test_nan_in_last_block(self, tmp_path):
         blocks = [np.ones((3, 4), np.float32), np.ones((2, 4), np.float32)]
         blocks[-1][-1, -1] = np.nan
-        with pytest.raises(NonFiniteSample):
+        with pytest.raises(TraceFormatError, match="^trace payload contains NaN or infinity$"):
             _write_blocks(tmp_path / "x.trc", 5, 4, blocks)
         assert _listing(tmp_path) == []
 

@@ -506,13 +506,16 @@ class TestTemplateFiles:
         save_template(t, path)
         assert load_template(path) == t
 
-    def test_comments_and_blank_lines_ignored(self, tmp_path):
+    def test_comment_refused_blank_lines_skipped(self, tmp_path):
         t = _two_class_template()
         path = tmp_path / "t.tpl"
         save_template(t, path)
         text = path.read_text()
-        path.write_text("# header comment\n\n" + text + "\n# trailing\n")
+        path.write_text("\n" + text + "\n\n")
         assert load_template(path) == t
+        path.write_text("# header comment\n\n" + text)
+        with pytest.raises(TemplateFormatError, match="t.tpl: line 1: expected key=value$"):
+            load_template(path)
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
