@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import cpa, leakage, recover, sampler, template, traceio
-from .errors import CdtLeakError, TraceFormatError
+from .errors import CdtLeakError, DomainError, TraceFormatError
 
 _PCT = "{:.12g}%"
 
@@ -67,7 +67,7 @@ def _table_from(args) -> sampler.GaussCdtTable:
 
 def _setup_from(args):
     if args.threads < 1:
-        raise CdtLeakError(f"--threads must be at least 1, got {args.threads}")
+        raise DomainError(f"--threads must be at least 1, got {args.threads}")
     tab = _table_from(args)
     params = sampler.SamplerParams(logn=args.logn)
     model_kw, layout_kw = (
@@ -110,7 +110,7 @@ def cmd_profile(args) -> int:
     tab, params, model, layout = _setup_from(args)
     k = args.poi_count
     if not 1 <= k <= layout.trace_length:
-        raise CdtLeakError(f"--poi-count must be in [1, {layout.trace_length}], got {k}")
+        raise DomainError(f"--poi-count must be in [1, {layout.trace_length}], got {k}")
     parts = leakage.profiling_parts(args.seed, params, tab, args.traces, args.fire_slot)
     blocks = leakage.render_blocks(parts, model, layout, args.threads)
     # Each point and its column of the site matrix, in the order of the
@@ -189,7 +189,7 @@ def cmd_analyze(args) -> int:
             path = f"{args.templates}.{point}.tpl"
             sites[point] = recover.site_success(template.load_template(path))
         else:
-            raise CdtLeakError(f"need --p-{point} or a template for the {role} attack point")
+            raise DomainError(f"need --p-{point} or a template for the {role} attack point")
 
     p_coeff = template.per_coefficient_success(
         sites["inner"][0], sites["neg"][0], args.inner, args.outer

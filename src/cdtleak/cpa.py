@@ -17,7 +17,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .errors import DegenerateInput, DomainError, LengthMismatch
+from .errors import DomainError, LayoutMismatch
 
 # Rows per reduction tile come from this many samples (512 KiB as
 # float64), so that no product in a tile is big enough for a BLAS to
@@ -79,32 +79,32 @@ def correlation_traces(traces, hypotheses) -> np.ndarray:
     if not isinstance(traces, Iterator):
         traces = np.asarray(traces)
         if traces.ndim != 2:
-            raise DegenerateInput("traces must be a 2-D matrix")
+            raise DomainError("traces must be a 2-D matrix")
     h = np.asarray(hypotheses)
     if h.ndim != 2 or h.shape[0] == 0:
-        raise DegenerateInput("hypotheses must be a non-empty 2-D matrix")
+        raise DomainError("hypotheses must be a non-empty 2-D matrix")
     n = h.shape[1]
     if isinstance(traces, np.ndarray):
         if traces.shape[0] != n:
-            raise LengthMismatch(f"{traces.shape[0]} traces but {n} hypothesis values")
+            raise LayoutMismatch(f"{traces.shape[0]} traces but {n} hypothesis values")
         traces = iter([traces])
     if n < 2:
-        raise DegenerateInput("need at least two traces")
+        raise DomainError("need at least two traces")
     if (h == h[:, :1]).all(axis=1).any():
-        raise DegenerateInput("hypothesis has zero variance")
+        raise DomainError("hypothesis has zero variance")
     moments = tile = None
     row = fill = 0
     for block in traces:
         block = np.asarray(block)
         if block.ndim != 2 or (tile is not None and block.shape[1] != tile.shape[1]):
-            raise DegenerateInput(f"trace block of shape {block.shape} does not continue "
-                                  "the rows before it")
+            raise LayoutMismatch(f"trace block of shape {block.shape} does not continue "
+                                 "the rows before it")
         if tile is None:
             width = block.shape[1]
             tile = np.empty((max(1, _TILE_SAMPLES // max(1, width)), width))
             moments = _ColumnMoments(len(h), width)
         if row + fill + len(block) > n:
-            raise LengthMismatch(f"more than {n} traces for {n} hypothesis values")
+            raise LayoutMismatch(f"more than {n} traces for {n} hypothesis values")
         lo = 0
         while lo < len(block):
             take = min(len(tile) - fill, len(block) - lo)
@@ -119,7 +119,7 @@ def correlation_traces(traces, hypotheses) -> np.ndarray:
         moments.add(tile[:fill], h[:, row : row + fill])
         row += fill
     if row != n:
-        raise LengthMismatch(f"{row} traces but {n} hypothesis values")
+        raise LayoutMismatch(f"{row} traces but {n} hypothesis values")
     return moments.correlations()
 
 
@@ -131,7 +131,7 @@ def find_poi(correlations, count: int = 1) -> np.ndarray:
     """
     corr = np.asarray(correlations, dtype=np.float64)
     if corr.ndim != 1:
-        raise DegenerateInput("correlations must be 1-D")
+        raise DomainError("correlations must be 1-D")
     if not 1 <= count <= corr.shape[0]:
         raise DomainError(f"count must be in [1, {corr.shape[0]}]")
     order = np.argsort(-np.abs(corr), kind="stable")

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+An argument that the operation cannot take raises DomainError; shapes or
+counts that disagree with each other, with a file header or with the
+trace layout raise LayoutMismatch. A file that cannot be read as its
+kind raises that kind's format error.
+"""
 
 
 class CdtLeakError(Exception):
@@ -6,35 +12,15 @@ class CdtLeakError(Exception):
 
 
 class DomainError(CdtLeakError, ValueError):
-    """An argument is outside the mathematical domain of the operation."""
-
-
-class DegenerateInput(CdtLeakError, ValueError):
-    """Input has no usable variation (constant vector, too few points)."""
-
-
-class LengthMismatch(CdtLeakError, ValueError):
-    """Paired sequences differ in length."""
+    """A value the operation cannot take: empty, too few, constant, missing, out of range."""
 
 
 class LayoutMismatch(CdtLeakError, ValueError):
-    """Leak records or traces do not fit the declared trace layout."""
+    """Shapes or counts disagree with each other, a file header or the trace layout."""
 
 
 class TableFormatError(CdtLeakError, ValueError):
     """A CDT table file is malformed or violates table invariants."""
-
-
-class InsufficientClassData(CdtLeakError, ValueError):
-    """A template class has too few traces to estimate statistics."""
-
-
-class EmptyPoi(CdtLeakError, ValueError):
-    """A template was requested with no points of interest."""
-
-
-class MissingTemplate(CdtLeakError, ValueError):
-    """Key recovery was invoked without a required template."""
 
 
 class TemplateFormatError(CdtLeakError, ValueError):
@@ -47,7 +33,3 @@ class ReportFormatError(CdtLeakError, ValueError):
 
 class TraceFormatError(CdtLeakError, ValueError):
     """A trace or label file is malformed."""
-
-
-class DimensionError(CdtLeakError, ValueError):
-    """A matrix has the wrong shape, dtype, or inconsistent dimensions."""

@@ -381,7 +381,7 @@ def campaign_from_metadata(
     )
     if layout.outer_count != params.outer_count:
         raise error(f"outer_count {layout.outer_count} disagrees with logn {params.logn}")
-    n_keys = traceio.pop_field(values, "n_keys", int, error)
+    n_keys = traceio.pop_field(values, "n_keys", "int", error)
     if n_keys < 1:
         raise error(f"n_keys={n_keys} is not positive")
     return params, layout, model, n_keys

@@ -16,13 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    LayoutMismatch,
-    LengthMismatch,
-    MissingTemplate,
-    ReportFormatError,
-)
+from .errors import DomainError, LayoutMismatch, ReportFormatError
 from .leakage import TraceLayout
 from .sampler import SamplerParams, fold
 from .template import (
@@ -175,7 +169,7 @@ class RecoveryReport:
     @classmethod
     def from_values(cls, values: dict[str, str]) -> "RecoveryReport":
         # Each field read is popped, so what is left is unknown.
-        version = pop_field(values, "report_version", int, ReportFormatError)
+        version = pop_field(values, "report_version", "int", ReportFormatError)
         if version != REPORT_VERSION:
             raise ReportFormatError(f"unsupported report version {version}")
         kw: dict = {}
@@ -185,8 +179,8 @@ class RecoveryReport:
             line = f.metadata.get("line")
             # Lazy: a missing line ends the scan of a huge n_keys early.
             names = (f"key.{j}.{line}" for j in range(kw["n_keys"])) if line else [f.name]
-            decode = CODECS[_element(f) if line else f.type][1]
-            decoded = [pop_field(values, name, decode, ReportFormatError) for name in names]
+            kind = _element(f) if line else f.type
+            decoded = [pop_field(values, name, kind, ReportFormatError) for name in names]
             kw[f.name] = decoded if line else decoded[0]
         report = cls(**kw)
         report._check()
@@ -283,7 +277,7 @@ def recover_key(
     if isinstance(traces, TraceSet) and np.ndim(traces.samples) != 2:
         raise LayoutMismatch("trace set does not match layout length")
     if template_inner is None or template_neg is None:
-        raise MissingTemplate("both templates are required")
+        raise DomainError("both templates are required")
     outer, inner = layout.outer_count, layout.inner_count
     p_site_inner, ov_inner = site_success(template_inner)
     p_site_neg, ov_neg = site_success(template_neg)
@@ -303,7 +297,7 @@ def recover_key(
     truths = itertools.repeat(None)
     if labels is not None:
         if labels.n_records != rows:
-            raise LengthMismatch(f"{labels.n_records} labels for {rows} traces")
+            raise LayoutMismatch(f"{labels.n_records} labels for {rows} traces")
         if labels.outer_count != outer or labels.inner_count != inner:
             raise LayoutMismatch("labels disagree with layout iteration counts")
         truths = labels.blocks(_BLOCK_ROWS)

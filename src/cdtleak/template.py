@@ -18,12 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    EmptyPoi,
-    InsufficientClassData,
-    TemplateFormatError,
-)
+from .errors import DomainError, TemplateFormatError
 from .traceio import (CODECS, decode_fields, encode_fields, pop_field, read_key_values,
                       write_key_values)
 
@@ -57,7 +52,7 @@ class Template:
 
     def __post_init__(self) -> None:
         if not self.pois:
-            raise EmptyPoi("template needs at least one POI")
+            raise DomainError("template needs at least one POI")
         if len(set(self.pois)) != len(self.pois):
             raise DomainError("POIs must be distinct")
         if len(self.class0) != len(self.pois) or len(self.class1) != len(self.pois):
@@ -79,7 +74,7 @@ def build_template(traces, labels, pois) -> Template:
         raise DomainError("labels must be 1-D, one per trace")
     pois = tuple(int(p) for p in pois)
     if not pois:
-        raise EmptyPoi("no POIs given")
+        raise DomainError("no POIs given")
     for p in pois:
         if not 0 <= p < traces.shape[1]:
             raise DomainError(f"POI {p} outside trace of length {traces.shape[1]}")
@@ -90,9 +85,7 @@ def build_template(traces, labels, pois) -> Template:
         # var sums follows the layout, and the .tpl bytes depend on it.
         rows = np.asfortranarray(cols[labels] if cls else cols[~labels])
         if rows.shape[0] < 2:
-            raise InsufficientClassData(
-                f"class {cls} has {rows.shape[0]} traces, need at least 2"
-            )
+            raise DomainError(f"class {cls} has {rows.shape[0]} traces, need at least 2")
         mu = rows.mean(axis=0)
         var = np.maximum(rows.var(axis=0, ddof=1), VAR_FLOOR)
         stats.append(
@@ -222,7 +215,7 @@ def load_template(path) -> Template:
     version = entries.pop("version", None)
     if version != "1":
         raise TemplateFormatError(f"unsupported version {version!r}")
-    pois = tuple(pop_field(entries, "pois", CODECS["list[int]"][1], TemplateFormatError))
+    pois = tuple(pop_field(entries, "pois", "list[int]", TemplateFormatError))
     class0, class1 = (
         tuple(decode_fields(ClassStats, entries, TemplateFormatError, f"class{c}.{{}}.{i}")
               for i in range(len(pois)))
@@ -232,5 +225,5 @@ def load_template(path) -> Template:
         raise TemplateFormatError(f"unknown keys: {', '.join(sorted(entries))}")
     try:
         return Template(pois=pois, class0=class0, class1=class1)
-    except (DomainError, EmptyPoi) as exc:
+    except DomainError as exc:
         raise TemplateFormatError(str(exc)) from None

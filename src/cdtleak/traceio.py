@@ -19,7 +19,8 @@ anything structurally off raises TraceFormatError instead of guessing.
 Trace metadata, templates and reports share one codec: UTF-8 `key=value`
 lines, each key once, read back keeping every character, so the writer
 refuses what the reader would. encode_fields and decode_fields map a
-dataclass to such fields and back through CODECS.
+dataclass to such fields and back through CODECS, and a value reads back
+only in the text its encoder writes.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, TraceFormatError
+from .errors import DomainError, LayoutMismatch, TraceFormatError
 
 TRACE_MAGIC = b"SSNTRACE"
 LABEL_MAGIC = b"SSNLABEL"
@@ -69,18 +70,13 @@ class TraceSet:
             yield self.samples[lo : lo + rows]
 
 
-def _decode_bool(s: str) -> bool:
-    if s not in ("0", "1"):
-        raise ValueError(f"expected 0 or 1, got {s!r}")
-    return s == "1"
-
-
 # Text form of each dataclass field type, by its annotation: (encode, decode).
-# Trace metadata, templates and reports are written and read through it.
+# Trace metadata, templates and reports are written and read through it, and
+# pop_field takes a value only in the form encode gives; flags take the plain decode.
 CODECS = {
     "int": (str, int),
     "float": (repr, float),
-    "bool": (lambda b: str(int(b)), _decode_bool),
+    "bool": (lambda b: str(int(b)), lambda s: bool(int(s))),
     "str": (str, str),
     "list[int]": (
         lambda xs: ",".join(str(v) for v in xs),
@@ -103,10 +99,10 @@ def encode_key_values(pairs) -> bytes:
     """One `key=value` line per (key, value) pair, in order, as UTF-8.
 
     Raises DomainError for what parse_key_values would refuse or read back otherwise: a
-    non-string key or value, an empty or repeated key, `=` or a newline in a key, or a
-    newline in a value.
+    non-string key or value, an empty or repeated key, `=` or a newline in a key, a
+    newline in a value, or a lone surrogate that UTF-8 cannot encode.
     """
-    lines: dict[str, str] = {}
+    lines: dict[str, bytes] = {}
     for k, v in pairs:
         if not isinstance(k, str) or not isinstance(v, str):
             raise DomainError("keys and values must be strings")
@@ -114,8 +110,11 @@ def encode_key_values(pairs) -> bytes:
             raise DomainError(f"bad key {k!r}")
         if "\n" in v:
             raise DomainError(f"value for {k!r} contains a newline")
-        lines[k] = f"{k}={v}\n"
-    return "".join(lines.values()).encode("utf-8")
+        try:
+            lines[k] = f"{k}={v}\n".encode("utf-8")
+        except UnicodeEncodeError:
+            raise DomainError(f"key {k!r} or its value is not encodable as UTF-8") from None
+    return b"".join(lines.values())
 
 
 def parse_key_values(blob: bytes, error) -> dict[str, str]:
@@ -155,20 +154,25 @@ def read_key_values(path, error) -> dict[str, str]:
         return parse_key_values(fh.read(), lambda message: error(f"{os.fspath(path)}: {message}"))
 
 
-def pop_field(values: dict[str, str], name: str, decode, error):
-    """Pop `name` from a dict of text fields and decode its value.
+def pop_field(values: dict[str, str], name: str, kind: str, error):
+    """Pop `name` from a dict of text fields and decode its value by CODECS[kind].
 
-    A missing key, or a value that `decode` rejects with ValueError,
-    raises `error` with a message that names the key.
+    A missing key, a value that the decoder rejects with ValueError, or a
+    value that does not encode back to its own text raises `error` with a
+    message that names the key.
     """
     try:
         raw = values.pop(name)
     except KeyError:
         raise error(f"missing field {name!r}") from None
+    encode, decode = CODECS[kind]
     try:
-        return decode(raw)
+        value = decode(raw)
     except ValueError as exc:
         raise error(f"field {name!r}: {exc}") from None
+    if encode(value) != raw:
+        raise error(f"field {name!r}: {raw!r} is not in canonical {kind} form")
+    return value
 
 
 def encode_fields(obj, key: str = "{}") -> list[tuple[str, str]]:
@@ -181,8 +185,7 @@ def decode_fields(cls, values: dict[str, str], error, key: str = "{}"):
 
     A missing or malformed field, or a value `cls` refuses with DomainError, raises `error`.
     """
-    kw = {f.name: pop_field(values, key.format(f.name), CODECS[f.type][1], error)
-          for f in fields(cls)}
+    kw = {f.name: pop_field(values, key.format(f.name), f.type, error) for f in fields(cls)}
     try:
         return cls(**kw)
     except DomainError as exc:
@@ -190,9 +193,9 @@ def decode_fields(cls, values: dict[str, str], error, key: str = "{}"):
 
 
 def check_count(count: int, what: str) -> None:
-    """Raise DimensionError unless `count` fits a header's u32 field."""
+    """Raise DomainError unless `count` fits a header's u32 field."""
     if not 0 <= count <= _U32_MAX:
-        raise DimensionError(f"{what} {count} does not fit the 32-bit header field")
+        raise DomainError(f"{what} {count} does not fit the 32-bit header field")
 
 
 @contextlib.contextmanager
@@ -239,14 +242,14 @@ class _RowWriter:
         """Index of the first of the next `rows` rows; rows past the count raise."""
         start = self.rows
         if start + rows > self.n_rows:
-            raise DimensionError(f"{start + rows} rows written, header declares {self.n_rows}")
+            raise LayoutMismatch(f"{start + rows} rows written, header declares {self.n_rows}")
         self.rows += rows
         return start
 
     def finish(self) -> None:
         """Raise unless exactly the declared rows were written."""
         if self.rows != self.n_rows:
-            raise DimensionError(f"{self.rows} rows written, header declares {self.n_rows}")
+            raise LayoutMismatch(f"{self.rows} rows written, header declares {self.n_rows}")
 
 
 def check_finite(samples: np.ndarray) -> None:
@@ -278,7 +281,7 @@ class TraceWriter(_RowWriter):
     def write(self, block) -> None:
         block = np.asarray(block)
         if block.ndim != 2 or block.shape[1] != self.n_samples:
-            raise DimensionError(f"block of shape {block.shape}, want (rows, {self.n_samples})")
+            raise LayoutMismatch(f"block of shape {block.shape}, want (rows, {self.n_samples})")
         block = np.ascontiguousarray(block, dtype="<f4")
         check_finite(block)
         self._take(len(block))
@@ -289,7 +292,7 @@ def write_trace_set(trace_set: TraceSet, path) -> None:
     """Serialize a TraceSet; the file appears atomically or not at all."""
     samples = np.asarray(trace_set.samples)
     if samples.ndim != 2:
-        raise DimensionError(f"samples must be 2-D, got shape {samples.shape}")
+        raise LayoutMismatch(f"samples must be 2-D, got shape {samples.shape}")
     with staged_files(path) as (fh,):
         TraceWriter(fh, *samples.shape, trace_set.metadata).write(samples)
 
@@ -474,12 +477,12 @@ def _check_label_shapes(labels: LabelSet) -> tuple[int, int, int]:
     values = np.asarray(labels.values)
     bits = np.asarray(labels.bits)
     if values.ndim != 1 or bits.ndim != 3:
-        raise DimensionError("labels have wrong rank")
+        raise LayoutMismatch("labels have wrong rank")
     n, outer, inner = bits.shape[0], bits.shape[1], bits.shape[2] - 1
     if values.shape[0] != n:
-        raise DimensionError("label arrays disagree on record count")
+        raise LayoutMismatch("label arrays disagree on record count")
     if outer < 1 or inner < 1:
-        raise DimensionError("outer and inner counts must be positive")
+        raise DomainError("outer and inner counts must be positive")
     return n, outer, inner
 
 
@@ -498,7 +501,7 @@ class LabelWriter(_RowWriter):
     def __init__(self, fh, n_records: int, outer_count: int, inner_count: int):
         check_count(n_records, "record count")
         if outer_count < 1 or inner_count < 1:
-            raise DimensionError("outer and inner counts must be positive")
+            raise DomainError("outer and inner counts must be positive")
         header = _LABEL_HEADER.pack(FORMAT_VERSION, n_records, outer_count, inner_count)
         super().__init__(fh, n_records, LABEL_MAGIC + header)
         self.counts = (outer_count, inner_count)
@@ -506,7 +509,7 @@ class LabelWriter(_RowWriter):
     def write(self, labels: LabelSet) -> None:
         n, outer, inner = _check_label_shapes(labels)
         if (outer, inner) != self.counts:
-            raise DimensionError(f"labels of {outer}x{inner} masks, header declares {self.counts}")
+            raise LayoutMismatch(f"labels of {outer}x{inner} masks, header declares {self.counts}")
         start = self._take(n)
         bits = np.asarray(labels.bits, dtype=bool).reshape(n, outer * (inner + 1))
         record = np.zeros(n, dtype=_record_dtype(outer, inner))

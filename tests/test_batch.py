@@ -10,6 +10,7 @@ bit for bit.
 """
 
 import ast
+import builtins
 import hashlib
 import importlib
 import re
@@ -498,3 +499,36 @@ def test_no_unreferenced_public_names():
             if not re.search(rf"\b{node.name}\b", named):
                 unreached.append(f"{path.relative_to(root)}: {node.name}")
     assert unreached == []
+
+
+def test_error_vocabulary():
+    """The package's errors are the seven of cdtleak.errors, each of them used.
+
+    errors.py defines exactly these classes, and no other module defines
+    a subclass of one. A raise that names a class, not a builtin
+    exception or a variable, names one of them other than the base
+    CdtLeakError. Every class errors.py defines is raised or subclassed.
+    """
+    vocabulary = {"CdtLeakError", "DomainError", "LayoutMismatch", "TableFormatError",
+                  "TemplateFormatError", "ReportFormatError", "TraceFormatError"}
+    root = Path(__file__).resolve().parents[1]
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(root.glob("src/cdtleak/*.py"))}
+    assert {n.name for n in trees["errors.py"].body if isinstance(n, ast.ClassDef)} == vocabulary
+    used, wrong = set(), []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases = {b.id for b in node.bases if isinstance(b, ast.Name)}
+                used |= bases
+                if bases & vocabulary and name != "errors.py":
+                    wrong.append(f"{name}: class {node.name}")
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", "")
+                used.add(raised)
+                if raised[:1].isupper() and not hasattr(builtins, raised) and (
+                        raised not in vocabulary - {"CdtLeakError"}):
+                    wrong.append(f"{name}: raise {raised}")
+    assert wrong == []
+    assert vocabulary <= used

@@ -670,6 +670,12 @@ class TestSetupFlags:
             assert action.default == f.default
             assert action.type is traceio.CODECS[f.type][1]
 
+    def test_flags_take_any_form_their_type_reads(self):
+        # Files take only the written form ("1e+39", "4.0"); flags take the plain constructors.
+        args = _build_parser().parse_args(
+            ["simulate", "--beta", "1e39", "--noise-sigma", "4", "--out", "x"])
+        assert (args.beta, args.noise_sigma) == (1e39, 4.0)
+
     @pytest.mark.parametrize("command", sorted(HELP))
     def test_help_text(self, capsys, monkeypatch, command):
         monkeypatch.setenv("COLUMNS", "80")

@@ -4,8 +4,9 @@
 every one of them: UTF-8 only, one `key=value` line per field, each key
 once, empty lines skipped and every other character kept, so a `#` or a
 space is part of its key or value. The writer refuses what the reader
-would refuse, and whatever it writes reads back unchanged. Each reader
-refuses keys that name none of its fields.
+would refuse, and whatever it writes reads back unchanged. A field's value
+reads only in the form its encoder writes. Each reader refuses keys that
+name none of its fields.
 """
 
 import dataclasses
@@ -21,6 +22,7 @@ from cdtleak.cli import main
 from cdtleak.errors import CdtLeakError, DomainError, ReportFormatError, TemplateFormatError
 from cdtleak.recover import RecoveryReport, load_report, save_report
 from cdtleak.template import ClassStats, Template, load_template, save_template
+from test_readme import walkthrough  # a fixture: the README flow's files
 
 NOT_UTF8 = b"\xff\xfe=1\n"
 
@@ -329,7 +331,9 @@ class TestReportText:
     @pytest.mark.parametrize("value", ["2", "-1", "true"])
     def test_has_labels_is_0_or_1(self, value):
         text = LABELED_TEXT.replace("has_labels=1\n", f"has_labels={value}\n")
-        message = f"^field 'has_labels': expected 0 or 1, got '{value}'$"
+        reason = ("invalid literal for int() with base 10: 'true'" if value == "true"
+                  else f"'{value}' is not in canonical bool form")
+        message = f"^field 'has_labels': {re.escape(reason)}$"
         with pytest.raises(ReportFormatError, match=message):
             _report(text)
 
@@ -444,3 +448,52 @@ class TestBadValueNamesItsField:
         path.write_text(_with_value(LABELED_TEXT, "n_keys", "x"))
         assert main(["report", str(path)]) == 2
         assert "field 'n_keys': invalid literal" in capsys.readouterr().err
+
+
+_WRITTEN = st.one_of(
+    st.tuples(st.just("int"), st.integers()),
+    st.tuples(st.just("float"), st.floats()),
+    st.tuples(st.just("bool"), st.booleans()),
+    st.tuples(st.just("list[int]"), st.lists(st.integers(), min_size=1)),
+    st.tuples(st.just("str"), st.text().filter(lambda s: "\n" not in s)),
+)
+
+
+class TestCanonicalValues:
+    """A file field reads only in the form its encoder writes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_WRITTEN)
+    def test_what_the_writer_gives_reads_back(self, case):
+        kind, value = case
+        values = {"k": traceio.CODECS[kind][0](value)}
+        got = traceio.pop_field(values, "k", kind, CdtLeakError)
+        assert got == value or (value != value and got != got)
+        assert values == {}
+
+    @pytest.mark.parametrize(
+        "kind, raw",
+        [("int", " 2_0 "), ("int", "020"), ("int", "+5"), ("int", "-0"),
+         ("float", " 1.5\t"), ("float", "1e300"), ("float", "1.50"), ("float", "NaN"),
+         ("bool", "2"), ("bool", "01"), ("list[int]", "1, 2"), ("list[int]", "1,+2")],
+    )
+    def test_other_forms_are_refused(self, kind, raw):
+        message = f"^field 'k': {re.escape(repr(raw))} is not in canonical {re.escape(kind)} form$"
+        with pytest.raises(ReportFormatError, match=message):
+            traceio.pop_field({"k": raw}, "k", kind, ReportFormatError)
+
+    def test_cli_report_of_the_readme_flow(self, capsys, tmp_path, walkthrough):
+        root, _ = walkthrough
+        path = tmp_path / "camp.report.txt"
+        path.write_text(_with_value((root / "camp.report.txt").read_text(), "n_keys", " 2_0 "))
+        capsys.readouterr()
+        assert main(["report", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: field 'n_keys': ' 2_0 ' is not in canonical int form\n"
+
+    def test_lone_surrogate_is_refused_and_nothing_written(self, tmp_path):
+        trace_set = traceio.TraceSet(np.zeros((1, 1), np.float32), {"a": "\udcff"})
+        with pytest.raises(DomainError, match="^key 'a' or its value is not encodable as UTF-8$"):
+            traceio.write_trace_set(trace_set, tmp_path / "x.trc")
+        assert list(tmp_path.iterdir()) == []

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from cdtleak.cli import main
 from cdtleak.cpa import correlation_traces, find_poi
-from cdtleak.errors import DegenerateInput, DomainError, LengthMismatch
+from cdtleak.errors import DomainError, LayoutMismatch
 from cdtleak.leakage import LeakModel, TraceLayout, synthesize_profiling_set
 from cdtleak.sampler import SamplerParams, default_table
 
@@ -48,11 +48,11 @@ class TestPearson:
     def test_error_paths(self):
         # Too few traces, a hypothesis with zero variance, and a length
         # mismatch. A zero-variance column is no error: it correlates 0.
-        with pytest.raises(DegenerateInput, match="at least two traces"):
+        with pytest.raises(DomainError, match="at least two traces"):
             _one([[1.0]], [2.0])
-        with pytest.raises(DegenerateInput, match="zero variance"):
+        with pytest.raises(DomainError, match="zero variance"):
             _one([[1.0], [2.0]], [3.0, 3.0])
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(LayoutMismatch, match="^2 traces but 3 hypothesis values$"):
             _one([[1.0], [2.0]], [1.0, 2.0, 3.0])
         assert _one([[1.0], [1.0]], [2.0, 3.0]).tolist() == [0.0]
 
@@ -141,15 +141,15 @@ class TestCorrelationTrace:
     def test_error_paths(self):
         rng = np.random.default_rng(13)
         traces = rng.normal(size=(10, 4))
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(DomainError, match="^traces must be a 2-D matrix$"):
             _one(traces[0], rng.normal(size=4))
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(DomainError, match="^hypotheses must be a non-empty 2-D matrix$"):
             correlation_traces(traces, np.ones((1, 10, 1)))
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(LayoutMismatch, match="^10 traces but 9 hypothesis values$"):
             _one(traces, rng.normal(size=9))
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(DomainError, match="^need at least two traces$"):
             _one(traces[:1], rng.normal(size=1))
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(DomainError, match="^hypothesis has zero variance$"):
             _one(traces, np.full(10, 3.0))
 
     def test_noiseless_campaign_peak_is_exact(self):
@@ -245,31 +245,32 @@ class TestCorrelationTraces:
         rng = np.random.default_rng(16)
         traces = rng.normal(size=(10, 4))
         hyps = rng.normal(size=(2, 10))
-        with pytest.raises(DegenerateInput):
+        hyps_2d = "^hypotheses must be a non-empty 2-D matrix$"
+        with pytest.raises(DomainError, match="^traces must be a 2-D matrix$"):
             correlation_traces(traces[0], hyps)
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(DomainError, match=hyps_2d):
             correlation_traces(traces, hyps[0])
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(DomainError, match=hyps_2d):
             correlation_traces(traces, np.ones((2, 10, 1)))
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(DomainError, match=hyps_2d):
             correlation_traces(traces, np.empty((0, 10)))
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(LayoutMismatch, match="^10 traces but 9 hypothesis values$"):
             correlation_traces(traces, hyps[:, :9])
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(DomainError, match="^need at least two traces$"):
             correlation_traces(traces[:1], hyps[:, :1])
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(DomainError, match="^hypothesis has zero variance$"):
             correlation_traces(traces, np.stack([hyps[0], np.full(10, 3.0)]))
         # A stream with too few or too many rows, or a block that does
         # not continue the rows before it.
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(LayoutMismatch, match="^9 traces but 10 hypothesis values$"):
             correlation_traces(iter([traces[:9]]), hyps)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(LayoutMismatch, match="^more than 10 traces for 10 hypothesis"):
             correlation_traces(iter([traces, traces[:1]]), hyps)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(LayoutMismatch, match="^0 traces but 10 hypothesis values$"):
             correlation_traces(iter([]), hyps)
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(LayoutMismatch, match=r"^trace block of shape \(5, 3\) does not continue"):
             correlation_traces(iter([traces[:5], traces[5:, :3]]), hyps)
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(LayoutMismatch, match=r"^trace block of shape \(4,\) does not continue"):
             correlation_traces(iter([traces[0]]), hyps)
 
     def test_no_columns(self):
@@ -330,5 +331,5 @@ class TestFindPoi:
             find_poi(corr, count=0)
         with pytest.raises(DomainError):
             find_poi(corr, count=3)
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(DomainError, match="^correlations must be 1-D$"):
             find_poi(np.ones((2, 2)), count=1)

@@ -14,12 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from cdtleak.errors import (
-    LayoutMismatch,
-    LengthMismatch,
-    MissingTemplate,
-    ReportFormatError,
-)
+from cdtleak.errors import DomainError, LayoutMismatch, ReportFormatError
 from cdtleak.leakage import (
     LeakModel,
     TraceLayout,
@@ -331,9 +326,9 @@ class TestRecoverKeyErrors:
 
     def test_missing_template(self):
         params, traces, _, layout, ti, _ = self._campaign()
-        with pytest.raises(MissingTemplate):
+        with pytest.raises(DomainError, match="^both templates are required$"):
             recover_key(traces, None, None, layout, params)
-        with pytest.raises(MissingTemplate):
+        with pytest.raises(DomainError, match="^both templates are required$"):
             recover_key(traces, ti, None, layout, params)
 
     def test_layout_mismatches(self):
@@ -357,7 +352,8 @@ class TestRecoverKeyErrors:
         import cdtleak.traceio as traceio
 
         trimmed = traceio.LabelSet(values=labels.values[:-1], bits=labels.bits[:-1])
-        with pytest.raises(LengthMismatch):
+        message = f"^{trimmed.n_records} labels for {traces.n_traces} traces$"
+        with pytest.raises(LayoutMismatch, match=message):
             recover_key(traces, ti, tn, layout, params, labels=trimmed)
         # One inner slot fewer, the sign still last.
         narrowed = traceio.LabelSet(values=labels.values, bits=labels.bits[:, :, 1:])

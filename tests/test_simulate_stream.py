@@ -18,7 +18,7 @@ import pytest
 
 from cdtleak import leakage, sampler, traceio
 from cdtleak.cli import main
-from cdtleak.errors import DimensionError, DomainError, TraceFormatError
+from cdtleak.errors import DomainError, LayoutMismatch, TraceFormatError
 from cdtleak.leakage import (
     LeakModel,
     TraceLayout,
@@ -282,7 +282,7 @@ class TestFailureLeavesNothing:
     @pytest.mark.parametrize("rows", [4, 6])
     def test_row_count_differs_from_header(self, tmp_path, rows):
         blocks = [np.ones((3, 4), np.float32), np.ones((rows - 3, 4), np.float32)]
-        with pytest.raises(DimensionError):
+        with pytest.raises(LayoutMismatch, match=f"^{rows} rows written, header declares 5$"):
             _write_blocks(tmp_path / "x.trc", 5, 4, blocks)
         assert _listing(tmp_path) == []
 
@@ -290,7 +290,8 @@ class TestFailureLeavesNothing:
         _, labels = synthesize_campaign(
             1, SamplerParams(logn=2), default_table(), LeakModel(), n_keys=1
         )
-        with pytest.raises(DimensionError):
+        message = f"^{labels.n_records} rows written, header declares {labels.n_records + 1}$"
+        with pytest.raises(LayoutMismatch, match=message):
             with traceio.staged_files(tmp_path / "x.lbl") as (fh,):
                 writer = traceio.LabelWriter(fh, labels.n_records + 1, labels.outer_count,
                                              labels.inner_count)
@@ -327,17 +328,17 @@ class TestTraceCountFitsHeader:
             yield
 
         for make in (lambda: iter(()), blocks):
-            with pytest.raises(DimensionError, match="does not fit"):
+            with pytest.raises(DomainError, match="does not fit the 32-bit header field"):
                 _write_blocks(tmp_path / "x.trc", 2**32, 4, make())
         assert _listing(tmp_path) == []
 
     def test_writer_with_no_blocks_refuses_to_rename(self, tmp_path):
-        with pytest.raises(DimensionError, match="0 rows written"):
+        with pytest.raises(LayoutMismatch, match="^0 rows written, header declares 4294967295$"):
             _write_blocks(tmp_path / "x.trc", 2**32 - 1, 4, iter(()))
         assert _listing(tmp_path) == []
 
     def test_label_writer(self, tmp_path):
-        with pytest.raises(DimensionError, match="does not fit"):
+        with pytest.raises(DomainError, match="does not fit the 32-bit header field"):
             with traceio.staged_files(tmp_path / "x.lbl") as (fh,):
                 traceio.LabelWriter(fh, 2**32, 2, 26)
         assert _listing(tmp_path) == []
@@ -345,9 +346,9 @@ class TestTraceCountFitsHeader:
     def test_campaign_boundary(self, monkeypatch):
         monkeypatch.setattr(leakage, "sample_keys", _refuse)
         params, table, model = SamplerParams(logn=1), default_table(), LeakModel()
-        with pytest.raises(DimensionError, match="does not fit"):
+        with pytest.raises(DomainError, match="does not fit the 32-bit header field"):
             campaign_parts(1, params, table, n_keys=2**30)
-        with pytest.raises(DimensionError, match="does not fit"):
+        with pytest.raises(DomainError, match="does not fit the 32-bit header field"):
             synthesize_campaign(1, params, table, model, n_keys=2**30)
         for seed, n_keys in ((1, 0), (2**64, 1), (-1, 1)):
             with pytest.raises(DomainError):

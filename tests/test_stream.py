@@ -21,12 +21,7 @@ import pytest
 
 from cdtleak import leakage, recover, traceio
 from cdtleak.cli import main
-from cdtleak.errors import (
-    LayoutMismatch,
-    LengthMismatch,
-    MissingTemplate,
-    TraceFormatError,
-)
+from cdtleak.errors import DomainError, LayoutMismatch, TraceFormatError
 from cdtleak.recover import recover_key
 from cdtleak.template import load_template
 
@@ -200,7 +195,7 @@ class TestAttackMatchesRecoverKey:
             params, layout, *_ = leakage.campaign_from_metadata(reader.metadata)
             reader.blocks = labels.blocks = untouched
             rows, n_samples = reader.n_traces, reader.n_samples
-            with pytest.raises(MissingTemplate):
+            with pytest.raises(DomainError, match="^both templates are required$"):
                 recover_key(reader, ti, None, layout, params, labels)
             reader.n_samples = n_samples - 1
             with pytest.raises(LayoutMismatch):
@@ -210,7 +205,7 @@ class TestAttackMatchesRecoverKey:
                 recover_key(reader, ti, ti, layout, params, labels)
             reader.n_traces = rows
             labels.n_records = rows - 1
-            with pytest.raises(LengthMismatch):
+            with pytest.raises(LayoutMismatch, match=f"^{rows - 1} labels for {rows} traces$"):
                 recover_key(reader, ti, ti, layout, params, labels)
             labels.n_records, labels.inner_count = rows, labels.inner_count + 1
             with pytest.raises(LayoutMismatch):
@@ -250,7 +245,7 @@ class TestAttackMatchesRecoverKey:
             with open(f"{tpl}.{name}.tpl", encoding="utf-8") as fh:
                 text = fh.read()
             if name == point:
-                text = re.sub(r"(?m)^(class[01]\.mu\.0)=.*$", r"\1=1e300", text)
+                text = re.sub(r"(?m)^(class[01]\.mu\.0)=.*$", r"\1=1e+300", text)
             with open(f"{bad}.{name}.tpl", "w", encoding="utf-8") as fh:
                 fh.write(text)
         out = str(tmp_path / "out")

@@ -22,12 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdtleak.errors import (
-    DomainError,
-    EmptyPoi,
-    InsufficientClassData,
-    TemplateFormatError,
-)
+from cdtleak.errors import DomainError, TemplateFormatError
 from cdtleak.leakage import TraceLayout, gaussian_block
 from cdtleak.recover import _column_margins, _log_likelihood, _site_columns, recover_key
 from cdtleak.sampler import SamplerParams, default_table
@@ -71,7 +66,7 @@ class TestClassStats:
 
 class TestTemplateConstruction:
     def test_needs_pois(self):
-        with pytest.raises(EmptyPoi):
+        with pytest.raises(DomainError, match="^template needs at least one POI$"):
             Template(pois=(), class0=(), class1=())
 
     def test_rejects_duplicate_pois(self):
@@ -125,11 +120,11 @@ class TestBuildTemplate:
 
     def test_error_paths(self):
         traces = np.zeros((4, 3))
-        with pytest.raises(InsufficientClassData):
+        with pytest.raises(DomainError, match="^class 1 has 0 traces, need at least 2$"):
             build_template(traces, [0, 0, 0, 0], pois=[0])
-        with pytest.raises(InsufficientClassData):
+        with pytest.raises(DomainError, match="^class 1 has 1 traces, need at least 2$"):
             build_template(traces, [0, 0, 0, 1], pois=[0])
-        with pytest.raises(EmptyPoi):
+        with pytest.raises(DomainError, match="^no POIs given$"):
             build_template(traces, [0, 0, 1, 1], pois=[])
         with pytest.raises(DomainError):
             build_template(traces, [0, 0, 1, 1], pois=[3])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdtleak.errors import DimensionError, DomainError, TraceFormatError
+from cdtleak.errors import DomainError, LayoutMismatch, TraceFormatError
 from cdtleak.traceio import (
     LABEL_MAGIC,
     TRACE_MAGIC,
@@ -104,7 +104,7 @@ class TestTraceRoundTrip:
 
 class TestTraceWriteValidation:
     def test_rejects_non_2d(self, tmp_path):
-        with pytest.raises(DimensionError):
+        with pytest.raises(LayoutMismatch, match=r"^samples must be 2-D, got shape \(5,\)$"):
             write_trace_set(TraceSet(np.zeros(5, np.float32)), tmp_path / "x")
 
     def test_rejects_nan(self, tmp_path):
@@ -279,7 +279,7 @@ class TestLabelRejection:
     def test_shape_disagreement(self, tmp_path):
         labels = _label_set(4, 2, 5)
         labels.values = labels.values[:3]
-        with pytest.raises(DimensionError):
+        with pytest.raises(LayoutMismatch, match="^label arrays disagree on record count$"):
             write_label_set(labels, tmp_path / "x")
 
     def test_bad_magic(self, tmp_path):
