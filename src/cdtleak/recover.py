@@ -10,8 +10,10 @@ summed with 32-bit wrap, mirroring the sampler's own arithmetic.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -20,7 +22,6 @@ from .errors import DomainError, LayoutMismatch, ReportFormatError
 from .leakage import TraceLayout
 from .sampler import SamplerParams, fold
 from .template import (
-    ClassStats,
     Template,
     full_key_success,
     gaussian_overlap,
@@ -31,19 +32,9 @@ from .traceio import CODECS, TraceSet, pop_field, read_key_values, write_key_val
 
 REPORT_VERSION = 1
 
-# Rows per block of the recovery loop: 1,024 rows of a few hundred
-# float32 samples keep a block, and its gathered float64 columns, in cache.
+# Rows per block of the recovery loop: the site columns of 1,024 rows, and
+# their float64 margins, stay in cache while the next block is read.
 _BLOCK_ROWS = 1024
-
-
-def _log_likelihood(x: np.ndarray, stats: ClassStats) -> np.ndarray:
-    """-0.5 * (log(2 pi var) + (x - mu)**2 / var), in a new array."""
-    d = x - stats.mu
-    d **= 2
-    d /= stats.var
-    d += np.log(2.0 * np.pi * stats.var)
-    d *= -0.5
-    return d
 
 
 def _site_columns(template: Template, sites, trace_length: int) -> np.ndarray:
@@ -76,21 +67,116 @@ def site_map(inner: Template, neg: Template, layout: TraceLayout) -> list[np.nda
     return cols
 
 
-def _column_margins(samples: np.ndarray, template: Template, cols: np.ndarray) -> np.ndarray:
-    """Margins of every row at the sites of _site_columns: (rows, sites) float64.
+class _DecodeCore:
+    """core(sites, truth or None): a block's values, counts, |margin| sums and bits.
 
-    A margin is the log-likelihood of the all-ones class minus that of
-    the all-zeros class, summed over POIs in POI order; a site decodes
-    as all ones when its margin is positive, so a tie goes to all zeros.
-    Each POI's columns at every site are gathered with a single index.
+    `columns` holds site_map's columns POI by POI, the inner template's first, and
+    `sites` one C-order (rows, len(c)) array per entry c, for up to `rows` rows. The
+    counts are inner_ones, neg_ones, anomalous, inner_errors and neg_errors, the sums
+    are at the inner and the sign sites, and the bits are in LabelSet.bits order. An
+    outer iteration ORs the slot numbers of its fired inner sites: a float64 product of
+    the fired bits with each slot's binary digits and a 1 counts, exactly, the fired
+    slots that set each digit, and all of them.
     """
-    out = np.zeros((samples.shape[0], cols.shape[1]), dtype=np.float64)
-    for poi_cols, s0, s1 in zip(cols, template.class0, template.class1):
-        x = samples[:, poi_cols].astype(np.float64)
-        ll1 = _log_likelihood(x, s1)
-        ll1 -= _log_likelihood(x, s0)
-        out += ll1
-    return out
+
+    def __init__(self, template_inner: Template, template_neg: Template,
+                 layout: TraceLayout, rows: int):
+        outer, inner = self.outer, self.inner = layout.outer_count, layout.inner_count
+        templates = (template_inner, template_neg)
+        # Per group of columns: template, POI, and (mu, var, log(2 pi var)) of class 1 and 0.
+        self.groups = [(t, i, np.array([(s.mu, s.var, np.log(2.0 * np.pi * s.var))
+                                        for s in (tpl.class1[i], tpl.class0[i])]).T[..., None, None])
+                       for i in range(max(len(tpl.pois) for tpl in templates))
+                       for t, tpl in enumerate(templates) if i < len(tpl.pois)]
+        cols = site_map(*templates, layout)
+        self.columns = [cols[t][i] for t, i, _ in self.groups]
+        digits = inner.bit_length()
+        slots = np.arange(1, inner + 1)[:, None]
+        self.slot_digits = np.hstack([(slots >> np.arange(digits)) & 1, slots**0]).astype(float)
+        self.powers = np.append(2.0 ** np.arange(digits), 0.0)  # the count weighs nothing
+        # Reused by every block: memory mapped afresh per block costs page faults.
+        self.work = np.empty((3, rows * outer * inner))
+
+    def margins(self, sites: list, t: int) -> np.ndarray:
+        """Margins at the sites of template t (0 inner, 1 sign): (rows, sites) float64, in work[0].
+
+        A margin is ll(class 1) - ll(class 0), ll = -0.5 * (log(2 pi var) + (x - mu)**2 / var),
+        summed over POIs in POI order; a site is all ones when its margin is positive.
+        """
+        for (g, i, (mu, var, log_term)), x in zip(self.groups, sites):
+            if g == t:  # a first POI works in work[:2], any other in work[1:]
+                d = self.work[int(i > 0) :][:2, : x.size].reshape(2, *x.shape)
+                np.subtract(x, mu, out=d, dtype=np.float64)
+                d **= 2
+                d /= var
+                d += log_term
+                d *= -0.5
+                d[0] -= d[1]
+                out = np.add(out, d[0], out=out) if i else d[0]
+        return out
+
+    def __call__(self, sites: list, truth):
+        rows, outer, inner = len(sites[0]), self.outer, self.inner
+        bits = np.empty((rows, outer, inner + 1), dtype=bool)
+        # 1.0 where an inner site fired, in work[1], which the inner margins, taken last, leave.
+        fired = self.work[1, : rows * outer * inner].reshape(rows * outer, inner)
+        # A template far from the samples overflows its margins; the
+        # |margin| sums, checked below, catch that without warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = self.margins(sites, 1)
+            np.greater(m, 0.0, out=bits[:, :, inner])
+            neg_sum = np.add.reduce(np.abs(m, out=m).reshape(-1))
+            m = self.margins(sites, 0)
+            np.greater(m.reshape(rows, outer, inner), 0.0, out=bits[:, :, :inner])
+            np.greater(m.reshape(fired.shape), 0.0, out=fired)
+            abs_sums = [np.add.reduce(np.abs(m, out=m).reshape(-1)), neg_sum]
+        for name, total in zip(("inner", "sign"), abs_sums):
+            if not math.isfinite(total):
+                raise DomainError(f"{name} template gives non-finite site margins")
+        per_digit = fired @ self.slot_digits
+        neg_bits = bits[:, :, inner]
+        counts = np.array([per_digit[:, -1].sum(), np.count_nonzero(neg_bits),
+                           np.count_nonzero(per_digit[:, -1] > 1.0), 0, 0], dtype=np.int64)
+        magnitudes = np.minimum(per_digit, 1.0, out=per_digit) @ self.powers
+        if truth is not None:
+            wrong = bits != np.asarray(truth.bits, dtype=bool)
+            counts[4] = np.count_nonzero(wrong[:, :, inner])
+            counts[3] = np.count_nonzero(wrong) - counts[4]
+        return fold(magnitudes.reshape(rows, outer), neg_bits), counts, abs_sums, bits
+
+
+def _site_blocks(traces, labels, columns: list):
+    """Yield (site block, label block or None) per _BLOCK_ROWS rows, as _DecodeCore takes them.
+
+    One worker thread reads, checks and gathers the next block while the caller works on
+    this one, into the reader's row buffer and a ring of two site buffers, all allocated
+    here on the calling thread. A read error is raised when its block is due, so errors
+    come in row order. Close the generator to stop and join the worker.
+    """
+    rows, cap = traces.n_traces, min(traces.n_traces, _BLOCK_ROWS)
+    # A TraceReader's blocks are float32; a TraceSet's keep their own type.
+    dtype = traces.samples.dtype if isinstance(traces, TraceSet) else np.float32
+    ring = np.empty((2, cap * sum(map(len, columns))), dtype=dtype)
+    starts = np.cumsum([0] + [cap * len(c) for c in columns])
+    trace_blocks = traces.blocks(_BLOCK_ROWS)
+    label_blocks = itertools.repeat(None) if labels is None else labels.blocks(_BLOCK_ROWS)
+
+    def read(k):
+        block = next(trace_blocks)
+        n = len(block)
+        # Clip, not raise, so that take writes into the ring without a buffer.
+        return [np.take(block, c, axis=1, mode="clip",
+                        out=ring[k % 2, lo : lo + n * len(c)].reshape(n, len(c)))
+                for c, lo in zip(columns, starts)], next(label_blocks)
+
+    n_blocks = -(-rows // _BLOCK_ROWS)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = pool.submit(read, 0)
+        for k in range(n_blocks):
+            block = pending.result()
+            if k + 1 < n_blocks:
+                pending = pool.submit(read, k + 1)
+            yield block
 
 
 def _element(f) -> str:
@@ -268,11 +354,13 @@ def recover_key(
     against the predicted rates derived from the templates themselves.
 
     Every input is checked, and the predicted rates are computed, before
-    the first block is read. Rows and labels are taken _BLOCK_ROWS at a
-    time, and a block's margins and bits are dropped once its counts are
-    added, so only the recovered value and, with labels, whether it is
-    correct are held per row. A template whose margins on a block are
-    not finite, say for means far outside the samples, raises DomainError.
+    the first block is read. One worker thread reads rows and labels
+    _BLOCK_ROWS at a time, one block ahead of the decoding, so do not use
+    `traces` or `labels` during the call. Per row, only the recovered
+    value and, with labels, whether it is correct are held. The report
+    does not depend on the timing of the two threads, and errors come in
+    row order: a template whose margins on a block are not finite, say
+    for means far outside the samples, raises DomainError.
     """
     if isinstance(traces, TraceSet) and np.ndim(traces.samples) != 2:
         raise LayoutMismatch("trace set does not match layout length")
@@ -292,53 +380,29 @@ def recover_key(
         raise LayoutMismatch(f"{rows} traces do not divide into keys of {per_key} coefficients")
     n_keys = rows // per_key
 
-    # Inner sites in (u, k) order, so a block's margins reshape to (rows, outer, inner).
-    inner_cols, neg_cols = site_map(template_inner, template_neg, layout)
-    truths = itertools.repeat(None)
+    decode = _DecodeCore(template_inner, template_neg, layout, min(rows, _BLOCK_ROWS))
     if labels is not None:
         if labels.n_records != rows:
             raise LayoutMismatch(f"{labels.n_records} labels for {rows} traces")
         if labels.outer_count != outer or labels.inner_count != inner:
             raise LayoutMismatch("labels disagree with layout iteration counts")
-        truths = labels.blocks(_BLOCK_ROWS)
         correct = np.empty(rows, dtype=bool)
 
-    slots = np.arange(1, inner + 1, dtype=np.uint32)
     values = np.empty(rows, dtype=np.int32)
     # Per-block sums of |margin|; fsum adds them exactly, so the means
     # depend on the rows and _BLOCK_ROWS alone.
-    abs_inner_sums, abs_neg_sums = [], []
-    inner_ones = neg_ones = anomalous = inner_errors = neg_errors = 0
-    lo = 0
-    for block, truth in zip(traces.blocks(_BLOCK_ROWS), truths):
-        hi = lo + block.shape[0]
-        # A template far from the samples overflows its margins; the
-        # |margin| sums, checked below, catch that without warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            inner_margins = _column_margins(block, template_inner, inner_cols)
-            neg_margins = _column_margins(block, template_neg, neg_cols)
-            # The block's sites decoded, in LabelSet.bits order.
-            bits = np.empty((hi - lo, outer, inner + 1), dtype=bool)
-            inner_bits, neg_bits = bits[:, :, :inner], bits[:, :, inner]
-            np.greater(inner_margins.reshape(-1, outer, inner), 0.0, out=inner_bits)
-            np.greater(neg_margins, 0.0, out=neg_bits)
-            # |margin| in place: the bits are all the rest of the loop needs.
-            for sums, margins in ((abs_inner_sums, inner_margins), (abs_neg_sums, neg_margins)):
-                sums.append(np.add.reduce(np.abs(margins, out=margins).reshape(-1)))
-        for name, sums in (("inner", abs_inner_sums), ("sign", abs_neg_sums)):
-            if not math.isfinite(sums[-1]):
-                raise DomainError(f"{name} template gives non-finite site margins")
-        values[lo:hi] = fold(np.bitwise_or.reduce(inner_bits * slots, axis=2), neg_bits)
-
-        inner_ones += np.count_nonzero(inner_bits)
-        neg_ones += np.count_nonzero(neg_bits)
-        anomalous += np.count_nonzero(inner_bits.sum(axis=2) > 1)
-        if truth is not None:
-            wrong = bits != np.asarray(truth.bits, dtype=bool)
-            inner_errors += np.count_nonzero(wrong[:, :, :inner])
-            neg_errors += np.count_nonzero(wrong[:, :, inner])
-            correct[lo:hi] = values[lo:hi] == np.asarray(truth.values, dtype=np.int32)
-        lo = hi
+    abs_sums, counts, lo = [], np.zeros(5, dtype=np.int64), 0
+    with contextlib.closing(_site_blocks(traces, labels, decode.columns)) as blocks:
+        for sites, truth in blocks:
+            block_values, block_counts, block_sums, _ = decode(sites, truth)
+            hi = lo + len(block_values)
+            values[lo:hi] = block_values
+            counts += block_counts
+            abs_sums.append(block_sums)
+            if truth is not None:
+                correct[lo:hi] = block_values == np.asarray(truth.values, dtype=np.int32)
+            lo = hi
+    inner_ones, neg_ones, anomalous, inner_errors, neg_errors = counts.tolist()
 
     per_poly = values.reshape(n_keys, 2, params.n)
     inner_sites, neg_sites = rows * outer * inner, rows * outer
@@ -355,8 +419,8 @@ def recover_key(
         neg_sites_total=neg_sites,
         neg_sites_ones=neg_ones,
         anomalous_outer_iterations=anomalous,
-        mean_abs_margin_inner=math.fsum(abs_inner_sums) / inner_sites,
-        mean_abs_margin_neg=math.fsum(abs_neg_sums) / neg_sites,
+        mean_abs_margin_inner=math.fsum(s[0] for s in abs_sums) / inner_sites,
+        mean_abs_margin_neg=math.fsum(s[1] for s in abs_sums) / neg_sites,
         overlap_inner=ov_inner,
         overlap_neg=ov_neg,
         p_site_inner=p_site_inner,

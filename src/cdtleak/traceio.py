@@ -44,10 +44,6 @@ _LABEL_HEADER = struct.Struct("<IIII")
 _U32_MAX = 0xFFFFFFFF
 _CREATE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
 
-# Samples per block of the finiteness check of reads and writes, so that
-# its boolean temporary stays small next to the payload it checks.
-_CHECK_SAMPLES = 1 << 18
-
 
 @dataclass
 class TraceSet:
@@ -253,11 +249,9 @@ class _RowWriter:
 
 
 def check_finite(samples: np.ndarray) -> None:
-    """Raise TraceFormatError for any NaN or infinity, in blocks of samples."""
-    flat = samples.reshape(-1)
-    for lo in range(0, flat.size, _CHECK_SAMPLES):
-        if not np.isfinite(flat[lo : lo + _CHECK_SAMPLES]).all():
-            raise TraceFormatError("trace payload contains NaN or infinity")
+    """Raise TraceFormatError for any NaN or infinity: a NaN makes min and max NaN, an inf is one."""
+    if samples.size and not (math.isfinite(samples.min()) and math.isfinite(samples.max())):
+        raise TraceFormatError("trace payload contains NaN or infinity")
 
 
 class TraceWriter(_RowWriter):
@@ -338,13 +332,15 @@ class _RowReader:
         return self._fill(np.empty((rows, *self._row_shape), self._dtype))
 
     def blocks(self, rows: int):
-        """Yield every row in blocks of up to `rows` rows.
+        """An iterator over every row in blocks of up to `rows` rows.
 
         The rows are read into one buffer that the next block overwrites.
+        This call allocates it, so the thread that calls blocks, not the
+        one that iterates, owns its memory.
         """
         buf = np.empty((min(rows, self._n_rows), *self._row_shape), self._dtype)
-        for lo in range(0, self._n_rows, rows):
-            yield self._fill(buf[: min(rows, self._n_rows - lo)])
+        return (self._fill(buf[: min(rows, self._n_rows - lo)])
+                for lo in range(0, self._n_rows, rows))
 
     def close(self) -> None:
         self._fh.close()

@@ -328,8 +328,8 @@ def test_golden_output_bytes(tmp_path, capsys):
 def _margin_columns(samples: np.ndarray, tpl: Template, site_index: int) -> np.ndarray:
     """Signed log-likelihood margin of every trace at one leak site.
 
-    The reference for recover._column_margins: one column pass per POI,
-    per class, summed over POIs in POI order.
+    The reference for recover._DecodeCore.margins: one column pass per
+    POI, per class, summed over POIs in POI order.
     """
     pois = [site_index + p - tpl.pois[0] for p in tpl.pois]
     assert all(0 <= p < samples.shape[1] for p in pois)
@@ -343,7 +343,7 @@ def _margin_columns(samples: np.ndarray, tpl: Template, site_index: int) -> np.n
 
 
 class TestSiteMargins:
-    """recover._column_margins against the per-site reference _margin_columns."""
+    """recover._DecodeCore.margins against the per-site reference _margin_columns."""
 
     @pytest.fixture(scope="class")
     def readme_templates(self, tmp_path_factory):
@@ -373,12 +373,15 @@ class TestSiteMargins:
         samples = rng.normal(40.0, 4.0, (rows, layout.trace_length))
         samples[:, sites] += 16.0 * rng.integers(0, 2, (rows, len(sites)))
         samples = samples.astype(np.float32)
-        cols = recover._site_columns(tpl, sites, layout.trace_length)
-        got = recover._column_margins(samples, tpl, cols)
-        want = np.stack([_margin_columns(samples, tpl, s) for s in sites], axis=1)
-        assert got.dtype == np.float64
-        assert np.array_equal(got, want)
-        assert (got > 0).any() and (got < 0).any()
+        core = recover._DecodeCore(tpl, tpl, layout, rows)
+        site_blocks = [samples[:, c] for c in core.columns]
+        point_sites = layout.site_matrix()[:, :-1].reshape(-1), layout.site_matrix()[:, -1]
+        for t, at in enumerate(point_sites):
+            got = core.margins(site_blocks, t)
+            want = np.stack([_margin_columns(samples, tpl, s) for s in at], axis=1)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want)
+            assert (got > 0).any() and (got < 0).any()
 
 
 # Overlap areas computed once at 400 significant digits.

@@ -10,7 +10,8 @@ Independent oracles used here:
     threshold, so a big Monte Carlo run is verified two ways at once.
 
 Classification runs through the attack's own kernel, recover's
-_column_margins and _log_likelihood, on one-row input.
+_DecodeCore.margins, on one-row input; tests/decode_oracle.py's
+log_likelihood gives the per-class values.
 """
 
 import math
@@ -19,12 +20,13 @@ import sys
 
 import numpy as np
 import pytest
+from decode_oracle import log_likelihood as _log_likelihood
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdtleak.errors import DomainError, TemplateFormatError
 from cdtleak.leakage import TraceLayout, gaussian_block
-from cdtleak.recover import _column_margins, _log_likelihood, _site_columns, recover_key
+from cdtleak.recover import _DecodeCore, recover_key
 from cdtleak.sampler import SamplerParams, default_table
 from cdtleak.template import (
     VAR_FLOOR,
@@ -135,10 +137,18 @@ class TestBuildTemplate:
 
 
 def _margins(rows, template):
-    """Attack margins of each row at the template's own POIs: (rows,) float64."""
+    """Attack margins of each row at the template's own POIs: (rows,) float64.
+
+    The rows go in front of a one-site layout whose inner site is sample 0.
+    """
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    cols = _site_columns(template, [template.pois[0]], rows.shape[1])
-    return _column_margins(rows, template, cols)[:, 0]
+    width = rows.shape[1]
+    layout = TraceLayout(1, 1, samples_per_inner=1, samples_per_outer_tail=width,
+                         leak_offset_inner=0, leak_offset_neg=0)
+    samples = np.zeros((len(rows), layout.trace_length))
+    samples[:, :width] = rows
+    core = _DecodeCore(template, template, layout, len(rows))
+    return core.margins([samples[:, c] for c in core.columns], 0)[:, 0]
 
 
 def _decision(trace, template):

@@ -2,6 +2,7 @@
 
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from cdtleak.traceio import (
     TRACE_MAGIC,
     LabelSet,
     TraceSet,
+    check_finite,
     read_label_set,
     read_trace_set,
     write_label_set,
@@ -116,6 +118,21 @@ class TestTraceWriteValidation:
         bad = np.array([[np.inf, 2.0]], dtype=np.float32)
         with pytest.raises(TraceFormatError, match=NON_FINITE):
             write_trace_set(TraceSet(bad), tmp_path / "x")
+
+    @pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_check_finite_at_either_end_of_a_block(self, at, value):
+        # One sample past 2**18, the block the check used to cut its payload into.
+        samples = np.zeros((1 << 18) + 1, dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            check_finite(samples)
+            check_finite(samples[:0])
+            samples[at] = value
+            with pytest.raises(TraceFormatError, match=NON_FINITE):
+                check_finite(samples)
+            with pytest.raises(TraceFormatError, match=NON_FINITE):
+                check_finite(samples.reshape(1, -1))
 
     def test_rejects_bad_metadata_key(self, tmp_path):
         s = np.ones((1, 1), np.float32)
