@@ -2,10 +2,11 @@
 
 Every command is deterministic given its flags; all randomness flows from
 the --seed value. Output files are written atomically. Settings come only
-from flags, spelled in full. Exit codes: 0 on success, 1 when an
-attack ran to completion but ground truth shows at least one key was not
-fully recovered, 2 on usage errors, invalid inputs, I/O errors, or an
-input too large for the memory at hand.
+from flags, spelled in full; simulate and profile render on every core
+the process may use (taskset caps them). Exit codes: 0 on success, 1
+when an attack ran to completion but ground truth shows at least one key
+was not fully recovered, 2 on usage errors, invalid inputs, I/O errors,
+or an input too large for the memory at hand.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import os
 import sys
 
@@ -28,21 +30,11 @@ def _fmt_pct(p: float) -> str:
     return _PCT.format(100.0 * p)
 
 
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
 def _add_common(sub) -> None:
     """Flags of the commands that sample keys and render traces."""
     sub.add_argument("--seed", type=int, default=1, help="master 64-bit seed")
     sub.add_argument("--logn", type=int, default=9, help="ring dimension exponent")
     sub.add_argument("--table", type=str, default=None, help="CDT table file")
-    sub.add_argument("--threads", type=int, default=_usable_cores(),
-                     help="threads that render traces (default: usable cores); "
-                     "outputs do not depend on it")
 
 
 def _setup_fields(cls) -> list:
@@ -66,8 +58,6 @@ def _table_from(args) -> sampler.GaussCdtTable:
 
 
 def _setup_from(args):
-    if args.threads < 1:
-        raise DomainError(f"--threads must be at least 1, got {args.threads}")
     tab = _table_from(args)
     params = sampler.SamplerParams(logn=args.logn)
     model_kw, layout_kw = (
@@ -87,7 +77,7 @@ def cmd_simulate(args) -> int:
     with traceio.staged_files(args.out + ".trc", args.out + ".lbl") as (trc, lbl):
         traces = traceio.TraceWriter(trc, n_traces, layout.trace_length, md)
         labels = traceio.LabelWriter(lbl, n_traces, layout.outer_count, layout.inner_count)
-        for part, samples in leakage.render_blocks(parts, model, layout, args.threads):
+        for part, samples in leakage.render_blocks(parts, model, layout):
             traces.write(samples)
             labels.write(part)
         traces.finish()
@@ -99,33 +89,27 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _finite_samples(blocks):
-    """The sample blocks of (labels, samples) pairs, each checked as simulate checks it."""
-    for _, samples in blocks:
-        traceio.check_finite(samples)
-        yield samples
-
-
 def cmd_profile(args) -> int:
     tab, params, model, layout = _setup_from(args)
     k = args.poi_count
     if not 1 <= k <= layout.trace_length:
         raise DomainError(f"--poi-count must be in [1, {layout.trace_length}], got {k}")
     parts = leakage.profiling_parts(args.seed, params, tab, args.traces, args.fire_slot)
-    blocks = leakage.render_blocks(parts, model, layout, args.threads)
+    blocks = leakage.render_blocks(parts, model, layout)
     # Each point and its column of the site matrix, in the order of the
     # planted classes. The class bits are the hypotheses: a correlation
     # does not change with the scale of one, so they stand for the
     # weights 0 and 64.
     points = (("inner", args.fire_slot - 1), ("neg", -1))
     classes = leakage.profiling_classes(args.traces)
-    corrs = cpa.correlation_traces(_finite_samples(blocks), classes)
+    # Each chunk is checked as simulate checks it, before it reaches the moments.
+    corrs = cpa.correlation_traces((traceio.check_finite(s) for _, s in blocks), classes)
     pois = [cpa.find_poi(corr, count=k) for corr in corrs]
     # Only the POI columns are rendered again, from labels drawn afresh:
     # point i's are columns i*k to i*k + k - 1, and its template is fitted
     # on them and then keeps their sample indices.
     parts = leakage.profiling_parts(args.seed, params, tab, args.traces, args.fire_slot)
-    blocks = leakage.render_blocks(parts, model, layout, args.threads, np.concatenate(pois))
+    blocks = leakage.render_blocks(parts, model, layout, np.concatenate(pois))
     columns = np.concatenate([samples for _, samples in blocks])
     tpls = [
         dataclasses.replace(
@@ -226,6 +210,7 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser():
     # Flags are spelled in full: an abbreviation could silently name another flag.
     parser = argparse.ArgumentParser(

@@ -14,15 +14,16 @@ reproducible from a single 64-bit seed.
 One renderer, render_blocks, makes every sample: it renders the
 (labels, noise sub-seeds) parts that campaign_parts or profiling_parts
 draw into blocks of whole traces, or of chosen sample columns such as
-the leak sites. simulate and profile stream its blocks, and
-synthesize_campaign and synthesize_profiling_set gather them into one
-matrix. synthesize_trace renders one coefficient's leak records and is
-its scalar reference.
+the leak sites, on a thread per usable core. simulate and profile
+stream its blocks, and synthesize_campaign and synthesize_profiling_set
+gather them into one matrix. synthesize_trace renders one coefficient's
+leak records and is its scalar reference.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -232,7 +233,13 @@ _CHUNKS_PER_THREAD = 2
 _KEY_BLOCK_ROWS = 1 << 11
 
 
-def render_blocks(parts, model: LeakModel, layout: TraceLayout, threads: int = 1, columns=None):
+def _usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity, else every core."""
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on some platforms
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def render_blocks(parts, model: LeakModel, layout: TraceLayout, columns=None):
     """Render traces chunk by chunk; yield (labels, samples) per chunk, in row order.
 
     `parts` is an iterable of (LabelSet, noise sub-seeds) pairs of
@@ -245,14 +252,14 @@ def render_blocks(parts, model: LeakModel, layout: TraceLayout, threads: int = 1
     pairs) or sin half of Box–Muller pair j mod pairs, pairs =
     ceil(trace_length / 2), and pair p takes words p and pairs + p of the
     row's sub-seed, so only the used pairs are drawn. Each part is cut
-    into chunks of _CHUNK_SAMPLES drawn words, rendered on one pool of
-    `threads` threads with at most _CHUNKS_PER_THREAD chunks per thread
-    pending; a chunk's samples are a new float32 block. A thread renders
-    its chunk in row tiles of _TILE_SAMPLES words through its own float64
-    buffer; the tile's uint64 words and their shift temp are as big, so a
-    thread holds 3 * 512 KiB of scratch. At the README geometry (432
-    samples, 2 threads) a whole-trace render holds 3 MiB of scratch and
-    at most 4 pending chunks of 606 rows, 4 MiB of float32.
+    into chunks of _CHUNK_SAMPLES drawn words, rendered on one pool of a
+    thread per usable core (_usable_cores) with at most _CHUNKS_PER_THREAD
+    chunks per thread pending; a chunk's samples are a new float32 block.
+    A thread renders its chunk in row tiles of _TILE_SAMPLES words through
+    its own float64 buffer; the tile's uint64 words and their shift temp
+    are as big, so a thread holds 3 * 512 KiB of scratch. At the README
+    geometry (432 samples) a whole-trace render holds, per usable core,
+    1.5 MiB of scratch and at most 2 pending chunks of 606 rows, 2 MiB.
 
     Bit-identical to calling synthesize_trace per coefficient with the
     matching sub-seed: the noise is scaled and shifted in the same order,
@@ -284,6 +291,7 @@ def render_blocks(parts, model: LeakModel, layout: TraceLayout, threads: int = 1
     width = max(1, len(counters), n_out)
     chunk = max(1, _CHUNK_SAMPLES // width)
     tile = min(chunk, max(1, _TILE_SAMPLES // width))
+    threads = _usable_cores()
     local = threading.local()
 
     def render(bits, subseeds, samples):
@@ -329,11 +337,11 @@ def render_blocks(parts, model: LeakModel, layout: TraceLayout, threads: int = 1
     return blocks()
 
 
-def _gathered(parts, model: LeakModel, layout: TraceLayout, threads: int, n_rows: int):
+def _gathered(parts, model: LeakModel, layout: TraceLayout, n_rows: int):
     """render_blocks' rows of `parts` in one (n_rows, trace_length) matrix, and their labels."""
     samples = np.empty((n_rows, layout.trace_length), dtype=np.float32)
     labels, row = [], 0
-    for part, block in render_blocks(parts, model, layout, threads):
+    for part, block in render_blocks(parts, model, layout):
         samples[row : row + len(block)] = block
         labels.append(part)
         row += len(block)
@@ -420,7 +428,6 @@ def synthesize_campaign(
     model: LeakModel,
     layout: TraceLayout | None = None,
     n_keys: int = 1,
-    threads: int = 1,
 ) -> tuple[traceio.TraceSet, traceio.LabelSet]:
     """Simulate full key generations, one trace per coefficient.
 
@@ -433,7 +440,7 @@ def synthesize_campaign(
     parts = campaign_parts(seed, params, table, n_keys)
     layout = TraceLayout.for_params(params, table) if layout is None else layout
     md = campaign_metadata(seed, params, model, layout, n_keys)
-    samples, labels = _gathered(parts, model, layout, threads, n_keys * 2 * params.n)
+    samples, labels = _gathered(parts, model, layout, n_keys * 2 * params.n)
     return traceio.TraceSet(samples=samples, metadata=md), labels
 
 
@@ -529,7 +536,6 @@ def synthesize_profiling_set(
     layout: TraceLayout | None = None,
     n_traces: int = 10000,
     fire_slot: int = 1,
-    threads: int = 1,
 ) -> tuple[traceio.TraceSet, traceio.LabelSet]:
     """Simulate a profiling campaign with planted classes.
 
@@ -547,5 +553,5 @@ def synthesize_profiling_set(
     """
     parts = profiling_parts(seed, params, table, n_traces, fire_slot)
     layout = TraceLayout.for_params(params, table) if layout is None else layout
-    samples, labels = _gathered(parts, model, layout, threads, n_traces)
+    samples, labels = _gathered(parts, model, layout, n_traces)
     return traceio.TraceSet(samples), labels

@@ -359,8 +359,9 @@ def recover_key(
     `traces` or `labels` during the call. Per row, only the recovered
     value and, with labels, whether it is correct are held. The report
     does not depend on the timing of the two threads, and errors come in
-    row order: a template whose margins on a block are not finite, say
-    for means far outside the samples, raises DomainError.
+    row order: a non-finite sample raises TraceFormatError, and a
+    template whose margins on a block are not finite, say for means far
+    outside the samples, raises DomainError.
     """
     if isinstance(traces, TraceSet) and np.ndim(traces.samples) != 2:
         raise LayoutMismatch("trace set does not match layout length")

@@ -61,9 +61,9 @@ class TraceSet:
         return int(self.samples.shape[1])
 
     def blocks(self, rows: int):
-        """Yield the samples in views of up to `rows` rows, in order."""
+        """Yield the samples in views of up to `rows` rows, in order, checked as read ones are."""
         for lo in range(0, self.n_traces, rows):
-            yield self.samples[lo : lo + rows]
+            yield check_finite(self.samples[lo : lo + rows])
 
 
 # Text form of each dataclass field type, by its annotation: (encode, decode).
@@ -248,10 +248,11 @@ class _RowWriter:
             raise LayoutMismatch(f"{self.rows} rows written, header declares {self.n_rows}")
 
 
-def check_finite(samples: np.ndarray) -> None:
-    """Raise TraceFormatError for any NaN or infinity: a NaN makes min and max NaN, an inf is one."""
+def check_finite(samples: np.ndarray) -> np.ndarray:
+    """Return `samples`; raise TraceFormatError if any is NaN or infinite (so is min or max)."""
     if samples.size and not (math.isfinite(samples.min()) and math.isfinite(samples.max())):
         raise TraceFormatError("trace payload contains NaN or infinity")
+    return samples
 
 
 class TraceWriter(_RowWriter):
@@ -403,8 +404,7 @@ class TraceReader(_RowReader):
         return cls(fh, n_traces, n_samples, metadata)
 
     def _decode(self, samples: np.ndarray, lo: int) -> np.ndarray:
-        check_finite(samples)
-        return samples
+        return check_finite(samples)
 
 
 def open_trace_set(path) -> TraceReader:

@@ -173,15 +173,16 @@ class TestScanWords:
 
 class TestPlantedProfiling:
     @pytest.mark.parametrize("fire_slot", [1, 3, 26])
-    def test_rows_equal_plant_and_scan(self, fire_slot):
+    def test_rows_equal_plant_and_scan(self, monkeypatch, fire_slot):
         seed, n_traces = 0xB0B + fire_slot, 14
+        monkeypatch.setattr(leakage, "_usable_cores", lambda: 2)
         params = SamplerParams(logn=9)
         table = default_table()
         model = LeakModel()
         layout = TraceLayout.for_params(params, table)
         traces, labels = synthesize_profiling_set(
             seed=seed, params=params, table=table, model=model,
-            n_traces=n_traces, fire_slot=fire_slot, threads=2,
+            n_traces=n_traces, fire_slot=fire_slot,
         )
         coeffs = []
         for i in range(n_traces):
@@ -214,45 +215,48 @@ class TestRender:
         return coeffs, bits, layout, subseeds
 
     @staticmethod
-    def _render(bits, model, layout, subseeds, threads):
+    def _render(bits, model, layout, subseeds):
         """Render many rows of leak bits into one matrix, as synthesize_profiling_set does."""
         labels = traceio.LabelSet(np.zeros(len(subseeds), np.int32), bits)
-        blocks = leakage.render_blocks([(labels, subseeds)], model, layout, threads)
+        blocks = leakage.render_blocks([(labels, subseeds)], model, layout)
         return np.concatenate([samples for _, samples in blocks])
 
-    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("cores", [1, 2, 3])
     @pytest.mark.parametrize(
         "layout_kw", [{}, {"samples_per_outer_tail": 3, "leak_offset_neg": 2}]
     )
-    def test_rows_equal_synthesize_trace(self, monkeypatch, threads, layout_kw):
+    def test_rows_equal_synthesize_trace(self, monkeypatch, cores, layout_kw):
         # Five rows per chunk: 23 rows make four full chunks and a partial one.
         coeffs, bits, layout, subseeds = self._case(23, layout_kw)
         width = 2 * ((layout.trace_length + 1) // 2)
         monkeypatch.setattr(leakage, "_CHUNK_SAMPLES", 5 * width)
+        monkeypatch.setattr(leakage, "_usable_cores", lambda: cores)
         model = LeakModel(noise_sigma=2.284, beta=-3.25, alpha=0.7)
-        out = self._render(bits, model, layout, subseeds, threads)
+        out = self._render(bits, model, layout, subseeds)
         assert out.dtype == np.float32
         for r, coeff in enumerate(coeffs):
             want = synthesize_trace(coeff.leaks, model, layout, int(subseeds[r]))
             assert np.array_equal(out[r], want)
 
-    def test_default_chunk_boundary(self):
+    def test_default_chunk_boundary(self, monkeypatch):
         model = LeakModel()
         coeffs, bits, layout, subseeds = self._case(700, {})
         chunk = leakage._CHUNK_SAMPLES // layout.trace_length
         assert chunk < 700
-        out = self._render(bits, model, layout, subseeds, threads=2)
+        monkeypatch.setattr(leakage, "_usable_cores", lambda: 2)
+        out = self._render(bits, model, layout, subseeds)
         for r in (0, chunk - 1, chunk, 699):
             want = synthesize_trace(coeffs[r].leaks, model, layout, int(subseeds[r]))
             assert np.array_equal(out[r], want)
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_negative_zero_baseline_equals_synthesize_trace(tmp_path, capsys, threads):
+@pytest.mark.parametrize("cores", [1, 2])
+def test_negative_zero_baseline_equals_synthesize_trace(monkeypatch, tmp_path, capsys, cores):
     """beta = -0.0 without noise: every sample keeps synthesize_trace's sign of zero."""
     seed, out = 3, str(tmp_path / "z")
     argv = ["simulate", "--seed", str(seed), "--beta", "-0.0", "--noise-sigma", "0"]
-    assert main(argv + ["--threads", threads, "--out", out]) == 0
+    monkeypatch.setattr(leakage, "_usable_cores", lambda: cores)
+    assert main(argv + ["--out", out]) == 0
     capsys.readouterr()
     samples = traceio.read_trace_set(out + ".trc").samples
     params = SamplerParams(logn=9)

@@ -41,7 +41,7 @@ SETUP_FIELDS = [
 HELP = {
     "simulate": """\
 usage: cdtleak simulate [-h] [--seed SEED] [--logn LOGN] [--table TABLE]
-                        [--threads THREADS] [--alpha ALPHA] [--beta BETA]
+                        [--alpha ALPHA] [--beta BETA]
                         [--noise-sigma NOISE_SIGMA]
                         [--samples-per-inner SAMPLES_PER_INNER]
                         [--samples-per-outer-tail SAMPLES_PER_OUTER_TAIL]
@@ -54,8 +54,6 @@ options:
   --seed SEED           master 64-bit seed
   --logn LOGN           ring dimension exponent
   --table TABLE         CDT table file
-  --threads THREADS     threads that render traces (default: usable cores);
-                        outputs do not depend on it
   --alpha ALPHA         leak per mask bit, mV
   --beta BETA           baseline level, mV
   --noise-sigma NOISE_SIGMA
@@ -69,7 +67,7 @@ options:
 """,
     "profile": """\
 usage: cdtleak profile [-h] [--seed SEED] [--logn LOGN] [--table TABLE]
-                       [--threads THREADS] [--alpha ALPHA] [--beta BETA]
+                       [--alpha ALPHA] [--beta BETA]
                        [--noise-sigma NOISE_SIGMA]
                        [--samples-per-inner SAMPLES_PER_INNER]
                        [--samples-per-outer-tail SAMPLES_PER_OUTER_TAIL]
@@ -83,8 +81,6 @@ options:
   --seed SEED           master 64-bit seed
   --logn LOGN           ring dimension exponent
   --table TABLE         CDT table file
-  --threads THREADS     threads that render traces (default: usable cores);
-                        outputs do not depend on it
   --alpha ALPHA         leak per mask bit, mV
   --beta BETA           baseline level, mV
   --noise-sigma NOISE_SIGMA
@@ -348,14 +344,16 @@ class TestProfile:
         assert len(_line(stdout, "inner poi:").split(":")[1].split()) == 3
         assert len(load_template(out + ".inner.tpl").pois) == 3
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_non_finite_samples_exit_2_before_any_statistics(self, capsys, tmp_path, threads):
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_non_finite_samples_exit_2_before_any_statistics(
+        self, capsys, monkeypatch, tmp_path, cores
+    ):
         # 1e39 overflows float32. Each chunk is checked as simulate checks
         # it, before the correlation sees it, so no numpy warning comes
         # first (warnings are errors in this suite).
+        monkeypatch.setattr(leakage, "_usable_cores", lambda: cores)
         rc, stdout, err = _run(
-            capsys, "profile", "--beta", "1e39", "--traces", "2000", "--threads", threads,
-            "--out", str(tmp_path / "t"),
+            capsys, "profile", "--beta", "1e39", "--traces", "2000", "--out", str(tmp_path / "t")
         )
         assert rc == 2
         assert stdout == ""
@@ -371,9 +369,8 @@ class TestProfile:
             raise MemoryError("Unable to allocate 72.8 TiB for an array")
 
         monkeypatch.setattr(leakage, name, too_large)
-        rc, stdout, err = _run(
-            capsys, "profile", "--traces", "40", "--threads", "2", "--out", str(tmp_path / "t")
-        )
+        monkeypatch.setattr(leakage, "_usable_cores", lambda: 2)
+        rc, stdout, err = _run(capsys, "profile", "--traces", "40", "--out", str(tmp_path / "t"))
         assert rc == 2
         assert stdout == ""
         assert err == "error: out of memory: Unable to allocate 72.8 TiB for an array\n"
@@ -725,24 +722,36 @@ class TestParserBasics:
         capsys.readouterr()
         assert rc == 2
 
+    def test_one_parser_parses_each_call_afresh(self, capsys):
+        # The parser is built once per process; no call sees another's flags.
+        assert _build_parser() is _build_parser()
+        assert main(["analyze", "--p-inner", "0.9", "--p-neg", "0.9", "--n", "8"]) == 0
+        first = capsys.readouterr().out
+        assert main(["analyze", "--p-inner", "0.99", "--p-neg", "0.99"]) == 0
+        second = capsys.readouterr().out
+        assert "per-site success inner: 90%" in first and "(n=8)" in first
+        assert "(n=512)" not in first
+        assert "per-site success inner: 99%" in second and "(n=8)" not in second
+        assert "(n=512)" in second and "(n=1024)" in second
+
 
 class TestThreadsAndMetadataErrors:
     @pytest.mark.parametrize("command", ["simulate", "profile"])
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_threads_below_one_rejected(self, capsys, tmp_path, command, threads):
-        rc, _, err = _run(
-            capsys, command, "--threads", threads, "--out", str(tmp_path / "x")
-        )
-        assert rc == 2
-        assert "--threads must be at least 1" in err
+    def test_threads_is_not_a_flag(self, capsys, monkeypatch, tmp_path, command):
+        # Render threads follow the process's CPU affinity; taskset caps them.
+        monkeypatch.chdir(tmp_path)  # a command that ran would write here
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--threads", "2", "--out", "x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
-    def test_outputs_do_not_depend_on_threads(self, tmp_path):
+    def test_outputs_do_not_depend_on_threads(self, monkeypatch, tmp_path):
         blobs = []
-        for threads in ("1", "3"):
+        for threads in (1, 3):
+            monkeypatch.setattr(leakage, "_usable_cores", lambda: threads)
             rc, _ = _quiet(
-                "simulate", "--seed", "8", "--logn", "7", "--threads", threads,
-                "--out", str(tmp_path / f"t{threads}"),
+                "simulate", "--seed", "8", "--logn", "7", "--out", str(tmp_path / f"t{threads}")
             )
             assert rc == 0
             blobs.append([(tmp_path / f"t{threads}{s}").read_bytes() for s in (".trc", ".lbl")])
@@ -755,20 +764,18 @@ class TestThreadsAndMetadataErrors:
          ["--seed", "714", "--samples-per-outer-tail", "7"]],
         ids=["readme", "poi_count_2", "trace_length_430"],
     )
-    def test_profile_outputs_do_not_depend_on_threads(self, tmp_path, extra):
+    def test_profile_outputs_do_not_depend_on_threads(self, monkeypatch, tmp_path, extra):
         runs = []
-        for threads in ("1", "2", "3"):
+        for threads in (1, 2, 3):
             out = str(tmp_path / f"t{threads}")
-            rc, stdout = _quiet(
-                "profile", "--traces", "10000", "--threads", threads,
-                *extra, "--out", out,
-            )
+            monkeypatch.setattr(leakage, "_usable_cores", lambda: threads)
+            rc, stdout = _quiet("profile", "--traces", "10000", *extra, "--out", out)
             assert rc == 0
             blobs = [(tmp_path / f"t{threads}.{name}.tpl").read_bytes() for name in ("inner", "neg")]
             runs.append((stdout.replace(out, "OUT"), blobs))
         assert runs[0] == runs[1] == runs[2]
 
-    def test_profile_beyond_a_blas_split_does_not_depend_on_threads(self, tmp_path):
+    def test_profile_beyond_a_blas_split_does_not_depend_on_threads(self, monkeypatch, tmp_path):
         # At 20,000 traces the correlation products were once big enough
         # for OpenBLAS to split them over its own threads, which moved
         # their last bits with the core count. Now no product is, so the
@@ -781,10 +788,10 @@ class TestThreadsAndMetadataErrors:
             return stdout.replace(out, "OUT"), blobs
 
         runs = []
-        for threads in ("1", "2", "3"):
+        for threads in (1, 2, 3):
             out = str(tmp_path / f"t{threads}")
-            rc, stdout = _quiet("profile", "--traces", "20000", "--threads", threads,
-                                "--out", out)
+            monkeypatch.setattr(leakage, "_usable_cores", lambda: threads)
+            rc, stdout = _quiet("profile", "--traces", "20000", "--out", out)
             assert rc == 0
             runs.append(outputs(out, stdout))
         # The correlations' digest, in this process and in the other.
@@ -794,11 +801,12 @@ class TestThreadsAndMetadataErrors:
             "params, table = sampler.SamplerParams(logn=9), sampler.default_table()\n"
             "layout = leakage.TraceLayout.for_params(params, table, samples_per_outer_tail=7)\n"
             "parts = leakage.profiling_parts(1, params, table, n_traces=20000)\n"
-            "blocks = leakage.render_blocks(parts, leakage.LeakModel(), layout, threads=2)\n"
+            "blocks = leakage.render_blocks(parts, leakage.LeakModel(), layout)\n"
             "corr = cpa.correlation_traces((s for _, s in blocks),\n"
             "                              leakage.profiling_classes(20000))\n"
             "print(hashlib.sha256(corr.tobytes()).hexdigest())\n"
         )
+        monkeypatch.setattr(leakage, "_usable_cores", lambda: 2)
         with contextlib.redirect_stdout(io.StringIO()) as here:
             exec(digest, {})
         code = digest + "import sys\nfrom cdtleak import cli\nsys.exit(cli.main(sys.argv[1:]))\n"

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdtleak import leakage
 from cdtleak.cli import main
 from cdtleak.cpa import correlation_traces, find_poi
 from cdtleak.errors import DomainError, LayoutMismatch
@@ -282,13 +283,14 @@ class TestCorrelationTraces:
         assert got.shape == (2, 0)
 
     @pytest.mark.parametrize("threads", [1, 3])
-    def test_profile_peak_memory_does_not_grow_with_traces(self, tmp_path, threads):
+    def test_profile_peak_memory_does_not_grow_with_traces(self, monkeypatch, tmp_path, threads):
         # The samples stream through the correlation and only the POI
         # columns are rendered again, so 30,000 more traces add only
         # their planted classes, 2 bytes each, to the peak.
+        monkeypatch.setattr(leakage, "_usable_cores", lambda: threads)
+
         def peak(traces):
-            argv = ["profile", "--traces", str(traces), "--threads", str(threads),
-                    "--out", str(tmp_path / "p")]
+            argv = ["profile", "--traces", str(traces), "--out", str(tmp_path / "p")]
             tracemalloc.start()
             try:
                 with contextlib.redirect_stdout(io.StringIO()):

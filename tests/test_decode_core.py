@@ -137,6 +137,16 @@ def campaign(tmp_path_factory):
     return camp, [load_template(f"{tpl}.{point}.tpl") for point in ("inner", "neg")], tpl
 
 
+@pytest.fixture(scope="module")
+def readme_4mv(tmp_path_factory):
+    """The README walkthrough's campaign and templates at the default 4 mV noise."""
+    root = tmp_path_factory.mktemp("readme_4mv")
+    camp, tpl = str(root / "camp"), str(root / "tpl")
+    assert _quiet("simulate", "--seed", "20260819", "--keys", "20", "--out", camp) == 0
+    assert _quiet("profile", "--seed", "714", "--traces", "10000", "--out", tpl) == 0
+    return camp, [load_template(f"{tpl}.{point}.tpl") for point in ("inner", "neg")]
+
+
 def _recover(camp, templates, labels=True, in_memory=False, trc=None):
     """recover_key on the campaign's files, streamed or read whole."""
     trc = trc or camp + ".trc"
@@ -264,6 +274,21 @@ class TestReadAhead:
         self._overflow_in_block(monkeypatch, 4)
         with pytest.raises(TraceFormatError, match=NON_FINITE):
             _recover(camp, templates, trc=_with_nan(camp, tmp_path, 4 * 7 + 6))
+
+    @pytest.mark.parametrize("at_site", [False, True], ids=["no_site", "leak_site"])
+    def test_a_trace_set_sample_is_checked_as_a_read_one_is(self, readme_4mv, at_site):
+        # Not decoded silently, nor blamed on the template: the error a .trc with it gives.
+        camp, templates = readme_4mv
+        traces = traceio.read_trace_set(camp + ".trc")
+        labels = traceio.read_label_set(camp + ".lbl")
+        params, layout, *_ = campaign_from_metadata(traces.metadata)
+        report = recover.recover_key(traces, *templates, layout, params, labels)
+        assert report.coefficients_correct == 20393
+        column = templates[0].pois[0] if at_site else 0
+        assert (column in layout.site_matrix()) == at_site
+        traces.samples[-1, column] = np.nan
+        with pytest.raises(TraceFormatError, match=NON_FINITE):
+            recover.recover_key(traces, *templates, layout, params, labels)
 
     def test_mid_file_label_index_error_exits_2_without_a_report(
         self, monkeypatch, campaign, tmp_path, capsys

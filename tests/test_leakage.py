@@ -262,27 +262,28 @@ class TestCampaign:
             ]
         assert labels.values.tolist() == expected
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic_and_thread_invariant(self, monkeypatch):
         params = SamplerParams(logn=8)
         table = default_table()
         kw = dict(seed=21, params=params, table=table, model=LeakModel())
+        monkeypatch.setattr(leakage, "_usable_cores", lambda: 1)
         a, la = synthesize_campaign(**kw)
         b, lb = synthesize_campaign(**kw)
-        c, _ = synthesize_campaign(**kw, threads=3)
+        monkeypatch.setattr(leakage, "_usable_cores", lambda: 3)
+        c, _ = synthesize_campaign(**kw)
         assert np.array_equal(a.samples, b.samples)
         assert np.array_equal(a.samples, c.samples)
         assert a.metadata == b.metadata == c.metadata
         assert np.array_equal(la.values, lb.values)
 
-    def test_rows_match_scalar_synthesis(self):
+    def test_rows_match_scalar_synthesis(self, monkeypatch):
         params = SamplerParams(logn=7)
         table = default_table()
         model = LeakModel()
         layout = TraceLayout.for_params(params, table)
         seed = 31337
-        traces, _ = synthesize_campaign(
-            seed=seed, params=params, table=table, model=model, threads=2
-        )
+        monkeypatch.setattr(leakage, "_usable_cores", lambda: 2)
+        traces, _ = synthesize_campaign(seed=seed, params=params, table=table, model=model)
         source = WordSource(seed=derive_subseed(seed, 0))
         coefficients = [sample_coefficient(table, params, source) for _ in range(2 * params.n)]
         assert traces.samples.shape[0] == len(coefficients)
@@ -584,12 +585,14 @@ class TestProfilingStream:
     """profiling_parts, rendered by render_blocks, against the gathered set."""
 
     @pytest.mark.parametrize("n_traces", [4, 7, 2048, 5000])
-    def test_blocks_gather_to_the_set_and_classes_match_labels(self, n_traces):
+    def test_blocks_gather_to_the_set_and_classes_match_labels(self, monkeypatch, n_traces):
         params, table = SamplerParams(logn=9), default_table()
         model = LeakModel()
+        monkeypatch.setattr(leakage, "_usable_cores", lambda: 2)
         traces, labels = synthesize_profiling_set(
-            seed=5, params=params, table=table, model=model, n_traces=n_traces, threads=2
+            seed=5, params=params, table=table, model=model, n_traces=n_traces
         )
+        monkeypatch.setattr(leakage, "_usable_cores", lambda: 1)
         layout = TraceLayout.for_params(params, table)
         blocks = list(render_blocks(profiling_parts(5, params, table, n_traces), model, layout))
         assert np.array_equal(np.concatenate([b for _, b in blocks]), traces.samples)
@@ -689,6 +692,8 @@ class TestRenderColumns:
         # 3 rows end inside chunks of 7, and chunks inside the parts.
         monkeypatch.setattr(leakage, "_TILE_SAMPLES", 3 * 10)
         monkeypatch.setattr(leakage, "_CHUNK_SAMPLES", 7 * 10)
+        # One render thread, so the tiles are drawn in row order.
+        monkeypatch.setattr(leakage, "_usable_cores", lambda: 1)
         tiles = []
 
         def counted(seeds, counters):
@@ -741,12 +746,13 @@ class TestRenderColumns:
 class TestCampaignSiteColumns:
     """A campaign streams as its leak-site columns, block by block."""
 
-    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("cores", [1, 2, 3])
     @pytest.mark.parametrize("model", [LeakModel(), LeakModel(beta=-0.0, noise_sigma=0.0)],
                              ids=["default", "beta_minus_zero"])
-    def test_site_blocks_equal_the_whole_render(self, monkeypatch, threads, model):
+    def test_site_blocks_equal_the_whole_render(self, monkeypatch, cores, model):
         params, table = SamplerParams(logn=9), default_table()
         layout = TraceLayout.for_params(params, table)
+        monkeypatch.setattr(leakage, "_usable_cores", lambda: 1)
         traces, labels = synthesize_campaign(9, params, table, model, layout, n_keys=2)
         sites = layout.site_matrix().reshape(-1)
         # Two key blocks of 1,024 rows. The 54 sites use 27 pairs (outer
@@ -755,6 +761,7 @@ class TestCampaignSiteColumns:
         monkeypatch.setattr(leakage, "_KEY_BLOCK_ROWS", 1024)
         monkeypatch.setattr(leakage, "_CHUNK_SAMPLES", 1000)
         monkeypatch.setattr(leakage, "_TILE_SAMPLES", 250)
+        monkeypatch.setattr(leakage, "_usable_cores", lambda: cores)
         tiles = []
 
         def counted(seeds, counters):
@@ -764,7 +771,7 @@ class TestCampaignSiteColumns:
         monkeypatch.setattr(leakage, "words_at", counted)
         row, sizes = 0, []
         parts = campaign_parts(9, params, table, n_keys=2)
-        for part, block in render_blocks(parts, model, layout, threads, columns=sites):
+        for part, block in render_blocks(parts, model, layout, columns=sites):
             n = len(block)
             want = np.ascontiguousarray(traces.samples[row : row + n, sites])
             assert block.dtype == np.float32 and block.tobytes() == want.tobytes(), row

@@ -1,9 +1,10 @@
 """`simulate` streams its campaign into the .trc/.lbl pair.
 
-Keys are sampled a block at a time, rendered in chunks on one thread
-pool and written block by block through staged temp files, so the
-output equals the in-memory campaign byte for byte while the memory
-held does not grow with --keys, and a failure leaves no file behind.
+Keys are sampled a block at a time, rendered in chunks on a pool of a
+thread per usable core and written block by block through staged temp
+files, so the output equals the in-memory campaign byte for byte while
+the memory held does not grow with --keys, and a failure leaves no file
+behind.
 """
 
 import contextlib
@@ -57,16 +58,22 @@ def _flag_values(argv):
 def _in_memory_pair(argv, prefix):
     """synthesize_campaign with write_trace_set/write_label_set: the reference bytes."""
     seed, keys, params, model, layout = _flag_values(argv)
-    traces, labels = synthesize_campaign(
-        seed=seed, params=params, table=default_table(), model=model, layout=layout, n_keys=keys
-    )
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(leakage, "_usable_cores", lambda: 1)
+        traces, labels = synthesize_campaign(
+            seed=seed, params=params, table=default_table(), model=model, layout=layout,
+            n_keys=keys,
+        )
     traceio.write_trace_set(traces, prefix + ".trc")
     traceio.write_label_set(labels, prefix + ".lbl")
     return [Path(prefix + s).read_bytes() for s in (".trc", ".lbl")]
 
 
-def _simulate_pair(argv, prefix, threads):
-    rc, _ = _quiet("simulate", *argv, "--threads", str(threads), "--out", prefix)
+def _simulate_pair(argv, prefix, cores):
+    """simulate's .trc/.lbl bytes, rendered as on `cores` usable cores."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(leakage, "_usable_cores", lambda: cores)
+        rc, _ = _quiet("simulate", *argv, "--out", prefix)
     assert rc == 0
     return [Path(prefix + s).read_bytes() for s in (".trc", ".lbl")]
 
@@ -185,10 +192,10 @@ class TestTilesOnlySplitRows:
         layout = TraceLayout.for_params(params, table)
         width = layout.trace_length
 
-        def profile(workers):
+        def profile(cores):
+            monkeypatch.setattr(leakage, "_usable_cores", lambda: cores)
             return leakage.synthesize_profiling_set(
-                seed, params, table, model, n_traces=n_traces, fire_slot=fire_slot,
-                threads=workers,
+                seed, params, table, model, n_traces=n_traces, fire_slot=fire_slot
             )
 
         self._split(monkeypatch, width, self.CHUNK, self.CHUNK)
@@ -214,7 +221,7 @@ class TestTilesOnlySplitRows:
 
 
 @pytest.mark.parametrize("threads", [1, 3])
-def test_render_draws_at_most_two_chunks_per_thread_ahead(threads):
+def test_render_draws_at_most_two_chunks_per_thread_ahead(monkeypatch, threads):
     """One-row parts make one chunk each, so parts drawn count chunks submitted."""
     params, table = SamplerParams(logn=9), default_table()
     layout = TraceLayout.for_params(params, table)
@@ -230,11 +237,13 @@ def test_render_draws_at_most_two_chunks_per_thread_ahead(threads):
             yield traceio.LabelSet(values[rows], bits[rows]), subseeds[rows]
 
     whole = traceio.LabelSet(values[:40], bits[:40])
+    monkeypatch.setattr(leakage, "_usable_cores", lambda: 1)
     want = np.concatenate(
         [samples for _, samples in leakage.render_blocks([(whole, subseeds)], model, layout)]
     )
     depth = leakage._CHUNKS_PER_THREAD * threads
-    for r, (labels, samples) in enumerate(leakage.render_blocks(parts(), model, layout, threads)):
+    monkeypatch.setattr(leakage, "_usable_cores", lambda: threads)
+    for r, (labels, samples) in enumerate(leakage.render_blocks(parts(), model, layout)):
         assert len(drawn) == min(40, r + depth)
         assert labels.values.tolist() == [values[r]]
         assert samples.tobytes() == want[r : r + 1].tobytes()
@@ -254,10 +263,10 @@ def _write_blocks(path, n_traces, n_samples, blocks):
 
 
 class TestFailureLeavesNothing:
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_overflow_exits_2_and_writes_nothing(self, capsys, tmp_path, threads):
-        rc = main(["simulate", "--beta", "1e39", "--threads", threads,
-                   "--out", str(tmp_path / "camp")])
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_overflow_exits_2_and_writes_nothing(self, monkeypatch, capsys, tmp_path, cores):
+        monkeypatch.setattr(leakage, "_usable_cores", lambda: cores)
+        rc = main(["simulate", "--beta", "1e39", "--out", str(tmp_path / "camp")])
         assert rc == 2
         assert "NaN or infinity" in capsys.readouterr().err
         assert _listing(tmp_path) == []
@@ -367,19 +376,19 @@ class TestTraceCountFitsHeader:
         assert _listing(tmp_path) == []
 
 
-def test_memory_does_not_grow_with_keys(tmp_path):
+def test_memory_does_not_grow_with_keys(monkeypatch, tmp_path):
     """simulate's peak grows by far less than the .trc payload does.
 
     With one render thread, at most three float32 chunks and one block
     of keys are alive at a time, whatever --keys is.
     """
     peaks, payloads = [], []
+    monkeypatch.setattr(leakage, "_usable_cores", lambda: 1)
     for keys in (2, 8):
         camp = str(tmp_path / f"camp{keys}")
         tracemalloc.start()
         try:
-            rc, _ = _quiet("simulate", "--seed", "6", "--keys", str(keys), "--threads", "1",
-                           "--out", camp)
+            rc, _ = _quiet("simulate", "--seed", "6", "--keys", str(keys), "--out", camp)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -390,7 +399,7 @@ def test_memory_does_not_grow_with_keys(tmp_path):
     assert peaks[1] - peaks[0] < 0.1 * (payloads[1] - payloads[0])
 
 
-def test_render_scratch_is_tile_sized():
+def test_render_scratch_is_tile_sized(monkeypatch):
     """Draining two threads' campaign over 4 keys stays under a bound set by the constants.
 
     The bound is each thread's tile scratch (a float64 buffer, uint64
@@ -399,6 +408,7 @@ def test_render_scratch_is_tile_sized():
     Scratch as big as a chunk would exceed it by more than 6 MiB.
     """
     params, table, threads = SamplerParams(logn=9), default_table(), 2
+    monkeypatch.setattr(leakage, "_usable_cores", lambda: threads)
     layout = TraceLayout.for_params(params, table)
     width = layout.trace_length
     assert width % 2 == 0
@@ -413,7 +423,7 @@ def test_render_scratch_is_tile_sized():
     tracemalloc.start()
     try:
         parts = campaign_parts(5, params, table, n_keys=4)
-        blocks = render_blocks(parts, LeakModel(), layout, threads)
+        blocks = render_blocks(parts, LeakModel(), layout)
         rows = sum(len(samples) for _, samples in blocks)
         _, peak = tracemalloc.get_traced_memory()
     finally:
