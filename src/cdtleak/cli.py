@@ -91,9 +91,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_profile(args) -> int:
     tab, params, model, layout = _setup_from(args)
-    k = args.poi_count
-    if not 1 <= k <= layout.trace_length:
-        raise DomainError(f"--poi-count must be in [1, {layout.trace_length}], got {k}")
     parts = leakage.profiling_parts(args.seed, params, tab, args.traces, args.fire_slot)
     blocks = leakage.render_blocks(parts, model, layout)
     # Each point and its column of the site matrix, in the order of the
@@ -104,29 +101,22 @@ def cmd_profile(args) -> int:
     classes = leakage.profiling_classes(args.traces)
     # Each chunk is checked as simulate checks it, before it reaches the moments.
     corrs = cpa.correlation_traces((traceio.check_finite(s) for _, s in blocks), classes)
-    pois = [cpa.find_poi(corr, count=k) for corr in corrs]
+    pois = [cpa.find_poi(corr) for corr in corrs]
     # Only the POI columns are rendered again, from labels drawn afresh:
-    # point i's are columns i*k to i*k + k - 1, and its template is fitted
-    # on them and then keeps their sample indices.
+    # point i's is column i, and its template is fitted on it and then
+    # keeps its sample index.
     parts = leakage.profiling_parts(args.seed, params, tab, args.traces, args.fire_slot)
-    blocks = leakage.render_blocks(parts, model, layout, np.concatenate(pois))
+    blocks = leakage.render_blocks(parts, model, layout, np.array(pois))
     columns = np.concatenate([samples for _, samples in blocks])
-    tpls = [
-        dataclasses.replace(
-            template.build_template(columns[:, i * k : (i + 1) * k], c, range(k)),
-            pois=tuple(int(p) for p in ps),
-        )
-        for i, (c, ps) in enumerate(zip(classes, pois))
-    ]
-    # Refuse, before any file is written, templates attack would refuse.
-    recover.site_map(*tpls, layout)
+    tpls = [dataclasses.replace(template.build_template(columns, c, i), poi=poi)
+            for i, (c, poi) in enumerate(zip(classes, pois))]
     sites = layout.site_matrix()
     for (name, col), corr, tpl in zip(points, corrs, tpls):
         path = f"{args.out}.{name}.tpl"
         template.save_template(tpl, path)
-        print(f"{name} poi: {' '.join(str(int(p)) for p in tpl.pois)}")
+        print(f"{name} poi: {tpl.poi}")
         print(f"{name} expected leak site: {sites[0, col]}")
-        print(f"{name} peak corr: {corr[tpl.pois[0]]:.6f}")
+        print(f"{name} peak corr: {corr[tpl.poi]:.6f}")
         print(f"wrote {path}")
     return 0
 
@@ -168,6 +158,9 @@ def cmd_analyze(args) -> int:
     for point, role in (("inner", "inner"), ("neg", "sign")):
         p = getattr(args, f"p_{point}")
         if p is not None:
+            # Success is 1 - A/2 for an overlap area A in [0, 1].
+            if not 0.5 <= p <= 1.0:
+                raise DomainError(f"--p-{point} must lie in [0.5, 1], got {p!r}")
             sites[point] = (p, 2.0 * (1.0 - p))
         elif args.templates:
             path = f"{args.templates}.{point}.tpl"
@@ -237,7 +230,6 @@ def _build_parser():
     prof.add_argument("--traces", type=int, default=10000, help="profiling traces")
     prof.add_argument("--fire-slot", type=int, default=1,
                       help="inner slot the planted class-1 traces latch at")
-    prof.add_argument("--poi-count", type=int, default=1, help="POIs per attack point")
     prof.add_argument("--out", type=str, required=True, help="template output prefix")
 
     atk = command("attack", cmd_attack, "recover keys from campaign traces")

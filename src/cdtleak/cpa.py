@@ -2,7 +2,7 @@
 
 correlation_traces correlates every trace column against per-trace
 hypotheses (the predicted Hamming weight of a targeted value) in one
-pass over the rows, and find_poi takes the strongest columns as points
+pass over the rows, and find_poi takes the strongest column as the point
 of interest. The pass keeps float64 moments per column and merges them
 tile by tile with the pairwise update of Chan, Golub and LeVeque, the
 one-pass form Schneider and Moradi use for leakage assessment ("Leakage
@@ -123,16 +123,9 @@ def correlation_traces(traces, hypotheses) -> np.ndarray:
     return moments.correlations()
 
 
-def find_poi(correlations, count: int = 1) -> np.ndarray:
-    """Indices of the `count` largest |correlation| values.
-
-    Sorted by descending magnitude; exact ties resolve to the lower
-    index, so results are deterministic.
-    """
+def find_poi(correlations) -> int:
+    """Index of the largest |correlation|; exact ties resolve to the lower index."""
     corr = np.asarray(correlations, dtype=np.float64)
-    if corr.ndim != 1:
-        raise DomainError("correlations must be 1-D")
-    if not 1 <= count <= corr.shape[0]:
-        raise DomainError(f"count must be in [1, {corr.shape[0]}]")
-    order = np.argsort(-np.abs(corr), kind="stable")
-    return order[:count]
+    if corr.ndim != 1 or not corr.size:
+        raise DomainError("correlations must be a non-empty 1-D array")
+    return int(np.argmax(np.abs(corr)))

@@ -37,83 +37,52 @@ REPORT_VERSION = 1
 _BLOCK_ROWS = 1024
 
 
-def _site_columns(template: Template, sites, trace_length: int) -> np.ndarray:
-    """cols[i, j]: sample index of POI i translated to site j, (pois, sites).
-
-    POIs are stored as absolute indices at the profiled site; the first
-    POI is the leak sample itself (the strongest-correlation sample), so
-    re-anchoring is a constant shift. The first POI off the trace, in
-    (site, POI) order, raises.
-    """
-    shifts = np.asarray(template.pois, dtype=np.intp) - template.pois[0]
-    cols = shifts[:, None] + np.asarray(sites, dtype=np.intp)
-    off = cols.T[(cols.T < 0) | (cols.T >= trace_length)]
-    if off.size:
-        raise LayoutMismatch(
-            f"translated POI {off[0]} falls outside trace of length {trace_length}"
-        )
-    return cols
-
-
-def site_map(inner: Template, neg: Template, layout: TraceLayout) -> list[np.ndarray]:
-    """_site_columns of each template at its point's sites; LayoutMismatch names the point."""
-    sites = layout.site_matrix()
-    cols = []
-    for name, tpl, at in (("inner", inner, sites[:, :-1]), ("neg", neg, sites[:, -1])):
-        try:
-            cols.append(_site_columns(tpl, at.reshape(-1), layout.trace_length))
-        except LayoutMismatch as exc:
-            raise LayoutMismatch(f"{name} template: {exc}") from None
-    return cols
-
-
 class _DecodeCore:
     """core(sites, truth or None): a block's values, counts, |margin| sums and bits.
 
-    `columns` holds site_map's columns POI by POI, the inner template's first, and
-    `sites` one C-order (rows, len(c)) array per entry c, for up to `rows` rows. The
-    counts are inner_ones, neg_ones, anomalous, inner_errors and neg_errors, the sums
-    are at the inner and the sign sites, and the bits are in LabelSet.bits order. An
-    outer iteration ORs the slot numbers of its fired inner sites: a float64 product of
-    the fired bits with each slot's binary digits and a 1 counts, exactly, the fired
-    slots that set each digit, and all of them.
+    `columns` holds the sample indices of the inner sites, in layout.site_matrix()
+    order, then those of the sign sites: each template is applied at every site of its
+    attack point, whatever sample its POI records. `sites` holds one C-order
+    (rows, len(c)) array per entry c, for up to `rows` rows. The counts are
+    inner_ones, neg_ones, anomalous, inner_errors and neg_errors, the sums are at the
+    inner and the sign sites, and the bits are in LabelSet.bits order. An outer
+    iteration ORs the slot numbers of its fired inner sites: a float64 product of the
+    fired bits with each slot's binary digits and a 1 counts, exactly, the fired slots
+    that set each digit, and all of them.
     """
 
     def __init__(self, template_inner: Template, template_neg: Template,
                  layout: TraceLayout, rows: int):
         outer, inner = self.outer, self.inner = layout.outer_count, layout.inner_count
-        templates = (template_inner, template_neg)
-        # Per group of columns: template, POI, and (mu, var, log(2 pi var)) of class 1 and 0.
-        self.groups = [(t, i, np.array([(s.mu, s.var, np.log(2.0 * np.pi * s.var))
-                                        for s in (tpl.class1[i], tpl.class0[i])]).T[..., None, None])
-                       for i in range(max(len(tpl.pois) for tpl in templates))
-                       for t, tpl in enumerate(templates) if i < len(tpl.pois)]
-        cols = site_map(*templates, layout)
-        self.columns = [cols[t][i] for t, i, _ in self.groups]
+        # Per template: (mu, var, log(2 pi var)) of class 1 and 0.
+        self.stats = [np.array([(s.mu, s.var, np.log(2.0 * np.pi * s.var))
+                                for s in (tpl.class1, tpl.class0)]).T[..., None, None]
+                      for tpl in (template_inner, template_neg)]
+        sites = layout.site_matrix()
+        self.columns = [sites[:, :-1].reshape(-1), sites[:, -1]]
         digits = inner.bit_length()
         slots = np.arange(1, inner + 1)[:, None]
         self.slot_digits = np.hstack([(slots >> np.arange(digits)) & 1, slots**0]).astype(float)
         self.powers = np.append(2.0 ** np.arange(digits), 0.0)  # the count weighs nothing
         # Reused by every block: memory mapped afresh per block costs page faults.
-        self.work = np.empty((3, rows * outer * inner))
+        self.work = np.empty((2, rows * outer * inner))
 
     def margins(self, sites: list, t: int) -> np.ndarray:
         """Margins at the sites of template t (0 inner, 1 sign): (rows, sites) float64, in work[0].
 
-        A margin is ll(class 1) - ll(class 0), ll = -0.5 * (log(2 pi var) + (x - mu)**2 / var),
-        summed over POIs in POI order; a site is all ones when its margin is positive.
+        A margin is ll(class 1) - ll(class 0), ll = -0.5 * (log(2 pi var) + (x - mu)**2 / var);
+        a site is all ones when its margin is positive.
         """
-        for (g, i, (mu, var, log_term)), x in zip(self.groups, sites):
-            if g == t:  # a first POI works in work[:2], any other in work[1:]
-                d = self.work[int(i > 0) :][:2, : x.size].reshape(2, *x.shape)
-                np.subtract(x, mu, out=d, dtype=np.float64)
-                d **= 2
-                d /= var
-                d += log_term
-                d *= -0.5
-                d[0] -= d[1]
-                out = np.add(out, d[0], out=out) if i else d[0]
-        return out
+        x = sites[t]
+        mu, var, log_term = self.stats[t]
+        d = self.work[:, : x.size].reshape(2, *x.shape)
+        np.subtract(x, mu, out=d, dtype=np.float64)
+        d **= 2
+        d /= var
+        d += log_term
+        d *= -0.5
+        d[0] -= d[1]
+        return d[0]
 
     def __call__(self, sites: list, truth):
         rows, outer, inner = len(sites[0]), self.outer, self.inner
@@ -291,6 +260,8 @@ class RecoveryReport:
                 need(value >= 0, f"{f.name}={value} is negative")
             elif f.name.startswith(("p_", "overlap_")):
                 need(0.0 <= value <= 1.0, f"{f.name}={value!r} is outside [0, 1]")
+            elif f.type == "float":  # a mean |margin|
+                need(0.0 <= value < math.inf, f"{f.name}={value!r} is not finite and non-negative")
             elif "line" in f.metadata:
                 for j, entry in enumerate(value):
                     line = f"key.{j}.{f.metadata['line']}"
@@ -330,8 +301,8 @@ def load_report(path) -> RecoveryReport:
 
 
 def site_success(tpl: Template) -> tuple[float, float]:
-    """Per-site success and overlap area of a template's first POI."""
-    s0, s1 = tpl.class0[0], tpl.class1[0]
+    """Per-site success and overlap area of a template."""
+    s0, s1 = tpl.class0, tpl.class1
     area = gaussian_overlap(s0.mu, s0.var, s1.mu, s1.var)
     return success_from_overlap(area), area
 

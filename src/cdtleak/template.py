@@ -1,11 +1,13 @@
 """Univariate Gaussian templates and the success model built on them.
 
-A template captures, per point of interest, the sample distribution for
-the two values a mask word can take: all zeros or all ones. Because both
-classes are Gaussian at a leaking sample, single-trace classification
-quality is fully described by the overlap of the two densities, and key
-recovery odds follow by raising the per-site success to the number of
-independently classified sites.
+A template captures, at one point of interest (POI), the sample
+distribution for the two values a mask word can take: all zeros or all
+ones. The model is univariate, as in Chari, Rao and Rohatgi's template
+attack: one POI per attack point, the sample of its leak site. Because
+both classes are Gaussian at a leaking sample, single-trace
+classification quality is fully described by the overlap of the two
+densities, and key recovery odds follow by raising the per-site success
+to the number of independently classified sites.
 
 The overlap is computed exactly, as erf/erfc masses between the density
 crossings, with no quadrature.
@@ -44,23 +46,15 @@ class ClassStats:
 
 @dataclass(frozen=True)
 class Template:
-    """Per-POI class statistics for the all-zeros and all-ones classes."""
+    """Class statistics of the all-zeros and all-ones classes at one POI."""
 
-    pois: tuple[int, ...]
-    class0: tuple[ClassStats, ...]
-    class1: tuple[ClassStats, ...]
-
-    def __post_init__(self) -> None:
-        if not self.pois:
-            raise DomainError("template needs at least one POI")
-        if len(set(self.pois)) != len(self.pois):
-            raise DomainError("POIs must be distinct")
-        if len(self.class0) != len(self.pois) or len(self.class1) != len(self.pois):
-            raise DomainError("one ClassStats pair per POI required")
+    poi: int
+    class0: ClassStats
+    class1: ClassStats
 
 
-def build_template(traces, labels, pois) -> Template:
-    """Estimate a template from labeled traces.
+def build_template(traces, labels, poi: int) -> Template:
+    """Estimate a template at sample `poi` from labeled traces.
 
     labels holds the class bit per trace (0: mask was all zeros, 1: all
     ones). Variances are unbiased (ddof 1) and floored at VAR_FLOOR so a
@@ -72,29 +66,18 @@ def build_template(traces, labels, pois) -> Template:
     labels = np.asarray(labels).astype(bool)
     if labels.ndim != 1 or labels.shape[0] != traces.shape[0]:
         raise DomainError("labels must be 1-D, one per trace")
-    pois = tuple(int(p) for p in pois)
-    if not pois:
-        raise DomainError("no POIs given")
-    for p in pois:
-        if not 0 <= p < traces.shape[1]:
-            raise DomainError(f"POI {p} outside trace of length {traces.shape[1]}")
-    cols = traces[:, pois].astype(np.float64)
-    stats: list[tuple[ClassStats, ...]] = []
+    poi = int(poi)
+    if not 0 <= poi < traces.shape[1]:
+        raise DomainError(f"POI {poi} outside trace of length {traces.shape[1]}")
+    column = traces[:, poi].astype(np.float64)
+    stats = []
     for cls in (0, 1):
-        # Column-major, like traces[labels][:, pois]: the order in which
-        # var sums follows the layout, and the .tpl bytes depend on it.
-        rows = np.asfortranarray(cols[labels] if cls else cols[~labels])
+        rows = column[labels] if cls else column[~labels]
         if rows.shape[0] < 2:
             raise DomainError(f"class {cls} has {rows.shape[0]} traces, need at least 2")
-        mu = rows.mean(axis=0)
-        var = np.maximum(rows.var(axis=0, ddof=1), VAR_FLOOR)
-        stats.append(
-            tuple(
-                ClassStats(mu=float(m), var=float(v), count=rows.shape[0])
-                for m, v in zip(mu, var)
-            )
-        )
-    return Template(pois=pois, class0=stats[0], class1=stats[1])
+        var = np.maximum(rows.var(ddof=1), VAR_FLOOR)
+        stats.append(ClassStats(mu=float(rows.mean()), var=float(var), count=rows.shape[0]))
+    return Template(poi=poi, class0=stats[0], class1=stats[1])
 
 
 def _crossing_area(d: float, var_n: float, var_w: float, log_w: float, log_n: float):
@@ -200,11 +183,14 @@ def full_key_success(p_coefficient: float, n: int) -> float:
 
 
 def save_template(template: Template, path) -> None:
-    """Write a template as key=value text with full float precision."""
-    pairs = [("version", "1"), ("pois", CODECS["list[int]"][0](template.pois))]
+    """Write a template as key=value text with full float precision.
+
+    Version 1 names the POI `pois` and suffixes each class field with the
+    POI's position, always 0; a file that lists more than one is refused.
+    """
+    pairs = [("version", "1"), ("pois", CODECS["int"][0](template.poi))]
     for c, stats in enumerate((template.class0, template.class1)):
-        for i, s in enumerate(stats):
-            pairs += encode_fields(s, f"class{c}.{{}}.{i}")
+        pairs += encode_fields(stats, f"class{c}.{{}}.0")
     write_key_values(path, pairs)
 
 
@@ -215,15 +201,9 @@ def load_template(path) -> Template:
     version = entries.pop("version", None)
     if version != "1":
         raise TemplateFormatError(f"unsupported version {version!r}")
-    pois = tuple(pop_field(entries, "pois", "list[int]", TemplateFormatError))
-    class0, class1 = (
-        tuple(decode_fields(ClassStats, entries, TemplateFormatError, f"class{c}.{{}}.{i}")
-              for i in range(len(pois)))
-        for c in (0, 1)
-    )
+    poi = pop_field(entries, "pois", "int", TemplateFormatError)
+    class0, class1 = (decode_fields(ClassStats, entries, TemplateFormatError, f"class{c}.{{}}.0")
+                      for c in (0, 1))
     if entries:
         raise TemplateFormatError(f"unknown keys: {', '.join(sorted(entries))}")
-    try:
-        return Template(pois=pois, class0=class0, class1=class1)
-    except DomainError as exc:
-        raise TemplateFormatError(str(exc)) from None
+    return Template(poi=poi, class0=class0, class1=class1)

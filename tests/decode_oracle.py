@@ -1,11 +1,11 @@
 """The attack's site decoder as it was first written, kept as an oracle.
 
-`column_margins` gathers each POI's columns from whole trace rows with
-one fancy index and sums the classes' log-likelihood differences,
-`log_likelihood` each, into a zeroed array. `decode_margins` thresholds the margins, ORs the slot
-numbers of each outer iteration's fired inner sites with a reduction
-along the slot axis, and counts anomalous iterations as those with more
-than one fired slot. recover's decode core computes the same with other
+`column_margins` gathers the site columns from whole trace rows with one
+fancy index and adds the classes' log-likelihood difference,
+`log_likelihood` each, into a zeroed array. `decode_margins` thresholds
+the margins, ORs the slot numbers of each outer iteration's fired inner
+sites with a reduction along the slot axis, and counts anomalous
+iterations as those with more than one fired slot. recover's decode core computes the same with other
 kernels; tests/test_decode_core.py requires equal results.
 """
 
@@ -24,14 +24,19 @@ def log_likelihood(x, stats):
     return d
 
 
-def column_margins(samples, template, cols):
-    """Margins of every row at the sites of recover._site_columns: (rows, sites) float64."""
-    out = np.zeros((samples.shape[0], cols.shape[1]), dtype=np.float64)
-    for poi_cols, s0, s1 in zip(cols, template.class0, template.class1):
-        x = samples[:, poi_cols].astype(np.float64)
-        ll1 = log_likelihood(x, s1)
-        ll1 -= log_likelihood(x, s0)
-        out += ll1
+def point_sites(layout):
+    """Sample indices of the inner sites, in site_matrix order, and of the sign sites."""
+    sites = layout.site_matrix()
+    return sites[:, :-1].reshape(-1), sites[:, -1]
+
+
+def column_margins(samples, template, sites):
+    """Margins of every row at the sample columns `sites`: (rows, sites) float64."""
+    out = np.zeros((samples.shape[0], len(sites)), dtype=np.float64)
+    x = samples[:, sites].astype(np.float64)
+    ll1 = log_likelihood(x, template.class1)
+    ll1 -= log_likelihood(x, template.class0)
+    out += ll1
     return out
 
 

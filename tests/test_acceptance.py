@@ -205,7 +205,7 @@ def test_criterion_5_cpa_localization():
         (64.0 * labels.neg_bits[:, 0], layout.neg_site_index(0)),
     ):
         corr = correlation_traces(traces.samples, hypothesis[None])[0]
-        assert find_poi(corr, count=1)[0] == site
+        assert find_poi(corr) == site
         assert abs(corr[site]) >= 0.95
     assert time.perf_counter() - started < 60.0
 
@@ -224,7 +224,7 @@ def test_criterion_6_error_rate_calibration():
         )
         stats0 = ClassStats(mu=40.0, var=sigma**2, count=10)
         stats1 = ClassStats(mu=70.0, var=sigma**2, count=10)
-        tpl = Template(pois=(0,), class0=(stats0,), class1=(stats1,))
+        tpl = Template(poi=0, class0=stats0, class1=stats1)
         report = recover_key(traces, tpl, tpl, layout, params, labels=labels)
         sites = report.inner_sites_total + report.neg_sites_total
         assert sites == 3 * 1024 * (2 * 26 + 2)

@@ -24,7 +24,8 @@ from cdtleak import leakage, traceio
 from cdtleak.cli import _build_parser, main
 from cdtleak.recover import load_report
 from cdtleak.sampler import SamplerParams, default_table
-from cdtleak.template import Template, load_template, save_template
+from cdtleak.template import load_template
+from test_template import TWO_POI_TPL
 
 LOW_NOISE = "2.284"
 
@@ -73,8 +74,7 @@ usage: cdtleak profile [-h] [--seed SEED] [--logn LOGN] [--table TABLE]
                        [--samples-per-outer-tail SAMPLES_PER_OUTER_TAIL]
                        [--leak-offset-inner LEAK_OFFSET_INNER]
                        [--leak-offset-neg LEAK_OFFSET_NEG] [--traces TRACES]
-                       [--fire-slot FIRE_SLOT] [--poi-count POI_COUNT] --out
-                       OUT
+                       [--fire-slot FIRE_SLOT] --out OUT
 
 options:
   -h, --help            show this help message and exit
@@ -92,8 +92,6 @@ options:
   --traces TRACES       profiling traces
   --fire-slot FIRE_SLOT
                         inner slot the planted class-1 traces latch at
-  --poi-count POI_COUNT
-                        POIs per attack point
   --out OUT             template output prefix
 """,
     "attack": """\
@@ -287,17 +285,6 @@ class TestOversizedLayout:
 
 
 class TestProfile:
-    def test_refuses_templates_attack_would_refuse(self, capsys, tmp_path):
-        # Inner POIs 3 and 230: at the last inner site, 230 moves to 446.
-        rc, stdout, err = _run(
-            capsys, "profile", "--seed", "714", "--traces", "10000", "--poi-count", "2",
-            "--out", str(tmp_path / "t"),
-        )
-        assert rc == 2
-        assert stdout == ""
-        assert "inner template: translated POI 446 falls outside trace of length 432" in err
-        assert not list(tmp_path.iterdir())
-
     def test_poi_lands_on_leak_site(self, capsys, tmp_path):
         out = str(tmp_path / "t")
         rc, stdout, _ = _run(
@@ -316,8 +303,8 @@ class TestProfile:
             assert peak >= 0.95
         for name, site in (("inner", inner_site), ("neg", neg_site)):
             tpl = load_template(f"{out}.{name}.tpl")
-            assert tpl.pois[0] == site
-            assert tpl.class1[0].mu > tpl.class0[0].mu
+            assert tpl.poi == site
+            assert tpl.class1.mu > tpl.class0.mu
 
     def test_fire_slot_moves_expected_site(self, capsys, tmp_path):
         out = str(tmp_path / "t")
@@ -330,19 +317,6 @@ class TestProfile:
         layout = leakage.TraceLayout.for_params(SamplerParams(logn=9), default_table())
         site = layout.inner_site_index(0, 2)
         assert _line(stdout, "inner poi:") == f"inner poi: {site}"
-
-    def test_poi_count_flag(self, capsys, tmp_path):
-        # POIs after the first are noise picks; at this seed they translate
-        # to every site (inner 3 9 8, neg 211 208 98), so profile writes them.
-        out = str(tmp_path / "t")
-        rc, stdout, _ = _run(
-            capsys,
-            "profile", "--seed", "9753", "--traces", "400", "--poi-count", "3",
-            "--out", out,
-        )
-        assert rc == 0
-        assert len(_line(stdout, "inner poi:").split(":")[1].split()) == 3
-        assert len(load_template(out + ".inner.tpl").pois) == 3
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_non_finite_samples_exit_2_before_any_statistics(
@@ -376,27 +350,19 @@ class TestProfile:
         assert err == "error: out of memory: Unable to allocate 72.8 TiB for an array\n"
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("count", ["0", "433", "-2"])
-    def test_poi_count_outside_the_trace_exits_2_before_rendering(
-        self, capsys, monkeypatch, tmp_path, count
-    ):
-        def no_render(*args, **kwargs):
-            raise AssertionError("a trace was rendered")
-
-        monkeypatch.setattr(leakage, "render_blocks", no_render)
-        rc, stdout, err = _run(
-            capsys, "profile", "--poi-count", count, "--out", str(tmp_path / "t")
-        )
-        assert rc == 2
-        assert stdout == ""
-        assert err == f"error: --poi-count must be in [1, 432], got {count}\n"
-        assert not list(tmp_path.iterdir())
-
     def test_in_is_not_a_flag(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["profile", "--in", str(tmp_path / "prof"), "--out", str(tmp_path / "t")])
         assert exc.value.code == 2
         assert "unrecognized arguments: --in" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_poi_count_is_not_a_flag(self, capsys, tmp_path):
+        # A template holds one POI per attack point.
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--poi-count", "1", "--out", str(tmp_path / "t")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --poi-count 1" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
 
@@ -443,28 +409,22 @@ class TestAttack:
         assert exc.value.code == 2
         assert "the following arguments are required: --templates" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("point, off", [("inner", 435), ("neg", 611)], ids=["inner", "neg"])
-    def test_names_the_template_whose_poi_cannot_translate(
-        self, capsys, pipeline, tmp_path, point, off
-    ):
+    @pytest.mark.parametrize("point", ["inner", "neg"])
+    def test_refuses_a_template_with_two_pois(self, capsys, pipeline, tmp_path, point):
         prefix = str(tmp_path / "tpl")
         for name in ("inner", "neg"):
             shutil.copy(f"{pipeline['tpl']}.{name}.tpl", f"{prefix}.{name}.tpl")
-        # A second POI 400 samples after the first runs off the 432-sample
-        # trace; the first site where it does is named.
-        one = load_template(f"{prefix}.{point}.tpl")
-        two = Template(pois=(one.pois[0], one.pois[0] + 400),
-                       class0=one.class0 * 2, class1=one.class1 * 2)
-        save_template(two, f"{prefix}.{point}.tpl")
+        Path(f"{prefix}.{point}.tpl").write_text(TWO_POI_TPL)
         out = str(tmp_path / "r")
         rc, stdout, err = _run(
             capsys, "attack", "--in", pipeline["camp"], "--templates", prefix, "--out", out
         )
-        assert rc == 2
-        assert stdout == ""
-        message = f"error: {point} template: translated POI {off} falls outside trace of length 432"
-        assert message in err
+        assert (rc, stdout) == (2, "")
+        assert "field 'pois'" in err
         assert not os.path.exists(out + ".report.txt")
+        rc, stdout, err = _run(capsys, "analyze", "--templates", prefix)
+        assert (rc, stdout) == (2, "")
+        assert "field 'pois'" in err
 
     @pytest.mark.parametrize("point", ["inner", "neg"])
     def test_template_point_is_not_a_flag(self, capsys, pipeline, tmp_path, point):
@@ -560,10 +520,15 @@ class TestAnalyze:
         assert rc == 2
         assert "need --p-neg" in err
 
-    def test_rejects_out_of_range_probability(self, capsys):
-        rc, _, err = _run(capsys, "analyze", "--p-inner", "1.5", "--p-neg", "1")
-        assert rc == 2
-        assert "error:" in err
+    # Success is 1 - A/2 with the overlap area A in [0, 1], so it lies in [0.5, 1].
+    @pytest.mark.parametrize(
+        "point, p", [("inner", "1.5"), ("inner", "0.3"), ("neg", "0.2"), ("neg", "nan")]
+    )
+    def test_rejects_out_of_range_probability(self, capsys, point, p):
+        ps = {"inner": "1", "neg": "1", point: p}
+        rc, stdout, err = _run(capsys, "analyze", "--p-inner", ps["inner"], "--p-neg", ps["neg"])
+        assert (rc, stdout) == (2, "")
+        assert err == f"error: --p-{point} must lie in [0.5, 1], got {float(p)!r}\n"
 
     @pytest.mark.parametrize(
         "flag, what", [("--n", "n"), ("--inner", "iteration counts"), ("--outer", "iteration counts")]
@@ -615,6 +580,13 @@ INCONSISTENT_REPORTS = [
     ({"key.0.f": "1,2,3"}, "key.0.f has 3 entries, not n=512"),
     ({"key.0.g_correct": "1"}, "key.0.g_correct has 1 entries, not n=512"),
     ({"key.0.f_correct": "2" + "1" * 511}, "key.0.f_correct has a flag other than 0 or 1"),
+    # A mean of |margin| is finite and not negative.
+    ({"mean_abs_margin_inner": "nan"}, "mean_abs_margin_inner=nan is not finite and non-negative"),
+    ({"mean_abs_margin_inner": "inf"}, "mean_abs_margin_inner=inf is not finite and non-negative"),
+    ({"mean_abs_margin_inner": "-1.0"}, "mean_abs_margin_inner=-1.0 is not finite and non-negative"),
+    ({"mean_abs_margin_neg": "nan"}, "mean_abs_margin_neg=nan is not finite and non-negative"),
+    ({"mean_abs_margin_neg": "inf"}, "mean_abs_margin_neg=inf is not finite and non-negative"),
+    ({"mean_abs_margin_neg": "-1.0"}, "mean_abs_margin_neg=-1.0 is not finite and non-negative"),
 ]
 
 
@@ -757,12 +729,10 @@ class TestThreadsAndMetadataErrors:
             blobs.append([(tmp_path / f"t{threads}{s}").read_bytes() for s in (".trc", ".lbl")])
         assert blobs[0] == blobs[1]
 
-    # Seed 714 with --poi-count 2 gives POIs attack refuses; seed 9's translate.
     @pytest.mark.parametrize(
         "extra",
-        [["--seed", "714"], ["--seed", "9", "--poi-count", "2"],
-         ["--seed", "714", "--samples-per-outer-tail", "7"]],
-        ids=["readme", "poi_count_2", "trace_length_430"],
+        [["--seed", "714"], ["--seed", "714", "--samples-per-outer-tail", "7"]],
+        ids=["readme", "trace_length_430"],
     )
     def test_profile_outputs_do_not_depend_on_threads(self, monkeypatch, tmp_path, extra):
         runs = []

@@ -119,11 +119,8 @@ key.1.g_correct=11
 
 
 def _template():
-    return Template(
-        pois=(3, 5),
-        class0=(ClassStats(40.0, 16.0, 100), ClassStats(39.5, 15.5, 100)),
-        class1=(ClassStats(70.0, 16.25, 90), ClassStats(69.0, 1.0 / 3.0, 90)),
-    )
+    return Template(poi=3, class0=ClassStats(40.0, 16.0, 100),
+                    class1=ClassStats(70.0, 1.0 / 3.0, 90))
 
 
 def _commented(text: str) -> str:
@@ -431,8 +428,8 @@ class TestBadValueNamesItsField:
         "key, value, message",
         [
             ("class0.mu.0", "abc", "could not convert string to float: 'abc'"),
-            ("class1.count.1", "9.5", "invalid literal for int() with base 10: '9.5'"),
-            ("pois", "3,x", "invalid literal for int() with base 10: 'x'"),
+            ("class1.count.0", "9.5", "invalid literal for int() with base 10: '9.5'"),
+            ("pois", "3,x", "invalid literal for int() with base 10: '3,x'"),
         ],
     )
     def test_template(self, tmp_path, key, value, message):

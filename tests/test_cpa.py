@@ -166,7 +166,7 @@ class TestCorrelationTrace:
         layout = TraceLayout.for_params(params, table)
         corr = _one(traces.samples, 64.0 * labels.inner_bits[:, 0, 0])
         site = layout.inner_site_index(0, 1)
-        assert find_poi(corr, count=1)[0] == site
+        assert find_poi(corr) == site
         assert corr[site] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -305,33 +305,26 @@ class TestCorrelationTraces:
 
 class TestFindPoi:
     def test_unique_maximum(self):
-        assert find_poi(np.array([0.1, -0.9, 0.5]), count=1).tolist() == [1]
+        assert find_poi(np.array([0.1, -0.9, 0.5])) == 1
 
     def test_tie_resolves_to_lower_index(self):
         corr = np.zeros(12)
         corr[3] = 0.7
         corr[9] = -0.7
-        assert find_poi(corr, count=2).tolist() == [3, 9]
+        assert find_poi(corr) == 3
 
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(14)
         corr = rng.uniform(-1, 1, size=200)
         corr[17] = corr[3]
         expected = sorted(range(200), key=lambda i: (-abs(corr[i]), i))
-        assert find_poi(corr, count=3).tolist() == expected[:3]
-        assert find_poi(corr, count=200).tolist() == expected
+        assert find_poi(corr) == expected[0]
+        # A tie at the maximum goes to the lower index.
+        corr[199] = -corr[expected[0]]
+        assert find_poi(corr) == expected[0]
 
-    def test_full_count_is_permutation(self):
-        rng = np.random.default_rng(15)
-        corr = rng.uniform(-1, 1, size=64)
-        pois = find_poi(corr, count=64)
-        assert sorted(pois.tolist()) == list(range(64))
-
-    def test_count_validation(self):
-        corr = np.array([0.5, 0.2])
-        with pytest.raises(DomainError):
-            find_poi(corr, count=0)
-        with pytest.raises(DomainError):
-            find_poi(corr, count=3)
-        with pytest.raises(DomainError, match="^correlations must be 1-D$"):
-            find_poi(np.ones((2, 2)), count=1)
+    def test_input_validation(self):
+        with pytest.raises(DomainError, match="^correlations must be a non-empty 1-D array$"):
+            find_poi(np.ones((2, 2)))
+        with pytest.raises(DomainError, match="^correlations must be a non-empty 1-D array$"):
+            find_poi(np.array([]))

@@ -4,8 +4,7 @@ The decode core, recover._DecodeCore, turns a block of site columns into
 bits, values, counts and |margin| sums. It is checked bit for bit
 against the decoder as first written (tests/decode_oracle.py) on random
 site blocks: margins that tie at exactly 0, a -0.0 margin, outer
-iterations where more than one slot fires, a 3-POI template and a
-partial last block.
+iterations where more than one slot fires, and a partial last block.
 
 The source, recover._site_blocks, reads the next block on one worker
 thread while the core decodes this one. These tests require the same
@@ -27,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from decode_oracle import column_margins, decode_margins
+from decode_oracle import column_margins, decode_margins, point_sites
 
 from cdtleak import recover, traceio
 from cdtleak.cli import main
@@ -43,11 +42,9 @@ NON_FINITE = "^trace payload contains NaN or infinity$"
 MARGINS = recover._DecodeCore.margins
 
 
-def _template(pois, mu0=40.0, mu1=56.0, var=16.0):
-    """Equal variances at the first POI, so a sample at (mu0 + mu1) / 2 ties at exactly 0."""
-    class0 = [ClassStats(mu0, var, 100)] + [ClassStats(mu0 + i, var + i, 100) for i in (1, 2)]
-    class1 = [ClassStats(mu1, var, 100)] + [ClassStats(mu1 - i, var + 2 * i, 100) for i in (1, 2)]
-    return Template(pois=tuple(pois), class0=tuple(class0[: len(pois)]), class1=tuple(class1[: len(pois)]))
+def _template(mu0=40.0, mu1=56.0, var=16.0):
+    """Equal variances, so a sample at (mu0 + mu1) / 2 ties at exactly 0."""
+    return Template(poi=5, class0=ClassStats(mu0, var, 100), class1=ClassStats(mu1, var, 100))
 
 
 def _random_block(rng, rows):
@@ -76,11 +73,10 @@ def _assert_same(got, want):
 
 
 class TestDecodeCoreAgainstOracle:
-    @pytest.mark.parametrize("pois", [(5,), (5, 7, 3)], ids=["one_poi", "three_poi"])
     @pytest.mark.parametrize("with_truth", [True, False], ids=["truth", "no_truth"])
-    def test_random_blocks(self, pois, with_truth):
-        ti, tn = _template(pois), _template(pois[:1], mu0=38.0, mu1=60.0)
-        cols = recover.site_map(ti, tn, LAYOUT)
+    def test_random_blocks(self, with_truth):
+        ti, tn = _template(), _template(mu0=38.0, mu1=60.0)
+        cols = point_sites(LAYOUT)
         rng = np.random.default_rng(0xDEC0DE)
         rows = 1027  # one full block of 1,024 rows and a partial one
         samples = _random_block(rng, rows)
@@ -96,8 +92,7 @@ class TestDecodeCoreAgainstOracle:
             ties += np.count_nonzero(inner_m == 0.0)
             anomalous += want[2][2]
         assert anomalous > 0
-        if len(pois) == 1:
-            assert ties > 0
+        assert ties > 0
 
     def test_zero_and_negative_zero_margins_decode_as_zeros(self, monkeypatch):
         # The margins of sample columns are never -0.0, so these are handed to the core.
@@ -114,7 +109,7 @@ class TestDecodeCoreAgainstOracle:
             return out
 
         monkeypatch.setattr(recover._DecodeCore, "margins", margins)
-        t = _template((5,))
+        t = _template()
         truth = _random_truth(rng, rows)
         core = recover._DecodeCore(t, t, LAYOUT, rows)
         got = core([np.zeros((rows, len(c)), np.float32) for c in core.columns], truth)
@@ -165,7 +160,7 @@ def _oracle_fields(camp, templates, block_rows):
     """Report fields by decode_oracle, block after block on one thread; "values" in row order."""
     traces, labels = traceio.read_trace_set(camp + ".trc"), traceio.read_label_set(camp + ".lbl")
     _, layout, *_ = campaign_from_metadata(traces.metadata)
-    cols = recover.site_map(*templates, layout)
+    cols = point_sites(layout)
     outer, inner = layout.outer_count, layout.inner_count
     values, counts, sums = [], np.zeros(5, dtype=np.int64), []
     for lo in range(0, traces.n_traces, block_rows):
@@ -284,7 +279,7 @@ class TestReadAhead:
         params, layout, *_ = campaign_from_metadata(traces.metadata)
         report = recover.recover_key(traces, *templates, layout, params, labels)
         assert report.coefficients_correct == 20393
-        column = templates[0].pois[0] if at_site else 0
+        column = templates[0].poi if at_site else 0
         assert (column in layout.site_matrix()) == at_site
         traces.samples[-1, column] = np.nan
         with pytest.raises(TraceFormatError, match=NON_FINITE):

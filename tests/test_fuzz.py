@@ -85,9 +85,9 @@ def valid(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     params, table = SamplerParams(logn=3), default_table()
     traces, labels = leakage.synthesize_campaign(3, params, table, leakage.LeakModel())
-    stats = (ClassStats(mu=40.0, var=16.0, count=50),)
-    inner = Template(pois=(3,), class0=stats, class1=(ClassStats(mu=70.0, var=16.0, count=50),))
-    neg = Template(pois=(211,), class0=stats, class1=inner.class1)
+    stats = ClassStats(mu=40.0, var=16.0, count=50)
+    inner = Template(poi=3, class0=stats, class1=ClassStats(mu=70.0, var=16.0, count=50))
+    neg = Template(poi=211, class0=stats, class1=inner.class1)
     layout = leakage.TraceLayout.for_params(params, table)
     save_report(recover_key(traces, inner, neg, layout, params, labels), root / "r.txt")
     save_template(inner, root / "t.tpl")

@@ -531,7 +531,7 @@ class TestProfilingSet:
         traces, labels, layout, _ = profiling_10k
         hypothesis = 64.0 * labels.inner_bits[:, 0, 0]
         corr = correlation_traces(traces.samples, hypothesis[None])[0]
-        assert find_poi(corr, count=1)[0] == layout.inner_site_index(0, 1)
+        assert find_poi(corr) == layout.inner_site_index(0, 1)
         assert abs(corr[layout.inner_site_index(0, 1)]) >= 0.95
         leak_sites = set(layout.site_matrix().reshape(-1).tolist())
         quiet = np.array(
@@ -552,7 +552,7 @@ class TestProfilingSet:
         assert not labels.inner_bits[:, 0, 0].any()
         hypothesis = 64.0 * labels.inner_bits[:, 0, 1]
         corr = correlation_traces(traces.samples, hypothesis[None])[0]
-        assert find_poi(corr, count=1)[0] == layout.inner_site_index(0, 2)
+        assert find_poi(corr) == layout.inner_site_index(0, 2)
 
     def test_rejects_tiny_and_mismatched(self):
         params = SamplerParams(logn=10)

@@ -2,22 +2,36 @@
 
 Every `cdtleak ...` line of the README's `sh` blocks runs through
 `cli.main`, in order, in one temporary directory. It must exit 0, and
-its stdout must equal the `# ` lines that follow it, byte for byte.
+its stdout must equal the `# ` lines that follow it, byte for byte. The
+files it writes must have the pinned SHA-256 digests.
 """
 
 import contextlib
+import hashlib
 import io
 import os
 import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
+from test_batch import GOLDEN_NUMPY
 
 from cdtleak.cli import _fmt_pct, main
 from cdtleak.recover import load_report
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+# SHA-256 of each file the walkthrough writes, recorded with numpy
+# GOLDEN_NUMPY, like test_batch's digests.
+WALKTHROUGH_SHA256 = {
+    "camp.trc": "ed66e3d7c23ca995ddbac7e325dcf39da0d7a0f17a3243f62353f7ba67198f40",
+    "camp.lbl": "9ad960e9e4e248b02f92bdb778b3c5d9fb5efd4f20a74183cbb7398893e56c94",
+    "tpl.inner.tpl": "058f2d8dcd56d17350b8514ae690ffbd4805545abe2ddb699d303bd33bff88de",
+    "tpl.neg.tpl": "6248711b71b5eb68e428855a80ef24f588f6ac45057760713df794178e54f785",
+    "camp.report.txt": "59784526f5dccb097d2bb4aa316a6965408839f185df4d466d57f33fa18c83dd",
+}
 
 
 def _steps():
@@ -76,3 +90,13 @@ def test_analyze_agrees_with_the_attack_report(walkthrough):
     assert f"per-site success neg: {_fmt_pct(report.p_site_neg)}" in lines
     assert f"per-coefficient success: {_fmt_pct(report.p_coefficient)}" in lines
     assert f"full-key success (n=512): {_fmt_pct(report.p_full_key)}" in lines
+
+
+@pytest.mark.skipif(
+    np.__version__ != GOLDEN_NUMPY, reason=f"digests recorded with numpy {GOLDEN_NUMPY}"
+)
+def test_files_have_the_pinned_bytes(walkthrough):
+    root, _ = walkthrough
+    assert sorted(p.name for p in root.iterdir()) == sorted(WALKTHROUGH_SHA256)
+    for name, digest in WALKTHROUGH_SHA256.items():
+        assert hashlib.sha256((root / name).read_bytes()).hexdigest() == digest, name

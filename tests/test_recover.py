@@ -23,7 +23,6 @@ from cdtleak.leakage import (
 )
 from cdtleak.recover import (
     RecoveryReport,
-    _site_columns,
     load_report,
     recover_key,
     save_report,
@@ -63,7 +62,7 @@ def _exact_templates(model: LeakModel, poi: int = 0):
     var = max(model.noise_sigma**2, 1e-12)
     lo = ClassStats(mu=model.beta, var=var, count=10)
     hi = ClassStats(mu=model.beta + 64 * model.alpha, var=var, count=10)
-    t = Template(pois=(poi,), class0=(lo,), class1=(hi,))
+    t = Template(poi=poi, class0=lo, class1=hi)
     return t, t
 
 
@@ -180,33 +179,6 @@ class TestReconstructCoefficient:
         assert report.anomalous_outer_iterations == 0
 
 
-def _plain_template(pois):
-    return Template(
-        pois=pois,
-        class0=tuple(ClassStats(0.0, 1.0, 2) for _ in pois),
-        class1=tuple(ClassStats(1.0, 1.0, 2) for _ in pois),
-    )
-
-
-class TestSitePois:
-    def test_translation_is_anchor_relative(self):
-        cols = _site_columns(_plain_template((10, 8, 13)), [50, 10], 100)
-        assert cols[:, 0].tolist() == [50, 48, 53]
-        assert cols[:, 1].tolist() == [10, 8, 13]
-
-    def test_out_of_range(self):
-        t = _plain_template((5, 6))
-        with pytest.raises(LayoutMismatch):
-            _site_columns(t, [99], 100)
-        with pytest.raises(LayoutMismatch):
-            _site_columns(t, [-1], 100)
-        # Site 1 puts its third POI at -1 and site 98 its second at 100:
-        # the first off the trace in (site, POI) order is named.
-        message = r"^translated POI -1 falls outside trace of length 100$"
-        with pytest.raises(LayoutMismatch, match=message):
-            _site_columns(_plain_template((5, 7, 3)), [1, 98], 100)
-
-
 class TestNoiselessRecovery:
     @pytest.mark.parametrize("seed", range(30))
     def test_small_table_campaign(self, seed):
@@ -254,10 +226,10 @@ class TestNoiselessRecovery:
         layout = TraceLayout.for_params(params, table)
         site = layout.inner_site_index(0, 1)
         ti = build_template(
-            prof_traces.samples, prof_labels.inner_bits[:, 0, 0], [site]
+            prof_traces.samples, prof_labels.inner_bits[:, 0, 0], site
         )
         tn = build_template(
-            prof_traces.samples, prof_labels.neg_bits[:, 0], [layout.neg_site_index(0)]
+            prof_traces.samples, prof_labels.neg_bits[:, 0], layout.neg_site_index(0)
         )
         traces, labels = synthesize_campaign(
             seed=51, params=params, table=table, model=model

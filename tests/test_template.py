@@ -45,10 +45,29 @@ from cdtleak.traceio import TraceSet
 
 def _two_class_template(mu0=40.0, mu1=70.0, var=16.0, poi=0):
     return Template(
-        pois=(poi,),
-        class0=(ClassStats(mu=mu0, var=var, count=100),),
-        class1=(ClassStats(mu=mu1, var=var, count=100),),
+        poi=poi,
+        class0=ClassStats(mu=mu0, var=var, count=100),
+        class1=ClassStats(mu=mu1, var=var, count=100),
     )
+
+
+# A template file that lists two POIs, with class fields for each.
+TWO_POI_TPL = """\
+version=1
+pois=3,403
+class0.mu.0=40.0
+class0.var.0=16.0
+class0.count.0=5000
+class0.mu.1=40.0
+class0.var.1=16.0
+class0.count.1=5000
+class1.mu.0=70.0
+class1.var.0=16.0
+class1.count.0=5000
+class1.mu.1=40.0
+class1.var.1=16.0
+class1.count.1=5000
+"""
 
 
 class TestClassStats:
@@ -66,33 +85,17 @@ class TestClassStats:
             ClassStats(mu=0.0, var=1.0, count=-1)
 
 
-class TestTemplateConstruction:
-    def test_needs_pois(self):
-        with pytest.raises(DomainError, match="^template needs at least one POI$"):
-            Template(pois=(), class0=(), class1=())
-
-    def test_rejects_duplicate_pois(self):
-        s = ClassStats(mu=0.0, var=1.0, count=2)
-        with pytest.raises(DomainError):
-            Template(pois=(1, 1), class0=(s, s), class1=(s, s))
-
-    def test_rejects_mismatched_stats(self):
-        s = ClassStats(mu=0.0, var=1.0, count=2)
-        with pytest.raises(DomainError):
-            Template(pois=(1, 2), class0=(s,), class1=(s, s))
-
-
 class TestBuildTemplate:
     def test_noiseless_class_hits_variance_floor(self):
         traces = np.array([[40.0], [40.0], [70.0], [70.0]])
         labels = np.array([0, 0, 1, 1], dtype=bool)
-        t = build_template(traces, labels, pois=[0])
-        assert t.class0[0].mu == 40.0
-        assert t.class1[0].mu == 70.0
-        assert t.class0[0].var == VAR_FLOOR
-        assert t.class1[0].var == VAR_FLOOR
-        assert t.class0[0].count == 2
-        assert t.class1[0].count == 2
+        t = build_template(traces, labels, 0)
+        assert t.class0.mu == 40.0
+        assert t.class1.mu == 70.0
+        assert t.class0.var == VAR_FLOOR
+        assert t.class1.var == VAR_FLOOR
+        assert t.class0.count == 2
+        assert t.class1.count == 2
 
     def test_estimates_converge(self):
         n = 10_000
@@ -101,43 +104,43 @@ class TestBuildTemplate:
         g1 = 0.070 + sigma * gaussian_block(102, n)
         traces = np.concatenate([g0, g1])[:, None]
         labels = np.concatenate([np.zeros(n, bool), np.ones(n, bool)])
-        t = build_template(traces, labels, pois=[0])
+        t = build_template(traces, labels, 0)
         mu_tol = 4 * sigma / math.sqrt(n)
-        assert abs(t.class0[0].mu - 0.040) < mu_tol
-        assert abs(t.class1[0].mu - 0.070) < mu_tol
+        assert abs(t.class0.mu - 0.040) < mu_tol
+        assert abs(t.class1.mu - 0.070) < mu_tol
         # Variance of the sample variance is 2 sigma^4 / (n - 1).
         var_tol = 4 * sigma**2 * math.sqrt(2.0 / (n - 1))
-        assert abs(t.class0[0].var - sigma**2) < var_tol
-        assert abs(t.class1[0].var - sigma**2) < var_tol
-        assert t.class0[0].count == n
+        assert abs(t.class0.var - sigma**2) < var_tol
+        assert abs(t.class1.var - sigma**2) < var_tol
+        assert t.class0.count == n
 
-    def test_multi_poi_column_selection(self):
+    def test_poi_column_selection(self):
         rng = np.random.default_rng(44)
         traces = rng.normal(size=(64, 10))
         traces[:32, 7] += 5.0
         labels = np.arange(64) >= 32
-        t = build_template(traces, labels, pois=[7, 2])
-        assert t.pois == (7, 2)
-        assert t.class0[0].mu - t.class1[0].mu == pytest.approx(5.0, abs=1.0)
+        t = build_template(traces, labels, 7)
+        assert t.poi == 7
+        assert t.class0.mu - t.class1.mu == pytest.approx(5.0, abs=1.0)
 
     def test_error_paths(self):
         traces = np.zeros((4, 3))
         with pytest.raises(DomainError, match="^class 1 has 0 traces, need at least 2$"):
-            build_template(traces, [0, 0, 0, 0], pois=[0])
+            build_template(traces, [0, 0, 0, 0], 0)
         with pytest.raises(DomainError, match="^class 1 has 1 traces, need at least 2$"):
-            build_template(traces, [0, 0, 0, 1], pois=[0])
-        with pytest.raises(DomainError, match="^no POIs given$"):
-            build_template(traces, [0, 0, 1, 1], pois=[])
+            build_template(traces, [0, 0, 0, 1], 0)
+        with pytest.raises(DomainError, match="^POI -1 outside trace of length 3$"):
+            build_template(traces, [0, 0, 1, 1], -1)
         with pytest.raises(DomainError):
-            build_template(traces, [0, 0, 1, 1], pois=[3])
+            build_template(traces, [0, 0, 1, 1], 3)
         with pytest.raises(DomainError):
-            build_template(np.zeros(4), [0, 0, 1, 1], pois=[0])
+            build_template(np.zeros(4), [0, 0, 1, 1], 0)
         with pytest.raises(DomainError):
-            build_template(traces, [[0, 0], [1, 1]], pois=[0])
+            build_template(traces, [[0, 0], [1, 1]], 0)
 
 
 def _margins(rows, template):
-    """Attack margins of each row at the template's own POIs: (rows,) float64.
+    """Attack margins of each row at the inner site, sample 0: (rows,) float64.
 
     The rows go in front of a one-site layout whose inner site is sample 0.
     """
@@ -167,7 +170,7 @@ class TestClassify:
     def test_exact_tie_goes_to_class_zero(self):
         t = _two_class_template(mu0=40.0, mu1=70.0)
         x = np.array([55.0])
-        assert _log_likelihood(x, t.class0[0]) == _log_likelihood(x, t.class1[0])
+        assert _log_likelihood(x, t.class0) == _log_likelihood(x, t.class1)
         assert _margins([55.0], t)[0] == 0.0
         assert _decision([55.0], t) == 0
         # recover_key applies the same rule: every site at the midpoint is a 0.
@@ -186,27 +189,11 @@ class TestClassify:
     def test_loglikelihood_values(self):
         t = _two_class_template(mu0=0.0, mu1=1.0, var=1.0)
         x = np.array([0.0])
-        ll0 = _log_likelihood(x, t.class0[0])[0]
-        ll1 = _log_likelihood(x, t.class1[0])[0]
+        ll0 = _log_likelihood(x, t.class0)[0]
+        ll1 = _log_likelihood(x, t.class1)[0]
         assert ll0 == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
         assert ll1 == pytest.approx(-0.5 * math.log(2 * math.pi) - 0.5, abs=1e-12)
         assert _margins([0.0], t)[0] == pytest.approx(-0.5, abs=1e-12)
-
-    def test_multi_poi_sums_evidence(self):
-        t = Template(
-            pois=(0, 2),
-            class0=(ClassStats(0.0, 1.0, 5), ClassStats(0.0, 1.0, 5)),
-            class1=(ClassStats(2.0, 1.0, 5), ClassStats(2.0, 1.0, 5)),
-        )
-        # One POI says class 1 weakly, the other says class 0 strongly.
-        trace = [1.2, 9.0, 0.1]
-        assert _decision(trace, t) == 0
-        per_poi = [
-            (_log_likelihood(x, s1) - _log_likelihood(x, s0))[0]
-            for x, s0, s1 in zip((np.array([trace[p]]) for p in t.pois), t.class0, t.class1)
-        ]
-        assert per_poi[0] > 0.0 > per_poi[1]
-        assert _margins(trace, t)[0] == pytest.approx(sum(per_poi), rel=1e-15)
 
     def test_ml_rule_equals_midpoint_threshold_in_bulk(self):
         # With equal variances the likelihood decision is a midpoint
@@ -496,20 +483,21 @@ class TestSuccessModel:
 
 class TestTemplateFiles:
     def test_round_trip_is_exact(self, tmp_path):
-        t = Template(
-            pois=(17, 3),
-            class0=(
-                ClassStats(mu=40.125, var=16.0, count=5000),
-                ClassStats(mu=0.1, var=VAR_FLOOR, count=2),
-            ),
-            class1=(
-                ClassStats(mu=70.0 / 3.0, var=2.0 / 7.0, count=5000),
-                ClassStats(mu=-1.5e-8, var=0.0625, count=2),
-            ),
-        )
+        for t in (
+            Template(poi=17, class0=ClassStats(mu=40.125, var=16.0, count=5000),
+                     class1=ClassStats(mu=70.0 / 3.0, var=2.0 / 7.0, count=5000)),
+            Template(poi=3, class0=ClassStats(mu=0.1, var=VAR_FLOOR, count=2),
+                     class1=ClassStats(mu=-1.5e-8, var=0.0625, count=2)),
+        ):
+            path = tmp_path / "t.tpl"
+            save_template(t, path)
+            assert load_template(path) == t
+
+    def test_two_pois_refused(self, tmp_path):
         path = tmp_path / "t.tpl"
-        save_template(t, path)
-        assert load_template(path) == t
+        path.write_text(TWO_POI_TPL)
+        with pytest.raises(TemplateFormatError, match="^field 'pois': invalid literal for int"):
+            load_template(path)
 
     def test_comment_refused_blank_lines_skipped(self, tmp_path):
         t = _two_class_template()
