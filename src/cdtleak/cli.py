@@ -91,13 +91,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_profile(args) -> int:
     tab, params, model, layout = _setup_from(args)
-    parts = leakage.profiling_parts(args.seed, params, tab, args.traces, args.fire_slot)
+    parts = leakage.profiling_parts(args.seed, params, tab, args.traces)
     blocks = leakage.render_blocks(parts, model, layout)
     # Each point and its column of the site matrix, in the order of the
-    # planted classes. The class bits are the hypotheses: a correlation
-    # does not change with the scale of one, so they stand for the
-    # weights 0 and 64.
-    points = (("inner", args.fire_slot - 1), ("neg", -1))
+    # planted classes: the inner class latches at slot 1. The class bits
+    # are the hypotheses: a correlation does not change with the scale
+    # of one, so they stand for the weights 0 and 64.
+    points = (("inner", 0), ("neg", -1))
     classes = leakage.profiling_classes(args.traces)
     # Each chunk is checked as simulate checks it, before it reaches the moments.
     corrs = cpa.correlation_traces((traceio.check_finite(s) for _, s in blocks), classes)
@@ -105,15 +105,18 @@ def cmd_profile(args) -> int:
     # Only the POI columns are rendered again, from labels drawn afresh:
     # point i's is column i, and its template is fitted on it and then
     # keeps its sample index.
-    parts = leakage.profiling_parts(args.seed, params, tab, args.traces, args.fire_slot)
+    parts = leakage.profiling_parts(args.seed, params, tab, args.traces)
     blocks = leakage.render_blocks(parts, model, layout, np.array(pois))
     columns = np.concatenate([samples for _, samples in blocks])
     tpls = [dataclasses.replace(template.build_template(columns, c, i), poi=poi)
             for i, (c, poi) in enumerate(zip(classes, pois))]
+    paths = [f"{args.out}.{name}.tpl" for name, _ in points]
+    # Both files are renamed into place together, or neither is.
+    with traceio.staged_files(*paths) as handles:
+        for fh, tpl in zip(handles, tpls):
+            fh.write(template.encode_template(tpl))
     sites = layout.site_matrix()
-    for (name, col), corr, tpl in zip(points, corrs, tpls):
-        path = f"{args.out}.{name}.tpl"
-        template.save_template(tpl, path)
+    for (name, col), corr, tpl, path in zip(points, corrs, tpls, paths):
         print(f"{name} poi: {tpl.poi}")
         print(f"{name} expected leak site: {sites[0, col]}")
         print(f"{name} peak corr: {corr[tpl.poi]:.6f}")
@@ -228,8 +231,6 @@ def _build_parser():
     _add_common(prof)
     _add_model_flags(prof)
     prof.add_argument("--traces", type=int, default=10000, help="profiling traces")
-    prof.add_argument("--fire-slot", type=int, default=1,
-                      help="inner slot the planted class-1 traces latch at")
     prof.add_argument("--out", type=str, required=True, help="template output prefix")
 
     atk = command("attack", cmd_attack, "recover keys from campaign traces")

@@ -371,19 +371,26 @@ def campaign_from_metadata(
 ) -> tuple[SamplerParams, TraceLayout, LeakModel, int]:
     """The setup and n_keys campaign_metadata wrote, from a campaign's trace file.
 
-    Another kind, a missing or malformed field, a value its dataclass
-    rejects, an outer_count that logn does not give, or an n_keys below 1
-    raises TraceFormatError.
+    Another kind, a missing or malformed field, a seed that is not 64-bit,
+    a value its dataclass rejects, an outer_count that logn does not give,
+    an n_keys below 1, or a key campaign_metadata does not write raises
+    TraceFormatError.
     """
-    if md.get("kind") != "campaign":
+    # Each field read is popped, so what is left is unknown.
+    values = dict(md)
+    kind = values.pop("kind", None)
+    if kind != "campaign":
         raise TraceFormatError(
-            f"input traces are not a key-generation campaign (metadata kind {md.get('kind')!r})"
+            f"input traces are not a key-generation campaign (metadata kind {kind!r})"
         )
 
     def error(message: str) -> TraceFormatError:
         return TraceFormatError(f"campaign metadata: {message}")
 
-    values = dict(md)
+    try:
+        checked_seed(traceio.pop_field(values, "seed", "int", error))
+    except DomainError as exc:
+        raise error(str(exc)) from None
     params, layout, model = (
         traceio.decode_fields(cls, values, error) for cls in (SamplerParams, TraceLayout, LeakModel)
     )
@@ -392,6 +399,8 @@ def campaign_from_metadata(
     n_keys = traceio.pop_field(values, "n_keys", "int", error)
     if n_keys < 1:
         raise error(f"n_keys={n_keys} is not positive")
+    if values:
+        raise error(f"unknown keys: {', '.join(sorted(values))}")
     return params, layout, model, n_keys
 
 
@@ -444,29 +453,15 @@ def synthesize_campaign(
     return traceio.TraceSet(samples=samples, metadata=md), labels
 
 
-def _fire_range(table: GaussCdtTable, fire_slot: int) -> tuple[int, int]:
-    """The second draws [lo, hi) that latch at fire_slot; checks that both planted paths exist."""
-    entries = table.entries
-    if not 1 <= fire_slot <= table.inner_count:
-        raise DomainError("fire_slot out of range")
-    hi = MASK63 + 1 if fire_slot == 1 else entries[fire_slot - 1]
-    lo = entries[fire_slot]
-    if hi <= lo:
-        raise DomainError(f"slot {fire_slot} cannot fire: empty threshold range")
-    if entries[0] == 0:
-        raise DomainError("table gives zero probability to magnitude 0")
-    return lo, hi
-
-
 def profiling_classes(n_traces: int, start: int = 0, stop: int | None = None) -> np.ndarray:
     """The classes a profiling campaign plants, (2, rows) bool, for traces start to stop - 1.
 
-    Row 0 is the inner class: trace i latches at the fire slot in its
+    Row 0 is the inner class: trace i latches at inner slot 1 in its
     first outer iteration when i < n_traces // 2, and takes the zero
     branch otherwise. Row 1 is the sign class, i & 1. The labels of the
-    planted traces hold the same bits: bits[:, 0, fire_slot - 1] and
-    bits[:, 0, -1]. By default the rows cover all n_traces traces. Both
-    rows are set by slices, so the result is all that is allocated.
+    planted traces hold the same bits: bits[:, 0, 0] and bits[:, 0, -1].
+    By default the rows cover all n_traces traces. Both rows are set by
+    slices, so the result is all that is allocated.
     """
     classes = np.zeros((2, max(0, (n_traces if stop is None else stop) - start)), dtype=bool)
     classes[0, : max(0, n_traces // 2 - start)] = True
@@ -474,34 +469,29 @@ def profiling_classes(n_traces: int, start: int = 0, stop: int | None = None) ->
     return classes
 
 
-def _plant_first_iteration(
-    table: GaussCdtTable, fire: tuple[int, int], stream: np.ndarray, classes: np.ndarray
-) -> None:
+def _plant_first_iteration(table: GaussCdtTable, stream: np.ndarray, classes: np.ndarray) -> None:
     """Plant the first outer iteration of each trace, in place.
 
     Row i of `stream` is the plant stream of the trace whose classes are
     column i of `classes`, as profiling_classes gives them. Its columns 0
     and 1 are replaced by the planted first-iteration words: a class-1
-    trace latches at the slot whose second draws _fire_range gives as
-    `fire`, a class-0 trace takes the zero branch, and the sign bit is
-    the sign class: each drawn word is reduced into the range that takes
-    that path. The columns after them feed the unscripted iterations
+    trace latches at inner slot 1, whose second draws are [entries[1],
+    2^63), a class-0 trace takes the zero branch, and the sign bit is the
+    sign class: each drawn word is reduced into the range that takes that
+    path. The columns after them feed the unscripted iterations
     unchanged. Its scalar oracle is in tests/scripted.py: it crafts one
     trace's pair from the same two words.
     """
-    zero_top = np.uint64(table.entries[0])
-    lo, hi = (np.uint64(v) for v in fire)
+    zero_top, lo = (np.uint64(v) for v in table.entries[:2])
+    top = np.uint64(MASK63 + 1)
     latch, sign = classes
     first, second = stream[:, 0], stream[:, 1]
-    first[...] = np.where(latch, zero_top + first % (np.uint64(MASK63 + 1) - zero_top),
-                          first % zero_top)
+    first[...] = np.where(latch, zero_top + first % (top - zero_top), first % zero_top)
     first |= sign.astype(np.uint64) << np.uint64(63)
-    second[...] = np.where(latch, lo + second % (hi - lo), second & np.uint64(MASK63))
+    second[...] = np.where(latch, lo + second % (top - lo), second & np.uint64(MASK63))
 
 
-def profiling_parts(
-    seed: int, params: SamplerParams, table: GaussCdtTable, n_traces: int = 10000, fire_slot: int = 1
-):
+def profiling_parts(seed: int, params: SamplerParams, table: GaussCdtTable, n_traces: int = 10000):
     """synthesize_profiling_set's labels and noise sub-seeds, as (labels, subseeds) blocks.
 
     Every argument is checked here. The returned iterator draws the rows
@@ -514,14 +504,15 @@ def profiling_parts(
     if n_traces < 4:
         raise DomainError("n_traces must be at least 4")
     seed = checked_seed(seed)
-    fire = _fire_range(table, fire_slot)
+    if table.entries[0] == 0:
+        raise DomainError("table gives zero probability to magnitude 0")
 
     def parts():
         for lo in range(0, n_traces, _KEY_BLOCK_ROWS):
             count = min(_KEY_BLOCK_ROWS, n_traces - lo)
             stream = words(words([seed], lo, count)[0], 0, 2 * params.outer_count)
             classes = profiling_classes(n_traces, lo, lo + count)
-            _plant_first_iteration(table, fire, stream, classes)
+            _plant_first_iteration(table, stream, classes)
             draws = stream.reshape(count, params.outer_count, 2)
             yield traceio.LabelSet(*scan_words(table, draws)), words([seed], n_traces + lo, count)[0]
 
@@ -535,23 +526,22 @@ def synthesize_profiling_set(
     model: LeakModel,
     layout: TraceLayout | None = None,
     n_traces: int = 10000,
-    fire_slot: int = 1,
 ) -> tuple[traceio.TraceSet, traceio.LabelSet]:
     """Simulate a profiling campaign with planted classes.
 
     The first outer iteration of every trace is steered through scripted
-    input words: the first half of the traces latches at `fire_slot`
+    input words: the first half of the traces latches at inner slot 1
     (mask all ones there), the second half takes the zero branch (no
     inner mask fires); the sign bit alternates trace by trace. The two
     plantings are exactly balanced and mutually orthogonal when n_traces
     is a multiple of 4. Remaining outer iterations run unscripted.
 
     Class labels are recoverable from the returned LabelSet: the inner
-    class of trace i is bits[i, 0, fire_slot - 1], the sign class is
-    bits[i, 0, -1]. The returned TraceSet carries no metadata. It is
-    render_blocks over profiling_parts, gathered into one matrix.
+    class of trace i is bits[i, 0, 0], the sign class is bits[i, 0, -1].
+    The returned TraceSet carries no metadata. It is render_blocks over
+    profiling_parts, gathered into one matrix.
     """
-    parts = profiling_parts(seed, params, table, n_traces, fire_slot)
+    parts = profiling_parts(seed, params, table, n_traces)
     layout = TraceLayout.for_params(params, table) if layout is None else layout
     samples, labels = _gathered(parts, model, layout, n_traces)
     return traceio.TraceSet(samples), labels

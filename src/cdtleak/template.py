@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, TemplateFormatError
-from .traceio import (CODECS, decode_fields, encode_fields, pop_field, read_key_values,
-                      write_key_values)
+from .traceio import (CODECS, decode_fields, encode_fields, encode_key_values, pop_field,
+                      read_key_values)
 
 VAR_FLOOR = 1e-12
 
@@ -182,8 +182,8 @@ def full_key_success(p_coefficient: float, n: int) -> float:
         raise DomainError("n too large for a float exponent") from None
 
 
-def save_template(template: Template, path) -> None:
-    """Write a template as key=value text with full float precision.
+def encode_template(template: Template) -> bytes:
+    """A template's file bytes: key=value text with full float precision.
 
     Version 1 names the POI `pois` and suffixes each class field with the
     POI's position, always 0; a file that lists more than one is refused.
@@ -191,7 +191,7 @@ def save_template(template: Template, path) -> None:
     pairs = [("version", "1"), ("pois", CODECS["int"][0](template.poi))]
     for c, stats in enumerate((template.class0, template.class1)):
         pairs += encode_fields(stats, f"class{c}.{{}}.0")
-    write_key_values(path, pairs)
+    return encode_key_values(pairs)
 
 
 def load_template(path) -> Template:
@@ -202,6 +202,8 @@ def load_template(path) -> Template:
     if version != "1":
         raise TemplateFormatError(f"unsupported version {version!r}")
     poi = pop_field(entries, "pois", "int", TemplateFormatError)
+    if poi < 0:
+        raise TemplateFormatError(f"POI {poi} is negative")
     class0, class1 = (decode_fields(ClassStats, entries, TemplateFormatError, f"class{c}.{{}}.0")
                       for c in (0, 1))
     if entries:

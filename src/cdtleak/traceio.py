@@ -26,6 +26,7 @@ only in the text its encoder writes.
 from __future__ import annotations
 
 import contextlib
+import errno
 import math
 import os
 import struct
@@ -200,8 +201,10 @@ def staged_files(*paths):
 
     When the body returns, every file is closed and then each is renamed
     onto its path; when it raises, every temp file is removed and no path
-    changes. Each file is created as open() creates one, with mode 0o666
-    less the umask, and O_EXCL, so no existing file is taken over.
+    changes. A path that is an existing directory raises IsADirectoryError
+    before the first rename, so then no path changes either. Each file is
+    created as open() creates one, with mode 0o666 less the umask, and
+    O_EXCL, so no existing file is taken over.
     """
     handles, tmps = [], []
     try:
@@ -214,6 +217,10 @@ def staged_files(*paths):
         yield handles
         for fh in handles:
             fh.close()
+        for path in paths:
+            # rename replaces a symlink itself, so only a real directory is refused.
+            if os.path.isdir(path) and not os.path.islink(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
         for tmp, path in zip(tmps, paths):
             os.replace(tmp, path)
     except BaseException:

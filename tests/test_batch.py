@@ -172,9 +172,8 @@ class TestScanWords:
 
 
 class TestPlantedProfiling:
-    @pytest.mark.parametrize("fire_slot", [1, 3, 26])
-    def test_rows_equal_plant_and_scan(self, monkeypatch, fire_slot):
-        seed, n_traces = 0xB0B + fire_slot, 14
+    def test_rows_equal_plant_and_scan(self, monkeypatch):
+        seed, n_traces = 0xB0B + 1, 14
         monkeypatch.setattr(leakage, "_usable_cores", lambda: 2)
         params = SamplerParams(logn=9)
         table = default_table()
@@ -182,12 +181,12 @@ class TestPlantedProfiling:
         layout = TraceLayout.for_params(params, table)
         traces, labels = synthesize_profiling_set(
             seed=seed, params=params, table=table, model=model,
-            n_traces=n_traces, fire_slot=fire_slot,
+            n_traces=n_traces,
         )
         coeffs = []
         for i in range(n_traces):
             plant = WordSource(seed=derive_subseed(seed, i))
-            slot = fire_slot if i < n_traces // 2 else None
+            slot = 1 if i < n_traces // 2 else None
             w1, w2 = plant_control_words(table, neg_bit=i & 1, fire_slot=slot, source=plant)
             source = SequenceWordSource([w1, w2], fallback=plant)
             coeffs.append(sample_coefficient(table, params, source))

@@ -74,7 +74,7 @@ usage: cdtleak profile [-h] [--seed SEED] [--logn LOGN] [--table TABLE]
                        [--samples-per-outer-tail SAMPLES_PER_OUTER_TAIL]
                        [--leak-offset-inner LEAK_OFFSET_INNER]
                        [--leak-offset-neg LEAK_OFFSET_NEG] [--traces TRACES]
-                       [--fire-slot FIRE_SLOT] --out OUT
+                       --out OUT
 
 options:
   -h, --help            show this help message and exit
@@ -90,8 +90,6 @@ options:
   --leak-offset-inner LEAK_OFFSET_INNER
   --leak-offset-neg LEAK_OFFSET_NEG
   --traces TRACES       profiling traces
-  --fire-slot FIRE_SLOT
-                        inner slot the planted class-1 traces latch at
   --out OUT             template output prefix
 """,
     "attack": """\
@@ -241,6 +239,15 @@ class TestSimulate:
         _quiet("simulate", "--seed", "6", "--logn", "10", "--out", b)
         assert (tmp_path / "a.trc").read_bytes() != (tmp_path / "b.trc").read_bytes()
 
+    def test_label_file_that_is_a_directory_changes_neither_file(self, capsys, tmp_path):
+        (tmp_path / "x.trc").write_bytes(b"old traces")
+        (tmp_path / "x.lbl").mkdir()
+        rc, stdout, err = _run(capsys, "simulate", "--logn", "2", "--out", str(tmp_path / "x"))
+        assert (rc, stdout) == (2, "")
+        assert err.startswith("error: [Errno 21]") and err.rstrip().endswith("x.lbl'")
+        assert (tmp_path / "x.trc").read_bytes() == b"old traces"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.lbl", "x.trc"]
+
     def test_missing_table_file(self, capsys, tmp_path):
         missing = str(tmp_path / "nope.txt")
         rc, _, err = _run(
@@ -306,17 +313,23 @@ class TestProfile:
             assert tpl.poi == site
             assert tpl.class1.mu > tpl.class0.mu
 
-    def test_fire_slot_moves_expected_site(self, capsys, tmp_path):
-        out = str(tmp_path / "t")
-        rc, stdout, _ = _run(
-            capsys,
-            "profile", "--seed", "3", "--traces", "800", "--fire-slot", "2",
-            "--out", out,
-        )
-        assert rc == 0
-        layout = leakage.TraceLayout.for_params(SamplerParams(logn=9), default_table())
-        site = layout.inner_site_index(0, 2)
-        assert _line(stdout, "inner poi:") == f"inner poi: {site}"
+    def test_fire_slot_is_not_a_flag(self, capsys, tmp_path):
+        # The planted class-1 traces always latch at inner slot 1.
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--fire-slot", "2", "--out", str(tmp_path / "t")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --fire-slot 2" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_template_that_is_a_directory_changes_neither_file(self, capsys, tmp_path):
+        # Both templates are renamed into place together, or neither is.
+        (tmp_path / "t.inner.tpl").write_bytes(b"old inner")
+        (tmp_path / "t.neg.tpl").mkdir()
+        rc, stdout, err = _run(capsys, "profile", "--traces", "40", "--out", str(tmp_path / "t"))
+        assert (rc, stdout) == (2, "")
+        assert err.startswith("error: [Errno 21]") and err.rstrip().endswith("t.neg.tpl'")
+        assert (tmp_path / "t.inner.tpl").read_bytes() == b"old inner"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.inner.tpl", "t.neg.tpl"]
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_non_finite_samples_exit_2_before_any_statistics(
@@ -847,6 +860,26 @@ class TestThreadsAndMetadataErrors:
         rc, stdout, err = _run(
             capsys, "attack", "--in", prefix, "--templates", pipeline["tpl"]
         )
+        assert (rc, stdout) == (2, "")
+        assert err == f"error: campaign metadata: {message}\n"
+        assert not os.path.exists(prefix + ".report.txt")
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [({"seed": "not-a-seed"},
+          "field 'seed': invalid literal for int() with base 10: 'not-a-seed'"),
+         ({"foo": "bar"}, "unknown keys: foo")],
+        ids=["bad-seed", "unknown-key"],
+    )
+    def test_attack_on_bad_metadata(self, capsys, pipeline, tmp_path, extra, message):
+        # A 1-key campaign, labels and all, whose metadata campaign_metadata did not write.
+        original = traceio.read_trace_set(pipeline["camp"] + ".trc")
+        doctored = traceio.TraceSet(samples=original.samples,
+                                    metadata={**original.metadata, **extra})
+        prefix = str(tmp_path / "bad")
+        traceio.write_trace_set(doctored, prefix + ".trc")
+        shutil.copyfile(pipeline["camp"] + ".lbl", prefix + ".lbl")
+        rc, stdout, err = _run(capsys, "attack", "--in", prefix, "--templates", pipeline["tpl"])
         assert (rc, stdout) == (2, "")
         assert err == f"error: campaign metadata: {message}\n"
         assert not os.path.exists(prefix + ".report.txt")

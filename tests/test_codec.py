@@ -11,6 +11,7 @@ name none of its fields.
 
 import dataclasses
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from cdtleak import traceio
 from cdtleak.cli import main
 from cdtleak.errors import CdtLeakError, DomainError, ReportFormatError, TemplateFormatError
 from cdtleak.recover import RecoveryReport, load_report, save_report
-from cdtleak.template import ClassStats, Template, load_template, save_template
+from cdtleak.template import ClassStats, Template, encode_template, load_template
 from test_readme import walkthrough  # a fixture: the README flow's files
 
 NOT_UTF8 = b"\xff\xfe=1\n"
@@ -247,7 +248,7 @@ class TestNotUtf8:
 
     def test_cli_analyze_templates(self, capsys, tmp_path):
         prefix = tmp_path / "tpl"
-        save_template(_template(), f"{prefix}.neg.tpl")
+        Path(f"{prefix}.neg.tpl").write_bytes(encode_template(_template()))
         (tmp_path / "tpl.inner.tpl").write_bytes(NOT_UTF8)
         assert main(["analyze", "--templates", str(prefix)]) == 2
         assert "error:" in capsys.readouterr().err
@@ -257,7 +258,7 @@ class TestCommentsAndSpaces:
 
     def test_template(self, tmp_path):
         plain = tmp_path / "plain.tpl"
-        save_template(_template(), plain)
+        plain.write_bytes(encode_template(_template()))
         commented = tmp_path / "commented.tpl"
         commented.write_text(_commented(plain.read_text()))
         with pytest.raises(TemplateFormatError, match="commented.tpl: line 1: expected key=value$"):
@@ -279,7 +280,7 @@ class TestCommentsAndSpaces:
     def test_cli_analyze_templates(self, capsys, tmp_path, edit, message):
         prefix = tmp_path / "tpl"
         for name in ("inner", "neg"):
-            save_template(_template(), f"{prefix}.{name}.tpl")
+            Path(f"{prefix}.{name}.tpl").write_bytes(encode_template(_template()))
         path = tmp_path / "tpl.inner.tpl"
         path.write_text(edit(path.read_text()))
         assert main(["analyze", "--templates", str(prefix)]) == 2
@@ -353,7 +354,7 @@ class TestDuplicateKeys:
     def test_cli_analyze_templates(self, capsys, tmp_path):
         prefix = tmp_path / "tpl"
         for name in ("inner", "neg"):
-            save_template(_template(), f"{prefix}.{name}.tpl")
+            Path(f"{prefix}.{name}.tpl").write_bytes(encode_template(_template()))
         path = tmp_path / "tpl.inner.tpl"
         path.write_text(path.read_text() + "class0.mu.0=41.0\n")
         assert main(["analyze", "--templates", str(prefix)]) == 2
@@ -372,7 +373,7 @@ class TestUnknownKeys:
     @pytest.mark.parametrize("extra", ["volume", "class0.mu.2", "class1.count.7"])
     def test_template(self, tmp_path, extra):
         path = tmp_path / "t.tpl"
-        save_template(_template(), path)
+        path.write_bytes(encode_template(_template()))
         path.write_text(path.read_text() + f"{extra}=11\n")
         with pytest.raises(TemplateFormatError, match=f"^unknown keys: {extra}$"):
             load_template(path)
@@ -386,7 +387,7 @@ class TestUnknownKeys:
     def test_cli_analyze_templates(self, capsys, tmp_path):
         prefix = tmp_path / "tpl"
         for name in ("inner", "neg"):
-            save_template(_template(), f"{prefix}.{name}.tpl")
+            Path(f"{prefix}.{name}.tpl").write_bytes(encode_template(_template()))
         path = tmp_path / "tpl.neg.tpl"
         path.write_text(path.read_text() + "volume=11\n")
         assert main(["analyze", "--templates", str(prefix)]) == 2
@@ -434,7 +435,7 @@ class TestBadValueNamesItsField:
     )
     def test_template(self, tmp_path, key, value, message):
         path = tmp_path / "t.tpl"
-        save_template(_template(), path)
+        path.write_bytes(encode_template(_template()))
         path.write_text(_with_value(path.read_text(), key, value))
         with pytest.raises(TemplateFormatError) as info:
             load_template(path)

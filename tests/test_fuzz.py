@@ -21,7 +21,7 @@ from cdtleak import leakage, traceio
 from cdtleak.errors import CdtLeakError
 from cdtleak.recover import load_report, recover_key, save_report
 from cdtleak.sampler import SamplerParams, default_table, load_cdt_table
-from cdtleak.template import ClassStats, Template, load_template, save_template
+from cdtleak.template import ClassStats, Template, encode_template, load_template
 
 FUZZ = settings(max_examples=150, deadline=None)
 
@@ -90,7 +90,7 @@ def valid(tmp_path_factory):
     neg = Template(poi=211, class0=stats, class1=inner.class1)
     layout = leakage.TraceLayout.for_params(params, table)
     save_report(recover_key(traces, inner, neg, layout, params, labels), root / "r.txt")
-    save_template(inner, root / "t.tpl")
+    (root / "t.tpl").write_bytes(encode_template(inner))
     trc, lbl = io.BytesIO(), io.BytesIO()
     writer = traceio.TraceWriter(trc, 2, traces.n_samples, traces.metadata)
     writer.write(traces.samples[:2])

@@ -408,11 +408,27 @@ class TestCampaign:
         with pytest.raises(TraceFormatError, match=f"^campaign metadata: {re.escape(message)}$"):
             campaign_from_metadata(md)
 
-    @pytest.mark.parametrize("key", ["logn", "noise_sigma", "n_keys"])
+    @pytest.mark.parametrize("key", ["seed", "logn", "noise_sigma", "n_keys"])
     def test_missing_field_is_named(self, key):
         md = self._metadata()
         del md[key]
         with pytest.raises(TraceFormatError, match=f"^campaign metadata: missing field '{key}'$"):
+            campaign_from_metadata(md)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("not-a-seed", "field 'seed': invalid literal for int() with base 10: 'not-a-seed'"),
+         ("007", "field 'seed': '007' is not in canonical int form"),
+         (str(2**64), "seed must be a 64-bit value"), ("-1", "seed must be a 64-bit value")],
+    )
+    def test_bad_seed_is_a_format_error(self, value, message):
+        md = {**self._metadata(), "seed": value}
+        with pytest.raises(TraceFormatError, match=f"^campaign metadata: {re.escape(message)}$"):
+            campaign_from_metadata(md)
+
+    def test_unknown_keys_refused(self):
+        md = {**self._metadata(), "foo": "bar", "note": ""}
+        with pytest.raises(TraceFormatError, match="^campaign metadata: unknown keys: foo, note$"):
             campaign_from_metadata(md)
 
     def test_bad_value_names_its_field(self):
@@ -539,21 +555,6 @@ class TestProfilingSet:
         )
         assert np.abs(corr[quiet]).max() < 0.05
 
-    def test_fire_slot_two_moves_the_peak(self):
-        params = SamplerParams(logn=10)
-        table = default_table()
-        model = LeakModel()
-        traces, labels = synthesize_profiling_set(
-            seed=0xF2, params=params, table=table, model=model,
-            n_traces=2000, fire_slot=2,
-        )
-        layout = TraceLayout.for_params(params, table)
-        assert labels.inner_bits[:1000, 0, 1].all()
-        assert not labels.inner_bits[:, 0, 0].any()
-        hypothesis = 64.0 * labels.inner_bits[:, 0, 1]
-        corr = correlation_traces(traces.samples, hypothesis[None])[0]
-        assert find_poi(corr) == layout.inner_site_index(0, 2)
-
     def test_rejects_tiny_and_mismatched(self):
         params = SamplerParams(logn=10)
         table = default_table()
@@ -622,8 +623,6 @@ class TestProfilingStream:
         with pytest.raises(DomainError):
             profiling_parts(1, params, table, n_traces=3)
         with pytest.raises(DomainError):
-            profiling_parts(1, params, table, fire_slot=0)
-        with pytest.raises(DomainError):
             profiling_parts(2**64, params, table)
 
         def no_render(*args):
@@ -653,7 +652,7 @@ class TestRenderColumns:
     def test_every_column_equals_the_full_render(self, logn, tail, model):
         params, table = SamplerParams(logn=logn), default_table()
         layout = TraceLayout.for_params(params, table, samples_per_outer_tail=tail)
-        kw = dict(n_traces=300, fire_slot=2)
+        kw = dict(n_traces=300)
         traces, _ = synthesize_profiling_set(7, params, table, model, layout, **kw)
         length = layout.trace_length
         pairs = (length + 1) // 2
@@ -665,8 +664,8 @@ class TestRenderColumns:
         # Each column on its own, in any order, with repeats: the cos half,
         # the sin half and both kinds of leak site.
         sites = layout.site_matrix()
-        picks = [sites[0, 1], sites[0, -1], sites[-1, 0], 0, pairs - 1, pairs, length - 1,
-                 sites[0, 1], 5]
+        picks = [sites[0, 0], sites[0, -1], sites[-1, 0], 0, pairs - 1, pairs, length - 1,
+                 sites[0, 0], 5]
         got = _gather_columns(profiling_parts(7, params, table, **kw), model, layout, picks)
         assert got.tobytes() == np.ascontiguousarray(traces.samples[:, picks]).tobytes()
         if math.copysign(1.0, model.beta) < 0 and model.noise_sigma == 0.0:
@@ -679,7 +678,7 @@ class TestRenderColumns:
     def test_tiles_and_chunks_change_no_byte(self, monkeypatch, model):
         params, table = SamplerParams(logn=9), default_table()
         layout = TraceLayout.for_params(params, table)
-        kw = dict(n_traces=300, fire_slot=2)
+        kw = dict(n_traces=300)
         traces, _ = synthesize_profiling_set(7, params, table, model, layout, **kw)
         labels, subseeds = zip(*profiling_parts(7, params, table, **kw))
         labels, subseeds = LabelSet.concatenate(labels), np.concatenate(subseeds)
@@ -687,8 +686,8 @@ class TestRenderColumns:
         cuts = [0, 1, 138, 300]
         parts = [(labels.rows(lo, hi), subseeds[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
         sites = layout.site_matrix()
-        picks = [sites[0, 1], sites[0, -1], 0, 215, 216, 431, 7, sites[0, 1]]
-        # Pairs 0, 7, 11, 211 and 215 are drawn: 10 words a row. Tiles of
+        picks = [sites[0, 0], sites[0, -1], 0, 215, 216, 431, 7, sites[0, 0]]
+        # Pairs 0, 3, 7, 211 and 215 are drawn: 10 words a row. Tiles of
         # 3 rows end inside chunks of 7, and chunks inside the parts.
         monkeypatch.setattr(leakage, "_TILE_SAMPLES", 3 * 10)
         monkeypatch.setattr(leakage, "_CHUNK_SAMPLES", 7 * 10)

@@ -186,7 +186,7 @@ class TestTilesOnlySplitRows:
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_profiling_set(self, monkeypatch, threads):
-        seed, n_traces, fire_slot = 0x7113, 52, 2
+        seed, n_traces = 0x7113, 52
         params, table = SamplerParams(logn=9), default_table()
         model = LeakModel(noise_sigma=2.284)
         layout = TraceLayout.for_params(params, table)
@@ -194,9 +194,7 @@ class TestTilesOnlySplitRows:
 
         def profile(cores):
             monkeypatch.setattr(leakage, "_usable_cores", lambda: cores)
-            return leakage.synthesize_profiling_set(
-                seed, params, table, model, n_traces=n_traces, fire_slot=fire_slot
-            )
+            return leakage.synthesize_profiling_set(seed, params, table, model, n_traces=n_traces)
 
         self._split(monkeypatch, width, self.CHUNK, self.CHUNK)
         want, want_labels = profile(1)
@@ -209,7 +207,7 @@ class TestTilesOnlySplitRows:
         # planted halves meet at 25|26.
         for row in (0, 4, 5, 22, 23, 25, 26, 27, 28, 45, 46, 51):
             plant = sampler.WordSource(seed=sampler.derive_subseed(seed, row))
-            slot = fire_slot if row < n_traces // 2 else None
+            slot = 1 if row < n_traces // 2 else None
             first = plant_control_words(table, row & 1, slot, plant)
             source = SequenceWordSource(list(first), fallback=plant)
             coeff = sampler.sample_coefficient(table, params, source)
@@ -318,6 +316,25 @@ class TestFailureLeavesNothing:
                 raise RuntimeError("second file failed")
         assert _listing(tmp_path) == ["a"]
         assert a.read_bytes() == b"old a"
+
+    def test_staged_pair_onto_a_directory_renames_neither(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.write_bytes(b"old a")
+        b.mkdir()
+        with pytest.raises(IsADirectoryError):
+            with traceio.staged_files(a, b) as (fa, fb):
+                fa.write(b"new a")
+                fb.write(b"new b")
+        assert _listing(tmp_path) == ["a", "b"]
+        assert a.read_bytes() == b"old a"
+
+    def test_staged_file_replaces_a_link_to_a_directory(self, tmp_path):
+        (tmp_path / "d").mkdir()
+        (tmp_path / "a").symlink_to("d")
+        with traceio.staged_files(tmp_path / "a") as (fa,):
+            fa.write(b"a")
+        assert (tmp_path / "a").read_bytes() == b"a"
+        assert _listing(tmp_path) == ["a", "d"]
 
     def test_staged_pair_renames_both(self, tmp_path):
         with traceio.staged_files(tmp_path / "a", tmp_path / "b") as (fa, fb):

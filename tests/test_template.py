@@ -17,7 +17,6 @@ log_likelihood gives the per-class values.
 import math
 import statistics
 import sys
-
 import numpy as np
 import pytest
 from decode_oracle import log_likelihood as _log_likelihood
@@ -33,11 +32,11 @@ from cdtleak.template import (
     ClassStats,
     Template,
     build_template,
+    encode_template,
     full_key_success,
     gaussian_overlap,
     load_template,
     per_coefficient_success,
-    save_template,
     success_from_overlap,
 )
 from cdtleak.traceio import TraceSet
@@ -490,7 +489,7 @@ class TestTemplateFiles:
                      class1=ClassStats(mu=-1.5e-8, var=0.0625, count=2)),
         ):
             path = tmp_path / "t.tpl"
-            save_template(t, path)
+            path.write_bytes(encode_template(t))
             assert load_template(path) == t
 
     def test_two_pois_refused(self, tmp_path):
@@ -502,7 +501,7 @@ class TestTemplateFiles:
     def test_comment_refused_blank_lines_skipped(self, tmp_path):
         t = _two_class_template()
         path = tmp_path / "t.tpl"
-        save_template(t, path)
+        path.write_bytes(encode_template(t))
         text = path.read_text()
         path.write_text("\n" + text + "\n\n")
         assert load_template(path) == t
@@ -516,7 +515,7 @@ class TestTemplateFiles:
 
     def test_format_errors(self, tmp_path):
         good = tmp_path / "good.tpl"
-        save_template(_two_class_template(), good)
+        good.write_bytes(encode_template(_two_class_template()))
         lines = good.read_text().splitlines()
 
         bad = tmp_path / "bad.tpl"
@@ -527,6 +526,10 @@ class TestTemplateFiles:
 
         bad.write_text("\n".join(l for l in lines if not l.startswith("pois=")) + "\n")
         with pytest.raises(TemplateFormatError):
+            load_template(bad)
+
+        bad.write_text("\n".join("pois=-5" if l.startswith("pois=") else l for l in lines) + "\n")
+        with pytest.raises(TemplateFormatError, match="^POI -5 is negative$"):
             load_template(bad)
 
         bad.write_text("\n".join(l for l in lines if "class0.mu.0" not in l) + "\n")
