@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import cpa, leakage, recover, sampler, template, traceio
-from .errors import CdtLeakError, DomainError, TraceFormatError
+from .errors import CdtLeakError, DomainError, LayoutMismatch, TraceFormatError
 
 _PCT = "{:.12g}%"
 
@@ -135,8 +135,12 @@ def cmd_attack(args) -> int:
         labels = None
         if os.path.exists(args.inp + ".lbl"):
             labels = stack.enter_context(traceio.open_label_set(args.inp + ".lbl"))
-        templates = [template.load_template(f"{args.templates}.{point}.tpl")
-                     for point in ("inner", "neg")]
+        paths = [f"{args.templates}.{point}.tpl" for point in ("inner", "neg")]
+        templates = [template.load_template(path) for path in paths]
+        for path, tpl in zip(paths, templates):
+            if tpl.poi >= reader.n_samples:
+                raise LayoutMismatch(f"{path}: POI {tpl.poi} lies outside the traces of "
+                                     f"{reader.n_samples} samples")
         report = recover.recover_key(reader, *templates, layout, params, labels)
     out = args.out if args.out else args.inp
     recover.save_report(report, out + ".report.txt")

@@ -18,6 +18,11 @@ the leak sites, on a thread per usable core. simulate and profile
 stream its blocks, and synthesize_campaign and synthesize_profiling_set
 gather them into one matrix. synthesize_trace renders one coefficient's
 leak records and is its scalar reference.
+
+The render's Box–Muller step takes cos and sin from a node table and
+short polynomials, not from libm, and keeps the reference's bytes: a
+row with a float32 sample that the fast values might have rounded
+differently is rendered again by the reference step.
 """
 
 from __future__ import annotations
@@ -168,7 +173,7 @@ def gaussian_block(seed: int, count: int) -> np.ndarray:
 
 
 def _box_muller_words(w: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Standard normals from uint64 words, in place: the render's one Box–Muller step.
+    """Standard normals from uint64 words, in place: the exact step _fast_box_muller stands for.
 
     w is (rows, 2m): m radius words, then m angle words. z is a float64
     (rows, 2m) array; it receives radius * cos(angle) in its first half
@@ -195,6 +200,115 @@ def _box_muller_words(w: np.ndarray, z: np.ndarray) -> np.ndarray:
     angle *= radius
     radius *= sine
     return z
+
+
+# The fast step's angle 2π(k + 1)·2^-53 of a 53-bit angle word k is a table
+# node 2π·j/4096, j the top 12 bits of k, plus an offset d below 2π/4096
+# from its low 41 bits, rotated by the node: cos and sin of d come from
+# short Taylor polynomials, whose error at that size is below 2^-53.
+_NODE_BITS = 12
+_NODES = 2.0 * np.pi * np.arange(1 << _NODE_BITS) / (1 << _NODE_BITS)
+_NODE_COS, _NODE_SIN = np.cos(_NODES), np.sin(_NODES)
+# δ, a bound on |fast cos or sin - np.cos or np.sin of the exact step's angle|:
+# measured below 2^-49, so the margin is 2^9-fold.
+_ANGLE_ERROR = 2.0 ** -40
+# R, the largest radius: that of the radius word k = 0.
+_RADIUS_MAX = math.sqrt(-2.0 * math.log(2.0 ** -53))
+
+
+def _fast_cos_sin(k: np.ndarray, scratch) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of the angles 2π(k + 1)·2^-53 of 53-bit words k, within _ANGLE_ERROR.
+
+    k is uint64 and scratch four float64 arrays of k's shape, all
+    C-contiguous; both are spent. Returns (cos, sin): the cosines in k's
+    memory and the sines in scratch[1].
+    """
+    a, node_sin, d, cos_d = scratch
+    node = a.view(np.int64)
+    np.right_shift(k, np.uint64(53 - _NODE_BITS), out=a.view(np.uint64))
+    k &= np.uint64((1 << (53 - _NODE_BITS)) - 1)
+    d[...] = k
+    d += 1.0
+    d *= 2.0 * np.pi * 2.0**-53
+    # Clip, not raise, so that take writes into its output without a buffer.
+    node_cos = k.view(np.float64)
+    np.take(_NODE_COS, node, out=node_cos, mode="clip")
+    np.take(_NODE_SIN, node, out=node_sin, mode="clip")
+    d2 = a.view(np.float64)
+    np.multiply(d, d, out=d2)
+    np.multiply(d2, 1.0 / 24.0, out=cos_d)
+    cos_d -= 0.5
+    cos_d *= d2
+    cos_d += 1.0
+    d2 *= -1.0 / 6.0
+    d2 += 1.0
+    sin_d = d
+    sin_d *= d2
+    # The rotation: cos = cj cos d - sj sin d and sin = sj cos d + cj sin d.
+    sj_sin_d = d2
+    np.multiply(node_sin, sin_d, out=sj_sin_d)
+    sin_d *= node_cos
+    node_sin *= cos_d
+    node_sin += sin_d
+    node_cos *= cos_d
+    node_cos -= sj_sin_d
+    return node_cos, node_sin
+
+
+def _fast_box_muller(w: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """_box_muller_words, cos and sin from _fast_cos_sin: each normal within R·δ of the exact one.
+
+    The radius is the exact step's, bit for bit. w and z are as
+    _box_muller_words takes them, C-contiguous, and the words are spent.
+    For the length of the call it takes one more float64 array of w's
+    size, so that every step but the last two runs on whole arrays, not
+    on half rows.
+    """
+    rows, pairs = len(w), w.shape[1] // 2
+    w >>= np.uint64(11)
+    held = np.empty((2, rows, pairs))
+    radius, k = held[0], held[1].view(np.uint64)
+    radius[...] = w[:, :pairs]
+    k[...] = w[:, pairs:]
+    radius += 1.0
+    radius *= 2.0 ** -53
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    scratch = [*w.reshape(2, rows, pairs).view(np.float64), *z.reshape(2, rows, pairs)]
+    cos, sin = _fast_cos_sin(k, scratch)
+    np.multiply(cos, radius, out=z[:, :pairs])
+    np.multiply(sin, radius, out=z[:, pairs:])
+    return z
+
+
+def _settle_margin(model: LeakModel) -> float:
+    """M: a float64 sample made from fast cos and sin is within M of the exact step's.
+
+    M = 2·R·σ·δ + 2^-48·(|β| + 64|α| + R·σ): the first term bounds the
+    noise's change, the second the roundings after it. It is at least
+    2^-148, so that a sample near enough to zero for its float32 sign to
+    be in doubt is never settled.
+    """
+    spread = _RADIUS_MAX * model.noise_sigma
+    rounding = 2.0**-48 * (abs(model.beta) + 64.0 * abs(model.alpha) + spread)
+    return max(2.0 * spread * _ANGLE_ERROR + rounding, 2.0**-148)
+
+
+def _unsettled_rows(y: np.ndarray, margin: float, scratch: np.ndarray) -> np.ndarray:
+    """Rows of float64 y holding a sample whose float32 cast a move of up to margin could change.
+
+    A sample is settled when y - margin and y + margin cast to the same
+    float32: every value between them then casts to it too, since the
+    cast is monotone. scratch is float32 with at least 2 * y.size
+    entries; it holds the two casts.
+    """
+    below, above = scratch[: 2 * y.size].reshape(2, *y.shape)
+    # Past float32's range a cast gives inf. NaN, from inf - inf, is never equal.
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(y, margin, out=below)
+        np.add(y, margin, out=above)
+    return (below != above).any(axis=1)
 
 
 def _check_leaks(leaks, layout: TraceLayout) -> None:
@@ -256,10 +370,19 @@ def render_blocks(parts, model: LeakModel, layout: TraceLayout, columns=None):
     thread per usable core (_usable_cores) with at most _CHUNKS_PER_THREAD
     chunks per thread pending; a chunk's samples are a new float32 block.
     A thread renders its chunk in row tiles of _TILE_SAMPLES words through
-    its own float64 buffer; the tile's uint64 words and their shift temp
-    are as big, so a thread holds 3 * 512 KiB of scratch. At the README
-    geometry (432 samples) a whole-trace render holds, per usable core,
-    1.5 MiB of scratch and at most 2 pending chunks of 606 rows, 2 MiB.
+    its own float64 buffer. The tile's uint64 words are as big, and so is
+    one array at a time beside them: the words' shift temp while
+    words_at draws them, then the contiguous halves of _fast_box_muller.
+    So a thread holds 3 * 512 KiB of scratch. At the README geometry (432
+    samples) a whole-trace render holds, per usable core, 1.5 MiB of
+    scratch and at most 2 pending chunks of 606 rows, 2 MiB.
+
+    The normals come from _fast_box_muller, within R·δ of the exact
+    step's, and every step after it is monotone in them. So a row whose
+    float32 samples are all settled (_unsettled_rows, with the margin
+    _settle_margin gives) has the bytes of the exact step. Any other row
+    is rendered again by _box_muller on all of its words, the step
+    synthesize_trace takes, without another words_at call.
 
     Bit-identical to calling synthesize_trace per coefficient with the
     matching sub-seed: the noise is scaled and shifted in the same order,
@@ -287,29 +410,48 @@ def render_blocks(parts, model: LeakModel, layout: TraceLayout, columns=None):
         at, n_out = site_at[columns], len(columns)
         cols, sites = np.flatnonzero(at >= 0), at[at >= 0]
     counters = np.concatenate([drawn, drawn + pairs])
+    picked = slice(length) if columns is None else columns
     add_zeros = model.beta == 0.0 and math.copysign(1.0, model.beta) < 0
+    margin = _settle_margin(model)
     width = max(1, len(counters), n_out)
     chunk = max(1, _CHUNK_SAMPLES // width)
     tile = min(chunk, max(1, _TILE_SAMPLES // width))
     threads = _usable_cores()
     local = threading.local()
 
+    def leak(z, bits):
+        """Scale and shift normals z, (rows, n_out) float64, and add the gain where bits fire."""
+        z *= model.noise_sigma
+        z += model.beta
+        if add_zeros:
+            z[:, cols] += model.alpha * 0
+        rows, fired = np.nonzero(bits[:, sites])
+        z[rows, cols[fired]] += model.alpha * 64
+
+    def render_tile(bits, seeds, out):
+        # A function, so that the tile's words are freed before the next tile draws its own.
+        w = words_at(seeds, counters)
+        z = _fast_box_muller(w, local.buf[: len(seeds)])[:, gather]
+        leak(z, bits)
+        scratch = w.reshape(-1).view(np.float32)
+        if len(scratch) < 2 * z.size:  # only columns with repeats
+            scratch = np.empty(2 * z.size, dtype=np.float32)
+        redo = np.flatnonzero(_unsettled_rows(z, margin, scratch))
+        # Past float32's range the cast gives inf, which the trace writer rejects.
+        with np.errstate(over="ignore"):
+            out[...] = z
+            if len(redo):
+                # Row i's first `length` normals are gaussian_block(seeds[i], length).
+                exact = _box_muller(words(seeds[redo], 0, 2 * pairs))[:, picked]
+                leak(exact, bits[redo])
+                out[redo] = exact
+
     def render(bits, subseeds, samples):
         if not hasattr(local, "buf"):
             local.buf = np.empty((tile, len(counters)))
         for lo in range(0, len(subseeds), tile):
             hi = lo + tile
-            seeds = subseeds[lo:hi]
-            z = _box_muller_words(words_at(seeds, counters), local.buf[: len(seeds)])[:, gather]
-            z *= model.noise_sigma
-            z += model.beta
-            if add_zeros:
-                z[:, cols] += model.alpha * 0
-            rows, fired = np.nonzero(bits[lo:hi, sites])
-            z[rows, cols[fired]] += model.alpha * 64
-            # Past float32's range the cast gives inf, which the trace writer rejects.
-            with np.errstate(over="ignore"):
-                samples[lo:hi] = z
+            render_tile(bits[lo:hi], subseeds[lo:hi], samples[lo:hi])
         return samples
 
     def blocks():

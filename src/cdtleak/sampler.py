@@ -85,12 +85,16 @@ def words(seeds, start: int, count: int) -> np.ndarray:
 
     Row i holds the words WordSource(seeds[i], start) returns next, that
     is splitmix64(seeds[i] + (start + c + 1) * GOLDEN) for c < count, all
-    mod 2**64. Seeds must already be 64-bit values.
+    mod 2**64: the counter wraps as it advances. Seeds must already be
+    64-bit values; a start that is not one raises DomainError, as
+    WordSource does.
     """
     if count < 0:
         raise DomainError("count must be non-negative")
+    if not 0 <= start <= MASK64:
+        raise DomainError("start must be a 64-bit value")
     steps = np.arange(1, count + 1, dtype=np.uint64)
-    steps += np.uint64(start & MASK64)
+    steps += np.uint64(start)
     return _splitmix_rows(seeds, steps)
 
 
@@ -129,8 +133,8 @@ def derive_subseed(seed: int, index: int) -> int:
     Children are the master's own SplitMix64 outputs, so distinct indices
     yield distinct, statistically independent streams.
     """
-    if index < 0:
-        raise DomainError("index must be non-negative")
+    if not 0 <= index <= MASK64:
+        raise DomainError("index must be a 64-bit value")
     return int(words([checked_seed(seed)], index, 1)[0, 0])
 
 

@@ -44,6 +44,7 @@ from cdtleak.sampler import (
     sample_keys,
     scan_words,
     splitmix64,
+    word_block,
     words,
     words_at,
 )
@@ -105,6 +106,26 @@ class TestWords:
             want = [WordSource(seed=seed, counter=c).next_u64() for c in counters]
             assert [int(w) for w in row] == want
             assert int(row[-1]) == splitmix64(seed)
+
+    def test_start_of_64_bits_only(self):
+        # As WordSource refuses such a counter, never a wrap mod 2**64.
+        for start in (-1, -(2**64), MASK64 + 1, 2**64 + 5):
+            with pytest.raises(DomainError, match="start must be a 64-bit value"):
+                words([1], start, 1)
+            with pytest.raises(DomainError, match="start must be a 64-bit value"):
+                word_block(1, start, 2)
+            with pytest.raises(DomainError, match="counter must be a 64-bit value"):
+                WordSource(seed=1, counter=start)
+        for index in (-1, MASK64 + 1):
+            with pytest.raises(DomainError, match="index must be a 64-bit value"):
+                derive_subseed(1, index)
+        assert derive_subseed(1, MASK64) == WordSource(seed=1, counter=MASK64).next_u64()
+
+    @pytest.mark.parametrize("seed", [0, 1, MASK64])
+    def test_counter_wraps_while_advancing(self, seed):
+        source = WordSource(seed=seed, counter=MASK64)
+        assert word_block(seed, MASK64, 2).tolist() == [source.next_u64(), source.next_u64()]
+        assert source.counter == 1
 
     def test_subseed_of_a_64_bit_seed_only(self):
         # Seeds outside 64 bits are refused, as WordSource refuses them.

@@ -20,11 +20,11 @@ from pathlib import Path
 
 import pytest
 
-from cdtleak import leakage, traceio
+from cdtleak import leakage, recover, traceio
 from cdtleak.cli import _build_parser, main
 from cdtleak.recover import load_report
 from cdtleak.sampler import SamplerParams, default_table
-from cdtleak.template import load_template
+from cdtleak.template import encode_template, load_template
 from test_template import TWO_POI_TPL
 
 LOW_NOISE = "2.284"
@@ -347,7 +347,7 @@ class TestProfile:
         assert err == "error: trace payload contains NaN or infinity\n"
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("name", ["profiling_classes", "_box_muller_words"])
+    @pytest.mark.parametrize("name", ["profiling_classes", "_fast_box_muller"])
     def test_out_of_memory_exits_2_and_writes_nothing(self, capsys, monkeypatch, tmp_path, name):
         # A stand-in for an allocation too large for the machine, such as
         # --traces 10000000000000, raised on the calling thread or in a
@@ -438,6 +438,42 @@ class TestAttack:
         rc, stdout, err = _run(capsys, "analyze", "--templates", prefix)
         assert (rc, stdout) == (2, "")
         assert "field 'pois'" in err
+
+    @pytest.mark.parametrize("poi", [432, 5000])
+    @pytest.mark.parametrize("point", ["inner", "neg"])
+    def test_refuses_a_poi_outside_the_traces(self, capsys, monkeypatch, pipeline, tmp_path,
+                                              point, poi):
+        prefix = str(tmp_path / "tpl")
+        for name in ("inner", "neg"):
+            shutil.copy(f"{pipeline['tpl']}.{name}.tpl", f"{prefix}.{name}.tpl")
+        path = f"{prefix}.{point}.tpl"
+        Path(path).write_bytes(encode_template(dataclasses.replace(load_template(path), poi=poi)))
+
+        def no_blocks(*args):
+            raise AssertionError("a block was read")
+
+        monkeypatch.setattr(recover, "_site_blocks", no_blocks)
+        out = str(tmp_path / "r")
+        rc, stdout, err = _run(
+            capsys, "attack", "--in", pipeline["camp"], "--templates", prefix, "--out", out
+        )
+        assert (rc, stdout) == (2, "")
+        assert err == f"error: {path}: POI {poi} lies outside the traces of 432 samples\n"
+        assert not os.path.exists(out + ".report.txt")
+
+    def test_accepts_a_poi_on_the_last_sample(self, capsys, pipeline, tmp_path):
+        # Each template is applied at every site of its point, whatever its POI.
+        prefix = str(tmp_path / "tpl")
+        shutil.copy(f"{pipeline['tpl']}.neg.tpl", f"{prefix}.neg.tpl")
+        inner = load_template(f"{pipeline['tpl']}.inner.tpl")
+        Path(f"{prefix}.inner.tpl").write_bytes(
+            encode_template(dataclasses.replace(inner, poi=431)))
+        out = str(tmp_path / "r")
+        rc, _, _ = _run(
+            capsys, "attack", "--in", pipeline["camp"], "--templates", prefix, "--out", out
+        )
+        assert rc == 0
+        assert Path(out + ".report.txt").read_bytes() == Path(pipeline["report"]).read_bytes()
 
     @pytest.mark.parametrize("point", ["inner", "neg"])
     def test_template_point_is_not_a_flag(self, capsys, pipeline, tmp_path, point):
