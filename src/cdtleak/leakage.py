@@ -19,10 +19,11 @@ stream its blocks, and synthesize_campaign and synthesize_profiling_set
 gather them into one matrix. synthesize_trace renders one coefficient's
 leak records and is its scalar reference.
 
-The render's Box–Muller step takes cos and sin from a node table and
-short polynomials, not from libm, and keeps the reference's bytes: a
-row with a float32 sample that the fast values might have rounded
-differently is rendered again by the reference step.
+The exact Box–Muller step is _box_muller: gaussian_block, and so
+synthesize_trace, takes it. The render's step takes cos and sin from a
+node table and short polynomials, not from libm, and keeps
+_box_muller's bytes: a row with a float32 sample that the fast values
+might have rounded differently is rendered again by _box_muller.
 """
 
 from __future__ import annotations
@@ -125,24 +126,6 @@ class TraceLayout:
     def trace_length(self) -> int:
         return self.outer_count * self.outer_block
 
-    def inner_site_index(self, outer: int, k: int) -> int:
-        """Sample index of the mask write at inner iteration k (1-based)."""
-        if not 0 <= outer < self.outer_count:
-            raise DomainError("outer index out of range")
-        if not 1 <= k <= self.inner_count:
-            raise DomainError("inner index out of range")
-        return outer * self.outer_block + (k - 1) * self.samples_per_inner + self.leak_offset_inner
-
-    def neg_site_index(self, outer: int) -> int:
-        """Sample index of the sign-mask write in outer iteration `outer`."""
-        if not 0 <= outer < self.outer_count:
-            raise DomainError("outer index out of range")
-        return (
-            outer * self.outer_block
-            + self.inner_count * self.samples_per_inner
-            + self.leak_offset_neg
-        )
-
     def site_matrix(self) -> np.ndarray:
         """Sample index of every mask write, (outer_count, inner_count + 1).
 
@@ -170,36 +153,6 @@ def gaussian_block(seed: int, count: int) -> np.ndarray:
         raise DomainError("count must be non-negative")
     pairs = (count + 1) // 2
     return _box_muller(word_block(seed, 0, 2 * pairs))[:count]
-
-
-def _box_muller_words(w: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Standard normals from uint64 words, in place: the exact step _fast_box_muller stands for.
-
-    w is (rows, 2m): m radius words, then m angle words. z is a float64
-    (rows, 2m) array; it receives radius * cos(angle) in its first half
-    and radius * sin(angle) in its second. Each step is the one
-    _box_muller takes, on the same values, so the result matches it bit
-    for bit. The words are spent: their memory holds the sines.
-    """
-    pairs = w.shape[1] // 2
-    w >>= np.uint64(11)
-    # The angle goes in the first half and the radius in the second, so
-    # that cos and sin each land in their output half without a copy.
-    angle, radius = z[:, :pairs], z[:, pairs:]
-    angle[...] = w[:, pairs:]
-    radius[...] = w[:, :pairs]
-    z += 1.0
-    z *= 2.0 ** -53
-    np.log(radius, out=radius)
-    radius *= -2.0
-    np.sqrt(radius, out=radius)
-    angle *= 2.0 * np.pi
-    sine = w[:, :pairs].view(np.float64)
-    np.sin(angle, out=sine)
-    np.cos(angle, out=angle)
-    angle *= radius
-    radius *= sine
-    return z
 
 
 # The fast step's angle 2π(k + 1)·2^-53 of a 53-bit angle word k is a table
@@ -256,13 +209,16 @@ def _fast_cos_sin(k: np.ndarray, scratch) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fast_box_muller(w: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """_box_muller_words, cos and sin from _fast_cos_sin: each normal within R·δ of the exact one.
+    """_box_muller(w) into z, cos and sin from _fast_cos_sin: each normal within R·δ of it.
 
-    The radius is the exact step's, bit for bit. w and z are as
-    _box_muller_words takes them, C-contiguous, and the words are spent.
-    For the length of the call it takes one more float64 array of w's
-    size, so that every step but the last two runs on whole arrays, not
-    on half rows.
+    w is uint64 (rows, 2m), m radius words and then m angle words, as
+    _box_muller takes them, and z is float64 of the same shape; both are
+    C-contiguous, and the words are spent. z receives radius * cos(angle)
+    in its first half and radius * sin(angle) in its second, and is
+    returned. The radius is _box_muller's, bit for bit, so only cos and
+    sin move a normal. For the length of the call it takes one more
+    float64 array of w's size, so that every step but the last two runs
+    on whole arrays, not on half rows.
     """
     rows, pairs = len(w), w.shape[1] // 2
     w >>= np.uint64(11)
@@ -327,10 +283,9 @@ def synthesize_trace(leaks, model: LeakModel, layout: TraceLayout, noise_seed: i
     """Render one coefficient's leak records into a float32 trace."""
     _check_leaks(leaks, layout)
     trace = model.beta + model.noise_sigma * gaussian_block(noise_seed, layout.trace_length)
-    for u, rec in enumerate(leaks):
-        for k, mask in enumerate(rec.inner_masks, start=1):
-            trace[layout.inner_site_index(u, k)] += model.alpha * hamming_weight(mask)
-        trace[layout.neg_site_index(u)] += model.alpha * hamming_weight(rec.neg_mask)
+    for sites, rec in zip(layout.site_matrix(), leaks):
+        for site, mask in zip(sites, (*rec.inner_masks, rec.neg_mask)):
+            trace[site] += model.alpha * hamming_weight(mask)
     return trace.astype(np.float32)
 
 
@@ -377,12 +332,13 @@ def render_blocks(parts, model: LeakModel, layout: TraceLayout, columns=None):
     samples) a whole-trace render holds, per usable core, 1.5 MiB of
     scratch and at most 2 pending chunks of 606 rows, 2 MiB.
 
-    The normals come from _fast_box_muller, within R·δ of the exact
-    step's, and every step after it is monotone in them. So a row whose
-    float32 samples are all settled (_unsettled_rows, with the margin
-    _settle_margin gives) has the bytes of the exact step. Any other row
-    is rendered again by _box_muller on all of its words, the step
-    synthesize_trace takes, without another words_at call.
+    The normals come from _fast_box_muller, within R·δ of those of
+    _box_muller, the exact step, and every step after it is monotone in
+    them. So a row whose float32 samples are all settled
+    (_unsettled_rows, with the margin _settle_margin gives) has the
+    bytes of the exact step. Any other row is rendered again by
+    _box_muller on all of its words, the step synthesize_trace takes,
+    without another words_at call.
 
     Bit-identical to calling synthesize_trace per coefficient with the
     matching sub-seed: the noise is scaled and shifted in the same order,
@@ -645,6 +601,9 @@ def profiling_parts(seed: int, params: SamplerParams, table: GaussCdtTable, n_tr
     """
     if n_traces < 4:
         raise DomainError("n_traces must be at least 4")
+    # The largest per-trace arrays of a profile, its float32 POI columns, take 8 bytes a trace.
+    if n_traces > np.iinfo(np.intp).max // 8:
+        raise DomainError(f"n_traces {n_traces} is too large for numpy to address its arrays")
     seed = checked_seed(seed)
     if table.entries[0] == 0:
         raise DomainError("table gives zero probability to magnitude 0")

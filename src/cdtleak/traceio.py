@@ -76,7 +76,7 @@ CODECS = {
     "bool": (lambda b: str(int(b)), lambda s: bool(int(s))),
     "str": (str, str),
     "list[int]": (
-        lambda xs: ",".join(str(v) for v in xs),
+        lambda xs: ",".join([str(v) for v in xs]),
         lambda s: [int(v) for v in s.split(",")],
     ),
 }

@@ -199,10 +199,10 @@ def test_criterion_5_cpa_localization():
         seed=0x10CA7E, params=params, table=table, model=LeakModel(),
         n_traces=10_000,
     )
-    layout = TraceLayout.for_params(params, table)
+    # The first inner and sign sites of README "Defaults".
     for hypothesis, site in (
-        (64.0 * labels.inner_bits[:, 0, 0], layout.inner_site_index(0, 1)),
-        (64.0 * labels.neg_bits[:, 0], layout.neg_site_index(0)),
+        (64.0 * labels.inner_bits[:, 0, 0], 3),
+        (64.0 * labels.neg_bits[:, 0], 211),
     ):
         corr = correlation_traces(traces.samples, hypothesis[None])[0]
         assert find_poi(corr) == site

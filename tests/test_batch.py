@@ -478,6 +478,36 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def _src_trees(root: Path) -> dict:
+    return {path: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(root.glob("src/cdtleak/*.py"))}
+
+
+def _references(node, skip):
+    """The names and attribute names under node, outside the subtree skip."""
+    if node is skip:
+        return
+    if isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, skip)
+
+
+def _unreferenced(trees: dict, private: bool) -> list:
+    """Module-level functions and classes, private or public, that no src module refers to.
+
+    A reference is a name or an attribute outside the definition itself;
+    a docstring or comment that names it is not one.
+    """
+    return [(path, node.name)
+            for path, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and (node.name[0] == "_") == private
+            and not any(node.name in _references(other, node) for other in trees.values())]
+
+
 def test_no_unreferenced_public_names():
     """Every public module-level function and class in src/cdtleak/*.py is reached.
 
@@ -488,31 +518,24 @@ def test_no_unreferenced_public_names():
     use runs.
     """
     root = Path(__file__).resolve().parents[1]
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(root.glob("src/cdtleak/*.py"))}
     named = "".join((root / p).read_text(encoding="utf-8")
                     for p in ("perfbench/checks.py", "README.md"))
-
-    def references(node, skip):
-        if node is skip:
-            return
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        for child in ast.iter_child_nodes(node):
-            yield from references(child, skip)
-
-    unreached = []
-    for path, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
-                continue
-            if any(node.name in references(other, node) for other in trees.values()):
-                continue
-            if not re.search(rf"\b{node.name}\b", named):
-                unreached.append(f"{path.relative_to(root)}: {node.name}")
+    unreached = [f"{path.relative_to(root)}: {name}"
+                 for path, name in _unreferenced(_src_trees(root), private=False)
+                 if not re.search(rf"\b{name}\b", named)]
     assert unreached == []
+
+
+def test_no_test_only_private_names():
+    """Every private module-level function and class in src/cdtleak/*.py is used by src.
+
+    Some src module must refer to it, as a name or an attribute, outside
+    its own definition. One that only tests call belongs under tests/.
+    """
+    root = Path(__file__).resolve().parents[1]
+    unused = [f"{path.relative_to(root)}: {name}"
+              for path, name in _unreferenced(_src_trees(root), private=True)]
+    assert unused == []
 
 
 def test_error_vocabulary():

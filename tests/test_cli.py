@@ -298,9 +298,8 @@ class TestProfile:
             capsys, "profile", "--seed", "3", "--traces", "1500", "--out", out
         )
         assert rc == 0
-        layout = leakage.TraceLayout.for_params(SamplerParams(logn=9), default_table())
-        inner_site = layout.inner_site_index(0, 1)
-        neg_site = layout.neg_site_index(0)
+        # The first inner and sign sites of README "Defaults".
+        inner_site, neg_site = 3, 211
         assert _line(stdout, "inner poi:") == f"inner poi: {inner_site}"
         assert _line(stdout, "inner expected leak site:").endswith(str(inner_site))
         assert _line(stdout, "neg poi:") == f"neg poi: {neg_site}"
@@ -361,6 +360,15 @@ class TestProfile:
         assert rc == 2
         assert stdout == ""
         assert err == "error: out of memory: Unable to allocate 72.8 TiB for an array\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("traces", [2**62, 2**64, 10**29])
+    def test_traces_past_numpy_sizes_exit_2_and_write_nothing(self, capsys, tmp_path, traces):
+        # The POI columns, 8 bytes a trace, would have more bytes than numpy can index.
+        rc, stdout, err = _run(capsys, "profile", "--traces", str(traces),
+                               "--out", str(tmp_path / "t"))
+        assert (rc, stdout) == (2, "")
+        assert err == f"error: n_traces {traces} is too large for numpy to address its arrays\n"
         assert not list(tmp_path.iterdir())
 
     def test_in_is_not_a_flag(self, capsys, tmp_path):

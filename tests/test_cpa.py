@@ -165,7 +165,7 @@ class TestCorrelationTrace:
         )
         layout = TraceLayout.for_params(params, table)
         corr = _one(traces.samples, 64.0 * labels.inner_bits[:, 0, 0])
-        site = layout.inner_site_index(0, 1)
+        site = layout.site_matrix()[0, 0]
         assert find_poi(corr) == site
         assert corr[site] == pytest.approx(1.0, abs=1e-9)
 

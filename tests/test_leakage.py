@@ -34,7 +34,7 @@ from cdtleak.leakage import (
     synthesize_profiling_set,
     synthesize_trace,
 )
-from cdtleak.leakage import _box_muller_words
+from cdtleak.leakage import _box_muller
 from cdtleak.sampler import (
     MASK64,
     GaussCdtTable,
@@ -104,22 +104,18 @@ class TestTraceLayout:
         )
         assert layout.outer_block == 5 * 4 + 2
         assert layout.trace_length == 3 * 22
-        for u in range(3):
-            for k in range(1, 6):
-                assert layout.inner_site_index(u, k) == u * 22 + (k - 1) * 4 + 1
-            assert layout.neg_site_index(u) == u * 22 + 20
+        want = [[u * 22 + (k - 1) * 4 + 1 for k in range(1, 6)] + [u * 22 + 20]
+                for u in range(3)]
+        assert layout.site_matrix().tolist() == want
 
     def test_site_arrays_match_scalar_indices(self):
-        layout = TraceLayout(outer_count=2, inner_count=26)
-        matrix = layout.site_matrix()
-        assert matrix.shape == (2, 27)
-        for u in range(2):
-            for k in range(1, 27):
-                assert matrix[u, k - 1] == layout.inner_site_index(u, k)
-        vector = matrix[:, 26]
-        assert vector.shape == (2,)
-        for u in range(2):
-            assert vector[u] == layout.neg_site_index(u)
+        # README "Defaults": inner step k of outer u writes its mask at
+        # sample u*216 + (k-1)*8 + 3, and the sign mask at u*216 + 211.
+        for logn, outer_count in ((9, 2), (10, 1)):
+            layout = TraceLayout.for_params(SamplerParams(logn=logn), default_table())
+            want = [[u * 216 + (k - 1) * 8 + 3 for k in range(1, 27)] + [u * 216 + 211]
+                    for u in range(outer_count)]
+            assert layout.site_matrix().tolist() == want, logn
 
     def test_default_falcon512_geometry(self):
         layout = TraceLayout.for_params(SamplerParams(logn=9), default_table())
@@ -133,17 +129,6 @@ class TestTraceLayout:
         message = "^trace length 4294967296 does not fit the 32-bit header field$"
         with pytest.raises(DomainError, match=message):
             TraceLayout(outer_count=1, inner_count=1, samples_per_outer_tail=2**32 - 8)
-
-    def test_index_range_checks(self):
-        layout = TraceLayout(outer_count=2, inner_count=3)
-        with pytest.raises(DomainError):
-            layout.inner_site_index(2, 1)
-        with pytest.raises(DomainError):
-            layout.inner_site_index(0, 0)
-        with pytest.raises(DomainError):
-            layout.inner_site_index(0, 4)
-        with pytest.raises(DomainError):
-            layout.neg_site_index(-1)
 
     def test_constructor_validation(self):
         with pytest.raises(DomainError):
@@ -183,9 +168,9 @@ class TestGaussianBlock:
         assert abs(np.mean(x**4) - 3.0) < 0.05
 
     def test_matrix_rows_equal_scalar_blocks(self):
-        # The render's in-place Box–Muller step on a row's first 34 words.
+        # The render fallback's Box–Muller step on a row's first 34 words.
         seeds = np.array([3, 99, 2**63, MASK64], dtype=np.uint64)
-        matrix = _box_muller_words(words(seeds, 0, 34), np.empty((4, 34)))[:, :33]
+        matrix = _box_muller(words(seeds, 0, 34))[:, :33]
         for i, s in enumerate(seeds):
             assert np.array_equal(matrix[i], gaussian_block(int(s), 33))
 
@@ -210,8 +195,8 @@ class TestSynthesizeTrace:
         trace = synthesize_trace(leaks, model, layout, noise_seed=9)
         bumped = np.float32(model.beta + 64 * model.alpha)
         expected = np.full(layout.trace_length, np.float32(model.beta))
-        expected[layout.inner_site_index(0, 2)] = bumped
-        expected[layout.neg_site_index(1)] = bumped
+        expected[layout.site_matrix()[0, 1]] = bumped
+        expected[layout.site_matrix()[1, -1]] = bumped
         assert np.array_equal(trace, expected)
 
     def test_noise_seed_changes_everything_but_structure(self):
@@ -528,27 +513,27 @@ class TestProfilingSet:
     def test_class_means_at_low_voltage_scale(self, profiling_10k):
         traces, labels, layout, model = profiling_10k
         n = labels.n_records
-        site = layout.inner_site_index(0, 1)
+        site = layout.site_matrix()[0, 0]
         hi = traces.samples[: n // 2, site].mean()
         lo = traces.samples[n // 2 :, site].mean()
         # Standard error is sigma / sqrt(5000) ~ 5.7e-5; allow 4 of them.
         tol = 4 * model.noise_sigma / np.sqrt(n // 2)
         assert abs(hi - (model.beta + 64 * model.alpha)) < tol
         assert abs(lo - model.beta) < tol
-        neg_site = layout.neg_site_index(0)
+        neg_site = layout.site_matrix()[0, -1]
         odd = traces.samples[1::2, neg_site].mean()
         even = traces.samples[0::2, neg_site].mean()
         assert abs(odd - (model.beta + 64 * model.alpha)) < tol
         assert abs(even - model.beta) < tol
-        baseline = traces.samples[:, layout.inner_site_index(0, 1) - 1].mean()
+        baseline = traces.samples[:, layout.site_matrix()[0, 0] - 1].mean()
         assert abs(baseline - model.beta) < tol
 
     def test_poi_is_planted_site_and_baseline_is_quiet(self, profiling_10k):
         traces, labels, layout, _ = profiling_10k
         hypothesis = 64.0 * labels.inner_bits[:, 0, 0]
         corr = correlation_traces(traces.samples, hypothesis[None])[0]
-        assert find_poi(corr) == layout.inner_site_index(0, 1)
-        assert abs(corr[layout.inner_site_index(0, 1)]) >= 0.95
+        assert find_poi(corr) == layout.site_matrix()[0, 0]
+        assert abs(corr[layout.site_matrix()[0, 0]]) >= 0.95
         leak_sites = set(layout.site_matrix().reshape(-1).tolist())
         quiet = np.array(
             [i for i in range(layout.trace_length) if i not in leak_sites]
@@ -624,6 +609,11 @@ class TestProfilingStream:
             profiling_parts(1, params, table, n_traces=3)
         with pytest.raises(DomainError):
             profiling_parts(2**64, params, table)
+        # The largest count whose 8-byte-a-trace POI columns numpy can index is taken.
+        largest = np.iinfo(np.intp).max // 8
+        profiling_parts(1, params, table, n_traces=largest)
+        with pytest.raises(DomainError, match=f"^n_traces {largest + 1} is too large"):
+            profiling_parts(1, params, table, n_traces=largest + 1)
 
         def no_render(*args):
             raise AssertionError("a chunk was rendered")

@@ -224,12 +224,12 @@ class TestNoiselessRecovery:
             seed=50, params=params, table=table, model=model, n_traces=40
         )
         layout = TraceLayout.for_params(params, table)
-        site = layout.inner_site_index(0, 1)
+        site = layout.site_matrix()[0, 0]
         ti = build_template(
             prof_traces.samples, prof_labels.inner_bits[:, 0, 0], site
         )
         tn = build_template(
-            prof_traces.samples, prof_labels.neg_bits[:, 0], layout.neg_site_index(0)
+            prof_traces.samples, prof_labels.neg_bits[:, 0], layout.site_matrix()[0, -1]
         )
         traces, labels = synthesize_campaign(
             seed=51, params=params, table=table, model=model
