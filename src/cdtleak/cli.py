@@ -37,16 +37,9 @@ def _add_common(sub) -> None:
     sub.add_argument("--table", type=str, default=None, help="CDT table file")
 
 
-def _setup_fields(cls) -> list:
-    """The fields of a setup dataclass that are flags: those with a default."""
-    return [f for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING]
-
-
-_SETUP_FIELDS = _setup_fields(leakage.LeakModel) + _setup_fields(leakage.TraceLayout)
-
-
 def _add_model_flags(sub) -> None:
-    for f in _SETUP_FIELDS:
+    """One flag per LeakModel field; the trace geometry is TraceLayout's, not a flag's."""
+    for f in dataclasses.fields(leakage.LeakModel):
         sub.add_argument("--" + f.name.replace("_", "-"), type=traceio.CODECS[f.type][1],
                          default=f.default, help=f.metadata.get("help"))
 
@@ -60,13 +53,9 @@ def _table_from(args) -> sampler.GaussCdtTable:
 def _setup_from(args):
     tab = _table_from(args)
     params = sampler.SamplerParams(logn=args.logn)
-    model_kw, layout_kw = (
-        {f.name: getattr(args, f.name) for f in _setup_fields(cls)}
-        for cls in (leakage.LeakModel, leakage.TraceLayout)
-    )
-    model = leakage.LeakModel(**model_kw)
-    layout = leakage.TraceLayout.for_params(params, tab, **layout_kw)
-    return tab, params, model, layout
+    model = leakage.LeakModel(**{f.name: getattr(args, f.name)
+                                 for f in dataclasses.fields(leakage.LeakModel)})
+    return tab, params, model, leakage.TraceLayout.for_params(params, tab)
 
 
 def cmd_simulate(args) -> int:

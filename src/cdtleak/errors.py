@@ -3,8 +3,11 @@
 An argument that the operation cannot take raises DomainError; shapes or
 counts that disagree with each other, with a file header or with the
 trace layout raise LayoutMismatch. A file that cannot be read as its
-kind raises that kind's format error.
+kind raises that kind's format error. checked_index is the one check
+that an integer argument is an integer.
 """
+
+import operator
 
 
 class CdtLeakError(Exception):
@@ -33,3 +36,14 @@ class ReportFormatError(CdtLeakError, ValueError):
 
 class TraceFormatError(CdtLeakError, ValueError):
     """A trace or label file is malformed."""
+
+
+def checked_index(value, what: str) -> int:
+    """value as a Python int if operator.index takes it; DomainError otherwise, not a truncation.
+
+    Python and numpy integers are taken; floats and strings are not.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None

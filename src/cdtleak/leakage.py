@@ -3,9 +3,9 @@
 A trace covers one coefficient: for every outer iteration of the sampler,
 one block of samples per inner-loop iteration followed by a short tail
 block for the sign handling. Exactly one sample inside each block carries
-signal, at a configurable offset: the device writes the iteration's mask
-word there, so the sample mean shifts by alpha times the mask's Hamming
-weight (0 or 64). Everything else is baseline plus Gaussian noise.
+signal, at the offset TraceLayout sets: the device writes the iteration's
+mask word there, so the sample mean shifts by alpha times the mask's
+Hamming weight (0 or 64). Everything else is baseline plus Gaussian noise.
 
 Noise is generated from the same deterministic word-source family as the
 sampler input, one derived sub-seed per trace, so whole campaigns are
@@ -33,12 +33,12 @@ import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import traceio
-from .errors import DomainError, LayoutMismatch, TraceFormatError
+from .errors import DomainError, LayoutMismatch, TraceFormatError, checked_index
 from .sampler import (
     MASK63,
     MASK64,
@@ -103,6 +103,8 @@ class TraceLayout:
     leak_offset_neg: int = 3
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            checked_index(getattr(self, f.name), f.name)
         if self.outer_count < 1 or self.inner_count < 1:
             raise DomainError("iteration counts must be positive")
         if self.samples_per_inner < 1 or self.samples_per_outer_tail < 1:
@@ -111,8 +113,7 @@ class TraceLayout:
             raise DomainError("leak_offset_inner outside its block")
         if not 0 <= self.leak_offset_neg < self.samples_per_outer_tail:
             raise DomainError("leak_offset_neg outside its block")
-        if (length := self.trace_length) > 0xFFFFFFFF:
-            raise DomainError(f"trace length {length} does not fit the 32-bit header field")
+        traceio.check_count(self.trace_length, "trace length")
 
     @classmethod
     def for_params(cls, params: SamplerParams, table: GaussCdtTable, **kwargs) -> "TraceLayout":
@@ -149,6 +150,7 @@ def _box_muller(words: np.ndarray) -> np.ndarray:
 
 def gaussian_block(seed: int, count: int) -> np.ndarray:
     """`count` standard normal deviates, fully determined by `seed`."""
+    count = checked_index(count, "count")
     if count < 0:
         raise DomainError("count must be non-negative")
     pairs = (count + 1) // 2
@@ -314,8 +316,9 @@ def render_blocks(parts, model: LeakModel, layout: TraceLayout, columns=None):
     `parts` is an iterable of (LabelSet, noise sub-seeds) pairs of
     consecutive rows, as campaign_parts and profiling_parts give them,
     drawn as the render needs them. A row's samples are its trace, or
-    only its samples `columns` (a 1-D index array), in that order; a
-    column outside the trace raises DomainError here, and a part whose
+    only its samples `columns` (a 1-D integer index array), in that order;
+    a column outside the trace, or columns of another dtype (bool
+    included, not read as a mask), raise DomainError here, and a part whose
     label records do not fit `layout` raises LayoutMismatch when it is
     drawn, before any of its chunks is rendered. Sample j is the cos (j <
     pairs) or sin half of Box–Muller pair j mod pairs, pairs =
@@ -355,9 +358,12 @@ def render_blocks(parts, model: LeakModel, layout: TraceLayout, columns=None):
     drawn, gather, n_out = np.arange(pairs), slice(length), length
     cols, sites = layout.site_matrix().reshape(-1), slice(None)
     if columns is not None:
-        columns = np.asarray(columns, dtype=np.int64)
+        columns = np.asarray(columns)
+        if columns.dtype.kind not in "iu":
+            raise DomainError(f"columns must be integer sample indices, got dtype {columns.dtype}")
         if columns.ndim != 1 or not ((0 <= columns) & (columns < length)).all():
             raise DomainError(f"columns must be sample indices below {length}")
+        columns = columns.astype(np.int64)
         drawn = np.flatnonzero(np.bincount(columns % pairs, minlength=pairs))
         # Column i of a tile's normals is the cos of drawn pair i, column len(drawn) + i its sin.
         gather = np.searchsorted(drawn, columns % pairs) + len(drawn) * (columns >= pairs)

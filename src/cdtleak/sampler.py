@@ -24,7 +24,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import DomainError, TableFormatError
+from .errors import DomainError, TableFormatError, checked_index
 from .traceio import read_text
 
 MASK64 = (1 << 64) - 1
@@ -51,7 +51,8 @@ def splitmix64(x: int) -> int:
 
 
 def checked_seed(seed: int) -> int:
-    """seed, if it is a 64-bit value; DomainError otherwise, never a wrap mod 2**64."""
+    """seed, if it is a 64-bit integer; DomainError otherwise, never a wrap mod 2**64."""
+    seed = checked_index(seed, "seed")
     if not 0 <= seed <= MASK64:
         raise DomainError("seed must be a 64-bit value")
     return seed
@@ -71,7 +72,8 @@ class WordSource:
     counter: int = 0
 
     def __post_init__(self) -> None:
-        checked_seed(self.seed)
+        self.seed = checked_seed(self.seed)
+        self.counter = checked_index(self.counter, "counter")
         if not 0 <= self.counter <= MASK64:
             raise DomainError("counter must be a 64-bit value")
 
@@ -86,9 +88,10 @@ def words(seeds, start: int, count: int) -> np.ndarray:
     Row i holds the words WordSource(seeds[i], start) returns next, that
     is splitmix64(seeds[i] + (start + c + 1) * GOLDEN) for c < count, all
     mod 2**64: the counter wraps as it advances. Seeds must already be
-    64-bit values; a start that is not one raises DomainError, as
-    WordSource does.
+    64-bit values; a start that is not one, or a start or count that is
+    not an integer, raises DomainError, as WordSource does.
     """
+    start, count = checked_index(start, "start"), checked_index(count, "count")
     if count < 0:
         raise DomainError("count must be non-negative")
     if not 0 <= start <= MASK64:
@@ -99,7 +102,15 @@ def words(seeds, start: int, count: int) -> np.ndarray:
 
 
 def words_at(seeds, counters) -> np.ndarray:
-    """[i, j] is WordSource(seeds[i], counters[j]).next_u64(), for 64-bit counters."""
+    """[i, j] is WordSource(seeds[i], counters[j]).next_u64(), for 64-bit counters.
+
+    counters is an integer array or a sequence of integers; anything else
+    raises DomainError.
+    """
+    if not isinstance(counters, np.ndarray):
+        counters = [checked_index(c, "counter") for c in counters]
+    elif counters.dtype.kind not in "iu":
+        raise DomainError(f"counters must be integers, got dtype {counters.dtype}")
     return _splitmix_rows(seeds, np.array(counters, dtype=np.uint64) + np.uint64(1))
 
 
@@ -133,6 +144,7 @@ def derive_subseed(seed: int, index: int) -> int:
     Children are the master's own SplitMix64 outputs, so distinct indices
     yield distinct, statistically independent streams.
     """
+    index = checked_index(index, "index")
     if not 0 <= index <= MASK64:
         raise DomainError("index must be a 64-bit value")
     return int(words([checked_seed(seed)], index, 1)[0, 0])
@@ -217,6 +229,8 @@ class SamplerParams:
     q: int = DEFAULT_Q
 
     def __post_init__(self) -> None:
+        checked_index(self.logn, "logn")
+        checked_index(self.q, "q")
         if not 1 <= self.logn <= 10:
             raise DomainError("logn must be in [1, 10]")
         if self.q <= 0:

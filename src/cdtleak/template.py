@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TemplateFormatError
+from .errors import DomainError, TemplateFormatError, checked_index
 from .traceio import (CODECS, decode_fields, encode_fields, encode_key_values, pop_field,
                       read_key_values)
 
@@ -66,7 +66,7 @@ def build_template(traces, labels, poi: int) -> Template:
     labels = np.asarray(labels).astype(bool)
     if labels.ndim != 1 or labels.shape[0] != traces.shape[0]:
         raise DomainError("labels must be 1-D, one per trace")
-    poi = int(poi)
+    poi = checked_index(poi, "POI")
     if not 0 <= poi < traces.shape[1]:
         raise DomainError(f"POI {poi} outside trace of length {traces.shape[1]}")
     column = traces[:, poi].astype(np.float64)

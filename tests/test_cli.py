@@ -29,13 +29,10 @@ from test_template import TWO_POI_TPL
 
 LOW_NOISE = "2.284"
 
-# The setup fields that are flags of simulate and profile: those with a default.
-SETUP_FIELDS = [
-    f
-    for cls in (leakage.LeakModel, leakage.TraceLayout)
-    for f in dataclasses.fields(cls)
-    if f.default is not dataclasses.MISSING
-]
+# Flags for TraceLayout's geometry fields, which no command takes: the library
+# and the .trc metadata set the geometry.
+GEOMETRY_FLAGS = ["--samples-per-inner", "--samples-per-outer-tail", "--leak-offset-inner",
+                  "--leak-offset-neg"]
 
 
 # The --help text of each subcommand, at 80 columns.
@@ -43,12 +40,7 @@ HELP = {
     "simulate": """\
 usage: cdtleak simulate [-h] [--seed SEED] [--logn LOGN] [--table TABLE]
                         [--alpha ALPHA] [--beta BETA]
-                        [--noise-sigma NOISE_SIGMA]
-                        [--samples-per-inner SAMPLES_PER_INNER]
-                        [--samples-per-outer-tail SAMPLES_PER_OUTER_TAIL]
-                        [--leak-offset-inner LEAK_OFFSET_INNER]
-                        [--leak-offset-neg LEAK_OFFSET_NEG] [--keys KEYS]
-                        --out OUT
+                        [--noise-sigma NOISE_SIGMA] [--keys KEYS] --out OUT
 
 options:
   -h, --help            show this help message and exit
@@ -59,22 +51,13 @@ options:
   --beta BETA           baseline level, mV
   --noise-sigma NOISE_SIGMA
                         noise standard deviation, mV
-  --samples-per-inner SAMPLES_PER_INNER
-  --samples-per-outer-tail SAMPLES_PER_OUTER_TAIL
-  --leak-offset-inner LEAK_OFFSET_INNER
-  --leak-offset-neg LEAK_OFFSET_NEG
   --keys KEYS           number of keys to generate
   --out OUT             output prefix
 """,
     "profile": """\
 usage: cdtleak profile [-h] [--seed SEED] [--logn LOGN] [--table TABLE]
                        [--alpha ALPHA] [--beta BETA]
-                       [--noise-sigma NOISE_SIGMA]
-                       [--samples-per-inner SAMPLES_PER_INNER]
-                       [--samples-per-outer-tail SAMPLES_PER_OUTER_TAIL]
-                       [--leak-offset-inner LEAK_OFFSET_INNER]
-                       [--leak-offset-neg LEAK_OFFSET_NEG] [--traces TRACES]
-                       --out OUT
+                       [--noise-sigma NOISE_SIGMA] [--traces TRACES] --out OUT
 
 options:
   -h, --help            show this help message and exit
@@ -85,10 +68,6 @@ options:
   --beta BETA           baseline level, mV
   --noise-sigma NOISE_SIGMA
                         noise standard deviation, mV
-  --samples-per-inner SAMPLES_PER_INNER
-  --samples-per-outer-tail SAMPLES_PER_OUTER_TAIL
-  --leak-offset-inner LEAK_OFFSET_INNER
-  --leak-offset-neg LEAK_OFFSET_NEG
   --traces TRACES       profiling traces
   --out OUT             template output prefix
 """,
@@ -275,22 +254,6 @@ class TestSimulate:
         assert not (tmp_path / "c.trc").exists()
 
 
-OVERSIZED = "error: trace length 5200000000000000000016 does not fit the 32-bit header field\n"
-
-
-class TestOversizedLayout:
-    """A layout past the .trc header's 32-bit trace length exits 2 before a key is sampled."""
-
-    @pytest.mark.parametrize(
-        "argv", [["simulate"], ["profile", "--traces", "4"]], ids=["simulate", "profile"]
-    )
-    def test_exits_2_and_writes_nothing(self, capsys, tmp_path, argv):
-        rc, stdout, err = _run(capsys, *argv, "--samples-per-inner", "100000000000000000000",
-                               "--out", str(tmp_path / "x"))
-        assert (rc, stdout, err) == (2, "", OVERSIZED)
-        assert not list(tmp_path.iterdir())
-
-
 class TestProfile:
     def test_poi_lands_on_leak_site(self, capsys, tmp_path):
         out = str(tmp_path / "t")
@@ -423,6 +386,26 @@ class TestAttack:
         rc, stdout, _ = _run(capsys, "attack", "--in", camp, "--templates", tpl)
         assert rc == 1
         assert "keys recovered: 0/1" in stdout
+
+    def test_attacks_a_geometry_no_flag_sets(self, capsys, tmp_path):
+        # A 215-sample campaign from the library: attack takes its layout
+        # from the .trc metadata, and templates profiled at the default
+        # geometry fit, since the leak sites 3 and 211 are the same.
+        params, table = SamplerParams(logn=10), default_table()
+        layout = leakage.TraceLayout.for_params(params, table, samples_per_outer_tail=7)
+        model = leakage.LeakModel(noise_sigma=float(LOW_NOISE))
+        traces, labels = leakage.synthesize_campaign(5, params, table, model, layout, n_keys=1)
+        assert traces.samples.shape == (2048, 215)
+        camp, tpl = str(tmp_path / "odd"), str(tmp_path / "tpl")
+        traceio.write_trace_set(traces, camp + ".trc")
+        traceio.write_label_set(labels, camp + ".lbl")
+        rc, _ = _quiet("profile", "--logn", "10", "--noise-sigma", LOW_NOISE,
+                       "--traces", "2000", "--out", tpl)
+        assert rc == 0
+        rc, stdout, _ = _run(capsys, "attack", "--in", camp, "--templates", tpl)
+        assert rc == 0
+        assert _line(stdout, "coefficients correct") == "coefficients correct: 2048/2048"
+        assert _line(stdout, "keys recovered") == "keys recovered: 1/1"
 
     def test_needs_template_arguments(self, capsys, pipeline):
         with pytest.raises(SystemExit) as exc:
@@ -690,11 +673,19 @@ class TestSetupFlags:
     @pytest.mark.parametrize("command", ["simulate", "profile"])
     def test_every_setup_field_is_a_flag(self, command):
         actions = {a.dest: a for a in _subparsers()[command]._actions}
-        for f in SETUP_FIELDS:
+        for f in dataclasses.fields(leakage.LeakModel):
             action = actions[f.name]
             assert action.option_strings == ["--" + f.name.replace("_", "-")]
             assert action.default == f.default
             assert action.type is traceio.CODECS[f.type][1]
+        # The geometry is no flag, and every setup field is still a metadata key.
+        params, table = SamplerParams(logn=9), default_table()
+        layout = leakage.TraceLayout.for_params(params, table)
+        md = leakage.campaign_metadata(1, params, leakage.LeakModel(), layout, 1)
+        for f in dataclasses.fields(leakage.TraceLayout):
+            assert f.name not in actions and f.name in md
+        for cls in (SamplerParams, leakage.LeakModel):
+            assert {f.name for f in dataclasses.fields(cls)} <= set(md)
 
     def test_flags_take_any_form_their_type_reads(self):
         # Files take only the written form ("1e+39", "4.0"); flags take the plain constructors.
@@ -786,11 +777,9 @@ class TestThreadsAndMetadataErrors:
             blobs.append([(tmp_path / f"t{threads}{s}").read_bytes() for s in (".trc", ".lbl")])
         assert blobs[0] == blobs[1]
 
-    @pytest.mark.parametrize(
-        "extra",
-        [["--seed", "714"], ["--seed", "714", "--samples-per-outer-tail", "7"]],
-        ids=["readme", "trace_length_430"],
-    )
+    # An odd geometry, which no flag sets, is rendered on 1 to 3 cores in
+    # test_simulate_stream.py::TestBytesEqualInMemoryCampaign::test_render_equals_in_memory.
+    @pytest.mark.parametrize("extra", [["--seed", "714"]], ids=["readme"])
     def test_profile_outputs_do_not_depend_on_threads(self, monkeypatch, tmp_path, extra):
         runs = []
         for threads in (1, 2, 3):
@@ -1041,6 +1030,17 @@ class TestFlagsSpelledInFull:
             main(["analyze", "--p-inner", "0.9", "--p-neg", "0.9", flag, value])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", GEOMETRY_FLAGS)
+    @pytest.mark.parametrize("command", ["simulate", "profile"])
+    def test_geometry_is_not_a_flag(self, capsys, monkeypatch, tmp_path, command, flag):
+        # The layout is TraceLayout's: the library and the .trc metadata set it.
+        monkeypatch.chdir(tmp_path)  # a command that ran would write here
+        with pytest.raises(SystemExit) as exc:
+            main([command, *REQUIRED[command], flag, "8"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 8" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "command, cut", ABBREVIATIONS, ids=[f"{c}{o}" for c, o in ABBREVIATIONS]

@@ -130,6 +130,20 @@ class TestTraceLayout:
         with pytest.raises(DomainError, match=message):
             TraceLayout(outer_count=1, inner_count=1, samples_per_outer_tail=2**32 - 8)
 
+    @pytest.mark.parametrize("name", ["outer_count", "inner_count", "samples_per_inner",
+                                      "samples_per_outer_tail", "leak_offset_inner",
+                                      "leak_offset_neg"])
+    def test_non_integer_fields_refused(self, name):
+        # Refused here, so that trace_length and site_matrix() stay integers.
+        kw = {"outer_count": 2, "inner_count": 26, name: 2.5}
+        with pytest.raises(DomainError, match=rf"^{name} must be an integer, got 2\.5$"):
+            TraceLayout(**kw)
+
+    def test_numpy_integer_fields_taken(self):
+        layout = TraceLayout(np.int64(2), np.uint8(26), samples_per_inner=np.int32(8))
+        assert layout.trace_length == 432
+        assert layout.site_matrix().tolist() == TraceLayout(2, 26).site_matrix().tolist()
+
     def test_constructor_validation(self):
         with pytest.raises(DomainError):
             TraceLayout(outer_count=0, inner_count=3)
@@ -144,6 +158,13 @@ class TestTraceLayout:
 
 
 class TestGaussianBlock:
+    def test_non_integer_count_or_seed_refused(self):
+        with pytest.raises(DomainError, match=r"^count must be an integer, got 2\.5$"):
+            gaussian_block(7, 2.5)
+        with pytest.raises(DomainError, match=r"^seed must be an integer, got 7\.0$"):
+            gaussian_block(7.0, 2)
+        assert np.array_equal(gaussian_block(np.uint64(7), np.int8(3)), gaussian_block(7, 3))
+
     def test_deterministic_and_seed_sensitive(self):
         a = gaussian_block(12345, 64)
         b = gaussian_block(12345, 64)
@@ -730,6 +751,19 @@ class TestRenderColumns:
         for bad in ([432], [-1], [[3]]):
             with pytest.raises(DomainError, match="columns must be sample indices below 432"):
                 render_blocks(parts, LeakModel(), layout, columns=bad)
+
+    def test_rejects_columns_that_are_not_integers(self):
+        # Floats are not truncated, and bools are not read as the indices 1 and 0.
+        params, table = SamplerParams(logn=9), default_table()
+        layout = TraceLayout.for_params(params, table)
+        parts = list(profiling_parts(3, params, table, n_traces=8))
+        for bad in (np.array([3.7, 211.2]), np.array([True, False]), [3.0], []):
+            with pytest.raises(DomainError, match="^columns must be integer sample indices"):
+                render_blocks(parts, LeakModel(), layout, columns=bad)
+        want = _gather_columns(parts, LeakModel(), layout, [3, 211])
+        for dtype in (np.uint8, np.int16, np.uint64):
+            got = _gather_columns(parts, LeakModel(), layout, np.array([3, 211], dtype=dtype))
+            assert got.tobytes() == want.tobytes(), dtype
 
 
 class TestCampaignSiteColumns:

@@ -3,9 +3,11 @@
 Every `cdtleak ...` line of the README's `sh` blocks runs through
 `cli.main`, in order, in one temporary directory. It must exit 0, and
 its stdout must equal the `# ` lines that follow it, byte for byte. The
-files it writes must have the pinned SHA-256 digests.
+files it writes must have the pinned SHA-256 digests. Every flag of
+every command is named somewhere in the README.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 from test_batch import GOLDEN_NUMPY
 
-from cdtleak.cli import _fmt_pct, main
+from cdtleak.cli import _build_parser, _fmt_pct, main
 from cdtleak.recover import load_report
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -100,3 +102,19 @@ def test_files_have_the_pinned_bytes(walkthrough):
     assert sorted(p.name for p in root.iterdir()) == sorted(WALKTHROUGH_SHA256)
     for name, digest in WALKTHROUGH_SHA256.items():
         assert hashlib.sha256((root / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_every_flag_is_documented():
+    text = README.read_text()
+    (subs,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = [
+        (command, option)
+        for command, sub in subs.choices.items()
+        for action in sub._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+    ]
+    # Whole flags only: --in must not count as named by --inner.
+    missing = [f"{command} {option}" for command, option in flags
+               if not re.search(re.escape(option) + r"(?![\w-])", text)]
+    assert missing == []

@@ -19,6 +19,8 @@ from cdtleak.sampler import (
     sample_keys,
     splitmix64,
     word_block,
+    words,
+    words_at,
 )
 
 from naive_sampler import branchy_model, interpret_listing, scaled_word_grid
@@ -238,6 +240,33 @@ class TestWordSource:
         with pytest.raises(DomainError, match="seed must be a 64-bit value"):
             derive_subseed(seed, 0)
 
+    def test_non_integers_refused_not_truncated(self):
+        # A non-integer is neither rounded toward zero nor left to raise a bare TypeError.
+        calls = {
+            "seed": [lambda: word_block(7.9, 0, 1), lambda: derive_subseed(7.9, 0),
+                     lambda: WordSource(seed=7.9)],
+            "start": [lambda: words([7], 0.9, 1)],
+            "count": [lambda: words([7], 0, 1.5), lambda: word_block(7, 0, 2.0)],
+            "counter": [lambda: WordSource(seed=7, counter=1.5), lambda: words_at([7], [1.5])],
+            "counters": [lambda: words_at([7], np.array([1.0])),
+                         lambda: words_at([7], np.array([True]))],
+            "index": [lambda: derive_subseed(7, 0.5), lambda: derive_subseed(7, "1")],
+        }
+        for what, refused in calls.items():
+            for call in refused:
+                with pytest.raises(DomainError, match=f"^{what} must be (an )?integer"):
+                    call()
+
+    def test_numpy_integers_taken(self):
+        assert np.array_equal(word_block(np.uint64(7), np.int64(3), np.int32(4)),
+                              word_block(7, 3, 4))
+        assert derive_subseed(np.uint64(7), np.uint8(1)) == derive_subseed(7, 1)
+        source = WordSource(seed=np.uint64(7), counter=np.int64(3))
+        assert (type(source.seed), type(source.counter)) == (int, int)
+        assert source.next_u64() == WordSource(seed=7, counter=3).next_u64()
+        assert np.array_equal(words_at([7], np.array([3, 5], dtype=np.uint8)),
+                              words_at([7], [3, 5]))
+
     def test_sequence_source_exhaustion(self):
         src = SequenceWordSource([1, 2])
         assert src.next_u64() == 1
@@ -337,3 +366,11 @@ class TestParams:
             SamplerParams(logn=11)
         with pytest.raises(DomainError):
             SamplerParams(logn=9, q=0)
+
+    def test_non_integer_fields_refused(self):
+        # Refused here, so that .n never meets a float exponent.
+        with pytest.raises(DomainError, match=r"^logn must be an integer, got 9\.5$"):
+            SamplerParams(logn=9.5)
+        with pytest.raises(DomainError, match="^q must be an integer"):
+            SamplerParams(logn=9, q=12289.0)
+        assert SamplerParams(logn=np.int64(9)).n == 512

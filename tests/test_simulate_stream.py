@@ -47,11 +47,7 @@ def _flag_values(argv):
         beta=float(opts.get("--beta", leakage.DEFAULT_BETA)),
         noise_sigma=float(opts.get("--noise-sigma", leakage.DEFAULT_NOISE_SIGMA)),
     )
-    layout = TraceLayout.for_params(
-        params,
-        default_table(),
-        samples_per_outer_tail=int(opts.get("--samples-per-outer-tail", 8)),
-    )
+    layout = TraceLayout.for_params(params, default_table())
     return int(opts["--seed"]), int(opts.get("--keys", 1)), params, model, layout
 
 
@@ -82,8 +78,6 @@ CASES = {
     # 16 rows per key and 9 rows per chunk: 48 rows end in a partial chunk.
     "logn3": ["--seed", "11", "--logn", "3", "--keys", "3"],
     "logn7": ["--seed", "5", "--logn", "7", "--keys", "2"],
-    # One outer iteration of 26 * 8 + 7 samples: an odd trace length.
-    "odd_length": ["--seed", "12", "--logn", "10", "--samples-per-outer-tail", "7"],
     # Key blocks of 2,048 and 1,024 rows, neither a multiple of the chunk.
     "three_keys": ["--seed", "13", "--keys", "3"],
     "negative_zero": ["--seed", "3", "--beta", "-0.0", "--noise-sigma", "0"],
@@ -103,8 +97,45 @@ class TestBytesEqualInMemoryCampaign:
         assert got[0] == reference[name][0], ".trc"
         assert got[1] == reference[name][1], ".lbl"
 
+    # Geometries that only the library sets: seed, logn, and the campaign's
+    # keys or the profiling set's traces, with a tail of 7 samples.
+    ODD = {
+        # One outer iteration of 26 * 8 + 7 samples: an odd trace length.
+        "odd_length": (12, 10, "campaign", 1),
+        # Two of them, 430 samples: an even length with an odd half.
+        "len430": (714, 9, "profiling", 10000),
+    }
+
+    @staticmethod
+    def _odd_setup(name):
+        seed, logn, kind, rows = TestBytesEqualInMemoryCampaign.ODD[name]
+        params, table = SamplerParams(logn=logn), default_table()
+        layout = TraceLayout.for_params(params, table, samples_per_outer_tail=7)
+        return seed, params, table, layout, kind, rows
+
     def test_odd_length_is_odd(self):
-        assert _flag_values(CASES["odd_length"])[4].trace_length % 2 == 1
+        assert self._odd_setup("odd_length")[3].trace_length == 215
+        assert self._odd_setup("len430")[3].trace_length == 430
+
+    @pytest.mark.parametrize("name", sorted(ODD))
+    def test_render_equals_in_memory(self, monkeypatch, name):
+        """render_blocks on 1, 2 and 3 cores gives the bytes of the one-core in-memory set."""
+        seed, params, table, layout, kind, rows = self._odd_setup(name)
+        model = LeakModel()
+        gather, parts = {
+            "campaign": (synthesize_campaign, leakage.campaign_parts),
+            "profiling": (leakage.synthesize_profiling_set, leakage.profiling_parts),
+        }[kind]
+        monkeypatch.setattr(leakage, "_usable_cores", lambda: 1)
+        want, want_labels = gather(seed, params, table, model, layout, rows)
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(leakage, "_usable_cores", lambda: cores)
+            blocks = list(render_blocks(parts(seed, params, table, rows), model, layout))
+            samples = np.concatenate([s for _, s in blocks])
+            labels = traceio.LabelSet.concatenate([part for part, _ in blocks])
+            assert samples.tobytes() == want.samples.tobytes(), cores
+            assert labels.bits.tobytes() == want_labels.bits.tobytes(), cores
+            assert labels.values.tobytes() == want_labels.values.tobytes(), cores
 
     @pytest.mark.parametrize("threads", [1, 3, 8])
     def test_small_chunks_and_key_blocks(self, monkeypatch, tmp_path, threads):

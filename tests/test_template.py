@@ -130,6 +130,10 @@ class TestBuildTemplate:
             build_template(traces, [0, 0, 0, 1], 0)
         with pytest.raises(DomainError, match="^POI -1 outside trace of length 3$"):
             build_template(traces, [0, 0, 1, 1], -1)
+        # A float POI is not fitted at its truncation.
+        with pytest.raises(DomainError, match=r"^POI must be an integer, got 2\.9$"):
+            build_template(traces, [0, 0, 1, 1], 2.9)
+        assert build_template(traces, [0, 0, 1, 1], np.int64(2)).poi == 2
         with pytest.raises(DomainError):
             build_template(traces, [0, 0, 1, 1], 3)
         with pytest.raises(DomainError):
