@@ -41,8 +41,10 @@ class TraceFormatError(CdtLeakError, ValueError):
 def checked_index(value, what: str) -> int:
     """value as a Python int if operator.index takes it; DomainError otherwise, not a truncation.
 
-    Python and numpy integers are taken; floats and strings are not.
+    Python and numpy integers are taken; floats, strings and bools are not.
     """
+    if isinstance(value, bool):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
     try:
         return operator.index(value)
     except TypeError:

@@ -22,15 +22,15 @@ leak records and is its scalar reference.
 The exact Box–Muller step is _box_muller: gaussian_block, and so
 synthesize_trace, takes it. The render's step takes cos and sin from a
 node table and short polynomials, not from libm, and keeps
-_box_muller's bytes: a row with a float32 sample that the fast values
-might have rounded differently is rendered again by _box_muller.
+_box_muller's bytes: once a chunk's fast pass is done, its rows with a
+float32 sample that the fast values might have rounded differently are
+rendered again by _box_muller.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -327,29 +327,30 @@ def render_blocks(parts, model: LeakModel, layout: TraceLayout, columns=None):
     into chunks of _CHUNK_SAMPLES drawn words, rendered on one pool of a
     thread per usable core (_usable_cores) with at most _CHUNKS_PER_THREAD
     chunks per thread pending; a chunk's samples are a new float32 block.
-    A thread renders its chunk in row tiles of _TILE_SAMPLES words through
-    its own float64 buffer. The tile's uint64 words are as big, and so is
-    one array at a time beside them: the words' shift temp while
-    words_at draws them, then the contiguous halves of _fast_box_muller.
-    So a thread holds 3 * 512 KiB of scratch. At the README geometry (432
-    samples) a whole-trace render holds, per usable core, 1.5 MiB of
-    scratch and at most 2 pending chunks of 606 rows, 2 MiB.
+    A chunk's render allocates a float64 buffer of _TILE_SAMPLES words and
+    renders the chunk through it in row tiles. The tile's uint64 words are
+    as big, and so is one array at a time beside them: the words' shift
+    temp while words_at draws them, then the contiguous halves of
+    _fast_box_muller. So a thread holds 3 * 512 KiB of scratch. At the
+    README geometry (432 samples) a whole-trace render holds, per usable
+    core, 1.5 MiB of scratch and at most 2 pending chunks of 606 rows, 2 MiB.
 
     The normals come from _fast_box_muller, within R·δ of those of
     _box_muller, the exact step, and every step after it is monotone in
     them. So a row whose float32 samples are all settled
     (_unsettled_rows, with the margin _settle_margin gives) has the
-    bytes of the exact step. Any other row is rendered again by
-    _box_muller on all of its words, the step synthesize_trace takes,
-    without another words_at call.
+    bytes of the exact step. After its tiles, the chunk's other rows are
+    rendered again by _box_muller on all of their words, the step
+    synthesize_trace takes, up to a tile of rows per call and without
+    another words_at call. A call holds five tiles' worth, 2.5 MiB beside
+    the buffer: the rows' words, _box_muller's six half-width arrays and
+    its result. Models whose samples come near 0, where float32 is finer,
+    send most rows there.
 
     Bit-identical to calling synthesize_trace per coefficient with the
     matching sub-seed: the noise is scaled and shifted in the same order,
-    the gain is added where a mask bit is set, and the float32 cast is the
-    same. synthesize_trace also adds alpha * 0 at the other leak sites.
-    That changes a sample only if it is -0.0, which takes beta = -0.0, so
-    only then are those zeros added here too (at every leak site, before
-    the gain). Chunks and tiles only bound memory, and threads only split
+    alpha * HW is added at every leak site, and the float32 cast is the
+    same. Chunks and tiles only bound memory, and threads only split
     chunks, so none of them changes the output.
     """
     length = layout.trace_length
@@ -373,47 +374,42 @@ def render_blocks(parts, model: LeakModel, layout: TraceLayout, columns=None):
         cols, sites = np.flatnonzero(at >= 0), at[at >= 0]
     counters = np.concatenate([drawn, drawn + pairs])
     picked = slice(length) if columns is None else columns
-    add_zeros = model.beta == 0.0 and math.copysign(1.0, model.beta) < 0
     margin = _settle_margin(model)
     width = max(1, len(counters), n_out)
     chunk = max(1, _CHUNK_SAMPLES // width)
     tile = min(chunk, max(1, _TILE_SAMPLES // width))
     threads = _usable_cores()
-    local = threading.local()
 
     def leak(z, bits):
-        """Scale and shift normals z, (rows, n_out) float64, and add the gain where bits fire."""
+        """Scale and shift normals z, (rows, n_out) float64; add alpha * HW at every leak site."""
         z *= model.noise_sigma
         z += model.beta
-        if add_zeros:
-            z[:, cols] += model.alpha * 0
-        rows, fired = np.nonzero(bits[:, sites])
-        z[rows, cols[fired]] += model.alpha * 64
+        z[:, cols] += model.alpha * 64 * bits[:, sites]
 
-    def render_tile(bits, seeds, out):
-        # A function, so that the tile's words are freed before the next tile draws its own.
+    def render_tile(bits, seeds, buf, out):
+        """The fast step on a tile into out, freeing its words; returns the unsettled-row mask."""
         w = words_at(seeds, counters)
-        z = _fast_box_muller(w, local.buf[: len(seeds)])[:, gather]
+        z = _fast_box_muller(w, buf[: len(seeds)])[:, gather]
         leak(z, bits)
         scratch = w.reshape(-1).view(np.float32)
         if len(scratch) < 2 * z.size:  # only columns with repeats
             scratch = np.empty(2 * z.size, dtype=np.float32)
-        redo = np.flatnonzero(_unsettled_rows(z, margin, scratch))
-        # Past float32's range the cast gives inf, which the trace writer rejects.
-        with np.errstate(over="ignore"):
-            out[...] = z
-            if len(redo):
-                # Row i's first `length` normals are gaussian_block(seeds[i], length).
-                exact = _box_muller(words(seeds[redo], 0, 2 * pairs))[:, picked]
-                leak(exact, bits[redo])
-                out[redo] = exact
+        out[...] = z
+        return _unsettled_rows(z, margin, scratch)
 
     def render(bits, subseeds, samples):
-        if not hasattr(local, "buf"):
-            local.buf = np.empty((tile, len(counters)))
-        for lo in range(0, len(subseeds), tile):
-            hi = lo + tile
-            render_tile(bits[lo:hi], subseeds[lo:hi], samples[lo:hi])
+        buf = np.empty((tile, len(counters)))
+        tiles = [slice(lo, lo + tile) for lo in range(0, len(subseeds), tile)]
+        # Past float32's range the cast gives inf, which the trace writer rejects.
+        with np.errstate(over="ignore"):
+            unsettled = [render_tile(bits[t], subseeds[t], buf, samples[t]) for t in tiles]
+            redo = np.flatnonzero(np.concatenate(unsettled))
+            for lo in range(0, len(redo), tile):
+                rows = redo[lo : lo + tile]
+                # Row i's first `length` normals are gaussian_block(subseeds[i], length).
+                exact = _box_muller(words(subseeds[rows], 0, 2 * pairs))[:, picked]
+                leak(exact, bits[rows])
+                samples[rows] = exact
         return samples
 
     def blocks():

@@ -50,12 +50,17 @@ def splitmix64(x: int) -> int:
     return x
 
 
+def _checked_u64(value, what: str) -> int:
+    """value, if it is a 64-bit integer; DomainError otherwise, never a wrap mod 2**64."""
+    value = checked_index(value, what)
+    if not 0 <= value <= MASK64:
+        raise DomainError(f"{what} must be a 64-bit value")
+    return value
+
+
 def checked_seed(seed: int) -> int:
     """seed, if it is a 64-bit integer; DomainError otherwise, never a wrap mod 2**64."""
-    seed = checked_index(seed, "seed")
-    if not 0 <= seed <= MASK64:
-        raise DomainError("seed must be a 64-bit value")
-    return seed
+    return _checked_u64(seed, "seed")
 
 
 @dataclass
@@ -73,9 +78,7 @@ class WordSource:
 
     def __post_init__(self) -> None:
         self.seed = checked_seed(self.seed)
-        self.counter = checked_index(self.counter, "counter")
-        if not 0 <= self.counter <= MASK64:
-            raise DomainError("counter must be a 64-bit value")
+        self.counter = _checked_u64(self.counter, "counter")
 
     def next_u64(self) -> int:
         self.counter = (self.counter + 1) & MASK64
@@ -87,38 +90,51 @@ def words(seeds, start: int, count: int) -> np.ndarray:
 
     Row i holds the words WordSource(seeds[i], start) returns next, that
     is splitmix64(seeds[i] + (start + c + 1) * GOLDEN) for c < count, all
-    mod 2**64: the counter wraps as it advances. Seeds must already be
-    64-bit values; a start that is not one, or a start or count that is
-    not an integer, raises DomainError, as WordSource does.
+    mod 2**64: the counter wraps as it advances. A seed or start that is
+    not a 64-bit integer, or a count that is not an integer, raises
+    DomainError, as WordSource does.
     """
-    start, count = checked_index(start, "start"), checked_index(count, "count")
+    start, count = _checked_u64(start, "start"), checked_index(count, "count")
     if count < 0:
         raise DomainError("count must be non-negative")
-    if not 0 <= start <= MASK64:
-        raise DomainError("start must be a 64-bit value")
     steps = np.arange(1, count + 1, dtype=np.uint64)
     steps += np.uint64(start)
     return _splitmix_rows(seeds, steps)
 
 
 def words_at(seeds, counters) -> np.ndarray:
-    """[i, j] is WordSource(seeds[i], counters[j]).next_u64(), for 64-bit counters.
+    """[i, j] is WordSource(seeds[i], counters[j]).next_u64().
 
-    counters is an integer array or a sequence of integers; anything else
-    raises DomainError.
+    Seeds and counters are checked as _u64_array checks them.
     """
-    if not isinstance(counters, np.ndarray):
-        counters = [checked_index(c, "counter") for c in counters]
-    elif counters.dtype.kind not in "iu":
-        raise DomainError(f"counters must be integers, got dtype {counters.dtype}")
-    return _splitmix_rows(seeds, np.array(counters, dtype=np.uint64) + np.uint64(1))
+    return _splitmix_rows(seeds, _u64_array(counters, "counter") + np.uint64(1))
+
+
+def _u64_array(values, what: str) -> np.ndarray:
+    """values, one-dimensional 64-bit integers, as uint64; DomainError otherwise.
+
+    An array needs an integer dtype (bool is not one) and, if signed, no
+    negative entry. Any other sequence is checked entry by entry, since
+    numpy would read [0.5] as 0 and [-1] as an OverflowError.
+    """
+    if not isinstance(values, np.ndarray):
+        try:
+            values = [_checked_u64(v, what) for v in values]
+        except TypeError:  # not a sequence
+            raise DomainError(f"{what}s must be one-dimensional") from None
+    elif values.dtype.kind not in "iu":
+        raise DomainError(f"{what}s must be integers, got dtype {values.dtype}")
+    elif values.dtype.kind == "i" and (values < 0).any():
+        raise DomainError(f"{what} must be a 64-bit value")
+    values = np.asarray(values, dtype=np.uint64)
+    if values.ndim != 1:
+        raise DomainError(f"{what}s must be one-dimensional")
+    return values
 
 
 def _splitmix_rows(seeds, steps: np.ndarray) -> np.ndarray:
-    """splitmix64(seeds[i] + steps[j] * GOLDEN) at [i, j]; steps is multiplied in place."""
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    if seeds.ndim != 1 or steps.ndim != 1:
-        raise DomainError("seeds and counters must be one-dimensional")
+    """splitmix64(seeds[i] + steps[j] * GOLDEN) at [i, j], seeds checked; steps is scaled in place."""
+    seeds = _u64_array(seeds, "seed")
     steps *= np.uint64(_GOLDEN)
     x = seeds[:, None] + steps[None, :]
     t = np.empty_like(x)
@@ -144,9 +160,7 @@ def derive_subseed(seed: int, index: int) -> int:
     Children are the master's own SplitMix64 outputs, so distinct indices
     yield distinct, statistically independent streams.
     """
-    index = checked_index(index, "index")
-    if not 0 <= index <= MASK64:
-        raise DomainError("index must be a 64-bit value")
+    index = _checked_u64(index, "index")
     return int(words([checked_seed(seed)], index, 1)[0, 0])
 
 

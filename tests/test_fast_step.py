@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_batch import GOLDEN, GOLDEN_NUMPY
 
@@ -24,6 +24,7 @@ from cdtleak.leakage import (
     LeakModel,
     TraceLayout,
     campaign_parts,
+    profiling_parts,
     render_blocks,
     synthesize_trace,
 )
@@ -183,15 +184,45 @@ class TestForcedFallback:
                 assert hashlib.sha256(fh.read()).hexdigest() == digest, command + suffix
 
 
+class TestExactPass:
+    """A chunk's unsettled rows take the exact step together, a tile of rows per call."""
+
+    @pytest.mark.parametrize("sigma, rows", [(4.0, (291, 140)), (2.284, (169, 79))],
+                             ids=["4mV", "2.284mV"])
+    def test_readme_fallback_rows_take_one_call_per_chunk(self, monkeypatch, sigma, rows):
+        # The README's campaign (20 keys) and profiling set (10,000 traces),
+        # and the rows of each that the README says are rendered again.
+        params, table = SamplerParams(logn=9), default_table()
+        layout, model = TraceLayout.for_params(params, table), LeakModel(noise_sigma=sigma)
+        calls = []
+
+        def counted(w):
+            calls.append(len(w))
+            return box_muller(w)
+
+        box_muller = leakage._box_muller
+        monkeypatch.setattr(leakage, "_box_muller", counted)
+        sets = [campaign_parts(20260819, params, table, 20),
+                profiling_parts(714, params, table, 10000)]
+        for parts, want, chunks in zip(sets, rows, (40, 19)):
+            calls.clear()
+            assert sum(1 for _ in render_blocks(parts, model, layout)) == chunks
+            assert sum(calls) == want
+            assert len(calls) <= chunks
+
+
 class TestRenderEqualsSynthesizeTrace:
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=MASK64),
         sigma=st.sampled_from([0.0, 1e-3, 4.0, 1e3]),
         beta=st.sampled_from([-0.0, 0.0, 40.0, -1e6, 1e30]),
-        alpha=st.sampled_from([0.0, 30.0 / 64.0, -1.0]),
+        alpha=st.sampled_from([0.0, -0.0, 30.0 / 64.0, -1.0]),
         columns=st.lists(st.integers(min_value=0, max_value=431), min_size=1, max_size=12),
     )
+    # Zero gains on zero samples: the sum's sign of zero must be synthesize_trace's.
+    @example(seed=3, sigma=0.0, beta=-0.0, alpha=-0.0, columns=[3, 0, 211, 3])
+    @example(seed=3, sigma=0.0, beta=-0.0, alpha=0.0, columns=[3, 0, 211, 3])
     def test_rows_and_columns(self, seed, sigma, beta, alpha, columns):
         params, table = SamplerParams(logn=9), default_table()
         layout = TraceLayout.for_params(params, table)

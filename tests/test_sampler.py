@@ -257,6 +257,32 @@ class TestWordSource:
                 with pytest.raises(DomainError, match=f"^{what} must be (an )?integer"):
                     call()
 
+    def test_word_rows_refuse_seeds_that_are_not_64_bit_integers(self):
+        # Not truncated (7.9 as 7), not read as an integer (True as 1), and
+        # neither wrapped nor left to numpy's OverflowError (-1, 2**64).
+        refused = {
+            "seeds must be integers, got dtype": [np.array([7.9]), np.array([True])],
+            "seed must be an integer": [[7.9], [True], (5, 2.0)],
+            "seed must be a 64-bit value": [[-1], [2**64], np.array([-1]),
+                                            np.array([3, -2], dtype=np.int8)],
+            "seeds must be one-dimensional": [7, np.array([[7]])],
+        }
+        for message, cases in refused.items():
+            for seeds in cases:
+                with pytest.raises(DomainError, match=f"^{message}"):
+                    words(seeds, 0, 1)
+                with pytest.raises(DomainError, match=f"^{message}"):
+                    words_at(seeds, [0])
+        with pytest.raises(DomainError, match="^counter must be a 64-bit value"):
+            words_at([7], np.array([-1]))
+        with pytest.raises(DomainError, match="^seed must be an integer"):
+            WordSource(seed=True)
+        # Integer arrays of any width and 64-bit sequences are taken.
+        want = words([0, 7, MASK64], 0, 2)
+        assert np.array_equal(words(np.array([0, 7, MASK64], dtype=np.uint64), 0, 2), want)
+        assert np.array_equal(words(np.array([0, 7], dtype=np.int8), 0, 2), want[:2])
+        assert np.array_equal(words_at((0, 7, MASK64), [0, 1]), want)
+
     def test_numpy_integers_taken(self):
         assert np.array_equal(word_block(np.uint64(7), np.int64(3), np.int32(4)),
                               word_block(7, 3, 4))

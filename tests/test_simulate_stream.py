@@ -450,10 +450,14 @@ def test_memory_does_not_grow_with_keys(monkeypatch, tmp_path):
 def test_render_scratch_is_tile_sized(monkeypatch):
     """Draining two threads' campaign over 4 keys stays under a bound set by the constants.
 
-    The bound is each thread's tile scratch (a float64 buffer, uint64
-    words and their shift temp), the float32 chunks pending on the pool
-    plus the one the caller holds, one key block, and 1 MiB of slack.
-    Scratch as big as a chunk would exceed it by more than 6 MiB.
+    The bound is each thread's tile scratch, the float32 chunks pending on
+    the pool plus the one the caller holds, one key block, and 1 MiB of
+    slack. On the fast step a thread's scratch is 3 tiles: a float64
+    buffer, uint64 words and their shift temp. Scratch as big as a chunk
+    would exceed that bound by more than 6 MiB. At beta = 0 most rows are
+    rendered again, and the exact step on a tile of rows holds 5 tiles
+    beside the buffer: the words, _box_muller's six half-width arrays and
+    its result.
     """
     params, table, threads = SamplerParams(logn=9), default_table(), 2
     monkeypatch.setattr(leakage, "_usable_cores", lambda: threads)
@@ -462,19 +466,20 @@ def test_render_scratch_is_tile_sized(monkeypatch):
     assert width % 2 == 0
     chunk_rows = leakage._CHUNK_SAMPLES // width
     tile_rows = leakage._TILE_SAMPLES // width
-    scratch = threads * 3 * tile_rows * width * 8
     chunks = (leakage._CHUNKS_PER_THREAD * threads + 1) * chunk_rows * width * 4
     # Per row: the value (int32), the mask bits, the noise sub-seed and the sampler's draws.
     sites = layout.outer_count * (layout.inner_count + 1)
     key_block = leakage._KEY_BLOCK_ROWS * (4 + sites + 8 + 2 * layout.outer_count * 8)
-    bound = scratch + chunks + key_block + (1 << 20)
-    tracemalloc.start()
-    try:
-        parts = campaign_parts(5, params, table, n_keys=4)
-        blocks = render_blocks(parts, LeakModel(), layout)
-        rows = sum(len(samples) for _, samples in blocks)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert rows == 4 * 2 * params.n
-    assert peak < bound, (peak, bound)
+    for model, tiles in [(LeakModel(), 3), (LeakModel(beta=0.0), 1 + 5)]:
+        scratch = threads * tiles * tile_rows * width * 8
+        bound = scratch + chunks + key_block + (1 << 20)
+        tracemalloc.start()
+        try:
+            parts = campaign_parts(5, params, table, n_keys=4)
+            blocks = render_blocks(parts, model, layout)
+            rows = sum(len(samples) for _, samples in blocks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows == 4 * 2 * params.n
+        assert peak < bound, (model, peak, bound)
