@@ -90,6 +90,8 @@ def correlation_traces(traces, hypotheses) -> np.ndarray:
         traces = iter([traces])
     if n < 2:
         raise DomainError("need at least two traces")
+    if not np.isfinite(h).all():
+        raise DomainError("hypotheses must be finite")
     if (h == h[:, :1]).all(axis=1).any():
         raise DomainError("hypothesis has zero variance")
     moments = tile = None
@@ -124,8 +126,13 @@ def correlation_traces(traces, hypotheses) -> np.ndarray:
 
 
 def find_poi(correlations) -> int:
-    """Index of the largest |correlation|; exact ties resolve to the lower index."""
+    """Index of the largest |correlation|; exact ties resolve to the lower index.
+
+    A NaN or infinite correlation raises DomainError rather than being picked.
+    """
     corr = np.asarray(correlations, dtype=np.float64)
     if corr.ndim != 1 or not corr.size:
         raise DomainError("correlations must be a non-empty 1-D array")
+    if not np.isfinite(corr).all():
+        raise DomainError("correlations must be finite")
     return int(np.argmax(np.abs(corr)))

@@ -44,6 +44,7 @@ from .sampler import (
     MASK64,
     GaussCdtTable,
     SamplerParams,
+    _u64_array,
     checked_seed,
     sample_keys,
     scan_words,
@@ -318,9 +319,11 @@ def render_blocks(parts, model: LeakModel, layout: TraceLayout, columns=None):
     drawn as the render needs them. A row's samples are its trace, or
     only its samples `columns` (a 1-D integer index array), in that order;
     a column outside the trace, or columns of another dtype (bool
-    included, not read as a mask), raise DomainError here, and a part whose
-    label records do not fit `layout` raises LayoutMismatch when it is
-    drawn, before any of its chunks is rendered. Sample j is the cos (j <
+    included, not read as a mask), raise DomainError here. A part is
+    checked when it is drawn, before any of its chunks is rendered: its
+    sub-seeds as words checks seeds (DomainError), and its label records
+    against `layout` and the number of sub-seeds (LayoutMismatch). An
+    empty part yields nothing. Sample j is the cos (j <
     pairs) or sin half of Box–Muller pair j mod pairs, pairs =
     ceil(trace_length / 2), and pair p takes words p and pairs + p of the
     row's sub-seed, so only the used pairs are drawn. Each part is cut
@@ -416,9 +419,12 @@ def render_blocks(parts, model: LeakModel, layout: TraceLayout, columns=None):
         with ThreadPoolExecutor(max_workers=threads) as pool:
             pending: deque = deque()
             for labels, subseeds in parts:
+                subseeds = _u64_array(subseeds, "seed")
                 if labels.bits.shape[1:] != (layout.outer_count, layout.inner_count + 1):
                     raise LayoutMismatch("layout disagrees with sampler parameters or table")
-                bits = labels.bits.reshape(len(subseeds), -1)
+                if labels.n_records != len(subseeds):
+                    raise LayoutMismatch(f"{labels.n_records} labels for {len(subseeds)} sub-seeds")
+                bits = labels.bits.reshape(len(subseeds), layout.site_matrix().size)
                 for lo in range(0, len(subseeds), chunk):
                     hi = min(lo + chunk, len(subseeds))
                     # Blocks are allocated on the thread that frees them, so

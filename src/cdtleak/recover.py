@@ -153,7 +153,7 @@ def _element(f) -> str:
     return f.type[len("list[") : -1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RecoveryReport:
     """Machine-readable outcome of a key-recovery run.
 
@@ -166,9 +166,9 @@ class RecoveryReport:
     report_version, the scalar fields, then key by key one
     `key.{j}.{line}` field per field whose metadata names a line. Fields
     marked labeled are written and read only when has_labels, declared
-    before them, is set. from_values pops the fields it reads and refuses
-    a report whose fields contradict each other or that has a key it does
-    not read.
+    before them, is set. A report is frozen, and fields that contradict
+    each other raise ReportFormatError when it is made, read or counted.
+    from_values pops the fields it reads and refuses a key it does not read.
     """
 
     n_keys: int
@@ -238,12 +238,11 @@ class RecoveryReport:
             decoded = [pop_field(values, name, kind, ReportFormatError) for name in names]
             kw[f.name] = decoded if line else decoded[0]
         report = cls(**kw)
-        report._check()
         if values:
             raise ReportFormatError(f"unknown keys: {', '.join(sorted(values))}")
         return report
 
-    def _check(self) -> None:
+    def __post_init__(self) -> None:
         """Raise ReportFormatError unless the fields agree with each other."""
 
         def need(ok: bool, what: str) -> None:
@@ -266,7 +265,7 @@ class RecoveryReport:
                 for j, entry in enumerate(value):
                     line = f"key.{j}.{f.metadata['line']}"
                     need(len(entry) == self.n, f"{line} has {len(entry)} entries, not n={self.n}")
-                    need(_element(f) != "str" or set(entry) <= {"0", "1"},
+                    need(_element(f) != "str" or entry.count("0") + entry.count("1") == self.n,
                          f"{line} has a flag other than 0 or 1")
         coefficients = self.n_keys * 2 * self.n
         outer = coefficients * self.outer_count
@@ -318,11 +317,11 @@ def recover_key(
     """Recover every key in a campaign, one trace per coefficient.
 
     `traces` is a TraceSet or a TraceReader, and `labels` a LabelSet, a
-    LabelReader or None. Rows must be ordered the way synthesize_campaign
-    writes them: key by key, f before g. Each row is classified in
-    isolation; nothing is averaged across traces. With labels the report
-    also carries empirical per-site and per-key accuracy, comparable
-    against the predicted rates derived from the templates themselves.
+    LabelReader or None, each checked for shape when made. Rows must be
+    ordered as synthesize_campaign writes them: key by key, f before g.
+    Each row is classified in isolation; nothing is averaged across
+    traces. With labels the report also carries empirical per-site and
+    per-key accuracy, against the rates the templates predict.
 
     Every input is checked, and the predicted rates are computed, before
     the first block is read. One worker thread reads rows and labels
@@ -332,10 +331,9 @@ def recover_key(
     does not depend on the timing of the two threads, and errors come in
     row order: a non-finite sample raises TraceFormatError, and a
     template whose margins on a block are not finite, say for means far
-    outside the samples, raises DomainError.
+    outside the samples, raises DomainError. The report is made once,
+    at the end.
     """
-    if isinstance(traces, TraceSet) and np.ndim(traces.samples) != 2:
-        raise LayoutMismatch("trace set does not match layout length")
     if template_inner is None or template_neg is None:
         raise DomainError("both templates are required")
     outer, inner = layout.outer_count, layout.inner_count
@@ -378,7 +376,21 @@ def recover_key(
 
     per_poly = values.reshape(n_keys, 2, params.n)
     inner_sites, neg_sites = rows * outer * inner, rows * outer
-    report = RecoveryReport(
+    labeled = {}
+    if labels is not None:
+        per_key_correct = correct.reshape(n_keys, 2, params.n)
+        flags = per_key_correct.astype(np.uint8) + ord("0")
+        labeled = dict(
+            has_labels=True,
+            inner_site_errors=inner_errors,
+            neg_site_errors=neg_errors,
+            coefficients_correct=int(correct.sum()),
+            coefficients_total=int(correct.size),
+            keys_recovered=int(per_key_correct.all(axis=(1, 2)).sum()),
+            correct_flags_f=[flags[j, 0].tobytes().decode() for j in range(n_keys)],
+            correct_flags_g=[flags[j, 1].tobytes().decode() for j in range(n_keys)],
+        )
+    return RecoveryReport(
         n_keys=n_keys,
         n=params.n,
         poly_count=2,
@@ -399,18 +411,5 @@ def recover_key(
         p_site_neg=p_site_neg,
         p_coefficient=p_coeff,
         p_full_key=full_key_success(p_coeff, params.n),
+        **labeled,
     )
-    if labels is None:
-        return report
-
-    per_key_correct = correct.reshape(n_keys, 2, params.n)
-    report.has_labels = True
-    report.inner_site_errors = inner_errors
-    report.neg_site_errors = neg_errors
-    report.coefficients_correct = int(correct.sum())
-    report.coefficients_total = int(correct.size)
-    report.keys_recovered = int(per_key_correct.all(axis=(1, 2)).sum())
-    flags = per_key_correct.astype(np.uint8) + ord("0")
-    report.correct_flags_f = [flags[j, 0].tobytes().decode() for j in range(n_keys)]
-    report.correct_flags_g = [flags[j, 1].tobytes().decode() for j in range(n_keys)]
-    return report

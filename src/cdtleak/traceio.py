@@ -41,17 +41,20 @@ LABEL_MAGIC = b"SSNLABEL"
 FORMAT_VERSION = 1
 
 _HEADER = struct.Struct("<IIII")
-_LABEL_HEADER = struct.Struct("<IIII")
 _U32_MAX = 0xFFFFFFFF
 _CREATE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TraceSet:
-    """A batch of equal-length traces plus free-form metadata strings."""
+    """A batch of equal-length traces plus free-form metadata strings; samples are 2-D."""
 
     samples: np.ndarray
     metadata: dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if np.ndim(self.samples) != 2:
+            raise LayoutMismatch(f"samples must be 2-D, got shape {np.shape(self.samples)}")
 
     @property
     def n_traces(self) -> int:
@@ -292,21 +295,18 @@ class TraceWriter(_RowWriter):
 
 def write_trace_set(trace_set: TraceSet, path) -> None:
     """Serialize a TraceSet; the file appears atomically or not at all."""
-    samples = np.asarray(trace_set.samples)
-    if samples.ndim != 2:
-        raise LayoutMismatch(f"samples must be 2-D, got shape {samples.shape}")
     with staged_files(path) as (fh,):
-        TraceWriter(fh, *samples.shape, trace_set.metadata).write(samples)
+        TraceWriter(fh, *np.shape(trace_set.samples), trace_set.metadata).write(trace_set.samples)
 
 
 class _RowReader:
     """Fixed-size rows after a checked header, read in file order.
 
-    Made by _open_rows, which checks the magic, the version, the header
-    and the payload size against the file size before anything is
-    allocated. Each subclass names its magic and header, reads what
-    follows the header in from_header, and checks and decodes a block of
-    rows in _decode.
+    Made by _open_rows, which checks the magic and the version, calls
+    cls(fh, file size, *header fields) and then checks the payload size
+    against the file size before any row is read. Each subclass names its
+    magic and header, reads and checks what follows the header in its
+    __init__, and checks and decodes a block of rows in _decode.
     """
 
     MAGIC: bytes
@@ -319,11 +319,6 @@ class _RowReader:
         self._dtype = np.dtype(dtype)
         self._row_bytes = math.prod(row_shape) * self._dtype.itemsize
         self._next_row = 0
-
-    @classmethod
-    def from_header(cls, fh, size: int, *fields: int):
-        """The reader of an open file whose header fields are `fields`."""
-        return cls(fh, *fields)
 
     def _fill(self, buf: np.ndarray):
         """Read the next len(buf) rows into buf and return them decoded."""
@@ -375,7 +370,7 @@ def _open_rows(path, cls):
         version, *fields = cls.HEADER.unpack_from(head, len(cls.MAGIC))
         if version != FORMAT_VERSION:
             raise TraceFormatError(f"version {version} not supported")
-        reader = cls.from_header(fh, size, *fields)
+        reader = cls(fh, size, *fields)
         need, left = reader._n_rows * reader._row_bytes, size - fh.tell()
         if left < need:
             raise TraceFormatError(f"payload needs {need} bytes, file has {left}")
@@ -397,18 +392,14 @@ class TraceReader(_RowReader):
 
     MAGIC, HEADER = TRACE_MAGIC, _HEADER
 
-    def __init__(self, fh, n_traces: int, n_samples: int, metadata: dict[str, str]):
+    def __init__(self, fh, size: int, n_traces: int, n_samples: int, meta_len: int):
+        if size < fh.tell() + meta_len:
+            raise TraceFormatError("metadata extends past end of file")
+        self.metadata = parse_key_values(fh.read(meta_len),
+                                         lambda m: TraceFormatError(f"metadata: {m}"))
         super().__init__(fh, n_traces, (n_samples,), "<f4")
         self.n_traces = n_traces
         self.n_samples = n_samples
-        self.metadata = metadata
-
-    @classmethod
-    def from_header(cls, fh, size: int, n_traces: int, n_samples: int, meta_len: int):
-        if size < fh.tell() + meta_len:
-            raise TraceFormatError("metadata extends past end of file")
-        metadata = parse_key_values(fh.read(meta_len), lambda m: TraceFormatError(f"metadata: {m}"))
-        return cls(fh, n_traces, n_samples, metadata)
 
     def _decode(self, samples: np.ndarray, lo: int) -> np.ndarray:
         return check_finite(samples)
@@ -425,18 +416,28 @@ def read_trace_set(path) -> TraceSet:
         return TraceSet(samples=reader.read(reader.n_traces), metadata=reader.metadata)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LabelSet:
     """Ground truth for a trace set, one record per trace.
 
     values[i] is the signed coefficient. bits[i, u] holds outer iteration
     u's mask bits in the order of a .lbl record: bits[i, u, k-1] says
     whether inner iteration k latched (mask all ones), for k in
-    1..inner_count, and bits[i, u, inner_count] is the sign draw.
+    1..inner_count, and bits[i, u, inner_count] is the sign draw. Arrays
+    of another rank or record count raise LayoutMismatch, and counts
+    below 1 DomainError.
     """
 
     values: np.ndarray
     bits: np.ndarray
+
+    def __post_init__(self) -> None:
+        if np.ndim(self.values) != 1 or np.ndim(self.bits) != 3:
+            raise LayoutMismatch("labels have wrong rank")
+        if self.n_records != len(self.bits):
+            raise LayoutMismatch("label arrays disagree on record count")
+        if self.outer_count < 1 or self.inner_count < 1:
+            raise DomainError("outer and inner counts must be positive")
 
     @property
     def inner_bits(self) -> np.ndarray:
@@ -450,15 +451,15 @@ class LabelSet:
 
     @property
     def n_records(self) -> int:
-        return int(self.values.shape[0])
+        return len(self.values)
 
     @property
     def outer_count(self) -> int:
-        return int(self.bits.shape[1])
+        return int(np.shape(self.bits)[1])
 
     @property
     def inner_count(self) -> int:
-        return int(self.bits.shape[2]) - 1
+        return int(np.shape(self.bits)[2]) - 1
 
     def rows(self, lo: int, hi: int) -> "LabelSet":
         """Records lo to hi, as views."""
@@ -474,19 +475,6 @@ class LabelSet:
         """The records of `parts`, in order, as one LabelSet."""
         values, bits = zip(*((p.values, p.bits) for p in parts))
         return cls(np.concatenate(values), np.concatenate(bits))
-
-
-def _check_label_shapes(labels: LabelSet) -> tuple[int, int, int]:
-    values = np.asarray(labels.values)
-    bits = np.asarray(labels.bits)
-    if values.ndim != 1 or bits.ndim != 3:
-        raise LayoutMismatch("labels have wrong rank")
-    n, outer, inner = bits.shape[0], bits.shape[1], bits.shape[2] - 1
-    if values.shape[0] != n:
-        raise LayoutMismatch("label arrays disagree on record count")
-    if outer < 1 or inner < 1:
-        raise DomainError("outer and inner counts must be positive")
-    return n, outer, inner
 
 
 def _record_dtype(outer: int, inner: int) -> np.dtype:
@@ -505,12 +493,12 @@ class LabelWriter(_RowWriter):
         check_count(n_records, "record count")
         if outer_count < 1 or inner_count < 1:
             raise DomainError("outer and inner counts must be positive")
-        header = _LABEL_HEADER.pack(FORMAT_VERSION, n_records, outer_count, inner_count)
+        header = _HEADER.pack(FORMAT_VERSION, n_records, outer_count, inner_count)
         super().__init__(fh, n_records, LABEL_MAGIC + header)
         self.counts = (outer_count, inner_count)
 
     def write(self, labels: LabelSet) -> None:
-        n, outer, inner = _check_label_shapes(labels)
+        n, outer, inner = labels.n_records, labels.outer_count, labels.inner_count
         if (outer, inner) != self.counts:
             raise LayoutMismatch(f"labels of {outer}x{inner} masks, header declares {self.counts}")
         start = self._take(n)
@@ -524,9 +512,8 @@ class LabelWriter(_RowWriter):
 
 def write_label_set(labels: LabelSet, path) -> None:
     """Serialize a LabelSet with the same atomicity guarantees as traces."""
-    n, outer, inner = _check_label_shapes(labels)
     with staged_files(path) as (fh,):
-        LabelWriter(fh, n, outer, inner).write(labels)
+        LabelWriter(fh, labels.n_records, labels.outer_count, labels.inner_count).write(labels)
 
 
 class LabelReader(_RowReader):
@@ -536,9 +523,9 @@ class LabelReader(_RowReader):
     is read, and the block is decoded into a LabelSet.
     """
 
-    MAGIC, HEADER = LABEL_MAGIC, _LABEL_HEADER
+    MAGIC, HEADER = LABEL_MAGIC, _HEADER
 
-    def __init__(self, fh, n_records: int, outer_count: int, inner_count: int):
+    def __init__(self, fh, size: int, n_records: int, outer_count: int, inner_count: int):
         if outer_count < 1 or inner_count < 1:
             raise TraceFormatError("outer and inner counts must be positive")
         try:

@@ -538,6 +538,28 @@ def test_no_test_only_private_names():
     assert unused == []
 
 
+def test_dataclasses_are_frozen():
+    """Every dataclass in src/cdtleak/*.py is declared @dataclass(frozen=True).
+
+    So each checks its fields once, when made, and no consumer repeats the
+    check. WordSource is the one exception: its counter advances.
+    """
+    root = Path(__file__).resolve().parents[1]
+    mutable = []
+    for path, tree in _src_trees(root).items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for deco in node.decorator_list:
+                call = deco if isinstance(deco, ast.Call) else None
+                if getattr(call.func if call else deco, "id", None) != "dataclass":
+                    continue
+                frozen = [k.value for k in call.keywords if k.arg == "frozen"] if call else []
+                if not (frozen and getattr(frozen[0], "value", None) is True):
+                    mutable.append(f"{path.name}: {node.name}")
+    assert mutable == ["sampler.py: WordSource"]
+
+
 def test_error_vocabulary():
     """The package's errors are the seven of cdtleak.errors, each of them used.
 

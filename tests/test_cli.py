@@ -374,6 +374,8 @@ class TestAttack:
         labeled = load_report(pipeline["report"])
         assert report.keys_f == labeled.keys_f
         assert report.keys_g == labeled.keys_g
+        rc, stdout, _ = _run(capsys, "report", prefix + ".report.txt")
+        assert rc == 0 and stdout.endswith("no ground truth labels recorded\n")
 
     def test_fails_with_exit_one_at_high_noise(self, capsys, tmp_path):
         camp = str(tmp_path / "camp")
@@ -924,7 +926,7 @@ class TestThreadsAndMetadataErrors:
         )
         # The profiling set carries no metadata; a file that names
         # another kind is refused for its kind, not for a missing one.
-        traces.metadata = {"kind": "profiling"}
+        traces = dataclasses.replace(traces, metadata={"kind": "profiling"})
         prefix = str(tmp_path / "prof")
         traceio.write_trace_set(traces, prefix + ".trc")
         rc, _, err = _run(
@@ -967,7 +969,7 @@ class TestThreadsAndMetadataErrors:
     def test_attack_with_oversized_label_header(self, capsys, pipeline, tmp_path):
         prefix = str(tmp_path / "camp")
         shutil.copy(pipeline["camp"] + ".trc", prefix + ".trc")
-        header = traceio._LABEL_HEADER.pack(1, 1, 0xFFFFFFFF, 0xFFFFFFFF)
+        header = traceio._HEADER.pack(1, 1, 0xFFFFFFFF, 0xFFFFFFFF)
         (tmp_path / "camp.lbl").write_bytes(traceio.LABEL_MAGIC + header)
         rc, _, err = _run(
             capsys, "attack", "--in", prefix, "--templates", pipeline["tpl"]

@@ -328,3 +328,20 @@ class TestFindPoi:
             find_poi(np.ones((2, 2)))
         with pytest.raises(DomainError, match="^correlations must be a non-empty 1-D array$"):
             find_poi(np.array([]))
+
+    def test_refuses_non_finite(self):
+        for corr in ([np.nan, 0.9], [0.1, np.inf], [-np.inf]):
+            with pytest.raises(DomainError, match="^correlations must be finite$"):
+                find_poi(np.array(corr))
+        # A NaN sample makes its column's correlation NaN, which must not beat the true column.
+        rng = np.random.default_rng(18)
+        hyps = rng.normal(size=(1, 10))
+        traces = rng.normal(size=(10, 3))
+        traces[:, 2] = hyps[0]
+        traces[4, 0] = np.nan
+        with pytest.raises(DomainError, match="^correlations must be finite$"):
+            find_poi(correlation_traces(traces, hyps)[0])
+        for bad in (np.nan, np.inf):
+            hyps[0, 4] = bad
+            with pytest.raises(DomainError, match="^hypotheses must be finite$"):
+                correlation_traces(traces[:, 1:], hyps)

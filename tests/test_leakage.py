@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from cdtleak import leakage
+from cdtleak.cli import main
 from cdtleak.cpa import correlation_traces, find_poi
 from cdtleak.errors import DomainError, LayoutMismatch, TraceFormatError
 from cdtleak.leakage import (
@@ -488,11 +489,17 @@ class TestPlantControlWords:
         with pytest.raises(DomainError):
             plant_control_words(table, 0, table.inner_count + 1, rand)
 
-    def test_zero_probability_and_empty_slot_tables(self):
+    def test_zero_probability_and_empty_slot_tables(self, capsys, tmp_path):
         rand = WordSource(seed=2)
         no_zero = GaussCdtTable(entries=(0, 0))
         with pytest.raises(DomainError):
             plant_control_words(no_zero, 0, None, rand)
+        # profile refuses such a table before it plants a trace.
+        (tmp_path / "table.txt").write_text("0\n0\n")
+        rc = main(["profile", "--table", str(tmp_path / "table.txt"), "--out", str(tmp_path / "t")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: table gives zero probability to magnitude 0\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["table.txt"]
         flat = GaussCdtTable(entries=(1 << 62, 5, 5, 0))
         with pytest.raises(DomainError):
             plant_control_words(flat, 0, 2, rand)
@@ -679,6 +686,10 @@ class TestRenderColumns:
                  sites[0, 0], 5]
         got = _gather_columns(profiling_parts(7, params, table, **kw), model, layout, picks)
         assert got.tobytes() == np.ascontiguousarray(traces.samples[:, picks]).tobytes()
+        # One pair three times: more samples than its words have room for, so
+        # render_tile allocates its own scratch.
+        got = _gather_columns(profiling_parts(7, params, table, **kw), model, layout, [3, 3, 3])
+        assert got.tobytes() == np.ascontiguousarray(traces.samples[:, [3, 3, 3]]).tobytes()
         if math.copysign(1.0, model.beta) < 0 and model.noise_sigma == 0.0:
             # The render turns -0.0 into 0.0 at leak sites only.
             signs = np.signbit(traces.samples)
@@ -743,6 +754,30 @@ class TestRenderColumns:
         assert whole.shape == (5000, 2)
         assert np.array_equal(_gather_columns(parts[1:2], model, layout, [3, 211]),
                               whole[2048:4096])
+
+    def test_parts_are_checked_when_drawn(self, monkeypatch):
+        params, table = SamplerParams(logn=9), default_table()
+        layout, model = TraceLayout.for_params(params, table), LeakModel()
+        labels, subseeds = next(campaign_parts(7, params, table, 1))
+        # Sub-seeds as a list are checked entry by entry and rendered as the array is,
+        # by the exact pass too.
+        want = _gather_columns([(labels, subseeds)], model, layout, None)
+        got = _gather_columns([(labels, subseeds.tolist())], model, layout, None)
+        assert got.tobytes() == want.tobytes()
+        for bad in ([-1], [0.5], np.array([1.0])):
+            with pytest.raises(DomainError, match="^seed"):
+                next(render_blocks([(labels.rows(0, 1), bad)], model, layout))
+        # An empty part yields nothing.
+        assert list(render_blocks([(labels.rows(0, 0), subseeds[:0])], model, layout)) == []
+
+        def no_render(*args):
+            raise AssertionError("a chunk was rendered")
+
+        # Four label records for two sub-seeds are refused before a chunk is rendered.
+        monkeypatch.setattr(leakage, "words_at", no_render)
+        for columns in (np.array([3, 211]), None):
+            with pytest.raises(LayoutMismatch, match="^4 labels for 2 sub-seeds$"):
+                next(render_blocks([(labels.rows(0, 4), subseeds[:2])], model, layout, columns))
 
     def test_rejects_columns_outside_the_trace(self):
         params, table = SamplerParams(logn=9), default_table()

@@ -331,6 +331,9 @@ class TestRecoverKeyErrors:
         narrowed = traceio.LabelSet(values=labels.values, bits=labels.bits[:, :, 1:])
         with pytest.raises(LayoutMismatch):
             recover_key(traces, ti, tn, layout, params, labels=narrowed)
+        # Arrays that disagree on the record count never reach recover_key.
+        with pytest.raises(LayoutMismatch, match="^label arrays disagree on record count$"):
+            traceio.LabelSet(labels.values, labels.bits[:-3])
 
 
 class TestReportSerialization:

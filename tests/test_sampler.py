@@ -256,6 +256,8 @@ class TestWordSource:
             for call in refused:
                 with pytest.raises(DomainError, match=f"^{what} must be (an )?integer"):
                     call()
+        with pytest.raises(DomainError, match="^count must be non-negative$"):
+            words([1], 0, -1)
 
     def test_word_rows_refuse_seeds_that_are_not_64_bit_integers(self):
         # Not truncated (7.9 as 7), not read as an integer (True as 1), and

@@ -261,9 +261,9 @@ class TestAttackMatchesRecoverKey:
         trace_set = traceio.read_trace_set(camp + ".trc")
         params, layout, *_ = leakage.campaign_from_metadata(trace_set.metadata)
         ti = load_template(tpl + ".inner.tpl")
-        flat = traceio.TraceSet(trace_set.samples.reshape(-1), trace_set.metadata)
         with pytest.raises(LayoutMismatch):
-            recover_key(flat, ti, ti, layout, params)
+            recover_key(traceio.TraceSet(trace_set.samples.reshape(-1), trace_set.metadata),
+                        ti, ti, layout, params)
 
 
 class TestAttackRejectsBadPayloads:

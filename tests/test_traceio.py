@@ -295,9 +295,8 @@ class TestLabelRoundTrip:
 class TestLabelRejection:
     def test_shape_disagreement(self, tmp_path):
         labels = _label_set(4, 2, 5)
-        labels.values = labels.values[:3]
         with pytest.raises(LayoutMismatch, match="^label arrays disagree on record count$"):
-            write_label_set(labels, tmp_path / "x")
+            write_label_set(LabelSet(labels.values[:3], labels.bits), tmp_path / "x")
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "l.lbl"
