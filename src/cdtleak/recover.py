@@ -173,14 +173,14 @@ class RecoveryReport:
 
     n_keys: int
     n: int
-    poly_count: int
+    poly_count: int = field(init=False)
     outer_count: int
     inner_count: int
     keys_f: list[list[int]] = field(metadata={"line": "f"})
     keys_g: list[list[int]] = field(metadata={"line": "g"})
-    inner_sites_total: int
+    inner_sites_total: int = field(init=False)
     inner_sites_ones: int
-    neg_sites_total: int
+    neg_sites_total: int = field(init=False)
     neg_sites_ones: int
     anomalous_outer_iterations: int
     mean_abs_margin_inner: float
@@ -194,9 +194,9 @@ class RecoveryReport:
     has_labels: bool = False
     inner_site_errors: int = field(default=0, metadata={"labeled": True})
     neg_site_errors: int = field(default=0, metadata={"labeled": True})
-    coefficients_correct: int = field(default=0, metadata={"labeled": True})
-    coefficients_total: int = field(default=0, metadata={"labeled": True})
-    keys_recovered: int = field(default=0, metadata={"labeled": True})
+    coefficients_correct: int = field(init=False, metadata={"labeled": True})
+    coefficients_total: int = field(init=False, metadata={"labeled": True})
+    keys_recovered: int = field(init=False, metadata={"labeled": True})
     correct_flags_f: list[str] = field(
         default_factory=list, metadata={"line": "f_correct", "labeled": True}
     )
@@ -227,7 +227,7 @@ class RecoveryReport:
         version = pop_field(values, "report_version", "int", ReportFormatError)
         if version != REPORT_VERSION:
             raise ReportFormatError(f"unsupported report version {version}")
-        kw: dict = {}
+        kw, copies = {}, {}  # the constructor's fields; the file's values of the totals
         for f in fields(cls):
             if f.metadata.get("labeled") and not kw["has_labels"]:
                 continue  # not read, so refused as unknown if present
@@ -236,14 +236,31 @@ class RecoveryReport:
             names = (f"key.{j}.{line}" for j in range(kw["n_keys"])) if line else [f.name]
             kind = _element(f) if line else f.type
             decoded = [pop_field(values, name, kind, ReportFormatError) for name in names]
-            kw[f.name] = decoded if line else decoded[0]
+            (kw if f.init else copies)[f.name] = decoded if line else decoded[0]
         report = cls(**kw)
+        for name, value in copies.items():
+            if value != getattr(report, name):
+                raise ReportFormatError(
+                    f"inconsistent report: {name}={value} is not {getattr(report, name)}")
         if values:
             raise ReportFormatError(f"unknown keys: {', '.join(sorted(values))}")
         return report
 
     def __post_init__(self) -> None:
-        """Raise ReportFormatError unless the fields agree with each other."""
+        """Compute the six totals, then raise ReportFormatError unless the fields agree."""
+        coefficients = self.n_keys * 2 * self.n
+        outer = coefficients * self.outer_count
+        # The labeled counts are the ones the flag lines give.
+        flags = [f + g for f, g in zip(self.correct_flags_f, self.correct_flags_g)]
+        for name, total in {
+            "poly_count": 2,  # every report holds exactly the f and g lines of each key
+            "inner_sites_total": outer * self.inner_count,
+            "neg_sites_total": outer,
+            "coefficients_correct": sum(key.count("1") for key in flags),
+            "coefficients_total": coefficients if self.has_labels else 0,
+            "keys_recovered": sum("0" not in key for key in flags),
+        }.items():
+            object.__setattr__(self, name, total)
 
         def need(ok: bool, what: str) -> None:
             if not ok:
@@ -251,8 +268,6 @@ class RecoveryReport:
 
         for name in ("n_keys", "n"):
             need(getattr(self, name) > 0, f"{name}={getattr(self, name)} is not positive")
-        # Every report holds exactly the f and g lines of each key.
-        need(self.poly_count == 2, f"poly_count={self.poly_count} is not 2")
         for f in self._written_fields():
             value = getattr(self, f.name)
             if f.type == "int":
@@ -267,26 +282,16 @@ class RecoveryReport:
                     need(len(entry) == self.n, f"{line} has {len(entry)} entries, not n={self.n}")
                     need(_element(f) != "str" or entry.count("0") + entry.count("1") == self.n,
                          f"{line} has a flag other than 0 or 1")
-        coefficients = self.n_keys * 2 * self.n
-        outer = coefficients * self.outer_count
-        totals = {"inner_sites_total": outer * self.inner_count, "neg_sites_total": outer}
         bounded = [
             ("inner_sites_ones", "inner_sites_total"),
             ("neg_sites_ones", "neg_sites_total"),
             ("anomalous_outer_iterations", "neg_sites_total"),
         ]
         if self.has_labels:
-            # The counts are the ones the flag lines give.
-            flags = [f + g for f, g in zip(self.correct_flags_f, self.correct_flags_g)]
-            totals["coefficients_total"] = coefficients
-            totals["coefficients_correct"] = sum(key.count("1") for key in flags)
-            totals["keys_recovered"] = sum("0" not in key for key in flags)
             bounded += [
                 ("inner_site_errors", "inner_sites_total"),
                 ("neg_site_errors", "neg_sites_total"),
             ]
-        for name, total in totals.items():
-            need(getattr(self, name) == total, f"{name}={getattr(self, name)} is not {total}")
         for count, total in bounded:
             need(getattr(self, count) <= getattr(self, total), f"{count} exceeds {total}")
 
@@ -378,29 +383,22 @@ def recover_key(
     inner_sites, neg_sites = rows * outer * inner, rows * outer
     labeled = {}
     if labels is not None:
-        per_key_correct = correct.reshape(n_keys, 2, params.n)
-        flags = per_key_correct.astype(np.uint8) + ord("0")
+        flags = correct.reshape(n_keys, 2, params.n).astype(np.uint8) + ord("0")
         labeled = dict(
             has_labels=True,
             inner_site_errors=inner_errors,
             neg_site_errors=neg_errors,
-            coefficients_correct=int(correct.sum()),
-            coefficients_total=int(correct.size),
-            keys_recovered=int(per_key_correct.all(axis=(1, 2)).sum()),
             correct_flags_f=[flags[j, 0].tobytes().decode() for j in range(n_keys)],
             correct_flags_g=[flags[j, 1].tobytes().decode() for j in range(n_keys)],
         )
     return RecoveryReport(
         n_keys=n_keys,
         n=params.n,
-        poly_count=2,
         outer_count=outer,
         inner_count=inner,
         keys_f=per_poly[:, 0].tolist(),
         keys_g=per_poly[:, 1].tolist(),
-        inner_sites_total=inner_sites,
         inner_sites_ones=inner_ones,
-        neg_sites_total=neg_sites,
         neg_sites_ones=neg_ones,
         anomalous_outer_iterations=anomalous,
         mean_abs_margin_inner=math.fsum(s[0] for s in abs_sums) / inner_sites,

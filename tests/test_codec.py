@@ -42,14 +42,11 @@ def _report(text: str) -> RecoveryReport:
 UNLABELED = RecoveryReport(
     n_keys=2,
     n=2,
-    poly_count=2,
     outer_count=2,
     inner_count=3,
     keys_f=[[1, -2], [0, 3]],
     keys_g=[[-1, 0], [2, 2]],
-    inner_sites_total=48,
     inner_sites_ones=5,
-    neg_sites_total=16,
     neg_sites_ones=4,
     anomalous_outer_iterations=1,
     mean_abs_margin_inner=12.5,
@@ -94,9 +91,6 @@ LABELED = dataclasses.replace(
     has_labels=True,
     inner_site_errors=1,
     neg_site_errors=0,
-    coefficients_correct=7,
-    coefficients_total=8,
-    keys_recovered=1,
     correct_flags_f=["11", "01"],
     correct_flags_g=["11", "11"],
 )
