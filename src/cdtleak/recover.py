@@ -148,6 +148,10 @@ def _site_blocks(traces, labels, columns: list):
             yield block
 
 
+def _inconsistent(what: str) -> ReportFormatError:
+    return ReportFormatError(f"inconsistent report: {what}")
+
+
 def _element(f) -> str:
     """Element type of a per-key field: the T of its list[T] annotation."""
     return f.type[len("list[") : -1]
@@ -166,9 +170,17 @@ class RecoveryReport:
     report_version, the scalar fields, then key by key one
     `key.{j}.{line}` field per field whose metadata names a line. Fields
     marked labeled are written and read only when has_labels, declared
-    before them, is set. A report is frozen, and fields that contradict
-    each other raise ReportFormatError when it is made, read or counted.
-    from_values pops the fields it reads and refuses a key it does not read.
+    before them, is set, and a report without labels refuses a labeled
+    value. A report is frozen, and fields that contradict each other
+    raise ReportFormatError when it is made, read or counted.
+
+    Six fields are init=False totals that __post_init__ computes from
+    n_keys, n, outer_count, inner_count and the flag lines: poly_count,
+    inner_sites_total, neg_sites_total and the labeled coefficients_correct,
+    coefficients_total and keys_recovered (0 without labels). from_values
+    pops the fields it reads, checks the file's copies of the six against
+    the computed values in declaration order, and refuses a key it does
+    not read.
     """
 
     n_keys: int
@@ -240,8 +252,7 @@ class RecoveryReport:
         report = cls(**kw)
         for name, value in copies.items():
             if value != getattr(report, name):
-                raise ReportFormatError(
-                    f"inconsistent report: {name}={value} is not {getattr(report, name)}")
+                raise _inconsistent(f"{name}={value} is not {getattr(report, name)}")
         if values:
             raise ReportFormatError(f"unknown keys: {', '.join(sorted(values))}")
         return report
@@ -261,27 +272,34 @@ class RecoveryReport:
             "keys_recovered": sum("0" not in key for key in flags),
         }.items():
             object.__setattr__(self, name, total)
-
-        def need(ok: bool, what: str) -> None:
-            if not ok:
-                raise ReportFormatError(f"inconsistent report: {what}")
-
+        # Each message is made only when its check fails.
         for name in ("n_keys", "n"):
-            need(getattr(self, name) > 0, f"{name}={getattr(self, name)} is not positive")
+            if getattr(self, name) <= 0:
+                raise _inconsistent(f"{name}={getattr(self, name)} is not positive")
+        if not self.has_labels:  # to_pairs would drop a labeled value
+            for f in fields(self):
+                if f.init and f.metadata.get("labeled") and getattr(self, f.name):
+                    raise _inconsistent(f"{f.name} is set but has_labels is not")
         for f in self._written_fields():
             value = getattr(self, f.name)
             if f.type == "int":
-                need(value >= 0, f"{f.name}={value} is negative")
+                if value < 0:
+                    raise _inconsistent(f"{f.name}={value} is negative")
             elif f.name.startswith(("p_", "overlap_")):
-                need(0.0 <= value <= 1.0, f"{f.name}={value!r} is outside [0, 1]")
+                if not 0.0 <= value <= 1.0:
+                    raise _inconsistent(f"{f.name}={value!r} is outside [0, 1]")
             elif f.type == "float":  # a mean |margin|
-                need(0.0 <= value < math.inf, f"{f.name}={value!r} is not finite and non-negative")
+                if not 0.0 <= value < math.inf:
+                    raise _inconsistent(f"{f.name}={value!r} is not finite and non-negative")
             elif "line" in f.metadata:
+                is_flags = _element(f) == "str"
                 for j, entry in enumerate(value):
-                    line = f"key.{j}.{f.metadata['line']}"
-                    need(len(entry) == self.n, f"{line} has {len(entry)} entries, not n={self.n}")
-                    need(_element(f) != "str" or entry.count("0") + entry.count("1") == self.n,
-                         f"{line} has a flag other than 0 or 1")
+                    if len(entry) != self.n:
+                        raise _inconsistent(f"key.{j}.{f.metadata['line']} has {len(entry)} "
+                                            f"entries, not n={self.n}")
+                    if is_flags and entry.count("0") + entry.count("1") != self.n:
+                        raise _inconsistent(
+                            f"key.{j}.{f.metadata['line']} has a flag other than 0 or 1")
         bounded = [
             ("inner_sites_ones", "inner_sites_total"),
             ("neg_sites_ones", "neg_sites_total"),
@@ -293,7 +311,8 @@ class RecoveryReport:
                 ("neg_site_errors", "neg_sites_total"),
             ]
         for count, total in bounded:
-            need(getattr(self, count) <= getattr(self, total), f"{count} exceeds {total}")
+            if getattr(self, count) > getattr(self, total):
+                raise _inconsistent(f"{count} exceeds {total}")
 
 
 def save_report(report: RecoveryReport, path) -> None:
@@ -337,7 +356,9 @@ def recover_key(
     row order: a non-finite sample raises TraceFormatError, and a
     template whose margins on a block are not finite, say for means far
     outside the samples, raises DomainError. The report is made once,
-    at the end.
+    at the end, from the measured counts and flags; it computes its own
+    totals, so the correct coefficients and recovered keys are counted
+    there.
     """
     if template_inner is None or template_neg is None:
         raise DomainError("both templates are required")

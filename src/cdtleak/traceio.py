@@ -53,8 +53,12 @@ class TraceSet:
     metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if np.ndim(self.samples) != 2:
-            raise LayoutMismatch(f"samples must be 2-D, got shape {np.shape(self.samples)}")
+        try:  # a nested list is held as the array it gives
+            object.__setattr__(self, "samples", np.asarray(self.samples))
+        except ValueError as exc:  # rows of different lengths
+            raise LayoutMismatch(f"samples must be a 2-D array: {exc}") from None
+        if self.samples.ndim != 2:
+            raise LayoutMismatch(f"samples must be 2-D, got shape {self.samples.shape}")
 
     @property
     def n_traces(self) -> int:
@@ -296,7 +300,7 @@ class TraceWriter(_RowWriter):
 def write_trace_set(trace_set: TraceSet, path) -> None:
     """Serialize a TraceSet; the file appears atomically or not at all."""
     with staged_files(path) as (fh,):
-        TraceWriter(fh, *np.shape(trace_set.samples), trace_set.metadata).write(trace_set.samples)
+        TraceWriter(fh, *trace_set.samples.shape, trace_set.metadata).write(trace_set.samples)
 
 
 class _RowReader:

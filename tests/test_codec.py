@@ -335,6 +335,57 @@ class TestReportText:
             _report(text)
 
 
+class TestComputedTotals:
+    """The six totals are computed from the measured fields; a file's copies must agree."""
+
+    TOTALS = ["poly_count", "inner_sites_total", "neg_sites_total",
+              "coefficients_correct", "coefficients_total", "keys_recovered"]
+
+    def test_constructor_takes_only_measured_fields(self):
+        taken = [f.name for f in dataclasses.fields(RecoveryReport) if f.init]
+        assert len(taken) == 22 and not set(self.TOTALS) & set(taken)
+        kw = {name: getattr(LABELED, name) for name in taken}
+        assert RecoveryReport(**kw) == LABELED
+        with pytest.raises(TypeError, match="keys_recovered"):
+            RecoveryReport(**kw, keys_recovered=1)
+
+    def test_totals_equal_what_the_fields_give(self):
+        # 3 keys of n=4, 2 outer iterations of 5 inner sites; key 1 has
+        # one wrong f coefficient and key 2 one wrong g coefficient.
+        report = RecoveryReport(
+            n_keys=3, n=4, outer_count=2, inner_count=5,
+            keys_f=[[1, 0, -1, 2]] * 3, keys_g=[[0, 0, 3, -2]] * 3,
+            inner_sites_ones=7, neg_sites_ones=5, anomalous_outer_iterations=2,
+            mean_abs_margin_inner=3.0, mean_abs_margin_neg=4.0,
+            overlap_inner=0.01, overlap_neg=0.02, p_site_inner=0.99, p_site_neg=0.98,
+            p_coefficient=0.9, p_full_key=0.5,
+            has_labels=True, inner_site_errors=2, neg_site_errors=1,
+            correct_flags_f=["1111", "1011", "1111"], correct_flags_g=["1111", "1111", "0111"],
+        )
+        coefficients = 3 * 2 * 4
+        assert [getattr(report, name) for name in self.TOTALS] == [
+            2, coefficients * 2 * 5, coefficients * 2, coefficients - 2, coefficients, 1]
+        assert _report(_text(report)) == report
+        unlabeled = dataclasses.replace(report, has_labels=False, inner_site_errors=0,
+                                        neg_site_errors=0, correct_flags_f=[],
+                                        correct_flags_g=[])
+        assert [getattr(unlabeled, name) for name in self.TOTALS] == [
+            2, coefficients * 2 * 5, coefficients * 2, 0, 0, 0]
+        assert _report(_text(unlabeled)) == unlabeled
+
+    @pytest.mark.parametrize("name, value", [
+        ("inner_site_errors", 3), ("neg_site_errors", 1),
+        ("correct_flags_f", ["zz", "11"]), ("correct_flags_g", ["11", "11"]),
+    ])
+    def test_unlabeled_report_refuses_labeled_values(self, name, value):
+        # to_pairs would drop the value, so the report would not read back.
+        message = f"^inconsistent report: {name} is set but has_labels is not$"
+        with pytest.raises(ReportFormatError, match=message):
+            dataclasses.replace(UNLABELED, **{name: value})
+        with pytest.raises(ReportFormatError, match="inner_site_errors is set"):
+            dataclasses.replace(UNLABELED, inner_site_errors=3, correct_flags_f=["zz"])
+
+
 class TestDuplicateKeys:
     """A key given twice is an error, not a silent last-one-wins."""
 

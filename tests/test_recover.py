@@ -319,6 +319,14 @@ class TestRecoverKeyErrors:
         with pytest.raises(LayoutMismatch):
             recover_key(traces, ti, tn, layout, SamplerParams(logn=8))
 
+    def test_trace_set_built_from_lists(self):
+        # The samples are held as the array the nested lists give.
+        params, traces, labels, layout, ti, tn = self._campaign()
+        listed = TraceSet(traces.samples.tolist())
+        want = recover_key(traces, ti, tn, layout, params, labels=labels)
+        assert recover_key(listed, ti, tn, layout, params, labels=labels) == want
+        assert want.fully_recovered()
+
     def test_label_mismatches(self):
         params, traces, labels, layout, ti, tn = self._campaign()
         import cdtleak.traceio as traceio

@@ -105,6 +105,15 @@ class TestTraceRoundTrip:
 
 
 class TestTraceWriteValidation:
+    def test_nested_list_is_held_as_an_array(self, tmp_path):
+        listed = TraceSet([[1.0, 2.0], [3.0, 4.5]])
+        assert isinstance(listed.samples, np.ndarray)
+        assert (listed.n_traces, listed.n_samples) == (2, 2)
+        _, loaded = _write_read(tmp_path, listed)
+        assert loaded.samples.tolist() == [[1.0, 2.0], [3.0, 4.5]]
+        with pytest.raises(LayoutMismatch, match="^samples must be a 2-D array: "):
+            TraceSet([[1.0, 2.0], [3.0]])
+
     def test_rejects_non_2d(self, tmp_path):
         with pytest.raises(LayoutMismatch, match=r"^samples must be 2-D, got shape \(5,\)$"):
             write_trace_set(TraceSet(np.zeros(5, np.float32)), tmp_path / "x")
