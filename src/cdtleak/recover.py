@@ -292,6 +292,9 @@ class RecoveryReport:
                 if not 0.0 <= value < math.inf:
                     raise _inconsistent(f"{f.name}={value!r} is not finite and non-negative")
             elif "line" in f.metadata:
+                if len(value) != self.n_keys:  # to_pairs writes n_keys lines
+                    raise _inconsistent(
+                        f"{f.name} holds {len(value)} keys, not n_keys={self.n_keys}")
                 is_flags = _element(f) == "str"
                 for j, entry in enumerate(value):
                     if len(entry) != self.n:

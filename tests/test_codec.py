@@ -374,6 +374,16 @@ class TestComputedTotals:
         assert _report(_text(unlabeled)) == unlabeled
 
     @pytest.mark.parametrize("name, value", [
+        ("keys_f", [[1, -2]]), ("keys_g", [[-1, 0]] * 3), ("correct_flags_f", ["11"]),
+        ("correct_flags_g", ["11", "11", "00"]),
+    ])
+    def test_per_key_lines_hold_n_keys_keys(self, name, value):
+        # One line too many or too few would change the flag counts or break to_pairs.
+        message = f"^inconsistent report: {name} holds {len(value)} keys, not n_keys=2$"
+        with pytest.raises(ReportFormatError, match=message):
+            dataclasses.replace(LABELED, **{name: value})
+
+    @pytest.mark.parametrize("name, value", [
         ("inner_site_errors", 3), ("neg_site_errors", 1),
         ("correct_flags_f", ["zz", "11"]), ("correct_flags_g", ["11", "11"]),
     ])
